@@ -9,9 +9,9 @@ from .core import (
     Grid,
     GridMismatchError,
     TimeGrid,
-    h_norm,
+    h_norm_values,
     order_leq,
-    positive_part_energy,
+    positive_part_energy_values,
 )
 from .operators import (
     DriftSpec,
@@ -19,11 +19,11 @@ from .operators import (
     ReactionSpec,
     Sigma_functional,
     SpatialOpSpec,
-    apply_A,
+    apply_A_values,
     check_assumptions,
-    eval_b,
-    eval_f,
-    eval_g,
+    eval_b_values,
+    eval_f_values,
+    eval_g_values,
     sigma_eps,
     sigma_eps_prime,
     sigma_eps_second,
@@ -53,6 +53,7 @@ from .bracket import (
     BracketResult,
     IntervalReport,
     apply_S,
+    bracket_pair,
     bracket_study,
     build_extremal,
     iterate_bracket,

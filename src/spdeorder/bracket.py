@@ -55,7 +55,7 @@ def build_extremal(
     newton: NewtonParams = NewtonParams(),
 ) -> Trajectory:
     """Solve the auxiliary bracket problem for the requested side."""
-    return solve_frozen(spec, extremal_forcing(side, spec.C_B), noise_path, newton)
+    return solve_frozen(spec, extremal_forcing(side, spec.drift.C_B), noise_path, newton)
 
 
 def apply_S(
@@ -78,7 +78,6 @@ def apply_S(
 class BracketResult:
     side: str
     extremal_start: Trajectory
-    iterates: tuple  # terminal-time snapshots (Fields), or Trajectories
     residual_history: tuple
     monotonicity_violations: tuple
     containment_violations: tuple
@@ -112,15 +111,15 @@ class BracketResult:
 def iterate_bracket(
     spec: ProblemSpec,
     side: str,
+    extremals: tuple[Trajectory, Trajectory],
     noise_path: Optional[NoisePath] = None,
     tol_fixed: float = 1e-6,
     max_outer: int = 60,
     mono_tol: float = 1e-10,
-    retain_full_iterates: bool = False,
-    extremals: Optional[tuple[Trajectory, Trajectory]] = None,
     newton: NewtonParams = NewtonParams(),
 ) -> BracketResult:
-    """Monotone sweep u <- S(u) from the requested bracket.
+    """Monotone sweep u <- S(u) from the requested bracket of the
+    (lower, upper) extremals.
 
     Stops when sup_t ||S(u) - u||_H <= tol_fixed or max_outer is reached.
     Min-side iterates are expected nondecreasing in the sweep index (max side
@@ -132,18 +131,9 @@ def iterate_bracket(
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
     sign = _side_sign(side)
-    if extremals is None:
-        lower = build_extremal(spec, MIN_SIDE, noise_path, newton)
-        upper = build_extremal(spec, MAX_SIDE, noise_path, newton)
-    else:
-        lower, upper = extremals
+    lower, upper = extremals
     start = lower if side == MIN_SIDE else upper
-
-    def snapshot(traj: Trajectory):
-        return traj if retain_full_iterates else traj.terminal()
-
     current = start
-    iterates = [snapshot(start)]
     residuals = []
     mono = []
     containment = []
@@ -160,7 +150,6 @@ def iterate_bracket(
         residuals.append(residual)
         mono.append(max(violation, 0.0))
         containment.append(max(below, above, 0.0))
-        iterates.append(snapshot(nxt))
         current = nxt
         if residual <= tol_fixed:
             converged = True
@@ -168,7 +157,6 @@ def iterate_bracket(
     return BracketResult(
         side=side,
         extremal_start=start,
-        iterates=tuple(iterates),
         residual_history=tuple(residuals),
         monotonicity_violations=tuple(mono),
         containment_violations=tuple(containment),
@@ -230,6 +218,29 @@ class BracketPair:
         return float(np.max(self.minimal.final.values - self.maximal.final.values))
 
 
+def bracket_pair(
+    spec: ProblemSpec,
+    master_seed: int,
+    path_index: int = 0,
+    tol_fixed: float = 1e-6,
+    max_outer: int = 60,
+    mono_tol: float = 1e-10,
+    newton: NewtonParams = NewtonParams(),
+) -> BracketPair:
+    """Both extremals on one noise path, then both one-sided iterations from
+    them; each side keeps its extremal as `extremal_start`."""
+    path = sample_noise_path(master_seed, path_index, spec.noise.K, spec.time_grid)
+    extremals = (build_extremal(spec, MIN_SIDE, path, newton),
+                 build_extremal(spec, MAX_SIDE, path, newton))
+    kwargs = dict(extremals=extremals, noise_path=path, tol_fixed=tol_fixed,
+                  max_outer=max_outer, mono_tol=mono_tol, newton=newton)
+    return BracketPair(
+        path_index=path_index,
+        minimal=iterate_bracket(spec, MIN_SIDE, **kwargs),
+        maximal=iterate_bracket(spec, MAX_SIDE, **kwargs),
+    )
+
+
 def bracket_study(
     spec: ProblemSpec,
     M: int,
@@ -242,16 +253,5 @@ def bracket_study(
     """Run both one-sided iterations on M independent noise paths."""
     if M < 1:
         raise ValueError("need at least one path")
-    pairs = []
-    for m in range(M):
-        path = sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
-        lower = build_extremal(spec, MIN_SIDE, path, newton)
-        upper = build_extremal(spec, MAX_SIDE, path, newton)
-        kwargs = dict(noise_path=path, tol_fixed=tol_fixed, max_outer=max_outer,
-                      mono_tol=mono_tol, extremals=(lower, upper), newton=newton)
-        pairs.append(BracketPair(
-            path_index=m,
-            minimal=iterate_bracket(spec, MIN_SIDE, **kwargs),
-            maximal=iterate_bracket(spec, MAX_SIDE, **kwargs),
-        ))
-    return pairs
+    return [bracket_pair(spec, master_seed, m, tol_fixed, max_outer, mono_tol, newton)
+            for m in range(M)]

@@ -60,13 +60,10 @@ def main(argv=None) -> int:
     if args.paths is not None:
         overrides["run.M"] = args.paths
     try:
-        cfg = resolve_config(overrides)
-    except ConfigError as err:
+        return run_scenario(resolve_config(overrides), args.out)
+    except ConfigError as err:  # out of range, or inconsistent with the spec
         sys.stderr.write(f"config error: {err}\n")
         return 2
-
-    try:
-        return run_scenario(cfg, args.out)
     except NewtonDivergenceError as err:
         sys.stderr.write(f"solver failure: {err}\n")
         return 3

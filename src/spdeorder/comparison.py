@@ -69,6 +69,7 @@ class ComparisonReport:
     worst_step: int
     worst_energy: float
     tol: float
+    first_pair: tuple  # the coupled trajectories of path 0, for diagnostics
 
     @property
     def passed(self) -> bool:
@@ -117,18 +118,21 @@ def comparison_study(
     K = spec_1.noise.K
     tg = spec_1.time_grid
 
-    def one(path_index: int) -> np.ndarray:
+    def one(path_index: int) -> tuple[Trajectory, Trajectory]:
         path = sample_noise_path(master_seed, path_index, K, tg)
-        t1, t2 = run_coupled(spec_1, spec_2, path, forcing_1, forcing_2, newton)
-        return energy_series(t1, t2)
+        return run_coupled(spec_1, spec_2, path, forcing_1, forcing_2, newton)
 
+    def energies(path_index: int) -> np.ndarray:
+        return energy_series(*one(path_index))
+
+    first_pair = one(0)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_energies = list(pool.map(one, range(M)))
+            rest = list(pool.map(energies, range(1, M)))
     else:
-        all_energies = [one(m) for m in range(M)]
+        rest = [energies(m) for m in range(1, M)]
 
-    stacked = np.stack(all_energies)  # (M, n_steps + 1)
+    stacked = np.stack([energy_series(*first_pair)] + rest)  # (M, n_steps + 1)
     max_energy = np.max(stacked, axis=0)
     mean_energy = np.sum(stacked, axis=0) / M
     flat = int(np.argmax(stacked))
@@ -142,4 +146,5 @@ def comparison_study(
         worst_step=worst_step,
         worst_energy=float(stacked[worst_path, worst_step]),
         tol=tol,
+        first_pair=first_pair,
     )

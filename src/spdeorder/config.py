@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .operators import DRIFT_KINDS, JUMP_SIDES, NOISE_KINDS, REACTION_KINDS
+
 SCENARIOS = ("ode_counterexample", "heat_comparison", "plap_bracket", "custom")
 
 
@@ -34,27 +36,23 @@ SCHEMA = {
     "spatial.p": (float, lambda v: v >= 2, "growth exponent, >= 2"),
     "spatial.alpha": (float, _positive, "operator coefficient"),
     "spatial.reg_delta": (float, _nonnegative, "Jacobian regularizer"),
-    "drift.kind": (str, lambda v: v in ("zero", "sqrt_plus", "heaviside",
-                                        "lipschitz_tanh", "piecewise_linear"),
-                   "drift kind"),
-    "drift.jump_side": (str, lambda v: v in ("lower", "mid", "upper"),
-                        "heaviside jump selection"),
+    "drift.kind": (str, lambda v: v in DRIFT_KINDS, f"one of {tuple(DRIFT_KINDS)}"),
+    "drift.jump_side": (str, lambda v: v in JUMP_SIDES, "heaviside jump selection"),
     "drift.s0": (float, None, "heaviside jump point"),
     "drift.low": (float, None, "heaviside lower value"),
     "drift.high": (float, None, "heaviside upper value"),
     "drift.scale": (float, None, "tanh drift scale"),
     "drift.knots": (tuple, None, "piecewise-linear knots r0,v0,r1,v1,..."),
     "drift.C_B": (float, _positive, "drift growth constant"),
-    "reaction.kind": (str, lambda v: v in ("zero", "linear", "lipschitz_tanh"),
-                      "reaction kind"),
+    "reaction.kind": (str, lambda v: v in REACTION_KINDS,
+                      f"one of {tuple(REACTION_KINDS)}"),
     "reaction.slope": (float, None, "linear reaction slope"),
     "reaction.offset": (float, None, "linear reaction offset"),
     "reaction.scale": (float, None, "tanh reaction scale"),
     "reaction.C_F": (float, _positive, "reaction Lipschitz constant"),
     "noise.K": (int, _nonnegative, "retained noise modes (0 = deterministic)"),
     "noise.gamma": (float, _positive, "mode coefficient ladder prefactor"),
-    "noise.kind": (str, lambda v: v in ("linear", "lipschitz_tanh"),
-                   "pointwise noise kind"),
+    "noise.kind": (str, lambda v: v in NOISE_KINDS, f"one of {tuple(NOISE_KINDS)}"),
     "noise.C_G": (float, _nonnegative, "noise constant (0 = derive from coeffs)"),
     "u0.kind": (str, lambda v: v in ("zero", "sine", "constant"), "initial datum"),
     "u0.amplitude": (float, None, "initial datum amplitude"),
@@ -65,7 +63,6 @@ SCHEMA = {
     "run.mono_tol": (float, _nonnegative, "monotonicity violation tolerance"),
     "run.comparison_tol": (float, _positive, "comparison energy tolerance"),
     "run.eps_list": (tuple, None, "regularizer eps values for diagnostics"),
-    "run.retain_full_iterates": (bool, None, "store full iterate trajectories"),
     "run.dual_jump_side": (bool, None, "also run the opposite jump_side"),
     "run.workers": (int, lambda v: v >= 1, "worker threads for path ensembles"),
     "newton.tol": (float, _positive, "Newton residual tolerance"),
@@ -114,7 +111,6 @@ DEFAULTS = {
     "run.mono_tol": 1e-10,
     "run.comparison_tol": 1e-10,
     "run.eps_list": (1e-2, 1e-4),
-    "run.retain_full_iterates": False,
     "run.dual_jump_side": False,
     "run.workers": 1,
     "newton.tol": 1e-10,

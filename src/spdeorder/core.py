@@ -112,17 +112,8 @@ class TimeGrid:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-def _require_same_grid(a: Field, b: Field) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
-
-
-def h_norm(u: Field) -> float:
-    """dx-weighted Euclidean norm, the discrete L2 norm."""
-    return h_norm_values(u.values, u.grid.dx)
-
-
 def h_norm_values(values: np.ndarray, dx: float) -> float:
+    """dx-weighted Euclidean norm, the discrete L2 norm."""
     return float(np.sqrt(np.dot(values, values) * dx))
 
 
@@ -132,17 +123,14 @@ def order_leq(a: Field, b: Field, tol: float = 0.0) -> tuple[bool, float]:
     Returns (holds, max_violation) with max_violation = max_i(a_i - b_i),
     which may be negative.
     """
-    _require_same_grid(a, b)
+    if a.grid != b.grid:
+        raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
     violation = float(np.max(a.values - b.values))
     return violation <= tol, violation
 
 
-def positive_part_energy(a: Field, b: Field) -> float:
-    """Squared discrete L2 norm of (a - b)^+; zero iff a <= b pointwise."""
-    _require_same_grid(a, b)
-    return positive_part_energy_values(a.values - b.values, a.grid.dx)
-
-
 def positive_part_energy_values(diff: np.ndarray, dx: float) -> float:
+    """Squared discrete L2 norm of (a - b)^+ from diff = a - b; zero iff
+    a <= b pointwise."""
     pos = np.maximum(diff, 0.0)
     return float(np.dot(pos, pos) * dx)

@@ -4,24 +4,27 @@ and the smooth positive-part regularizer, with runtime-checkable descriptors.
 The spatial operator is the 1D p-Laplacian flux difference with Dirichlet
 ghost zeros.  Drift b is nondecreasing (possibly discontinuous), the
 reaction f is Lipschitz, and the noise acts mode-wise through scalar
-functions g_k.  All specs validate their declared structural properties on
-dense sample grids at construction time; `check_assumptions` re-verifies
-them (plus the operator inequalities) and returns a report instead of
-raising.
+functions g_k.  Each of the three roles has one table of kinds
+(DRIFT_KINDS, REACTION_KINDS, NOISE_KINDS) that evaluation, config
+validation and the scenario builders all read.  The pointwise hypotheses
+are written once: spec construction raises a SpecError when one fails, and
+`check_assumptions` reports them (plus the operator inequalities) instead
+of raising.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import Field, Grid, ODE
 
-JUMP_SIDES = ("lower", "mid", "upper")
+JUMP_SIDES = ("lower", "mid", "upper")  # which value a heaviside drift takes at s0
 
-_SAMPLE_RANGE = 50.0
-_SAMPLE_COUNT = 20001
+# dense sample grid on which the pointwise hypotheses are verified
+_SAMPLES = np.linspace(-50.0, 50.0, 20001)
+_SAMPLES.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +59,13 @@ def interface_gradients(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete -div(a(grad u)) with homogeneous Dirichlet values."""
     if grid.mode == ODE:
         return np.zeros_like(values)
     dx = grid.dx
     D = interface_gradients(values, dx)
     flux = spec.alpha * np.abs(D) ** (spec.p - 2.0) * D
     return -np.diff(flux) / dx
-
-
-def apply_A(spec: SpatialOpSpec, u: Field) -> Field:
-    """Discrete -div(a(grad u)) with homogeneous Dirichlet values."""
-    return Field(apply_A_values(spec, u.values, u.grid), u.grid)
 
 
 def jacobian_bands(
@@ -93,7 +92,78 @@ def jacobian_bands(
 
 
 # ---------------------------------------------------------------------------
-# drift
+# pointwise nonlinearities: one table of kinds per role
+
+
+class SpecError(ValueError):
+    """A spec value is invalid; `key` names the field as its config key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+class Kind(NamedTuple):
+    """One entry of a drift or reaction table.
+
+    fn(spec, r) evaluates the nonlinearity on an array; params are the spec
+    fields it reads, which are also its config keys; default(spec) is the
+    declared constant (C_B or C_F) that a spec built with None gets.
+    """
+
+    fn: Callable
+    params: tuple
+    default: Callable
+
+
+def _zero(spec, r):
+    return np.zeros_like(r)
+
+
+def _scaled_tanh(spec, r):
+    return spec.scale * np.tanh(r)
+
+
+def _abs_or_tiny(x: float) -> float:
+    return abs(x) if x else 1e-12
+
+
+def _heaviside(spec, r):
+    jump = {"lower": spec.low, "mid": 0.5 * (spec.low + spec.high), "upper": spec.high}
+    return np.where(r < spec.s0, spec.low,
+                    np.where(r > spec.s0, spec.high, jump[spec.jump_side]))
+
+
+def _piecewise_linear(spec, r):
+    # constant extension beyond the end knots keeps the function
+    # nondecreasing and bounded
+    rs = np.array([k[0] for k in spec.knots])
+    vs = np.array([k[1] for k in spec.knots])
+    return np.interp(r, rs, vs)
+
+
+DRIFT_KINDS = {
+    "zero": Kind(_zero, (), lambda s: 1.0),
+    "sqrt_plus": Kind(lambda s, r: np.sqrt(np.maximum(r, 0.0)), (), lambda s: 1.0),
+    "heaviside": Kind(_heaviside, ("s0", "low", "high", "jump_side"),
+                      lambda s: max(abs(s.low), abs(s.high), 1e-12)),
+    "lipschitz_tanh": Kind(_scaled_tanh, ("scale",), lambda s: _abs_or_tiny(s.scale)),
+    "piecewise_linear": Kind(_piecewise_linear, ("knots",),
+                             lambda s: max(abs(v) for _, v in s.knots) + 1.0),
+}
+
+REACTION_KINDS = {
+    "zero": Kind(_zero, (), lambda s: 1e-12),
+    "linear": Kind(lambda s, r: s.slope * r + s.offset, ("slope", "offset"),
+                   lambda s: _abs_or_tiny(s.slope)),
+    "lipschitz_tanh": Kind(_scaled_tanh, ("scale",), lambda s: _abs_or_tiny(s.scale)),
+}
+
+# noise kinds are shapes only: the mode coefficients carry the scale and C_G
+NOISE_KINDS = {
+    "linear": lambda r: r,
+    "lipschitz_tanh": np.tanh,
+}
 
 
 @dataclass(frozen=True)
@@ -101,7 +171,7 @@ class DriftSpec:
     """Nondecreasing scalar drift b, applied pointwise (Nemytskii)."""
 
     kind: str
-    C_B: float = 1.0
+    C_B: Optional[float] = None
     s0: float = 0.0
     low: float = 0.0
     high: float = 1.0
@@ -110,92 +180,34 @@ class DriftSpec:
     jump_side: str = "lower"
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sqrt_plus", "heaviside", "lipschitz_tanh",
-                             "piecewise_linear"):
-            raise ValueError(f"unknown drift kind {self.kind!r}")
+        if self.kind not in DRIFT_KINDS:
+            raise SpecError("drift.kind", f"unknown drift kind {self.kind!r}")
         if self.jump_side not in JUMP_SIDES:
-            raise ValueError(f"jump_side must be one of {JUMP_SIDES}")
-        if not self.C_B > 0:
-            raise ValueError("C_B must be positive")
+            raise SpecError("drift.jump_side", f"jump_side not in {JUMP_SIDES}")
         if self.kind == "heaviside" and self.low > self.high:
-            raise ValueError("heaviside requires low <= high")
+            raise SpecError("drift.high", "heaviside requires low <= high")
         if self.kind == "piecewise_linear":
             knots = tuple((float(r), float(v)) for r, v in self.knots)
             if len(knots) < 2:
-                raise ValueError("piecewise_linear needs at least two knots")
+                raise SpecError("drift.knots", "piecewise_linear needs >= 2 knots")
             rs = [r for r, _ in knots]
             vs = [v for _, v in knots]
             if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
-                raise ValueError("knot abscissae must be strictly increasing")
+                raise SpecError("drift.knots", "knot abscissae must increase strictly")
             if any(v2 < v1 for v1, v2 in zip(vs, vs[1:])):
-                raise ValueError("knot values must be nondecreasing")
+                raise SpecError("drift.knots", "knot values must be nondecreasing")
             object.__setattr__(self, "knots", knots)
-        r = np.linspace(-_SAMPLE_RANGE, _SAMPLE_RANGE, _SAMPLE_COUNT)
-        vals = eval_b_values(self, r)
-        if np.any(np.diff(vals) < 0.0):
-            raise ValueError("drift is not nondecreasing on the sample grid")
-        if np.any(np.abs(vals) > self.C_B * (1.0 + np.abs(r)) + 1e-12):
-            raise ValueError("drift violates the declared linear growth bound")
-
-    @classmethod
-    def zero(cls, C_B: float = 1.0) -> "DriftSpec":
-        return cls(kind="zero", C_B=C_B)
-
-    @classmethod
-    def sqrt_plus(cls, C_B: float = 1.0) -> "DriftSpec":
-        return cls(kind="sqrt_plus", C_B=C_B)
-
-    @classmethod
-    def heaviside(cls, s0: float, low: float, high: float,
-                  jump_side: str = "lower", C_B: Optional[float] = None) -> "DriftSpec":
-        if C_B is None:
-            C_B = max(abs(low), abs(high), 1e-12)
-        return cls(kind="heaviside", s0=s0, low=low, high=high,
-                   jump_side=jump_side, C_B=C_B)
-
-    @classmethod
-    def lipschitz_tanh(cls, scale: float, C_B: Optional[float] = None) -> "DriftSpec":
-        if C_B is None:
-            C_B = abs(scale) if scale else 1e-12
-        return cls(kind="lipschitz_tanh", scale=scale, C_B=C_B)
-
-    @classmethod
-    def piecewise_linear(cls, knots, C_B: Optional[float] = None) -> "DriftSpec":
-        if C_B is None:
-            C_B = max(abs(v) for _, v in knots) + 1.0
-        return cls(kind="piecewise_linear", knots=tuple(knots), C_B=C_B)
+        if self.C_B is None:
+            object.__setattr__(self, "C_B", DRIFT_KINDS[self.kind].default(self))
+        if not self.C_B > 0:
+            raise SpecError("drift.C_B", "C_B must be positive")
+        nondecreasing, growth, _ = _drift_checks(self)
+        _require(nondecreasing, "drift.kind")
+        _require(growth, "drift.C_B")
 
 
 def eval_b_values(spec: DriftSpec, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(r)
-    if spec.kind == "sqrt_plus":
-        return np.sqrt(np.maximum(r, 0.0))
-    if spec.kind == "heaviside":
-        if spec.jump_side == "lower":
-            at_jump = spec.low
-        elif spec.jump_side == "upper":
-            at_jump = spec.high
-        else:
-            at_jump = 0.5 * (spec.low + spec.high)
-        return np.where(r < spec.s0, spec.low,
-                        np.where(r > spec.s0, spec.high, at_jump))
-    if spec.kind == "lipschitz_tanh":
-        return spec.scale * np.tanh(r)
-    # piecewise_linear; constant extension beyond the end knots keeps the
-    # function nondecreasing and bounded
-    rs = np.array([k[0] for k in spec.knots])
-    vs = np.array([k[1] for k in spec.knots])
-    return np.interp(r, rs, vs)
-
-
-def eval_b(spec: DriftSpec, u: Field) -> Field:
-    return Field(eval_b_values(spec, u.values), u.grid)
-
-
-# ---------------------------------------------------------------------------
-# reaction
+    return DRIFT_KINDS[spec.kind].fn(spec, np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -206,52 +218,20 @@ class ReactionSpec:
     slope: float = 0.0
     offset: float = 0.0
     scale: float = 1.0
-    C_F: float = 1e-12
+    C_F: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "linear", "lipschitz_tanh"):
-            raise ValueError(f"unknown reaction kind {self.kind!r}")
+        if self.kind not in REACTION_KINDS:
+            raise SpecError("reaction.kind", f"unknown reaction kind {self.kind!r}")
+        if self.C_F is None:
+            object.__setattr__(self, "C_F", REACTION_KINDS[self.kind].default(self))
         if not self.C_F > 0:
-            raise ValueError("C_F must be positive")
-        r = np.linspace(-_SAMPLE_RANGE, _SAMPLE_RANGE, _SAMPLE_COUNT)
-        vals = eval_f_values(self, r)
-        incr = np.abs(np.diff(vals)) / (r[1] - r[0])
-        if np.any(incr > self.C_F * (1.0 + 1e-9) + 1e-12):
-            raise ValueError("reaction violates the declared Lipschitz bound")
-
-    @classmethod
-    def zero(cls) -> "ReactionSpec":
-        return cls(kind="zero")
-
-    @classmethod
-    def linear(cls, slope: float, offset: float = 0.0,
-               C_F: Optional[float] = None) -> "ReactionSpec":
-        if C_F is None:
-            C_F = abs(slope) if slope else 1e-12
-        return cls(kind="linear", slope=slope, offset=offset, C_F=C_F)
-
-    @classmethod
-    def lipschitz_tanh(cls, scale: float, C_F: Optional[float] = None) -> "ReactionSpec":
-        if C_F is None:
-            C_F = abs(scale) if scale else 1e-12
-        return cls(kind="lipschitz_tanh", scale=scale, C_F=C_F)
+            raise SpecError("reaction.C_F", "C_F must be positive")
+        _require(_reaction_check(self), "reaction.C_F")
 
 
 def eval_f_values(spec: ReactionSpec, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(r)
-    if spec.kind == "linear":
-        return spec.slope * r + spec.offset
-    return spec.scale * np.tanh(r)
-
-
-def eval_f(spec: ReactionSpec, u: Field) -> Field:
-    return Field(eval_f_values(spec, u.values), u.grid)
-
-
-# ---------------------------------------------------------------------------
-# noise
+    return REACTION_KINDS[spec.kind].fn(spec, np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -265,21 +245,16 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.K < 0:
-            raise ValueError("mode count K must be nonnegative")
+            raise SpecError("noise.K", "mode count K must be nonnegative")
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(coeffs) != self.K:
-            raise ValueError("need exactly one coefficient per retained mode")
+            raise SpecError("noise.K", "need exactly one coefficient per retained mode")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.pointwise_kind not in ("linear", "lipschitz_tanh"):
-            raise ValueError(f"unknown noise kind {self.pointwise_kind!r}")
+        if self.pointwise_kind not in NOISE_KINDS:
+            raise SpecError("noise.kind", f"unknown noise kind {self.pointwise_kind!r}")
         if not self.C_G > 0:
-            raise ValueError("C_G must be positive")
-        if sum(c * c for c in coeffs) > self.C_G**2 * (1.0 + 1e-12):
-            raise ValueError("sum of squared mode coefficients exceeds C_G^2")
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls(K=0, coeffs=(), C_G=1e-12)
+            raise SpecError("noise.C_G", "C_G must be positive")
+        _require(_noise_check(self), "noise.C_G")
 
     @classmethod
     def geometric(cls, K: int, gamma: float = 0.5, pointwise_kind: str = "linear",
@@ -298,14 +273,7 @@ class NoiseSpec:
 def eval_g_values(spec: NoiseSpec, k: int, r: np.ndarray) -> np.ndarray:
     if not 0 <= k < spec.K:
         raise IndexError(f"mode index {k} out of range for K = {spec.K}")
-    r = np.asarray(r, dtype=float)
-    if spec.pointwise_kind == "linear":
-        return spec.coeffs[k] * r
-    return spec.coeffs[k] * np.tanh(r)
-
-
-def eval_g(spec: NoiseSpec, k: int, u: Field) -> Field:
-    return Field(eval_g_values(spec, k, u.values), u.grid)
+    return spec.coeffs[k] * NOISE_KINDS[spec.pointwise_kind](np.asarray(r, dtype=float))
 
 
 def noise_term_values(spec: NoiseSpec, r: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -313,9 +281,7 @@ def noise_term_values(spec: NoiseSpec, r: np.ndarray, dW: np.ndarray) -> np.ndar
     if spec.K == 0:
         return np.zeros_like(r)
     weight = float(np.dot(spec.coeff_array, dW))
-    if spec.pointwise_kind == "linear":
-        return weight * r
-    return weight * np.tanh(r)
+    return weight * NOISE_KINDS[spec.pointwise_kind](r)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +368,46 @@ class AssumptionReport:
         return "\n".join(lines) + "\n"
 
 
+def _require(check: AssumptionCheck, key: str) -> None:
+    if not check.passed:
+        raise SpecError(key, f"{check.name} fails: {check.detail}")
+
+
+def _drift_checks(drift: DriftSpec) -> tuple:
+    """Nondecreasing, linear growth, and the informational Lipschitz entry
+    (discontinuous drifts are expected to fail it)."""
+    r = _SAMPLES
+    dr = r[1] - r[0]
+    bv = eval_b_values(drift, r)
+    worst_mono = float(np.min(np.diff(bv)))
+    growth_gap = float(np.max(np.abs(bv) - drift.C_B * (1.0 + np.abs(r))))
+    lip = float(np.max(np.abs(np.diff(bv)) / dr))
+    return (
+        AssumptionCheck("drift_nondecreasing", worst_mono >= 0.0, True,
+                        f"min consecutive increment {worst_mono:.3e}"),
+        AssumptionCheck("drift_linear_growth", growth_gap <= 1e-12, True,
+                        f"max |b(r)| - C_B(1+|r|) = {growth_gap:.3e}"),
+        AssumptionCheck("drift_lipschitz", lip <= drift.C_B / dr * 1e-3, False,
+                        f"max difference quotient {lip:.3e} on spacing {dr:.3e}"),
+    )
+
+
+def _reaction_check(reaction: ReactionSpec) -> AssumptionCheck:
+    r = _SAMPLES
+    dr = r[1] - r[0]
+    f_lip = float(np.max(np.abs(np.diff(eval_f_values(reaction, r))) / dr))
+    return AssumptionCheck(
+        "reaction_lipschitz", f_lip <= reaction.C_F * (1.0 + 1e-9) + 1e-12, True,
+        f"max difference quotient {f_lip:.3e} vs C_F = {reaction.C_F:.3e}")
+
+
+def _noise_check(noise: NoiseSpec) -> AssumptionCheck:
+    csum = float(np.sum(noise.coeff_array**2))
+    return AssumptionCheck(
+        "noise_mode_summability", csum <= noise.C_G**2 * (1.0 + 1e-12), True,
+        f"sum c_k^2 = {csum:.6e} vs C_G^2 = {noise.C_G**2:.6e}")
+
+
 def check_assumptions(
     spatial: SpatialOpSpec,
     drift: DriftSpec,
@@ -419,38 +425,7 @@ def check_assumptions(
     if grid is None:
         grid = Grid(n_interior=64)
     rng = np.random.default_rng(seed)
-    checks = []
-
-    r = np.linspace(-_SAMPLE_RANGE, _SAMPLE_RANGE, _SAMPLE_COUNT)
-    dr = r[1] - r[0]
-
-    bv = eval_b_values(drift, r)
-    worst_mono = float(np.min(np.diff(bv))) if bv.size > 1 else 0.0
-    checks.append(AssumptionCheck(
-        "drift_nondecreasing", worst_mono >= 0.0, True,
-        f"min consecutive increment {worst_mono:.3e}"))
-
-    growth_gap = float(np.max(np.abs(bv) - drift.C_B * (1.0 + np.abs(r))))
-    checks.append(AssumptionCheck(
-        "drift_linear_growth", growth_gap <= 1e-12, True,
-        f"max |b(r)| - C_B(1+|r|) = {growth_gap:.3e}"))
-
-    lip = float(np.max(np.abs(np.diff(bv)) / dr))
-    checks.append(AssumptionCheck(
-        "drift_lipschitz", lip <= drift.C_B / dr * 1e-3, False,
-        f"max difference quotient {lip:.3e} on spacing {dr:.3e}"))
-
-    fv = eval_f_values(reaction, r)
-    f_lip = float(np.max(np.abs(np.diff(fv)) / dr)) if fv.size > 1 else 0.0
-    checks.append(AssumptionCheck(
-        "reaction_lipschitz", f_lip <= reaction.C_F * (1.0 + 1e-9) + 1e-12, True,
-        f"max difference quotient {f_lip:.3e} vs C_F = {reaction.C_F:.3e}"))
-
-    csum = float(np.sum(noise.coeff_array**2))
-    checks.append(AssumptionCheck(
-        "noise_mode_summability", csum <= noise.C_G**2 * (1.0 + 1e-12), True,
-        f"sum c_k^2 = {csum:.6e} vs C_G^2 = {noise.C_G**2:.6e}"))
-
+    checks = [*_drift_checks(drift), _reaction_check(reaction), _noise_check(noise)]
     if grid.mode == ODE:
         checks.append(AssumptionCheck(
             "operator_nulled_in_ode_mode", True, True,

@@ -10,23 +10,18 @@ from typing import Optional
 
 import numpy as np
 
-from .bracket import (
-    MAX_SIDE,
-    MIN_SIDE,
-    bracket_study,
-    build_extremal,
-    iterate_bracket,
-    verify_interval,
-)
-from .comparison import comparison_study, sigma_energy_trace, run_coupled
-from .config import ScenarioConfig, SCENARIO_DESCRIPTIONS, SCENARIOS
+from .bracket import BracketPair, bracket_pair, bracket_study, verify_interval
+from .comparison import comparison_study, sigma_energy_trace
+from .config import ConfigError, ScenarioConfig, SCENARIO_DESCRIPTIONS, SCENARIOS
 from .core import Field, Grid, TimeGrid, ODE
-from .noise import sample_noise_path
 from .operators import (
+    DRIFT_KINDS,
+    REACTION_KINDS,
     DriftSpec,
     NoiseSpec,
     ReactionSpec,
     SpatialOpSpec,
+    SpecError,
     check_assumptions,
 )
 from .solver import NewtonParams, ProblemSpec, constant_forcing
@@ -41,37 +36,22 @@ def build_time_grid(cfg: ScenarioConfig) -> TimeGrid:
     return TimeGrid(T=cfg["time.T"], n_steps=n_steps)
 
 
-def build_drift(cfg: ScenarioConfig) -> DriftSpec:
-    kind = cfg["drift.kind"]
-    if kind == "zero":
-        return DriftSpec.zero(C_B=cfg["drift.C_B"])
-    if kind == "sqrt_plus":
-        return DriftSpec.sqrt_plus(C_B=cfg["drift.C_B"])
-    if kind == "heaviside":
-        return DriftSpec.heaviside(cfg["drift.s0"], cfg["drift.low"],
-                                   cfg["drift.high"], jump_side=cfg["drift.jump_side"],
-                                   C_B=cfg["drift.C_B"])
-    if kind == "lipschitz_tanh":
-        return DriftSpec.lipschitz_tanh(cfg["drift.scale"], C_B=cfg["drift.C_B"])
-    flat = cfg["drift.knots"]
-    knots = tuple(zip(flat[0::2], flat[1::2]))
-    return DriftSpec.piecewise_linear(knots, C_B=cfg["drift.C_B"])
-
-
-def build_reaction(cfg: ScenarioConfig) -> ReactionSpec:
-    kind = cfg["reaction.kind"]
-    if kind == "zero":
-        return ReactionSpec.zero()
-    if kind == "linear":
-        return ReactionSpec.linear(cfg["reaction.slope"], cfg["reaction.offset"],
-                                   C_F=cfg["reaction.C_F"])
-    return ReactionSpec.lipschitz_tanh(cfg["reaction.scale"], C_F=cfg["reaction.C_F"])
+def build_pointwise(cfg: ScenarioConfig, section: str, spec_cls, kinds: dict,
+                    constant: str):
+    """Drift or reaction spec from its section: the kind, the parameters the
+    kind's table entry names, and the declared constant."""
+    kind = cfg[f"{section}.kind"]
+    params = {p: cfg[f"{section}.{p}"] for p in kinds[kind].params + (constant,)}
+    if "knots" in params:  # flat r0,v0,r1,v1,... in the config file
+        flat = params["knots"]
+        params["knots"] = tuple(zip(flat[0::2], flat[1::2]))
+    return spec_cls(kind=kind, **params)
 
 
 def build_noise(cfg: ScenarioConfig) -> NoiseSpec:
     K = cfg["noise.K"]
     if K == 0:
-        return NoiseSpec.none()
+        return NoiseSpec()
     C_G = cfg["noise.C_G"] or None  # 0 means derive from the coefficients
     return NoiseSpec.geometric(K, gamma=cfg["noise.gamma"],
                                pointwise_kind=cfg["noise.kind"], C_G=C_G)
@@ -90,19 +70,25 @@ def build_u0(cfg: ScenarioConfig, grid: Grid) -> Field:
 
 
 def build_problem_spec(cfg: ScenarioConfig, u0: Optional[Field] = None) -> ProblemSpec:
+    """Raises ConfigError naming the key when the config passes the schema
+    but violates a spec hypothesis (e.g. a drift above its declared C_B)."""
     grid = build_grid(cfg)
     if u0 is None:
         u0 = build_u0(cfg, grid)
-    return ProblemSpec(
-        grid=grid,
-        time_grid=build_time_grid(cfg),
-        spatial=SpatialOpSpec(p=cfg["spatial.p"], alpha=cfg["spatial.alpha"],
-                              reg_delta=cfg["spatial.reg_delta"]),
-        drift=build_drift(cfg),
-        reaction=build_reaction(cfg),
-        noise=build_noise(cfg),
-        u0=u0,
-    )
+    try:
+        return ProblemSpec(
+            grid=grid,
+            time_grid=build_time_grid(cfg),
+            spatial=SpatialOpSpec(p=cfg["spatial.p"], alpha=cfg["spatial.alpha"],
+                                  reg_delta=cfg["spatial.reg_delta"]),
+            drift=build_pointwise(cfg, "drift", DriftSpec, DRIFT_KINDS, "C_B"),
+            reaction=build_pointwise(cfg, "reaction", ReactionSpec, REACTION_KINDS,
+                                     "C_F"),
+            noise=build_noise(cfg),
+            u0=u0,
+        )
+    except SpecError as err:
+        raise ConfigError(f"config key {err.key!r}: {err}") from None
 
 
 def build_newton(cfg: ScenarioConfig) -> NewtonParams:
@@ -139,50 +125,49 @@ def _run_assumptions(cfg: ScenarioConfig, spec: ProblemSpec, out_dir: str) -> No
     _write(out_dir, "assumptions.txt", report.to_text())
 
 
-def _run_bracket_sides(cfg: ScenarioConfig, spec: ProblemSpec, out_dir: str,
-                       suffix: str = "") -> dict:
-    newton = build_newton(cfg)
-    path = sample_noise_path(cfg["run.master_seed"], 0, spec.noise.K,
-                             spec.time_grid)
-    lower = build_extremal(spec, MIN_SIDE, path, newton)
-    upper = build_extremal(spec, MAX_SIDE, path, newton)
-    results = {}
-    for side in (MIN_SIDE, MAX_SIDE):
-        result = iterate_bracket(
-            spec, side, path,
-            tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"],
-            mono_tol=cfg["run.mono_tol"],
-            retain_full_iterates=cfg["run.retain_full_iterates"],
-            extremals=(lower, upper), newton=newton)
-        _write(out_dir, f"bracket_{side}{suffix}.txt", result.to_text())
-        result.final.to_csv(os.path.join(out_dir, f"trajectory_{side}{suffix}.csv"))
-        results[side] = result
-    results["lower"] = lower
-    results["upper"] = upper
-    return results
+def _bracket_kwargs(cfg: ScenarioConfig) -> dict:
+    return dict(tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"],
+                mono_tol=cfg["run.mono_tol"], newton=build_newton(cfg))
+
+
+def _write_pair(out_dir: str, pair: BracketPair, suffix: str = "") -> None:
+    for res in (pair.minimal, pair.maximal):
+        _write(out_dir, f"bracket_{res.side}{suffix}.txt", res.to_text())
+        res.final.to_csv(os.path.join(out_dir, f"trajectory_{res.side}{suffix}.csv"))
+
+
+def _run_bracket_pair(cfg: ScenarioConfig, spec: ProblemSpec, out_dir: str,
+                      suffix: str = "") -> BracketPair:
+    pair = bracket_pair(spec, cfg["run.master_seed"], **_bracket_kwargs(cfg))
+    _write_pair(out_dir, pair, suffix)
+    return pair
+
+
+def _interval_ok(pair: BracketPair, tol: float) -> bool:
+    """Both one-sided finals lie between the two extremals."""
+    lower, upper = pair.minimal.extremal_start, pair.maximal.extremal_start
+    reports = [verify_interval(result.final, lower, upper, tol)
+               for result in (pair.minimal, pair.maximal)]
+    return all(report.passed for report in reports)
 
 
 def _scenario_ode_counterexample(cfg: ScenarioConfig, out_dir: str) -> dict:
     spec = build_problem_spec(cfg)
     _run_assumptions(cfg, spec, out_dir)
-    results = _run_bracket_sides(cfg, spec, out_dir)
-    minimal, maximal = results[MIN_SIDE], results[MAX_SIDE]
+    pair = _run_bracket_pair(cfg, spec, out_dir)
+    minimal, maximal = pair.minimal, pair.maximal
 
     min_sup = float(np.max(np.abs(minimal.final.values)))
     t_final = spec.time_grid.T
     max_terminal = float(maximal.final.values[-1, 0])
     target = t_final**2 / 4.0
-    interval_min = verify_interval(minimal.final, results["lower"],
-                                   results["upper"], cfg["gates.interval_tol"])
-    interval_max = verify_interval(maximal.final, results["lower"],
-                                   results["upper"], cfg["gates.interval_tol"])
     gates = {
         "min_converged": minimal.converged,
         "max_converged": maximal.converged,
         "min_sup_zero": min_sup <= cfg["gates.min_sup"],
         "max_terminal": abs(max_terminal - target) <= cfg["gates.max_terminal_err"],
         "monotone_sweeps": minimal.monotone_ok and maximal.monotone_ok,
-        "interval": interval_min.passed and interval_max.passed,
+        "interval": _interval_ok(pair, cfg["gates.interval_tol"]),
     }
     extra = {
         "u_min_sup": min_sup,
@@ -207,21 +192,17 @@ def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
     spec_2 = build_problem_spec(cfg, u0=u0_2)
     _run_assumptions(cfg, spec_1, out_dir)
 
-    newton = build_newton(cfg)
     report = comparison_study(
         spec_1, spec_2, cfg["run.M"], cfg["run.master_seed"],
         forcing_1=constant_forcing(cfg["comparison.h_low"]),
         forcing_2=constant_forcing(cfg["comparison.h_high"]),
-        tol=cfg["run.comparison_tol"], workers=cfg["run.workers"], newton=newton)
+        tol=cfg["run.comparison_tol"], workers=cfg["run.workers"],
+        newton=build_newton(cfg))
     _write(out_dir, "comparison.txt", report.to_text())
     report.energies_to_csv(os.path.join(out_dir, "comparison.csv"))
 
     # regularizer diagnostics on the first path
-    path0 = sample_noise_path(cfg["run.master_seed"], 0, spec_1.noise.K,
-                              spec_1.time_grid)
-    t1, t2 = run_coupled(spec_1, spec_2, path0,
-                         constant_forcing(cfg["comparison.h_low"]),
-                         constant_forcing(cfg["comparison.h_high"]), newton)
+    t1, t2 = report.first_pair
     t1.to_csv(os.path.join(out_dir, "trajectory_lower.csv"))
     t2.to_csv(os.path.join(out_dir, "trajectory_upper.csv"))
     times = spec_1.time_grid.times()
@@ -243,19 +224,14 @@ def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
     return gates
 
 
-def _plap_gates(cfg: ScenarioConfig, results: dict) -> tuple[dict, dict]:
-    minimal, maximal = results[MIN_SIDE], results[MAX_SIDE]
-    interval_tol = cfg["gates.interval_tol"]
-    interval_min = verify_interval(minimal.final, results["lower"],
-                                   results["upper"], interval_tol)
-    interval_max = verify_interval(maximal.final, results["lower"],
-                                   results["upper"], interval_tol)
-    cross = float(np.max(minimal.final.values - maximal.final.values))
+def _plap_gates(cfg: ScenarioConfig, pair: BracketPair) -> tuple[dict, dict]:
+    minimal, maximal = pair.minimal, pair.maximal
+    cross = pair.cross_order_violation
     gates = {
         "min_converged": minimal.converged,
         "max_converged": maximal.converged,
         "monotone_sweeps": minimal.monotone_ok and maximal.monotone_ok,
-        "interval": interval_min.passed and interval_max.passed,
+        "interval": _interval_ok(pair, cfg["gates.interval_tol"]),
         "min_below_max": cross <= cfg["run.mono_tol"],
     }
     extra = {
@@ -271,8 +247,7 @@ def _plap_gates(cfg: ScenarioConfig, results: dict) -> tuple[dict, dict]:
 def _scenario_plap_bracket(cfg: ScenarioConfig, out_dir: str) -> dict:
     spec = build_problem_spec(cfg)
     _run_assumptions(cfg, spec, out_dir)
-    results = _run_bracket_sides(cfg, spec, out_dir)
-    gates, extra = _plap_gates(cfg, results)
+    gates, extra = _plap_gates(cfg, _run_bracket_pair(cfg, spec, out_dir))
 
     if cfg["run.dual_jump_side"]:
         # expose the jump-selection dependence of the computed bracket
@@ -281,8 +256,7 @@ def _scenario_plap_bracket(cfg: ScenarioConfig, out_dir: str) -> dict:
         alt_values["drift.jump_side"] = flipped
         alt_cfg = ScenarioConfig(alt_values)
         alt_spec = build_problem_spec(alt_cfg)
-        alt = _run_bracket_sides(alt_cfg, alt_spec, out_dir,
-                                 suffix=f"_jump_{flipped}")
+        alt = _run_bracket_pair(alt_cfg, alt_spec, out_dir, suffix=f"_jump_{flipped}")
         alt_gates, _ = _plap_gates(alt_cfg, alt)
         gates.update({f"{k}_jump_{flipped}": v for k, v in alt_gates.items()})
 
@@ -293,21 +267,13 @@ def _scenario_plap_bracket(cfg: ScenarioConfig, out_dir: str) -> dict:
 def _scenario_custom(cfg: ScenarioConfig, out_dir: str) -> dict:
     spec = build_problem_spec(cfg)
     _run_assumptions(cfg, spec, out_dir)
-    newton = build_newton(cfg)
     M = cfg["run.M"] if spec.noise.K > 0 else 1
-    pairs = bracket_study(spec, M, cfg["run.master_seed"],
-                          tol_fixed=cfg["run.tol_fixed"],
-                          max_outer=cfg["run.max_outer"],
-                          mono_tol=cfg["run.mono_tol"], newton=newton)
+    pairs = bracket_study(spec, M, cfg["run.master_seed"], **_bracket_kwargs(cfg))
     gaps = [pair.gap for pair in pairs]
     cross = max(pair.cross_order_violation for pair in pairs)
     converged = all(p.minimal.converged and p.maximal.converged for p in pairs)
     monotone = all(p.minimal.monotone_ok and p.maximal.monotone_ok for p in pairs)
-    first = pairs[0]
-    _write(out_dir, "bracket_min.txt", first.minimal.to_text())
-    _write(out_dir, "bracket_max.txt", first.maximal.to_text())
-    first.minimal.final.to_csv(os.path.join(out_dir, "trajectory_min.csv"))
-    first.maximal.final.to_csv(os.path.join(out_dir, "trajectory_max.csv"))
+    _write_pair(out_dir, pairs[0])
     gates = {
         "converged": converged,
         "monotone_sweeps": monotone,

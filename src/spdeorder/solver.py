@@ -31,7 +31,8 @@ _NOISE_STD_GUARD = 0.2
 
 
 class NewtonDivergenceError(RuntimeError):
-    """Newton failed to reach the residual tolerance within max_iter."""
+    """Newton failed to reach the residual tolerance within max_iter, or a
+    step produced a non-finite state."""
 
     def __init__(self, message: str, step_index: Optional[int] = None):
         super().__init__(message)
@@ -65,18 +66,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.u0.grid != self.grid:
             raise ValueError("initial datum lives on a different grid")
-
-    @property
-    def C_B(self) -> float:
-        return self.drift.C_B
-
-    @property
-    def C_F(self) -> float:
-        return self.reaction.C_F
-
-    @property
-    def C_G(self) -> float:
-        return self.noise.C_G
 
 
 @dataclass(frozen=True)
@@ -143,12 +132,6 @@ def forcing_from_trajectory(traj: Trajectory) -> Forcing:
     return forcing
 
 
-def pointwise_forcing(fn: Callable[[np.ndarray], np.ndarray]) -> Forcing:
-    def forcing(n, t, u):
-        return fn(u)
-    return forcing
-
-
 def _solve_tridiagonal(sub, diag, sup, rhs):
     n = diag.size
     ab = np.zeros((3, n))
@@ -176,7 +159,11 @@ def implicit_step(
         rhs = rhs + noise_term_values(spec.noise, u_n, dW_n)
 
     if spec.grid.mode == ODE:
-        # spatial operator is identically zero: the step is explicit
+        # spatial operator is identically zero: the step is explicit.  Only
+        # this branch can yield a non-finite state: Newton never accepts an
+        # iterate whose residual is not finite.
+        if not np.all(np.isfinite(rhs)):
+            raise NewtonDivergenceError("non-finite state")
         return rhs, NewtonReport(0, 0.0)
 
     def residual(v):
@@ -186,7 +173,8 @@ def implicit_step(
     res = residual(v)
     rnorm = h_norm_values(res, dx)
     iters = 0
-    while rnorm > newton.tol:
+    # a NaN residual compares false with everything: never accept it
+    while not rnorm <= newton.tol:
         if iters >= newton.max_iter:
             raise NewtonDivergenceError(
                 f"Newton residual {rnorm:.3e} > tol {newton.tol:.3e} "
@@ -209,14 +197,14 @@ def implicit_step(
 
 def _check_guards(spec: ProblemSpec) -> None:
     dt = spec.time_grid.dt
-    if dt * spec.C_F >= 1.0:
+    if dt * spec.reaction.C_F >= 1.0:
         warnings.warn(
-            f"dt*C_F = {dt * spec.C_F:.3g} >= 1: explicit reaction may break "
+            f"dt*C_F = {dt * spec.reaction.C_F:.3g} >= 1: explicit reaction may break "
             "order preservation", stacklevel=3)
-    if spec.noise.K > 0 and spec.C_G * np.sqrt(dt) >= _NOISE_STD_GUARD:
+    if spec.noise.K > 0 and spec.noise.C_G * np.sqrt(dt) >= _NOISE_STD_GUARD:
         warnings.warn(
             f"per-step noise multiplier std C_G*sqrt(dt) = "
-            f"{spec.C_G * np.sqrt(dt):.3g} >= {_NOISE_STD_GUARD}: order "
+            f"{spec.noise.C_G * np.sqrt(dt):.3g} >= {_NOISE_STD_GUARD}: order "
             "preservation failure probability is no longer negligible",
             stacklevel=3)
 

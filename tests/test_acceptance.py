@@ -17,12 +17,12 @@ from spdeorder import (
     ReactionSpec,
     SpatialOpSpec,
     TimeGrid,
+    bracket_pair,
     bracket_study,
     build_extremal,
     check_assumptions,
     comparison_study,
     constant_forcing,
-    iterate_bracket,
     sigma_eps,
     sigma_eps_prime,
     sigma_eps_second,
@@ -48,8 +48,8 @@ def test_criterion_1_counterexample_regression():
     cfg = resolve_config({"scenario": "ode_counterexample"})
     spec = build_problem_spec(cfg)
     kwargs = dict(tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"])
-    minimal = iterate_bracket(spec, MIN_SIDE, **kwargs)
-    maximal = iterate_bracket(spec, MAX_SIDE, **kwargs)
+    pair = bracket_pair(spec, cfg["run.master_seed"], **kwargs)
+    minimal, maximal = pair.minimal, pair.maximal
     elapsed = time.perf_counter() - start
 
     min_sup = float(np.max(np.abs(minimal.final.values)))
@@ -69,9 +69,9 @@ def test_criterion_2_extremal_bracket_closed_forms():
         grid=g,
         time_grid=TimeGrid(T=1.0, n_steps=10_000),  # dt = 1e-4
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.sqrt_plus(),
-        reaction=ReactionSpec.zero(),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("sqrt_plus"),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec(),
         u0=Field([0.0], g),
     )
     upper = build_extremal(spec, MAX_SIDE)
@@ -139,9 +139,9 @@ def test_criterion_5_discrete_T_monotonicity():
     for p in (2.0, 3.0, 4.0):
         report = check_assumptions(
             SpatialOpSpec(p=p),
-            DriftSpec.zero(),
-            ReactionSpec.zero(),
-            NoiseSpec.none(),
+            DriftSpec("zero"),
+            ReactionSpec(),
+            NoiseSpec(),
             grid=Grid(n_interior=64),
             n_pairs=1000,
             seed=p_seed(p),
@@ -163,8 +163,8 @@ def test_criterion_6_monotone_iteration_properties():
     cfg = resolve_config({"scenario": "plap_bracket"})
     spec = build_problem_spec(cfg)
     kwargs = dict(tol_fixed=1e-6, max_outer=100, newton=build_newton(cfg))
-    minimal = iterate_bracket(spec, MIN_SIDE, **kwargs)
-    maximal = iterate_bracket(spec, MAX_SIDE, **kwargs)
+    pair = bracket_pair(spec, cfg["run.master_seed"], **kwargs)
+    minimal, maximal = pair.minimal, pair.maximal
     mono = max(max(minimal.monotonicity_violations),
                max(maximal.monotonicity_violations))
     containment = max(max(minimal.containment_violations),
@@ -186,9 +186,9 @@ def test_criterion_7_unique_regime_collapse():
             grid=g,
             time_grid=tg,
             spatial=SpatialOpSpec(),
-            drift=DriftSpec.lipschitz_tanh(1.0),
-            reaction=ReactionSpec.zero(),
-            noise=NoiseSpec.geometric(K) if K else NoiseSpec.none(),
+            drift=DriftSpec("lipschitz_tanh", scale=1.0),
+            reaction=ReactionSpec(),
+            noise=NoiseSpec.geometric(K) if K else NoiseSpec(),
             u0=zeros(g),
         )
 
@@ -215,9 +215,9 @@ def test_criterion_8_heat_solver_convergence():
             grid=g,
             time_grid=TimeGrid(T=T, n_steps=int(round(T / dt))),
             spatial=SpatialOpSpec(),
-            drift=DriftSpec.zero(),
-            reaction=ReactionSpec.zero(),
-            noise=NoiseSpec.none(),
+            drift=DriftSpec("zero"),
+            reaction=ReactionSpec(),
+            noise=NoiseSpec(),
             u0=Field(u0, g),
         )
         traj = solve_frozen(spec, None, None)

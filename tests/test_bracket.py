@@ -13,9 +13,9 @@ from spdeorder import (
     TimeGrid,
     Trajectory,
     apply_S,
+    bracket_pair,
     bracket_study,
     build_extremal,
-    iterate_bracket,
     verify_interval,
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
@@ -28,9 +28,9 @@ def ode_sqrt_spec(n_steps=1000, T=1.0):
         grid=g,
         time_grid=TimeGrid(T=T, n_steps=n_steps),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.sqrt_plus(),
-        reaction=ReactionSpec.zero(),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("sqrt_plus"),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec(),
         u0=Field([0.0], g),
     )
 
@@ -75,7 +75,7 @@ def test_apply_S_on_upper_extremal_quadrature_oracle():
 
 def test_min_side_iteration_locks_onto_zero():
     spec = ode_sqrt_spec(n_steps=500)
-    res = iterate_bracket(spec, MIN_SIDE, tol_fixed=1e-10, max_outer=10)
+    res = bracket_pair(spec, master_seed=0, tol_fixed=1e-10, max_outer=10).minimal
     assert res.converged
     assert res.monotone_ok
     assert np.all(res.final.values == 0.0)
@@ -84,7 +84,7 @@ def test_min_side_iteration_locks_onto_zero():
 
 def test_max_side_iteration_monotone_decreasing_residual():
     spec = ode_sqrt_spec(n_steps=2000)
-    res = iterate_bracket(spec, MAX_SIDE, tol_fixed=1e-6, max_outer=60)
+    res = bracket_pair(spec, master_seed=0, tol_fixed=1e-6, max_outer=60).maximal
     assert res.converged
     assert res.monotone_ok
     # after the first correction the residuals must not increase
@@ -101,13 +101,13 @@ def test_zero_drift_converges_in_two_sweeps():
         grid=g,
         time_grid=TimeGrid(T=0.1, n_steps=20),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.zero(),
-        reaction=ReactionSpec.zero(),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec(),
         u0=zeros(g),
     )
     # S is constant in its argument, so the second sweep reproduces the first
-    res = iterate_bracket(spec, MIN_SIDE, tol_fixed=1e-12, max_outer=5)
+    res = bracket_pair(spec, master_seed=0, tol_fixed=1e-12, max_outer=5).minimal
     assert res.converged
     assert res.n_sweeps <= 2
 
@@ -115,9 +115,9 @@ def test_zero_drift_converges_in_two_sweeps():
 def test_iterate_bracket_parameter_validation():
     spec = ode_sqrt_spec(n_steps=10)
     with pytest.raises(ValueError):
-        iterate_bracket(spec, MIN_SIDE, tol_fixed=0.0)
+        bracket_pair(spec, master_seed=0, tol_fixed=0.0)
     with pytest.raises(ValueError):
-        iterate_bracket(spec, MIN_SIDE, max_outer=0)
+        bracket_pair(spec, master_seed=0, max_outer=0)
 
 
 def test_verify_interval():
@@ -144,8 +144,8 @@ def test_bracket_study_pairs():
         grid=g,
         time_grid=TimeGrid(T=0.1, n_steps=50),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.lipschitz_tanh(0.5),
-        reaction=ReactionSpec.zero(),
+        drift=DriftSpec("lipschitz_tanh", scale=0.5),
+        reaction=ReactionSpec(),
         noise=NoiseSpec.geometric(2),
         u0=zeros(g),
     )

@@ -29,9 +29,9 @@ def make_spec(u0_value, grid=None, n_steps=50, T=0.1, K=0, reaction=None):
         grid=grid,
         time_grid=TimeGrid(T=T, n_steps=n_steps),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.zero(),
-        reaction=reaction or ReactionSpec.zero(),
-        noise=NoiseSpec.geometric(K) if K else NoiseSpec.none(),
+        drift=DriftSpec("zero"),
+        reaction=reaction or ReactionSpec(),
+        noise=NoiseSpec.geometric(K) if K else NoiseSpec(),
         u0=constant(grid, u0_value),
     )
 
@@ -42,9 +42,9 @@ def ode_spec(u0_value):
         grid=g,
         time_grid=TimeGrid(T=1.0, n_steps=100),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.zero(),
-        reaction=ReactionSpec.zero(),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec(),
         u0=Field([u0_value], g),
     )
 
@@ -75,7 +75,7 @@ def test_incompatible_specs_rejected():
     b = make_spec(0.0, grid=Grid(n_interior=17))
     with pytest.raises(SpecCompatibilityError):
         run_coupled(a, b, None)
-    c = make_spec(0.0, reaction=ReactionSpec.linear(0.5))
+    c = make_spec(0.0, reaction=ReactionSpec("linear", slope=0.5))
     with pytest.raises(SpecCompatibilityError):
         run_coupled(a, c, None)
 
@@ -108,6 +108,16 @@ def test_comparison_study_worker_count_invariant():
     assert np.array_equal(r1.mean_energy, r4.mean_energy)
     assert (r1.worst_path, r1.worst_step, r1.worst_energy) == (
         r4.worst_path, r4.worst_step, r4.worst_energy)
+
+
+def test_report_keeps_path_zero_pair():
+    # the scenario's trajectory and sigma-trace artifacts reuse this pair
+    lo = make_spec(0.0, K=3)
+    hi = make_spec(0.5, K=3)
+    report = comparison_study(lo, hi, M=3, master_seed=11, workers=2)
+    t1, t2 = run_coupled(lo, hi, sample_noise_path(11, 0, 3, lo.time_grid))
+    assert np.array_equal(report.first_pair[0].values, t1.values)
+    assert np.array_equal(report.first_pair[1].values, t2.values)
 
 
 def test_energies_csv(tmp_path):

@@ -10,6 +10,15 @@ from spdeorder.config import (
     parse_config_text,
     resolve_config,
 )
+from spdeorder.operators import (
+    DRIFT_KINDS,
+    NOISE_KINDS,
+    REACTION_KINDS,
+    eval_b_values,
+    eval_f_values,
+    eval_g_values,
+)
+from spdeorder.scenarios import build_problem_spec
 
 
 def test_schema_and_defaults_agree():
@@ -26,13 +35,13 @@ def test_parse_basic_document():
         "scenario = plap_bracket\n"
         "grid.n = 32\n"
         "time.dt = 0.002\n"
-        "run.retain_full_iterates = true\n"
+        "run.dual_jump_side = true\n"
         "run.eps_list = 0.01,0.0001\n"
     )
     assert raw["scenario"] == "plap_bracket"
     assert raw["grid.n"] == 32
     assert raw["time.dt"] == 0.002
-    assert raw["run.retain_full_iterates"] is True
+    assert raw["run.dual_jump_side"] is True
     assert raw["run.eps_list"] == (0.01, 0.0001)
 
 
@@ -112,6 +121,76 @@ def test_cli_invalid_override_exits_2(tmp_path, capsys):
     doc.write_text("scenario = ode_counterexample\n")
     assert main(["run", str(doc), "--paths", "0"]) == 2
     assert "'run.M'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,key", [
+    # passes the schema, but b = 5 above the jump exceeds C_B (1 + |r|)
+    ("scenario = plap_bracket\ndrift.high = 5\ndrift.C_B = 0.5\n", "'drift.C_B'"),
+    # slope 20000 against the default C_F = 1e-12
+    ("scenario = custom\nreaction.kind = linear\nreaction.slope = 20000\n",
+     "'reaction.C_F'"),
+])
+def test_cli_config_inconsistent_with_spec_exits_2(tmp_path, capsys, doc, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cli_ode_blow_up_exits_3(tmp_path, capsys):
+    doc = tmp_path / "blowup.cfg"
+    doc.write_text("scenario = ode_counterexample\nreaction.kind = linear\n"
+                   "reaction.slope = 1e6\nreaction.C_F = 1e6\n")
+    with pytest.warns(UserWarning, match="dt\\*C_F"), np.errstate(over="ignore"):
+        assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+# (overrides, closed form) per table entry; noise forms are per unit coefficient
+_CLOSED_FORMS = {
+    ("drift", "zero"): ({}, lambda r: 0.0 * r),
+    ("drift", "sqrt_plus"): ({}, lambda r: np.sqrt(np.maximum(r, 0.0))),
+    ("drift", "heaviside"): (
+        {"drift.s0": 0.5, "drift.low": -1.0, "drift.high": 2.0,
+         "drift.jump_side": "mid", "drift.C_B": 2.0},
+        lambda r: np.where(r < 0.5, -1.0, np.where(r > 0.5, 2.0, 0.5))),
+    ("drift", "lipschitz_tanh"): ({"drift.scale": 0.5, "drift.C_B": 0.5},
+                                  lambda r: 0.5 * np.tanh(r)),
+    ("drift", "piecewise_linear"): ({"drift.knots": (-1.0, -1.0, 1.0, 1.0)},
+                                    lambda r: np.clip(r, -1.0, 1.0)),
+    ("reaction", "zero"): ({}, lambda r: 0.0 * r),
+    ("reaction", "linear"): (
+        {"reaction.slope": 0.5, "reaction.offset": 0.25, "reaction.C_F": 0.5},
+        lambda r: 0.5 * r + 0.25),
+    ("reaction", "lipschitz_tanh"): ({"reaction.scale": -2.0, "reaction.C_F": 2.0},
+                                     lambda r: -2.0 * np.tanh(r)),
+    ("noise", "linear"): ({"noise.K": 2}, lambda r: r),
+    ("noise", "lipschitz_tanh"): ({"noise.K": 2}, np.tanh),
+}
+
+
+@pytest.mark.parametrize("section,kind", [
+    (section, kind)
+    for section, table in (("drift", DRIFT_KINDS), ("reaction", REACTION_KINDS),
+                           ("noise", NOISE_KINDS))
+    for kind in table])
+def test_every_kind_builds_from_config(section, kind):
+    overrides, closed_form = _CLOSED_FORMS[section, kind]
+    cfg = resolve_config({"scenario": "custom", f"{section}.kind": kind, **overrides})
+    spec = build_problem_spec(cfg)
+    r = np.array([-3.0, -1.0, -0.25, 0.0, 0.5, 0.75, 1.0, 3.0])
+    if section == "drift":
+        assert spec.drift.kind == kind
+        values, expected = eval_b_values(spec.drift, r), closed_form(r)
+    elif section == "reaction":
+        assert spec.reaction.kind == kind
+        values, expected = eval_f_values(spec.reaction, r), closed_form(r)
+    else:
+        assert spec.noise.pointwise_kind == kind
+        ladder = 0.5 * 2.0 ** (-0.5 * np.arange(2))  # default noise.gamma
+        values = np.array([eval_g_values(spec.noise, k, r) for k in range(2)])
+        expected = ladder[:, None] * closed_form(r)
+    np.testing.assert_allclose(values, expected, rtol=1e-15, atol=0.0)
 
 
 def test_cli_ode_counterexample_end_to_end(tmp_path):

@@ -12,18 +12,18 @@ from spdeorder import (
     ReactionSpec,
     Sigma_functional,
     SpatialOpSpec,
-    apply_A,
+    apply_A_values,
     check_assumptions,
-    eval_b,
-    eval_f,
-    eval_g,
+    eval_b_values,
+    eval_f_values,
+    eval_g_values,
     sigma_eps,
     sigma_eps_prime,
     sigma_eps_second,
     sigma_hat,
 )
 from spdeorder.core import zeros
-from spdeorder.operators import apply_A_values, interface_gradients
+from spdeorder.operators import interface_gradients
 
 
 # ---------------------------------------------------------------------------
@@ -33,21 +33,21 @@ from spdeorder.operators import apply_A_values, interface_gradients
 def test_apply_A_zero_field():
     spec = SpatialOpSpec(p=3.0, alpha=2.0)
     g = Grid(n_interior=10)
-    assert np.all(apply_A(spec, zeros(g)).values == 0.0)
+    assert np.all(apply_A_values(spec, zeros(g).values, g) == 0.0)
 
 
 def test_apply_A_hat_function():
     # p = 2, alpha = 1, n = 3 on (0,1): second difference of (0,1,0)
     spec = SpatialOpSpec(p=2.0, alpha=1.0)
     g = Grid(n_interior=3, length=1.0)
-    out = apply_A(spec, Field([0.0, 1.0, 0.0], g))
-    assert np.allclose(out.values, [-16.0, 32.0, -16.0])
+    out = apply_A_values(spec, np.array([0.0, 1.0, 0.0]), g)
+    assert np.allclose(out, [-16.0, 32.0, -16.0])
 
 
 def test_apply_A_ode_mode_nulled():
     spec = SpatialOpSpec(p=4.0, alpha=3.0)
-    out = apply_A(spec, Field([7.0], Grid.ode()))
-    assert out.values[0] == 0.0
+    out = apply_A_values(spec, np.array([7.0]), Grid.ode())
+    assert out[0] == 0.0
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -75,59 +75,56 @@ def test_spatial_spec_validation():
 
 
 def test_sqrt_plus_drift():
-    g = Grid(n_interior=3)
-    out = eval_b(DriftSpec.sqrt_plus(), Field([4.0, -1.0, 0.0], g))
-    assert np.allclose(out.values, [2.0, 0.0, 0.0])
+    out = eval_b_values(DriftSpec("sqrt_plus"), np.array([4.0, -1.0, 0.0]))
+    assert np.allclose(out, [2.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("jump_side,expected", [
     ("lower", 0.0), ("mid", 0.5), ("upper", 1.0)])
 def test_heaviside_jump_selection(jump_side, expected):
-    spec = DriftSpec.heaviside(0.5, 0.0, 1.0, jump_side=jump_side)
-    out = eval_b(spec, Field([0.5], Grid.ode()))
-    assert out.values[0] == expected
+    spec = DriftSpec("heaviside", s0=0.5, low=0.0, high=1.0, jump_side=jump_side)
+    out = eval_b_values(spec, np.array([0.5]))
+    assert out[0] == expected
 
 
 def test_piecewise_linear_interpolation():
-    spec = DriftSpec.piecewise_linear([(-1.0, -1.0), (1.0, 1.0)])
-    out = eval_b(spec, Field([0.25], Grid.ode()))
-    assert out.values[0] == pytest.approx(0.25)
+    spec = DriftSpec("piecewise_linear", knots=[(-1.0, -1.0), (1.0, 1.0)])
+    out = eval_b_values(spec, np.array([0.25]))
+    assert out[0] == pytest.approx(0.25)
 
 
 def test_drift_rejects_decreasing():
     with pytest.raises(ValueError):
-        DriftSpec.piecewise_linear([(-1.0, 1.0), (1.0, -1.0)], C_B=2.0)
+        DriftSpec("piecewise_linear", knots=[(-1.0, 1.0), (1.0, -1.0)], C_B=2.0)
     with pytest.raises(ValueError):
-        DriftSpec.heaviside(0.0, 1.0, 0.0)
+        DriftSpec("heaviside", s0=0.0, low=1.0, high=0.0)
 
 
 def test_drift_rejects_growth_violation():
     with pytest.raises(ValueError):
-        DriftSpec.lipschitz_tanh(5.0, C_B=1.0)  # |b| up to 5 > C_B(1+0)
+        DriftSpec("lipschitz_tanh", scale=5.0, C_B=1.0)  # |b| up to 5 > C_B(1+0)
 
 
 def test_reaction_examples():
-    g = Grid(n_interior=4)
-    u = Field([1.0, -2.0, 0.0, 3.0], g)
-    assert np.all(eval_f(ReactionSpec.zero(), u).values == 0.0)
-    lin = eval_f(ReactionSpec.linear(2.0, 1.0), u)
-    assert np.allclose(lin.values, 2.0 * u.values + 1.0)
+    u = np.array([1.0, -2.0, 0.0, 3.0])
+    assert np.all(eval_f_values(ReactionSpec(), u) == 0.0)
+    lin = eval_f_values(ReactionSpec("linear", slope=2.0, offset=1.0), u)
+    assert np.allclose(lin, 2.0 * u + 1.0)
 
 
 def test_reaction_lipschitz_validation():
     with pytest.raises(ValueError):
-        ReactionSpec.linear(3.0, C_F=1.0)
+        ReactionSpec("linear", slope=3.0, C_F=1.0)
 
 
 def test_noise_mode_evaluation():
     spec = NoiseSpec(K=2, coeffs=(0.5, 0.25), pointwise_kind="linear", C_G=1.0)
-    g = Grid.ode()
-    assert eval_g(spec, 0, Field([2.0], g)).values[0] == pytest.approx(1.0)
+    assert eval_g_values(spec, 0, np.array([2.0]))[0] == pytest.approx(1.0)
     spec_t = NoiseSpec(K=2, coeffs=(0.5, 0.25), pointwise_kind="lipschitz_tanh",
                        C_G=1.0)
-    assert eval_g(spec_t, 1, Field([0.0], g)).values[0] == 0.0
+    assert eval_g_values(spec_t, 1, np.array([0.0]))[0] == 0.0
     with pytest.raises(IndexError):
-        eval_g(spec, 2, Field([1.0], g))
+        eval_g_values(spec, 2, np.array([1.0]))
 
 
 def test_noise_summability_enforced():
@@ -149,14 +146,13 @@ def test_drift_preserves_pointwise_order(u, v, kind, jump_side):
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     if kind == "sqrt_plus":
-        spec = DriftSpec.sqrt_plus()
+        spec = DriftSpec("sqrt_plus")
     elif kind == "heaviside":
-        spec = DriftSpec.heaviside(0.5, 0.0, 1.0, jump_side=jump_side)
+        spec = DriftSpec("heaviside", s0=0.5, low=0.0, high=1.0, jump_side=jump_side)
     else:
-        spec = DriftSpec.lipschitz_tanh(1.0)
-    g = Grid(n_interior=8)
-    b_lo = eval_b(spec, Field(lo, g)).values
-    b_hi = eval_b(spec, Field(hi, g)).values
+        spec = DriftSpec("lipschitz_tanh", scale=1.0)
+    b_lo = eval_b_values(spec, lo)
+    b_hi = eval_b_values(spec, hi)
     assert np.all(b_lo <= b_hi)
     assert np.max(np.abs(b_hi)) <= spec.C_B * (1.0 + np.max(np.abs(hi))) + 1e-12
 
@@ -233,8 +229,8 @@ def test_sigma_functional_monotone_in_eps():
 def test_check_assumptions_plaplacian_passes():
     report = check_assumptions(
         SpatialOpSpec(p=4.0, alpha=2.0),
-        DriftSpec.sqrt_plus(),
-        ReactionSpec.zero(),
+        DriftSpec("sqrt_plus"),
+        ReactionSpec(),
         NoiseSpec.geometric(4),
         n_pairs=50,
     )
@@ -247,9 +243,9 @@ def test_check_assumptions_plaplacian_passes():
 def test_check_assumptions_heaviside_lipschitz_fails_informationally():
     report = check_assumptions(
         SpatialOpSpec(),
-        DriftSpec.heaviside(0.5, 0.0, 1.0),
-        ReactionSpec.zero(),
-        NoiseSpec.none(),
+        DriftSpec("heaviside", s0=0.5, low=0.0, high=1.0),
+        ReactionSpec(),
+        NoiseSpec(),
         n_pairs=10,
     )
     by_name = {c.name: c for c in report.checks}

@@ -32,9 +32,9 @@ def heat_spec(n=32, T=0.1, n_steps=100, u0=None, p=2.0, alpha=1.0):
         grid=grid,
         time_grid=TimeGrid(T=T, n_steps=n_steps),
         spatial=SpatialOpSpec(p=p, alpha=alpha),
-        drift=DriftSpec.zero(),
-        reaction=ReactionSpec.zero(),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec(),
         u0=u0,
     )
 
@@ -113,9 +113,9 @@ def test_constant_forcing_ode_exact():
         grid=Grid.ode(),
         time_grid=TimeGrid(T=1.0, n_steps=10),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.zero(),
-        reaction=ReactionSpec.zero(),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec(),
         u0=Field([2.0], Grid.ode()),
     )
     traj = solve_frozen(spec, constant_forcing(3.0), None)
@@ -151,14 +151,41 @@ def test_newton_divergence_carries_step_index():
     assert exc.value.step_index == 0
 
 
+def test_implicit_step_rejects_nan_residual():
+    # a NaN forcing makes the residual NaN; it must never count as converged
+    spec = heat_spec(n=8, p=3.0)
+    g = spec.grid
+    with pytest.raises(NewtonDivergenceError):
+        implicit_step(spec, np.sin(np.pi * g.x), np.full(8, np.nan), np.zeros(0),
+                      0.0, NewtonParams(max_iter=3))
+
+
+def test_non_finite_state_carries_step_index():
+    # explicit ODE step with dt*f' = 1e3: the state overflows after ~100 steps
+    g = Grid.ode()
+    spec = ProblemSpec(
+        grid=g,
+        time_grid=TimeGrid(T=1.0, n_steps=1000),
+        spatial=SpatialOpSpec(),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec("linear", slope=1e6, C_F=1e6),
+        noise=NoiseSpec(),
+        u0=Field([1.0], g),
+    )
+    with pytest.warns(UserWarning, match="dt\\*C_F"), np.errstate(over="ignore"):
+        with pytest.raises(NewtonDivergenceError, match="non-finite") as exc:
+            solve_frozen(spec, None, None)
+    assert 90 <= exc.value.step_index <= 110
+
+
 def test_noisy_run_is_deterministic():
     g = Grid(n_interior=16)
     spec = ProblemSpec(
         grid=g,
         time_grid=TimeGrid(T=0.1, n_steps=50),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.zero(),
-        reaction=ReactionSpec.linear(0.5),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec("linear", slope=0.5),
         noise=NoiseSpec.geometric(4),
         u0=Field(np.sin(np.pi * g.x), g),
     )
@@ -198,9 +225,9 @@ def test_guard_warnings():
         grid=g,
         time_grid=TimeGrid(T=10.0, n_steps=5),
         spatial=SpatialOpSpec(),
-        drift=DriftSpec.zero(),
-        reaction=ReactionSpec.linear(1.0),
-        noise=NoiseSpec.none(),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec("linear", slope=1.0),
+        noise=NoiseSpec(),
         u0=zeros(g),
     )
     with pytest.warns(UserWarning, match="dt\\*C_F"):
