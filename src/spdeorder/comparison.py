@@ -8,7 +8,6 @@ trajectories, quantified through the energy ||(u_1 - u_2)^+||_H^2.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,14 +103,10 @@ def comparison_study(
     forcing_1: Optional[Forcing] = None,
     forcing_2: Optional[Forcing] = None,
     tol: float = 1e-10,
-    workers: int = 1,
     newton: NewtonParams = NewtonParams(),
 ) -> ComparisonReport:
-    """Monte Carlo estimate of the comparison defect over M coupled paths.
-
-    Results are reduced in path-index order, so the report is independent of
-    the worker count.
-    """
+    """Monte Carlo estimate of the comparison defect over M coupled paths,
+    reduced in path-index order."""
     if M < 1:
         raise ValueError("need at least one path")
     _check_coupled_specs(spec_1, spec_2)
@@ -122,16 +117,8 @@ def comparison_study(
         path = sample_noise_path(master_seed, path_index, K, tg)
         return run_coupled(spec_1, spec_2, path, forcing_1, forcing_2, newton)
 
-    def energies(path_index: int) -> np.ndarray:
-        return energy_series(*one(path_index))
-
     first_pair = one(0)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rest = list(pool.map(energies, range(1, M)))
-    else:
-        rest = [energies(m) for m in range(1, M)]
-
+    rest = [energy_series(*one(m)) for m in range(1, M)]
     stacked = np.stack([energy_series(*first_pair)] + rest)  # (M, n_steps + 1)
     max_energy = np.max(stacked, axis=0)
     mean_energy = np.sum(stacked, axis=0) / M

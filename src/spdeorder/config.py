@@ -7,10 +7,77 @@ built-in scenarios run with zero user input; unknown keys are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .operators import DRIFT_KINDS, JUMP_SIDES, NOISE_KINDS, REACTION_KINDS
 
-SCENARIOS = ("ode_counterexample", "heat_comparison", "plap_bracket", "custom")
+
+class Scenario(NamedTuple):
+    description: str
+    preset: dict  # config values the scenario pins over the defaults
+
+
+# every built-in scenario pins its own preset so the acceptance runs need
+# no user input
+SCENARIOS = {
+    "ode_counterexample": Scenario(
+        "0D nonuniqueness regression: sqrt-plus drift, "
+        "minimal solution 0 and maximal solution t^2/4",
+        {
+            "grid.mode": "ode",
+            "grid.n": 1,
+            "time.T": 1.0,
+            "time.dt": 1e-3,
+            "drift.kind": "sqrt_plus",
+            "drift.C_B": 1.0,
+            "noise.K": 0,
+            "u0.kind": "zero",
+            "run.tol_fixed": 1e-6,
+            "run.max_outer": 60,
+        }),
+    "heat_comparison": Scenario(
+        "coupled stochastic heat runs with ordered data; "
+        "positive-part energy gate",
+        {
+            "grid.mode": "pde_1d",
+            "grid.n": 64,
+            "time.T": 0.25,
+            "time.dt": 1e-3,
+            "spatial.p": 2.0,
+            "spatial.alpha": 1.0,
+            "noise.K": 8,
+            "noise.gamma": 0.5,
+            "noise.kind": "linear",
+            "run.M": 100,
+            "run.comparison_tol": 1e-10,
+            "comparison.h_low": -1.0,
+            "comparison.h_high": 1.0,
+        }),
+    "plap_bracket": Scenario(
+        "monotone bracket iteration for a discontinuous "
+        "(heaviside) drift on the 1D heat operator",
+        {
+            "grid.mode": "pde_1d",
+            "grid.n": 64,
+            "time.T": 0.5,
+            "time.dt": 1e-3,
+            "spatial.p": 2.0,
+            "drift.kind": "heaviside",
+            "drift.s0": 0.5,
+            "drift.low": 0.0,
+            "drift.high": 1.0,
+            "drift.C_B": 1.0,
+            "noise.K": 0,
+            "u0.kind": "sine",
+            "u0.amplitude": 1.0,
+            "run.tol_fixed": 1e-6,
+            "run.max_outer": 100,
+        }),
+    "custom": Scenario("all problem and run parameters taken from the config file",
+                       {}),
+}
 
 
 class ConfigError(ValueError):
@@ -25,163 +92,64 @@ def _nonnegative(x):
     return x >= 0
 
 
-# key -> (type, validator or None, description)
+# key -> (type, default, validator or None, description); float and tuple
+# values must also be finite
 SCHEMA = {
-    "scenario": (str, lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
-    "grid.mode": (str, lambda v: v in ("pde_1d", "ode"), "pde_1d or ode"),
-    "grid.n": (int, lambda v: v >= 1, "interior node count"),
-    "grid.L": (float, _positive, "domain length"),
-    "time.T": (float, _positive, "final time"),
-    "time.dt": (float, _positive, "time step"),
-    "spatial.p": (float, lambda v: v >= 2, "growth exponent, >= 2"),
-    "spatial.alpha": (float, _positive, "operator coefficient"),
-    "spatial.reg_delta": (float, _nonnegative, "Jacobian regularizer"),
-    "drift.kind": (str, lambda v: v in DRIFT_KINDS, f"one of {tuple(DRIFT_KINDS)}"),
-    "drift.jump_side": (str, lambda v: v in JUMP_SIDES, "heaviside jump selection"),
-    "drift.s0": (float, None, "heaviside jump point"),
-    "drift.low": (float, None, "heaviside lower value"),
-    "drift.high": (float, None, "heaviside upper value"),
-    "drift.scale": (float, None, "tanh drift scale"),
-    "drift.knots": (tuple, None, "piecewise-linear knots r0,v0,r1,v1,..."),
-    "drift.C_B": (float, _positive, "drift growth constant"),
-    "reaction.kind": (str, lambda v: v in REACTION_KINDS,
+    "scenario": (str, "custom", lambda v: v in SCENARIOS, f"one of {tuple(SCENARIOS)}"),
+    "grid.mode": (str, "pde_1d", lambda v: v in ("pde_1d", "ode"), "pde_1d or ode"),
+    "grid.n": (int, 64, lambda v: v >= 1, "interior node count"),
+    "grid.L": (float, 1.0, _positive, "domain length"),
+    "time.T": (float, 1.0, _positive, "final time"),
+    "time.dt": (float, 1e-3, _positive, "time step"),
+    "spatial.p": (float, 2.0, lambda v: v >= 2, "growth exponent, >= 2"),
+    "spatial.alpha": (float, 1.0, _positive, "operator coefficient"),
+    "spatial.reg_delta": (float, 1e-12, _nonnegative, "Jacobian regularizer"),
+    "drift.kind": (str, "zero", lambda v: v in DRIFT_KINDS,
+                   f"one of {tuple(DRIFT_KINDS)}"),
+    "drift.jump_side": (str, "lower", lambda v: v in JUMP_SIDES,
+                        "heaviside jump selection"),
+    "drift.s0": (float, 0.5, None, "heaviside jump point"),
+    "drift.low": (float, 0.0, None, "heaviside lower value"),
+    "drift.high": (float, 1.0, None, "heaviside upper value"),
+    "drift.scale": (float, 1.0, None, "tanh drift scale"),
+    "drift.knots": (tuple, (), lambda v: len(v) % 2 == 0,
+                    "piecewise-linear knots r0,v0,r1,v1,..., even length"),
+    "drift.C_B": (float, 1.0, _positive, "drift growth constant"),
+    "reaction.kind": (str, "zero", lambda v: v in REACTION_KINDS,
                       f"one of {tuple(REACTION_KINDS)}"),
-    "reaction.slope": (float, None, "linear reaction slope"),
-    "reaction.offset": (float, None, "linear reaction offset"),
-    "reaction.scale": (float, None, "tanh reaction scale"),
-    "reaction.C_F": (float, _positive, "reaction Lipschitz constant"),
-    "noise.K": (int, _nonnegative, "retained noise modes (0 = deterministic)"),
-    "noise.gamma": (float, _positive, "mode coefficient ladder prefactor"),
-    "noise.kind": (str, lambda v: v in NOISE_KINDS, f"one of {tuple(NOISE_KINDS)}"),
-    "noise.C_G": (float, _nonnegative, "noise constant (0 = derive from coeffs)"),
-    "u0.kind": (str, lambda v: v in ("zero", "sine", "constant"), "initial datum"),
-    "u0.amplitude": (float, None, "initial datum amplitude"),
-    "run.M": (int, lambda v: v >= 1, "Monte Carlo path count"),
-    "run.master_seed": (int, _nonnegative, "master seed"),
-    "run.tol_fixed": (float, _positive, "fixed-point residual tolerance"),
-    "run.max_outer": (int, lambda v: v >= 1, "max outer sweeps"),
-    "run.mono_tol": (float, _nonnegative, "monotonicity violation tolerance"),
-    "run.comparison_tol": (float, _positive, "comparison energy tolerance"),
-    "run.eps_list": (tuple, None, "regularizer eps values for diagnostics"),
-    "run.dual_jump_side": (bool, None, "also run the opposite jump_side"),
-    "run.workers": (int, lambda v: v >= 1, "worker threads for path ensembles"),
-    "newton.tol": (float, _positive, "Newton residual tolerance"),
-    "newton.max_iter": (int, lambda v: v >= 1, "Newton iteration cap"),
-    "comparison.reversed": (bool, None, "swap the ordered initial data"),
-    "comparison.h_low": (float, None, "lower frozen forcing"),
-    "comparison.h_high": (float, None, "upper frozen forcing"),
-    "gates.min_sup": (float, _positive, "minimal-solution sup gate"),
-    "gates.max_terminal_err": (float, _positive, "maximal-solution terminal gate"),
-    "gates.interval_tol": (float, _positive, "interval containment gate"),
+    "reaction.slope": (float, 0.0, None, "linear reaction slope"),
+    "reaction.offset": (float, 0.0, None, "linear reaction offset"),
+    "reaction.scale": (float, 1.0, None, "tanh reaction scale"),
+    "reaction.C_F": (float, 1e-12, _positive, "reaction Lipschitz constant"),
+    "noise.K": (int, 0, _nonnegative, "retained noise modes (0 = deterministic)"),
+    "noise.gamma": (float, 0.5, _positive, "mode coefficient ladder prefactor"),
+    "noise.kind": (str, "linear", lambda v: v in NOISE_KINDS,
+                   f"one of {tuple(NOISE_KINDS)}"),
+    "noise.C_G": (float, 0.0, _nonnegative, "noise constant (0 = derive from coeffs)"),
+    "u0.kind": (str, "zero", lambda v: v in ("zero", "sine", "constant"),
+                "initial datum"),
+    "u0.amplitude": (float, 1.0, None, "initial datum amplitude"),
+    "run.M": (int, 100, lambda v: v >= 1, "Monte Carlo path count"),
+    "run.master_seed": (int, 12345, _nonnegative, "master seed"),
+    "run.tol_fixed": (float, 1e-6, _positive, "fixed-point residual tolerance"),
+    "run.max_outer": (int, 60, lambda v: v >= 1, "max outer sweeps"),
+    "run.mono_tol": (float, 1e-10, _nonnegative, "monotonicity violation tolerance"),
+    "run.comparison_tol": (float, 1e-10, _positive, "comparison energy tolerance"),
+    "run.eps_list": (tuple, (1e-2, 1e-4), lambda v: all(e > 0 for e in v),
+                     "regularizer eps values for diagnostics, each > 0"),
+    "run.dual_jump_side": (bool, False, None, "also run the opposite jump_side"),
+    "newton.tol": (float, 1e-10, _positive, "Newton residual tolerance"),
+    "newton.max_iter": (int, 50, lambda v: v >= 1, "Newton iteration cap"),
+    "comparison.reversed": (bool, False, None, "swap the ordered initial data"),
+    "comparison.h_low": (float, -1.0, None, "lower frozen forcing"),
+    "comparison.h_high": (float, 1.0, None, "upper frozen forcing"),
+    "gates.min_sup": (float, 1e-6, _positive, "minimal-solution sup gate"),
+    "gates.max_terminal_err": (float, 5e-3, _positive,
+                               "maximal-solution terminal gate"),
+    "gates.interval_tol": (float, 1e-10, _positive, "interval containment gate"),
 }
 
-DEFAULTS = {
-    "scenario": "custom",
-    "grid.mode": "pde_1d",
-    "grid.n": 64,
-    "grid.L": 1.0,
-    "time.T": 1.0,
-    "time.dt": 1e-3,
-    "spatial.p": 2.0,
-    "spatial.alpha": 1.0,
-    "spatial.reg_delta": 1e-12,
-    "drift.kind": "zero",
-    "drift.jump_side": "lower",
-    "drift.s0": 0.5,
-    "drift.low": 0.0,
-    "drift.high": 1.0,
-    "drift.scale": 1.0,
-    "drift.knots": (),
-    "drift.C_B": 1.0,
-    "reaction.kind": "zero",
-    "reaction.slope": 0.0,
-    "reaction.offset": 0.0,
-    "reaction.scale": 1.0,
-    "reaction.C_F": 1e-12,
-    "noise.K": 0,
-    "noise.gamma": 0.5,
-    "noise.kind": "linear",
-    "noise.C_G": 0.0,
-    "u0.kind": "zero",
-    "u0.amplitude": 1.0,
-    "run.M": 100,
-    "run.master_seed": 12345,
-    "run.tol_fixed": 1e-6,
-    "run.max_outer": 60,
-    "run.mono_tol": 1e-10,
-    "run.comparison_tol": 1e-10,
-    "run.eps_list": (1e-2, 1e-4),
-    "run.dual_jump_side": False,
-    "run.workers": 1,
-    "newton.tol": 1e-10,
-    "newton.max_iter": 50,
-    "comparison.reversed": False,
-    "comparison.h_low": -1.0,
-    "comparison.h_high": 1.0,
-    "gates.min_sup": 1e-6,
-    "gates.max_terminal_err": 5e-3,
-    "gates.interval_tol": 1e-10,
-}
-
-# every built-in scenario pins its own defaults so the acceptance runs need
-# no user input
-SCENARIO_PRESETS = {
-    "ode_counterexample": {
-        "grid.mode": "ode",
-        "grid.n": 1,
-        "time.T": 1.0,
-        "time.dt": 1e-3,
-        "drift.kind": "sqrt_plus",
-        "drift.C_B": 1.0,
-        "noise.K": 0,
-        "u0.kind": "zero",
-        "run.tol_fixed": 1e-6,
-        "run.max_outer": 60,
-    },
-    "heat_comparison": {
-        "grid.mode": "pde_1d",
-        "grid.n": 64,
-        "time.T": 0.25,
-        "time.dt": 1e-3,
-        "spatial.p": 2.0,
-        "spatial.alpha": 1.0,
-        "noise.K": 8,
-        "noise.gamma": 0.5,
-        "noise.kind": "linear",
-        "run.M": 100,
-        "run.comparison_tol": 1e-10,
-        "comparison.h_low": -1.0,
-        "comparison.h_high": 1.0,
-    },
-    "plap_bracket": {
-        "grid.mode": "pde_1d",
-        "grid.n": 64,
-        "time.T": 0.5,
-        "time.dt": 1e-3,
-        "spatial.p": 2.0,
-        "drift.kind": "heaviside",
-        "drift.s0": 0.5,
-        "drift.low": 0.0,
-        "drift.high": 1.0,
-        "drift.C_B": 1.0,
-        "noise.K": 0,
-        "u0.kind": "sine",
-        "u0.amplitude": 1.0,
-        "run.tol_fixed": 1e-6,
-        "run.max_outer": 100,
-    },
-    "custom": {},
-}
-
-SCENARIO_DESCRIPTIONS = {
-    "ode_counterexample": "0D nonuniqueness regression: sqrt-plus drift, "
-                          "minimal solution 0 and maximal solution t^2/4",
-    "heat_comparison": "coupled stochastic heat runs with ordered data; "
-                       "positive-part energy gate",
-    "plap_bracket": "monotone bracket iteration for a discontinuous "
-                    "(heaviside) drift on the 1D heat operator",
-    "custom": "all problem and run parameters taken from the config file",
-}
+DEFAULTS = {key: entry[1] for key, entry in SCHEMA.items()}
 
 
 def _parse_value(key: str, raw: str):
@@ -208,7 +176,9 @@ def _parse_value(key: str, raw: str):
 
 
 def _validate(key: str, value):
-    _, validator, description = SCHEMA[key]
+    typ, _, validator, description = SCHEMA[key]
+    if typ in (float, tuple) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"config key {key!r}: value {value!r} is not finite")
     if validator is not None and not validator(value):
         raise ConfigError(f"config key {key!r}: value {value!r} out of range "
                           f"({description})")
@@ -252,7 +222,7 @@ def resolve_config(overrides: dict) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"config key 'scenario': unknown scenario {scenario!r}")
     merged = dict(DEFAULTS)
-    merged.update(SCENARIO_PRESETS[scenario])
+    merged.update(SCENARIOS[scenario].preset)
     merged.update(overrides)
     merged["scenario"] = scenario
     for key, value in merged.items():

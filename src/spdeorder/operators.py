@@ -70,25 +70,20 @@ def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid) -> np.nd
 
 def jacobian_bands(
     spec: SpatialOpSpec, values: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal bands (sub, diag, super) of the linearized operator.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (off, diag) of the symmetric tridiagonal linearized operator;
+    off holds the n-1 couplings of node i to node i+1.
 
     Uses the regularized flux derivative (D^2 + reg_delta)^((p-2)/2).
     """
     n = values.size
     if grid.mode == ODE:
-        z = np.zeros(n)
-        return z, z.copy(), z.copy()
+        return np.zeros(n - 1), np.zeros(n)
     dx = grid.dx
     D = interface_gradients(values, dx)
     w = spec.alpha * (spec.p - 1.0) * (D * D + spec.reg_delta) ** ((spec.p - 2.0) / 2.0)
     w /= dx * dx
-    diag = w[:-1] + w[1:]
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    sub[1:] = -w[1:-1]  # coupling of node i to node i-1
-    sup[:-1] = -w[1:-1]  # coupling of node i to node i+1
-    return sub, diag, sup
+    return -w[1:-1], w[:-1] + w[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bracket import BracketPair, bracket_pair, bracket_study, verify_interval
 from .comparison import comparison_study, sigma_energy_trace
-from .config import ConfigError, ScenarioConfig, SCENARIO_DESCRIPTIONS, SCENARIOS
+from .config import ConfigError, ScenarioConfig, SCENARIOS
 from .core import Field, Grid, TimeGrid, ODE
 from .operators import (
     DRIFT_KINDS,
@@ -96,9 +96,7 @@ def build_newton(cfg: ScenarioConfig) -> NewtonParams:
 
 
 def list_scenarios() -> str:
-    lines = []
-    for name in SCENARIOS:
-        lines.append(f"{name}: {SCENARIO_DESCRIPTIONS[name]}")
+    lines = [f"{name}: {entry.description}" for name, entry in SCENARIOS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -196,8 +194,7 @@ def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
         spec_1, spec_2, cfg["run.M"], cfg["run.master_seed"],
         forcing_1=constant_forcing(cfg["comparison.h_low"]),
         forcing_2=constant_forcing(cfg["comparison.h_high"]),
-        tol=cfg["run.comparison_tol"], workers=cfg["run.workers"],
-        newton=build_newton(cfg))
+        tol=cfg["run.comparison_tol"], newton=build_newton(cfg))
     _write(out_dir, "comparison.txt", report.to_text())
     report.energies_to_csv(os.path.join(out_dir, "comparison.csv"))
 

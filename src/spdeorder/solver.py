@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import Field, Grid, ODE, TimeGrid, h_norm_values
 from .noise import NoisePath
@@ -89,12 +89,6 @@ class Trajectory:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    def state(self, n: int) -> Field:
-        return Field(self.values[n], self.grid)
-
-    def terminal(self) -> Field:
-        return self.state(self.time_grid.n_steps)
-
     def times(self) -> np.ndarray:
         return self.time_grid.times()
 
@@ -132,13 +126,13 @@ def forcing_from_trajectory(traj: Trajectory) -> Forcing:
     return forcing
 
 
-def _solve_tridiagonal(sub, diag, sup, rhs):
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+def solve_banded(off, diag, rhs):
+    """Solve the symmetric tridiagonal system (off, diag) x = rhs with LAPACK
+    gtsv; the default overwrite flags copy off, which gtsv overwrites."""
+    *_, x, info = dgtsv(off, diag, off, rhs)
+    if info != 0:
+        raise NewtonDivergenceError(f"singular Newton system (gtsv info {info})")
+    return x
 
 
 def implicit_step(
@@ -179,8 +173,8 @@ def implicit_step(
             raise NewtonDivergenceError(
                 f"Newton residual {rnorm:.3e} > tol {newton.tol:.3e} "
                 f"after {iters} iterations")
-        sub, diag, sup = jacobian_bands(spec.spatial, v, spec.grid)
-        dv = _solve_tridiagonal(dt * sub, 1.0 + dt * diag, dt * sup, -res)
+        off, diag = jacobian_bands(spec.spatial, v, spec.grid)
+        dv = solve_banded(dt * off, 1.0 + dt * diag, -res)
         # damped update: halve the step while the residual grows
         step = 1.0
         while True:

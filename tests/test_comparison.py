@@ -99,22 +99,26 @@ def test_comparison_study_reversed_order_fails():
     assert "passed = false" in report.to_text()
 
 
-def test_comparison_study_worker_count_invariant():
+def test_comparison_study_path_ordered_reduction():
     lo = make_spec(0.0, K=3)
     hi = make_spec(0.5, K=3)
-    r1 = comparison_study(hi, lo, M=6, master_seed=11, workers=1)
-    r4 = comparison_study(hi, lo, M=6, master_seed=11, workers=4)
-    assert np.array_equal(r1.max_energy, r4.max_energy)
-    assert np.array_equal(r1.mean_energy, r4.mean_energy)
-    assert (r1.worst_path, r1.worst_step, r1.worst_energy) == (
-        r4.worst_path, r4.worst_step, r4.worst_energy)
+    report = comparison_study(hi, lo, M=6, master_seed=11)
+    stacked = np.stack([
+        energy_series(*run_coupled(hi, lo, sample_noise_path(11, m, 3, hi.time_grid)))
+        for m in range(6)])
+    assert np.array_equal(report.max_energy, np.max(stacked, axis=0))
+    assert np.array_equal(report.mean_energy, np.sum(stacked, axis=0) / 6)
+    worst_path, worst_step = divmod(int(np.argmax(stacked)), stacked.shape[1])
+    assert report.worst_energy > 0.0
+    assert (report.worst_path, report.worst_step, report.worst_energy) == (
+        worst_path, worst_step, float(stacked[worst_path, worst_step]))
 
 
 def test_report_keeps_path_zero_pair():
     # the scenario's trajectory and sigma-trace artifacts reuse this pair
     lo = make_spec(0.0, K=3)
     hi = make_spec(0.5, K=3)
-    report = comparison_study(lo, hi, M=3, master_seed=11, workers=2)
+    report = comparison_study(lo, hi, M=3, master_seed=11)
     t1, t2 = run_coupled(lo, hi, sample_noise_path(11, 0, 3, lo.time_grid))
     assert np.array_equal(report.first_pair[0].values, t1.values)
     assert np.array_equal(report.first_pair[1].values, t2.values)

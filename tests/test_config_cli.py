@@ -5,7 +5,6 @@ from spdeorder.cli import main
 from spdeorder.config import (
     ConfigError,
     DEFAULTS,
-    SCHEMA,
     load_config,
     parse_config_text,
     resolve_config,
@@ -22,7 +21,6 @@ from spdeorder.scenarios import build_problem_spec
 
 
 def test_schema_and_defaults_agree():
-    assert set(DEFAULTS) == set(SCHEMA)
     cfg = resolve_config({})
     for key, value in DEFAULTS.items():
         assert cfg[key] == value
@@ -43,6 +41,16 @@ def test_parse_basic_document():
     assert raw["time.dt"] == 0.002
     assert raw["run.dual_jump_side"] is True
     assert raw["run.eps_list"] == (0.01, 0.0001)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("u0.amplitude", float("inf")),  # a programmatic override
+    ("time.T", float("1e400")),  # an overflowing literal parses to inf
+    ("run.eps_list", (1e-2, float("nan"))),
+])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'.*not finite"):
+        resolve_config({key: value})
 
 
 def test_unknown_key_names_key_and_line():
@@ -129,6 +137,14 @@ def test_cli_invalid_override_exits_2(tmp_path, capsys):
     # slope 20000 against the default C_F = 1e-12
     ("scenario = custom\nreaction.kind = linear\nreaction.slope = 20000\n",
      "'reaction.C_F'"),
+    # non-finite values
+    ("scenario = plap_bracket\nu0.amplitude = nan\n", "'u0.amplitude'"),
+    ("scenario = custom\ndrift.kind = heaviside\ndrift.s0 = nan\n", "'drift.s0'"),
+    ("scenario = heat_comparison\ncomparison.h_low = nan\n", "'comparison.h_low'"),
+    # tuple keys: an odd knot list, a nonpositive regularizer eps
+    ("scenario = custom\ndrift.kind = piecewise_linear\ndrift.knots = 0,0,1,1,2\n",
+     "'drift.knots'"),
+    ("scenario = heat_comparison\nrun.eps_list = 0\n", "'run.eps_list'"),
 ])
 def test_cli_config_inconsistent_with_spec_exits_2(tmp_path, capsys, doc, key):
     path = tmp_path / "bad.cfg"

@@ -23,7 +23,7 @@ from spdeorder import (
     sigma_hat,
 )
 from spdeorder.core import zeros
-from spdeorder.operators import interface_gradients
+from spdeorder.operators import interface_gradients, jacobian_bands
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,33 @@ def test_apply_A_summation_by_parts(p):
     D = interface_gradients(u, g.dx)
     rhs = spec.alpha * np.sum(np.abs(D) ** p) * g.dx
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_jacobian_bands_match_central_differences(p):
+    # reg_delta = 0 and no zero interface gradient: the bands are the exact
+    # derivative of apply_A_values
+    spec = SpatialOpSpec(p=p, alpha=1.3, reg_delta=0.0)
+    g = Grid(n_interior=8)
+    u = 1.0 + g.x + 0.5 * g.x**2
+    assert np.all(interface_gradients(u, g.dx) != 0.0)
+    h = 1e-6
+    fd = np.empty((u.size, u.size))
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = h
+        fd[:, j] = (apply_A_values(spec, u + e, g)
+                    - apply_A_values(spec, u - e, g)) / (2 * h)
+    off, diag = jacobian_bands(spec, u, g)
+    assert off.shape == (u.size - 1,) and diag.shape == (u.size,)
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    np.testing.assert_allclose(fd, jac, rtol=1e-6)
+    np.testing.assert_allclose(fd, fd.T, rtol=1e-6)
+
+
+def test_jacobian_bands_ode_mode_zero():
+    off, diag = jacobian_bands(SpatialOpSpec(p=3.0), np.array([7.0]), Grid.ode())
+    assert off.shape == (0,) and np.array_equal(diag, [0.0])
 
 
 def test_spatial_spec_validation():
