@@ -69,7 +69,7 @@ def apply_S(
     Forcing contract in the solver module)."""
 
     def forcing(n, t, u):
-        return eval_b_values(spec.drift, u_tilde.values[n + 1])
+        return eval_b_values(spec.drift, u_tilde.values[:, n + 1])
 
     return solve_frozen(spec, forcing, noise_path, newton)
 
@@ -187,7 +187,8 @@ class IntervalReport:
 def verify_interval(
     u: Trajectory, lower: Trajectory, upper: Trajectory, tol: float = 1e-8
 ) -> IntervalReport:
-    """Per-time order checks lower <= u <= upper with worst-violation witness."""
+    """Per-time order checks lower <= u <= upper with worst-violation witness
+    (step, node)."""
     below = lower.values - u.values
     above = u.values - upper.values
     max_below = float(np.max(below))
@@ -196,7 +197,7 @@ def verify_interval(
         flat = int(np.argmax(below))
     else:
         flat = int(np.argmax(above))
-    witness = divmod(flat, u.values.shape[1])
+    witness = tuple(int(i) for i in np.unravel_index(flat, below.shape)[1:])
     passed = max_below <= tol and max_above <= tol
     return IntervalReport(passed, max_below, max_above, witness)
 

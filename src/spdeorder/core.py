@@ -112,9 +112,13 @@ class TimeGrid:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-def h_norm_values(values: np.ndarray, dx: float) -> float:
-    """dx-weighted Euclidean norm, the discrete L2 norm."""
-    return float(np.sqrt(np.dot(values, values) * dx))
+def h_norm_values(values: np.ndarray, dx: float):
+    """dx-weighted Euclidean norm, the discrete L2 norm, along the last axis.
+
+    np.vecdot takes one vector dot product per row (the same as np.dot on
+    that row alone), so a row's norm never depends on the rows beside it.
+    """
+    return np.sqrt(np.vecdot(values, values) * dx)
 
 
 def order_leq(a: Field, b: Field, tol: float = 0.0) -> tuple[bool, float]:

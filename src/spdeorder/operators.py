@@ -53,37 +53,40 @@ class SpatialOpSpec:
 
 
 def interface_gradients(values: np.ndarray, dx: float) -> np.ndarray:
-    """Differences across the n+1 cell interfaces, with ghost zeros."""
-    padded = np.concatenate(([0.0], values, [0.0]))
-    return np.diff(padded) / dx
+    """Differences across the n+1 cell interfaces of the last axis, with
+    ghost zeros."""
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + 2,))
+    padded[..., 1:-1] = values
+    return (padded[..., 1:] - padded[..., :-1]) / dx
 
 
 def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete -div(a(grad u)) with homogeneous Dirichlet values."""
+    """Discrete -div(a(grad u)) with homogeneous Dirichlet values, along the
+    last axis (leading axes are paths)."""
     if grid.mode == ODE:
         return np.zeros_like(values)
     dx = grid.dx
     D = interface_gradients(values, dx)
     flux = spec.alpha * np.abs(D) ** (spec.p - 2.0) * D
-    return -np.diff(flux) / dx
+    return (flux[..., 1:] - flux[..., :-1]) / -dx
 
 
 def jacobian_bands(
     spec: SpatialOpSpec, values: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (off, diag) of the symmetric tridiagonal linearized operator;
-    off holds the n-1 couplings of node i to node i+1.
+    """Bands (off, diag) of the symmetric tridiagonal linearized operator
+    along the last axis; off holds the n-1 couplings of node i to node i+1.
 
     Uses the regularized flux derivative (D^2 + reg_delta)^((p-2)/2).
     """
-    n = values.size
+    shape = values.shape
     if grid.mode == ODE:
-        return np.zeros(n - 1), np.zeros(n)
+        return np.zeros(shape[:-1] + (shape[-1] - 1,)), np.zeros(shape)
     dx = grid.dx
     D = interface_gradients(values, dx)
     w = spec.alpha * (spec.p - 1.0) * (D * D + spec.reg_delta) ** ((spec.p - 2.0) / 2.0)
     w /= dx * dx
-    return -w[1:-1], w[:-1] + w[1:]
+    return -w[..., 1:-1], w[..., :-1] + w[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +275,12 @@ def eval_g_values(spec: NoiseSpec, k: int, r: np.ndarray) -> np.ndarray:
 
 
 def noise_term_values(spec: NoiseSpec, r: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """sum_k g_k(r) dW_k, vectorized over nodes."""
+    """sum_k g_k(r) dW_k, vectorized over nodes; r is (..., n) and dW
+    (..., K), with one row of increments per path."""
     if spec.K == 0:
         return np.zeros_like(r)
-    weight = float(np.dot(spec.coeff_array, dW))
-    return weight * NOISE_KINDS[spec.pointwise_kind](r)
+    weight = np.vecdot(dW, spec.coeff_array)  # one dot per path, no matrix product
+    return weight[..., None] * NOISE_KINDS[spec.pointwise_kind](r)
 
 
 # ---------------------------------------------------------------------------

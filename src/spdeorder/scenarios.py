@@ -157,7 +157,7 @@ def _scenario_ode_counterexample(cfg: ScenarioConfig, out_dir: str) -> dict:
 
     min_sup = float(np.max(np.abs(minimal.final.values)))
     t_final = spec.time_grid.T
-    max_terminal = float(maximal.final.values[-1, 0])
+    max_terminal = float(maximal.final.single_path()[-1, 0])
     target = t_final**2 / 4.0
     gates = {
         "min_converged": minimal.converged,

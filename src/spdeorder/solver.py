@@ -6,8 +6,8 @@ multiplicative noise explicitly at the left endpoint of each step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import InitVar, dataclass
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -70,24 +70,47 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed discrete states with per-step Newton metadata."""
+    """A batch of B paths on one time grid, with per-step Newton metadata.
+
+    newton_iters[n] counts the batched Newton iterations of step n, one
+    linear solve each for the whole batch: the most any path needed.
+    Values are read-only; they are copied from the caller's array unless
+    copy=False hands over an array nobody else holds.
+    """
 
     grid: Grid
     time_grid: TimeGrid
-    values: np.ndarray  # shape (n_steps + 1, n_interior)
+    values: np.ndarray  # shape (B, n_steps + 1, n_interior)
     newton_iters: tuple = ()
     max_newton_residual: float = 0.0
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         arr = np.asarray(self.values, dtype=float)
         expected = (self.time_grid.n_steps + 1, self.grid.n_interior)
-        if arr.shape != expected:
-            raise ValueError(f"trajectory shape {arr.shape}, expected {expected}")
+        if arr.ndim != 3 or arr.shape[1:] != expected:
+            raise ValueError(f"trajectory shape {arr.shape}, expected (B, *{expected})")
         if not np.all(np.isfinite(arr)):
             raise ValueError("trajectory contains non-finite values")
-        arr = arr.copy()
+        if copy:
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @property
+    def n_paths(self) -> int:
+        return self.values.shape[0]
+
+    def path(self, b: int) -> "Trajectory":
+        """Path b alone, with the batch's Newton metadata."""
+        return Trajectory(self.grid, self.time_grid, self.values[b:b + 1],
+                          self.newton_iters, self.max_newton_residual)
+
+    def single_path(self) -> np.ndarray:
+        """The (n_steps + 1, n_interior) values of a one-path trajectory."""
+        if self.n_paths != 1:
+            raise ValueError(f"expected one path, the trajectory has {self.n_paths}")
+        return self.values[0]
 
     def times(self) -> np.ndarray:
         return self.time_grid.times()
@@ -95,22 +118,23 @@ class Trajectory:
     def to_csv(self, path) -> None:
         x = self.grid.x
         times = self.times()
+        values = self.single_path()
         with open(path, "w", newline="") as fh:
             fh.write(f"# mode={self.grid.mode} n_interior={self.grid.n_interior} "
                      f"L={self.grid.length!r} dx={self.grid.dx!r}\n")
             fh.write("t,x,value\n")
             for n, t in enumerate(times):
-                row = self.values[n]
+                row = values[n]
                 for i in range(x.size):
                     fh.write(f"{float(t)!r},{float(x[i])!r},{float(row[i])!r}\n")
 
 
 # A forcing supplies the frozen drift value for step n -> n+1: called as
-# forcing(step_index, t_n, state_values) -> array.  State-dependent forcings
-# are necessarily explicit (left endpoint); trajectory-frozen forcings sample
-# the right endpoint t_{n+1}, which keeps the nonzero branch of degenerate
-# drifts (e.g. sqrt of the positive part from a zero initial state)
-# representable as a discrete fixed point.
+# forcing(step_index, t_n, states) -> array, with states of shape (B, n).
+# State-dependent forcings are necessarily explicit (left endpoint);
+# trajectory-frozen forcings sample the right endpoint t_{n+1}, which keeps
+# the nonzero branch of degenerate drifts (e.g. sqrt of the positive part
+# from a zero initial state) representable as a discrete fixed point.
 Forcing = Callable[[int, float, np.ndarray], np.ndarray]
 
 
@@ -122,17 +146,34 @@ def constant_forcing(value: float) -> Forcing:
 
 def forcing_from_trajectory(traj: Trajectory) -> Forcing:
     def forcing(n, t, u):
-        return traj.values[n + 1]
+        return traj.values[:, n + 1]
     return forcing
 
 
 def solve_banded(off, diag, rhs):
-    """Solve the symmetric tridiagonal system (off, diag) x = rhs with LAPACK
-    gtsv; the default overwrite flags copy off, which gtsv overwrites."""
-    *_, x, info = dgtsv(off, diag, off, rhs)
+    """Solve the symmetric tridiagonal systems (off, diag) x = rhs of every
+    path (last axis) with one LAPACK gtsv call on their block-diagonal stack.
+
+    The coupling between neighbouring paths is exactly zero, so each path's
+    solution is bit for bit the one its system alone would give.  gtsv
+    overwrites the coupling; the default overwrite flags copy it.
+    """
+    coupling = np.zeros(diag.shape)
+    coupling[..., :-1] = off
+    coupling = coupling.ravel()[:-1]
+    *_, x, info = dgtsv(coupling, diag.ravel(), coupling, rhs.ravel())
     if info != 0:
         raise NewtonDivergenceError(f"singular Newton system (gtsv info {info})")
-    return x
+    return x.reshape(rhs.shape)
+
+
+def _failing(ok: np.ndarray):
+    """Index of the paths where ok is False: None when there are none, and
+    the whole batch (Ellipsis, no fancy indexing) when it is all of them."""
+    n_ok = np.count_nonzero(ok)
+    if n_ok == ok.size:
+        return None
+    return Ellipsis if n_ok == 0 else np.flatnonzero(~ok)
 
 
 def implicit_step(
@@ -143,7 +184,14 @@ def implicit_step(
     t_n: float,
     newton: NewtonParams = NewtonParams(),
 ) -> tuple[np.ndarray, NewtonReport]:
-    """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + sum_k g_k(u_n) dW_k."""
+    """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + sum_k g_k(u_n) dW_k for
+    every path of the batch: u_n and h_n are (B, n), dW_n is (B, K).
+
+    Damped Newton runs on the paths that have not converged yet, each with
+    its own line-search damping, so every path takes the iterates it would
+    take alone.  The report counts the batched iterations and gives the
+    largest final residual.
+    """
     dt = spec.time_grid.dt
     dx = spec.grid.dx
     rhs = u_n + dt * eval_f_values(spec.reaction, u_n)
@@ -160,33 +208,35 @@ def implicit_step(
             raise NewtonDivergenceError("non-finite state")
         return rhs, NewtonReport(0, 0.0)
 
-    def residual(v):
-        return v + dt * apply_A_values(spec.spatial, v, spec.grid) - rhs
+    def residual(v, target):
+        return v + dt * apply_A_values(spec.spatial, v, spec.grid) - target
 
     v = u_n.astype(float, copy=True)
-    res = residual(v)
+    res = residual(v, rhs)
     rnorm = h_norm_values(res, dx)
     iters = 0
     # a NaN residual compares false with everything: never accept it
-    while not rnorm <= newton.tol:
+    while (sel := _failing(rnorm <= newton.tol)) is not None:
         if iters >= newton.max_iter:
             raise NewtonDivergenceError(
-                f"Newton residual {rnorm:.3e} > tol {newton.tol:.3e} "
+                f"Newton residual {np.max(rnorm[sel]):.3e} > tol {newton.tol:.3e} "
                 f"after {iters} iterations")
-        off, diag = jacobian_bands(spec.spatial, v, spec.grid)
-        dv = solve_banded(dt * off, 1.0 + dt * diag, -res)
-        # damped update: halve the step while the residual grows
+        v_a, rhs_a, rnorm_a = v[sel], rhs[sel], rnorm[sel]
+        off, diag = jacobian_bands(spec.spatial, v_a, spec.grid)
+        dv = solve_banded(dt * off, 1.0 + dt * diag, -res[sel])
+        # damped update: halve the step of each path whose residual grows
         step = 1.0
-        while True:
-            v_try = v + step * dv
-            res_try = residual(v_try)
-            rnorm_try = h_norm_values(res_try, dx)
-            if rnorm_try < rnorm or step <= 1.0 / 1024.0:
-                break
+        v_try = v_a + step * dv
+        res_try = residual(v_try, rhs_a)
+        rnorm_try = h_norm_values(res_try, dx)
+        while step > 1.0 / 1024.0 and (g := _failing(rnorm_try < rnorm_a)) is not None:
             step *= 0.5
-        v, res, rnorm = v_try, res_try, rnorm_try
+            v_try[g] = v_a[g] + step * dv[g]
+            res_try[g] = residual(v_try[g], rhs_a[g])
+            rnorm_try[g] = h_norm_values(res_try[g], dx)
+        v[sel], res[sel], rnorm[sel] = v_try, res_try, rnorm_try
         iters += 1
-    return v, NewtonReport(iters, rnorm)
+    return v, NewtonReport(iters, float(np.max(rnorm)))
 
 
 def _check_guards(spec: ProblemSpec) -> None:
@@ -206,42 +256,51 @@ def _check_guards(spec: ProblemSpec) -> None:
 def solve_frozen(
     spec: ProblemSpec,
     forcing: Optional[Forcing],
-    noise_path: Optional[NoisePath] = None,
+    noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
 ) -> Trajectory:
-    """Run the scheme over all steps with frozen drift h_n = forcing(t_n).
+    """Run the scheme over all steps with frozen drift h_n = forcing(t_n), for
+    a batch of paths that all start from spec.u0: one per noise path (one
+    path when noise_paths is None or a single NoisePath).
 
-    Deterministic given (spec, forcing, noise_path).
+    Deterministic given (spec, forcing, noise_paths); each path's values do
+    not depend on the other paths of the batch.
     """
     tg = spec.time_grid
-    if spec.noise.K > 0:
-        if noise_path is None:
+    if noise_paths is None:
+        if spec.noise.K > 0:
             raise ValueError("spec has K > 0 noise modes but no noise path given")
-        if noise_path.increments.shape != (spec.noise.K, tg.n_steps):
-            raise ValueError("noise path shape does not match (K, n_steps)")
+        increments = [np.zeros((0, tg.n_steps))]
+    else:
+        if isinstance(noise_paths, NoisePath):
+            noise_paths = [noise_paths]
+        increments = [path.increments for path in noise_paths]
+    if any(inc.shape != (spec.noise.K, tg.n_steps) for inc in increments):
+        raise ValueError("noise path shape does not match (K, n_steps)")
     _check_guards(spec)
 
-    empty = np.zeros(0)
-    states = np.empty((tg.n_steps + 1, spec.grid.n_interior))
-    states[0] = spec.u0.values
+    # (n_steps, B, K): the increments of step n are one contiguous (B, K) row
+    dW = np.stack([inc.T for inc in increments], axis=1)
+    states = np.empty((len(increments), tg.n_steps + 1, spec.grid.n_interior))
+    u = np.broadcast_to(spec.u0.values, states[:, 0].shape).copy()
+    states[:, 0] = u
     iters = []
     worst = 0.0
-    u = spec.u0.values
     for n in range(tg.n_steps):
         t_n = n * tg.dt
         h_n = forcing(n, t_n, u) if forcing is not None else None
-        dW_n = noise_path.increments[:, n] if spec.noise.K > 0 else empty
         try:
-            u, report = implicit_step(spec, u, h_n, dW_n, t_n, newton)
+            u, report = implicit_step(spec, u, h_n, dW[n], t_n, newton)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
-        states[n + 1] = u
+        states[:, n + 1] = u
         iters.append(report.iterations)
         worst = max(worst, report.residual)
-    return Trajectory(spec.grid, tg, states, tuple(iters), worst)
+    return Trajectory(spec.grid, tg, states, tuple(iters), worst, copy=False)
 
 
 def sup_h_distance(a: Trajectory, b: Trajectory) -> float:
-    """sup over time of the discrete L2 distance between two trajectories."""
+    """sup over paths and time of the discrete L2 distance between two
+    trajectories."""
     diff = a.values - b.values
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=1)) * a.grid.dx))
+    return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1)) * a.grid.dx))

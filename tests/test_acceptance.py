@@ -35,7 +35,8 @@ from spdeorder import (
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE
 from spdeorder.cli import main
-from spdeorder.config import resolve_config
+from spdeorder.comparison import chunk_paths
+from spdeorder.config import load_config, resolve_config
 from spdeorder.core import zeros
 from spdeorder.scenarios import build_newton, build_problem_spec
 
@@ -58,7 +59,7 @@ def test_criterion_1_counterexample_regression():
 
     min_sup = float(np.max(np.abs(minimal.final.values)))
     times = maximal.final.times()
-    max_err = float(np.max(np.abs(maximal.final.values[:, 0] - times**2 / 4.0)))
+    max_err = float(np.max(np.abs(maximal.final.values[0, :, 0] - times**2 / 4.0)))
     ok = (minimal.converged and maximal.converged
           and min_sup <= 1e-6 and max_err <= 5e-3
           and minimal.monotone_ok and maximal.monotone_ok
@@ -80,8 +81,8 @@ def test_criterion_2_extremal_bracket_closed_forms():
     )
     upper = build_extremal(spec, MAX_SIDE)
     lower = build_extremal(spec, MIN_SIDE)
-    err_up = abs(upper.values[-1, 0] - 1.71828)
-    err_lo = abs(lower.values[-1, 0] + 0.63212)
+    err_up = abs(upper.values[0, -1, 0] - 1.71828)
+    err_lo = abs(lower.values[0, -1, 0] + 0.63212)
     ok = err_up <= 2e-4 and err_lo <= 2e-4
     _report("criterion 2: extremal brackets hit the exponential closed forms",
             ok, f"upper err {err_up:.2e}, lower err {err_lo:.2e}")
@@ -225,7 +226,7 @@ def test_criterion_8_heat_solver_convergence():
             u0=Field(u0, g),
         )
         traj = solve_frozen(spec, None, None)
-        return float(np.max(np.abs(traj.values[-1] - exact)))
+        return float(np.max(np.abs(traj.values[0, -1] - exact)))
 
     e1 = terminal_error(1e-4)
     e2 = terminal_error(5e-5)
@@ -235,7 +236,7 @@ def test_criterion_8_heat_solver_convergence():
             ok, f"error {e1:.2e}, dt-halving ratio {ratio:.2f}")
 
 
-def test_criterion_9_byte_identical_reproducibility(tmp_path):
+def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     base = ("scenario = heat_comparison\n"
             "grid.n = 16\n"
             "time.T = 0.02\n"
@@ -243,7 +244,7 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text(base)
 
-    outs = [tmp_path / name for name in ("run1", "run2", "run_fresh")]
+    outs = [tmp_path / name for name in ("run1", "run2", "run_fresh", "run_one_path_chunks")]
     args = ["run", str(cfg), "--seed", "2024", "--out"]
     assert main(args + [str(outs[0])]) == 0
     assert main(args + [str(outs[1])]) == 0
@@ -253,6 +254,12 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
          os.environ.get("PYTHONPATH", "")]))
     cmd = [sys.executable, "-m", "spdeorder.cli"] + args + [str(outs[2])]
     assert subprocess.run(cmd, env=env).returncode == 0
+    # the fourth run solves one path per batch instead of all four at once
+    spec = build_problem_spec(load_config(str(cfg)))
+    assert chunk_paths(spec) >= 4
+    monkeypatch.setattr(spdeorder.comparison, "CHUNK_BYTES", 1)
+    assert chunk_paths(spec) == 1
+    assert main(args + [str(outs[3])]) == 0
 
     names = sorted(p.name for p in outs[0].iterdir())
     ok = len(names) > 0
@@ -260,5 +267,6 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
         ok &= names == sorted(p.name for p in other.iterdir())
         for name in names:
             ok &= (outs[0] / name).read_bytes() == (other / name).read_bytes()
-    _report("criterion 9: reruns in one and in a fresh interpreter are byte-identical",
-            ok, f"{len(names)} artifacts compared across 3 runs")
+    _report("criterion 9: reruns in one and in a fresh interpreter and in one-path "
+            "batches are byte-identical",
+            ok, f"{len(names)} artifacts compared across {len(outs)} runs")

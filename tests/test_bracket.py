@@ -51,14 +51,14 @@ def test_extremal_odes_match_exponential_solutions():
     lower = build_extremal(spec, MIN_SIDE)
     upper = build_extremal(spec, MAX_SIDE)
     times = lower.times()
-    assert np.allclose(lower.values[:, 0], np.exp(-times) - 1.0, atol=2e-4)
-    assert np.allclose(upper.values[:, 0], np.exp(times) - 1.0, atol=5e-4)
+    assert np.allclose(lower.values[0, :, 0], np.exp(-times) - 1.0, atol=2e-4)
+    assert np.allclose(upper.values[0, :, 0], np.exp(times) - 1.0, atol=5e-4)
 
 
 def test_apply_S_zero_is_fixed_point():
     # sqrt of the positive part vanishes along the zero trajectory
     spec = ode_sqrt_spec(n_steps=200)
-    zero = Trajectory(spec.grid, spec.time_grid, np.zeros((201, 1)))
+    zero = Trajectory(spec.grid, spec.time_grid, np.zeros((1, 201, 1)))
     image = apply_S(spec, zero)
     assert np.all(image.values == 0.0)
 
@@ -69,7 +69,7 @@ def test_apply_S_on_upper_extremal_quadrature_oracle():
     upper = build_extremal(spec, MAX_SIDE)
     image = apply_S(spec, upper)
     expected, _ = quad(lambda s: np.sqrt(np.expm1(s)), 0.0, 1.0)
-    assert image.values[-1, 0] == pytest.approx(expected, abs=1e-3)
+    assert image.values[0, -1, 0] == pytest.approx(expected, abs=1e-3)
     assert expected == pytest.approx(0.78345, abs=1e-4)
 
 
@@ -91,7 +91,7 @@ def test_max_side_iteration_monotone_decreasing_residual():
     tail = res.residual_history[1:]
     assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
     # the distinct maximal solution t^2/4 is approached from above
-    assert res.final.values[-1, 0] == pytest.approx(0.25, abs=5e-3)
+    assert res.final.values[0, -1, 0] == pytest.approx(0.25, abs=5e-3)
     assert max(res.containment_violations) == 0.0
 
 

@@ -18,6 +18,7 @@ from spdeorder import (
     run_coupled,
     sigma_energy_trace,
 )
+from spdeorder import comparison
 from spdeorder.comparison import SpecCompatibilityError
 from spdeorder.core import constant, zeros
 from spdeorder.noise import sample_noise_path
@@ -63,8 +64,8 @@ def test_ode_opposite_forcings_exact_energy():
     t_lo, t_hi = run_coupled(lo, hi, None, constant_forcing(-1.0),
                              constant_forcing(1.0))
     times = t_lo.times()
-    assert np.allclose(t_lo.values[:, 0], -times)
-    assert np.allclose(t_hi.values[:, 0], times)
+    assert np.allclose(t_lo.values[0, :, 0], -times)
+    assert np.allclose(t_hi.values[0, :, 0], times)
     assert np.all(energy_series(t_lo, t_hi) == 0.0)
     # transposing the arguments exposes the full gap (2t)^2
     assert np.allclose(energy_series(t_hi, t_lo), (2.0 * times) ** 2)
@@ -157,8 +158,8 @@ def test_sigma_trace_monotone_in_eps():
     rng = np.random.default_rng(2)
     g = Grid(n_interior=16)
     tg = TimeGrid(T=1.0, n_steps=3)
-    vals_1 = rng.standard_normal((4, 16))
-    vals_2 = rng.standard_normal((4, 16))
+    vals_1 = rng.standard_normal((1, 4, 16))
+    vals_2 = rng.standard_normal((1, 4, 16))
     t1 = Trajectory(g, tg, vals_1)
     t2 = Trajectory(g, tg, vals_2)
     traces = [sigma_energy_trace(t1, t2, eps) for eps in (1.0, 0.3, 0.05, 1e-4)]
@@ -170,7 +171,26 @@ def test_sigma_trace_monotone_in_eps():
 
 def test_sigma_trace_shape_mismatch():
     g = Grid(n_interior=4)
-    t1 = Trajectory(g, TimeGrid(T=1.0, n_steps=2), np.zeros((3, 4)))
-    t2 = Trajectory(g, TimeGrid(T=1.0, n_steps=3), np.zeros((4, 4)))
+    t1 = Trajectory(g, TimeGrid(T=1.0, n_steps=2), np.zeros((1, 3, 4)))
+    t2 = Trajectory(g, TimeGrid(T=1.0, n_steps=3), np.zeros((1, 4, 4)))
     with pytest.raises(ValueError):
         sigma_energy_trace(t1, t2, 0.1)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_comparison_study_independent_of_chunk_size(monkeypatch, chunk):
+    # 7 paths in batches of 1 or 3 against one batch of all 7
+    lo = make_spec(0.0, K=3)
+    hi = make_spec(0.5, K=3)
+    whole = comparison_study(hi, lo, M=7, master_seed=11)
+    per_path = 2 * 51 * 16 * 8
+    monkeypatch.setattr(comparison, "CHUNK_BYTES", chunk * per_path)
+    assert comparison.chunk_paths(hi) == chunk
+    report = comparison_study(hi, lo, M=7, master_seed=11)
+    assert np.array_equal(report.max_energy, whole.max_energy)
+    assert np.array_equal(report.mean_energy, whole.mean_energy)
+    assert (report.worst_path, report.worst_step, report.worst_energy) == (
+        whole.worst_path, whole.worst_step, whole.worst_energy)
+    for ours, theirs in zip(report.first_pair, whole.first_pair):
+        assert ours.n_paths == 1
+        assert np.array_equal(ours.values, theirs.values)

@@ -145,6 +145,9 @@ def test_cli_invalid_override_exits_2(tmp_path, capsys):
     ("scenario = custom\ndrift.kind = piecewise_linear\ndrift.knots = 0,0,1,1,2\n",
      "'drift.knots'"),
     ("scenario = heat_comparison\nrun.eps_list = 0\n", "'run.eps_list'"),
+    # an empty eps list would write a sigma trace with no columns
+    ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\nrun.eps_list =\n",
+     "'run.eps_list'"),
 ])
 def test_cli_config_inconsistent_with_spec_exits_2(tmp_path, capsys, doc, key):
     path = tmp_path / "bad.cfg"
@@ -160,6 +163,18 @@ def test_cli_ode_blow_up_exits_3(tmp_path, capsys):
     with pytest.warns(UserWarning, match="dt\\*C_F"), np.errstate(over="ignore"):
         assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_batched_newton_divergence_exits_3(tmp_path, capsys):
+    # p = 3 needs two Newton iterations per step: a cap of one fails the
+    # comparison's path batch at its first step, with no comparison written
+    doc = tmp_path / "diverge.cfg"
+    doc.write_text("scenario = heat_comparison\nspatial.p = 3\nnewton.max_iter = 1\n"
+                   "run.M = 3\ntime.T = 0.02\n")
+    out = tmp_path / "out"
+    assert main(["run", str(doc), "--out", str(out)]) == 3
+    assert "after 1 iterations (step 0)" in capsys.readouterr().err
+    assert not (out / "comparison.txt").exists()
 
 
 # (overrides, closed form) per table entry; noise forms are per unit coefficient

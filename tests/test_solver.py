@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,8 @@ def test_implicit_step_matches_dense_linear_solve():
         e[j] = 1.0
         A[:, j] = apply_A_values(spec.spatial, e, spec.grid)
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n)
-    v, report = implicit_step(spec, u_n, None, np.zeros(0), 0.0)
-    assert np.allclose(v, expected, atol=1e-12)
+    v, report = implicit_step(spec, u_n[None], None, np.zeros((1, 0)), 0.0)
+    assert np.allclose(v[0], expected, atol=1e-12)
     assert report.iterations == 1  # linear problem: one Newton iteration
 
 
@@ -72,8 +74,8 @@ def test_implicit_step_sine_eigenvector():
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     u_n = np.sin(np.pi * g.x)
-    v, _ = implicit_step(spec, u_n, None, np.zeros(0), 0.0)
-    assert np.allclose(v, u_n / (1.0 + dt * lam), atol=1e-12)
+    v, _ = implicit_step(spec, u_n[None], None, np.zeros((1, 0)), 0.0)
+    assert np.allclose(v[0], u_n / (1.0 + dt * lam), atol=1e-12)
 
 
 def test_heat_equation_semidiscrete_decay():
@@ -85,7 +87,7 @@ def test_heat_equation_semidiscrete_decay():
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     expected = np.sin(np.pi * g.x) * (1.0 + dt * lam) ** (-n_steps)
-    assert np.allclose(traj.values[-1], expected, atol=1e-12)
+    assert np.allclose(traj.values[0, -1], expected, atol=1e-12)
 
 
 def test_first_order_in_time():
@@ -101,7 +103,7 @@ def test_first_order_in_time():
     def terminal_err(n_steps):
         spec = heat_spec(n=n, T=T, n_steps=n_steps, u0=Field(u0, g))
         traj = solve_frozen(spec, None, None)
-        return np.max(np.abs(traj.values[-1] - exact))
+        return np.max(np.abs(traj.values[0, -1] - exact))
 
     e1, e2 = terminal_err(200), terminal_err(400)
     assert 1.5 <= e1 / e2 <= 2.5
@@ -119,16 +121,16 @@ def test_constant_forcing_ode_exact():
         u0=Field([2.0], Grid.ode()),
     )
     traj = solve_frozen(spec, constant_forcing(3.0), None)
-    assert np.allclose(traj.values[:, 0], 2.0 + 3.0 * traj.times())
+    assert np.allclose(traj.values[0, :, 0], 2.0 + 3.0 * traj.times())
 
 
 def test_forcing_from_trajectory_right_endpoint():
     spec = heat_spec(n=4, T=1.0, n_steps=2)
     ref = Trajectory(spec.grid, spec.time_grid,
-                     np.arange(12, dtype=float).reshape(3, 4))
+                     np.arange(12, dtype=float).reshape(1, 3, 4))
     forcing = forcing_from_trajectory(ref)
-    assert np.array_equal(forcing(0, 0.0, np.zeros(4)), ref.values[1])
-    assert np.array_equal(forcing(1, 0.5, np.zeros(4)), ref.values[2])
+    assert np.array_equal(forcing(0, 0.0, np.zeros((1, 4))), ref.values[:, 1])
+    assert np.array_equal(forcing(1, 0.5, np.zeros((1, 4))), ref.values[:, 2])
 
 
 def test_plaplacian_residual_at_tolerance():
@@ -156,7 +158,7 @@ def test_implicit_step_rejects_nan_residual():
     spec = heat_spec(n=8, p=3.0)
     g = spec.grid
     with pytest.raises(NewtonDivergenceError):
-        implicit_step(spec, np.sin(np.pi * g.x), np.full(8, np.nan), np.zeros(0),
+        implicit_step(spec, np.sin(np.pi * g.x)[None], np.full((1, 8), np.nan), np.zeros((1, 0)),
                       0.0, NewtonParams(max_iter=3))
 
 
@@ -247,7 +249,127 @@ def test_trajectory_csv_layout(tmp_path):
 
 def test_sup_h_distance_examples():
     spec = heat_spec(n=4, T=1.0, n_steps=1)
-    a = Trajectory(spec.grid, spec.time_grid, np.zeros((2, 4)))
-    b = Trajectory(spec.grid, spec.time_grid, np.ones((2, 4)))
+    a = Trajectory(spec.grid, spec.time_grid, np.zeros((1, 2, 4)))
+    b = Trajectory(spec.grid, spec.time_grid, np.ones((1, 2, 4)))
     assert sup_h_distance(a, a) == 0.0
     assert sup_h_distance(a, b) == pytest.approx(np.sqrt(4 * spec.grid.dx))
+
+
+def test_trajectory_copies_a_callers_array():
+    spec = heat_spec(n=4, T=1.0, n_steps=2)
+    values = np.zeros((1, 3, 4))
+    traj = Trajectory(spec.grid, spec.time_grid, values)
+    values[0, 1, 2] = 5.0
+    assert np.all(traj.values == 0.0)
+    assert not traj.values.flags.writeable
+    with pytest.raises(ValueError):
+        traj.values[0, 0, 0] = 1.0
+
+
+def test_trajectory_takes_over_an_array_without_copying():
+    spec = heat_spec(n=4, T=1.0, n_steps=2)
+    values = np.zeros((2, 3, 4))
+    traj = Trajectory(spec.grid, spec.time_grid, values, copy=False)
+    assert traj.values is values
+    assert not traj.values.flags.writeable
+
+
+def test_solve_frozen_stores_its_states_once():
+    # a copy of the states would double the peak memory of the solve
+    spec = heat_spec(n=64, T=0.5, n_steps=500, p=3.0)
+    paths = [sample_noise_path(0, m, 0, spec.time_grid) for m in range(4)]
+    states_bytes = 4 * 501 * 64 * 8
+    tracemalloc.start()
+    try:
+        traj = solve_frozen(spec, constant_forcing(1.0), paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.values.nbytes == states_bytes
+    assert peak < 1.5 * states_bytes
+
+
+def _noisy_spec(p, K, n=16):
+    g = Grid(n_interior=n)
+    return ProblemSpec(
+        grid=g,
+        time_grid=TimeGrid(T=0.05, n_steps=25),
+        spatial=SpatialOpSpec(p=p),
+        drift=DriftSpec("zero"),
+        reaction=ReactionSpec("linear", slope=0.5),
+        noise=NoiseSpec.geometric(K, gamma=2.0) if K else NoiseSpec(),
+        u0=Field(3.0 * np.sin(np.pi * g.x), g),
+    )
+
+
+@pytest.mark.parametrize("B", [1, 3, 7])
+@pytest.mark.parametrize("K", [0, 3])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_batch_members_equal_single_path_solves(p, K, B):
+    spec = _noisy_spec(p, K)
+    paths = [sample_noise_path(5, m, K, spec.time_grid) for m in range(B)]
+    batch = solve_frozen(spec, constant_forcing(0.5), paths)
+    singles = [solve_frozen(spec, constant_forcing(0.5), path) for path in paths]
+    assert batch.values.shape == (B, 26, 16)
+    for b, single in enumerate(singles):
+        assert np.array_equal(batch.values[b], single.values[0])
+    per_member = np.array([single.newton_iters for single in singles])
+    assert batch.newton_iters == tuple(int(i) for i in per_member.max(axis=0))
+    if p == 3.0 and K > 0 and B > 1:
+        # members converge after different numbers of Newton iterations
+        assert np.any(per_member.min(axis=0) != per_member.max(axis=0))
+
+
+def test_implicit_step_batch_members_converge_independently():
+    # 0, 6, 12, 23 (with line-search halvings) and 2 Newton iterations alone
+    g = Grid(n_interior=16)
+    spec = heat_spec(n=16, T=0.5, n_steps=5, p=4.0)
+    rng = np.random.default_rng(3)
+    u_n = np.stack([np.zeros(16), np.sin(np.pi * g.x), 30.0 * np.sin(np.pi * g.x),
+                    20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x)])
+    alone = [implicit_step(spec, row[None], None, np.zeros((1, 0)), 0.0) for row in u_n]
+    v, report = implicit_step(spec, u_n, None, np.zeros((5, 0)), 0.0)
+    for b, (v_b, report_b) in enumerate(alone):
+        assert np.array_equal(v[b], v_b[0])
+    iterations = [report_b.iterations for _, report_b in alone]
+    assert len(set(iterations)) == 5
+    assert report.iterations == max(iterations)
+    assert report.residual == max(report_b.residual for _, report_b in alone)
+
+
+def test_batch_divergence_raises_with_step_index():
+    # every member converges within max_iter until member 2 is kicked at
+    # step 5; then the whole batch fails there and returns nothing
+    g = Grid(n_interior=16)
+    spec = ProblemSpec(**{**_noisy_spec(3.0, 3).__dict__,
+                          "u0": Field(0.5 * np.sin(np.pi * g.x), g)})
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
+    newton = NewtonParams(max_iter=3)
+
+    def kick(n, t, u):
+        h = np.zeros_like(u)
+        if n == 5:
+            h[2] = 1e3
+        return h
+
+    assert solve_frozen(spec, None, paths, newton).n_paths == 4
+    with pytest.raises(NewtonDivergenceError, match="after 3 iterations") as exc:
+        solve_frozen(spec, kick, paths, newton)
+    assert exc.value.step_index == 5
+    assert "(step 5)" in str(exc.value)
+
+
+def test_batch_never_accepts_a_nan_member():
+    # a NaN forcing on one member at step 3 fails the whole batch there
+    spec = _noisy_spec(2.0, 3)
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
+
+    def forcing(n, t, u):
+        h = np.zeros_like(u)
+        if n == 3:
+            h[2] = np.nan
+        return h
+
+    with pytest.raises(NewtonDivergenceError, match="nan") as exc:
+        solve_frozen(spec, forcing, paths, NewtonParams(max_iter=5))
+    assert exc.value.step_index == 3
