@@ -7,11 +7,14 @@ sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
 iteration is pathwise: each sweep is deterministic for a fixed noise path.
+The sweeps of a chunk of paths and of both sides run in lock step, one
+batched solve per sweep, and each path's iterates are those of sweeping
+it alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,12 +25,21 @@ from .solver import (
     NewtonParams,
     ProblemSpec,
     Trajectory,
+    paths_per_chunk,
     solve_frozen,
     sup_h_distance,
+    sup_h_norm,
 )
 
 MIN_SIDE = "min"
 MAX_SIDE = "max"
+
+# byte budget for the next iterates in flight in one lock-step chunk, both
+# sides: 2·P·(N+1)·n·8 bytes for P paths.  The results are stored either
+# way, so peak RSS grows by about the budget over sweeping one path at a
+# time: at 256 nodes and 500 steps 6 MiB gives 3 paths and about +4.5 MB
+# (4%); 4 paths gave +6.4 MB.
+CHUNK_BYTES = 6 * 1024 * 1024
 
 
 def _side_sign(side: str) -> float:
@@ -38,9 +50,13 @@ def _side_sign(side: str) -> float:
     raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
 
 
-def extremal_forcing(side: str, C_B: float) -> Forcing:
-    """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u)."""
-    sign = _side_sign(side)
+def extremal_forcing(sides: Union[str, Sequence[str]], C_B: float) -> Forcing:
+    """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u): one side for
+    the whole batch, or one side per path."""
+    if isinstance(sides, str):
+        sign = _side_sign(sides)
+    else:
+        sign = np.array([_side_sign(side) for side in sides])[:, None]
 
     def forcing(n, t, u):
         return sign * C_B * (1.0 + u)
@@ -50,28 +66,42 @@ def extremal_forcing(side: str, C_B: float) -> Forcing:
 
 def build_extremal(
     spec: ProblemSpec,
-    side: str,
-    noise_path: Optional[NoisePath] = None,
+    sides: Union[str, Sequence[str]],
+    noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
 ) -> Trajectory:
-    """Solve the auxiliary bracket problem for the requested side."""
-    return solve_frozen(spec, extremal_forcing(side, spec.drift.C_B), noise_path, newton)
+    """Solve the auxiliary bracket problems in one batch: one side for every
+    path, or one side per noise path."""
+    return solve_frozen(spec, extremal_forcing(sides, spec.drift.C_B), noise_paths, newton)
 
 
 def apply_S(
     spec: ProblemSpec,
     u_tilde: Trajectory,
-    noise_path: Optional[NoisePath] = None,
+    noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
+    members: Union[slice, np.ndarray] = slice(None),
 ) -> Trajectory:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
-    Forcing contract in the solver module)."""
+    Forcing contract in the solver module), in one batch over the paths
+    `members` of u_tilde (all by default), one noise path each."""
 
     def forcing(n, t, u):
-        return eval_b_values(spec.drift, u_tilde.values[:, n + 1])
+        return eval_b_values(spec.drift, u_tilde.values[members, n + 1])
 
-    return solve_frozen(spec, forcing, noise_path, newton)
+    return solve_frozen(spec, forcing, noise_paths, newton)
+
+
+def chunk_paths(spec: ProblemSpec) -> int:
+    """Paths per lock-step chunk: the most whose next iterates, both sides,
+    fit in CHUNK_BYTES (at least one)."""
+    return paths_per_chunk(spec, CHUNK_BYTES)
+
+
+def bracket_sides(P: int) -> tuple:
+    """Member sides of a lock-step chunk of P paths: P min, then P max."""
+    return (MIN_SIDE,) * P + (MAX_SIDE,) * P
 
 
 @dataclass(frozen=True)
@@ -108,63 +138,98 @@ class BracketResult:
         return "\n".join(lines) + "\n"
 
 
+def _record_sweep(history: tuple, sign: float, new: np.ndarray, old: np.ndarray,
+                  lower: np.ndarray, upper: np.ndarray, dx: float) -> float:
+    """Append one member's residual, monotonicity and containment defects
+    to its history, overwrite its iterate old with new, return the
+    residual.  The temporaries are one path's size and die on return."""
+    diff = new - old
+    residual = sup_h_norm(diff, dx)
+    # min side expects new >= old pointwise, max side the reverse
+    violation = float(np.max(sign * diff))
+    below = float(np.max(lower - new))
+    above = float(np.max(new - upper))
+    residuals, mono, containment = history
+    residuals.append(residual)
+    # max keeps the first of equal values, so 0.0 goes first: a -0.0 defect
+    # is recorded as +0.0
+    mono.append(max(0.0, violation))
+    containment.append(max(0.0, below, above))
+    old[...] = new
+    return residual
+
+
 def iterate_bracket(
     spec: ProblemSpec,
-    side: str,
-    extremals: tuple[Trajectory, Trajectory],
-    noise_path: Optional[NoisePath] = None,
+    extremals: Trajectory,
+    noise_paths: Sequence[NoisePath],
     tol_fixed: float = 1e-6,
     max_outer: int = 60,
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
-) -> BracketResult:
-    """Monotone sweep u <- S(u) from the requested bracket of the
-    (lower, upper) extremals.
+) -> list[BracketResult]:
+    """Monotone sweeps u <- S(u) of both sides of P paths, in lock step.
 
-    Stops when sup_t ||S(u) - u||_H <= tol_fixed or max_outer is reached.
-    Min-side iterates are expected nondecreasing in the sweep index (max side
-    mirrored); per-sweep violations and bracket-containment defects are
-    logged, never silently accepted.
+    extremals holds the P lower extremals, then the P upper ones, of the P
+    noise paths (as build_extremal returns them for the sides
+    bracket_sides(P) and the paths twice over).  Member m < P sweeps the
+    min side of path m from its lower extremal, member P + m the max side
+    from its upper one.  Each sweep is one apply_S call over the members
+    that have not stopped.  A member stops when sup_t ||S(u) - u||_H <=
+    tol_fixed or after max_outer sweeps and is never swept again, so its
+    iterates are bit for bit those of sweeping it alone.  Min-side iterates
+    are expected nondecreasing in the sweep index (max side mirrored);
+    per-sweep violations and bracket-containment defects are logged, never
+    silently accepted.  Returns the 2P results in member order; their
+    trajectories are read-only views into the chunk's arrays.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
-    sign = _side_sign(side)
-    lower, upper = extremals
-    start = lower if side == MIN_SIDE else upper
-    current = start
-    residuals = []
-    mono = []
-    containment = []
-    converged = False
-    sweeps = 0
-    for _ in range(max_outer):
-        nxt = apply_S(spec, current, noise_path, newton)
-        sweeps += 1
-        residual = sup_h_distance(nxt, current)
-        # min side expects nxt >= current pointwise, max side the reverse
-        violation = float(np.max(sign * (nxt.values - current.values)))
-        below = float(np.max(lower.values - nxt.values))
-        above = float(np.max(nxt.values - upper.values))
-        residuals.append(residual)
-        mono.append(max(violation, 0.0))
-        containment.append(max(below, above, 0.0))
-        current = nxt
-        if residual <= tol_fixed:
-            converged = True
+    P = len(noise_paths)
+    sides = bracket_sides(P)
+    grid, tg = spec.grid, spec.time_grid
+    ext = extremals.values
+    # each member's latest iterate; a stopped member's slot is never written
+    current = ext.copy()
+    # u_tilde of every sweep: a read-only view of current, which the loop
+    # changes only between sweeps
+    iterates = Trajectory(grid, tg, current[:], copy=False)
+    histories = [([], [], []) for _ in sides]
+    finals = [None] * len(sides)
+    active = np.arange(len(sides))
+    for sweep in range(1, max_outer + 1):
+        nxt = apply_S(spec, iterates, [noise_paths[m % P] for m in active], newton,
+                      active)
+        still = []
+        for j, m in enumerate(active):
+            residual = _record_sweep(histories[m], _side_sign(sides[m]), nxt.values[j],
+                                     current[m], ext[m % P], ext[P + m % P], grid.dx)
+            if residual <= tol_fixed or sweep == max_outer:
+                finals[m] = Trajectory(grid, tg, current[m:m + 1], nxt.newton_iters,
+                                       nxt.max_newton_residual, copy=False)
+            else:
+                still.append(m)
+        active = np.array(still, dtype=int)
+        del nxt  # free this sweep's iterates before the next sweep solves
+        if not still:
             break
-    return BracketResult(
-        side=side,
-        extremal_start=start,
-        residual_history=tuple(residuals),
-        monotonicity_violations=tuple(mono),
-        containment_violations=tuple(containment),
-        converged=converged,
-        final=current,
-        n_sweeps=sweeps,
-        mono_tol=mono_tol,
-    )
+    return [
+        BracketResult(
+            side=side,
+            extremal_start=Trajectory(grid, tg, ext[m:m + 1], extremals.newton_iters,
+                                      extremals.max_newton_residual, copy=False),
+            residual_history=tuple(residuals),
+            monotonicity_violations=tuple(mono),
+            containment_violations=tuple(containment),
+            converged=residuals[-1] <= tol_fixed,
+            final=finals[m],
+            n_sweeps=len(residuals),
+            mono_tol=mono_tol,
+        )
+        for m, (side, (residuals, mono, containment)) in enumerate(zip(sides, histories))
+    ]
 
 
 @dataclass(frozen=True)
@@ -219,6 +284,20 @@ class BracketPair:
         return float(np.max(self.minimal.final.values - self.maximal.final.values))
 
 
+def _bracket_chunk(spec: ProblemSpec, master_seed: int, path_indices: Sequence[int],
+                   tol_fixed: float, max_outer: int, mono_tol: float,
+                   newton: NewtonParams) -> list[BracketPair]:
+    """Both extremals of every path in one solve, then the lock-step sweeps."""
+    paths = [sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
+             for m in path_indices]
+    P = len(paths)
+    extremals = build_extremal(spec, bracket_sides(P), paths + paths, newton)
+    results = iterate_bracket(spec, extremals, paths, tol_fixed, max_outer, mono_tol,
+                              newton)
+    return [BracketPair(m, results[i], results[P + i])
+            for i, m in enumerate(path_indices)]
+
+
 def bracket_pair(
     spec: ProblemSpec,
     master_seed: int,
@@ -229,17 +308,9 @@ def bracket_pair(
     newton: NewtonParams = NewtonParams(),
 ) -> BracketPair:
     """Both extremals on one noise path, then both one-sided iterations from
-    them; each side keeps its extremal as `extremal_start`."""
-    path = sample_noise_path(master_seed, path_index, spec.noise.K, spec.time_grid)
-    extremals = (build_extremal(spec, MIN_SIDE, path, newton),
-                 build_extremal(spec, MAX_SIDE, path, newton))
-    kwargs = dict(extremals=extremals, noise_path=path, tol_fixed=tol_fixed,
-                  max_outer=max_outer, mono_tol=mono_tol, newton=newton)
-    return BracketPair(
-        path_index=path_index,
-        minimal=iterate_bracket(spec, MIN_SIDE, **kwargs),
-        maximal=iterate_bracket(spec, MAX_SIDE, **kwargs),
-    )
+    them in lock step; each side keeps its extremal as `extremal_start`."""
+    return _bracket_chunk(spec, master_seed, [path_index], tol_fixed, max_outer,
+                          mono_tol, newton)[0]
 
 
 def bracket_study(
@@ -251,8 +322,14 @@ def bracket_study(
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketPair]:
-    """Run both one-sided iterations on M independent noise paths."""
+    """Run both one-sided iterations on M independent noise paths, in
+    lock-step chunks of chunk_paths(spec) paths; the results do not depend
+    on the chunk size."""
     if M < 1:
         raise ValueError("need at least one path")
-    return [bracket_pair(spec, master_seed, m, tol_fixed, max_outer, mono_tol, newton)
-            for m in range(M)]
+    chunk = chunk_paths(spec)
+    pairs = []
+    for start in range(0, M, chunk):
+        pairs += _bracket_chunk(spec, master_seed, range(start, min(start + chunk, M)),
+                                tol_fixed, max_outer, mono_tol, newton)
+    return pairs

@@ -270,10 +270,13 @@ def _scenario_custom(cfg: ScenarioConfig, out_dir: str) -> dict:
     cross = max(pair.cross_order_violation for pair in pairs)
     converged = all(p.minimal.converged and p.maximal.converged for p in pairs)
     monotone = all(p.minimal.monotone_ok and p.maximal.monotone_ok for p in pairs)
+    contained = all(max(res.containment_violations) <= cfg["gates.interval_tol"]
+                    for p in pairs for res in (p.minimal, p.maximal))
     _write_pair(out_dir, pairs[0])
     gates = {
         "converged": converged,
         "monotone_sweeps": monotone,
+        "interval": contained,
         "min_below_max": cross <= cfg["run.mono_tol"],
     }
     extra = {

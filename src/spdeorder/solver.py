@@ -75,7 +75,7 @@ class Trajectory:
     newton_iters[n] counts the batched Newton iterations of step n, one
     linear solve each for the whole batch: the most any path needed.
     Values are read-only; they are copied from the caller's array unless
-    copy=False hands over an array nobody else holds.
+    copy=False hands over an array whose values nobody changes afterwards.
     """
 
     grid: Grid
@@ -299,8 +299,19 @@ def solve_frozen(
     return Trajectory(spec.grid, tg, states, tuple(iters), worst, copy=False)
 
 
+def paths_per_chunk(spec: ProblemSpec, budget: int) -> int:
+    """The most paths whose stored states for two runs, 2·paths·(N+1)·n·8
+    bytes, fit in budget bytes (at least one)."""
+    per_path = 2 * (spec.time_grid.n_steps + 1) * spec.grid.n_interior * 8
+    return max(1, budget // per_path)
+
+
+def sup_h_norm(values: np.ndarray, dx: float) -> float:
+    """sup over paths and time of the discrete L2 norm of stored states."""
+    return float(np.sqrt(np.max(np.sum(values * values, axis=-1)) * dx))
+
+
 def sup_h_distance(a: Trajectory, b: Trajectory) -> float:
     """sup over paths and time of the discrete L2 distance between two
     trajectories."""
-    diff = a.values - b.values
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1)) * a.grid.dx))
+    return sup_h_norm(a.values - b.values, a.grid.dx)

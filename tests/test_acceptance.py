@@ -261,12 +261,35 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     assert chunk_paths(spec) == 1
     assert main(args + [str(outs[3])]) == 0
 
-    names = sorted(p.name for p in outs[0].iterdir())
-    ok = len(names) > 0
-    for other in outs[1:]:
-        ok &= names == sorted(p.name for p in other.iterdir())
-        for name in names:
-            ok &= (outs[0] / name).read_bytes() == (other / name).read_bytes()
+    # a noisy bracket study, in lock-step chunks of all three paths and of one
+    bracket_cfg = tmp_path / "b.cfg"
+    bracket_cfg.write_text("scenario = custom\n"
+                           "grid.n = 12\n"
+                           "time.T = 0.05\n"
+                           "spatial.p = 3.0\n"
+                           "drift.kind = heaviside\n"
+                           "noise.K = 2\n"
+                           "u0.kind = sine\n"
+                           "run.M = 3\n")
+    bracket_outs = [tmp_path / name for name in ("bracket_run", "bracket_one_path_chunks")]
+    bracket_args = ["run", str(bracket_cfg), "--seed", "2024", "--out"]
+    bracket_spec = build_problem_spec(load_config(str(bracket_cfg)))
+    assert spdeorder.bracket.chunk_paths(bracket_spec) >= 3
+    assert main(bracket_args + [str(bracket_outs[0])]) == 0
+    monkeypatch.setattr(spdeorder.bracket, "CHUNK_BYTES", 1)
+    assert spdeorder.bracket.chunk_paths(bracket_spec) == 1
+    assert main(bracket_args + [str(bracket_outs[1])]) == 0
+
+    ok, compared = True, 0
+    for group in (outs, bracket_outs):
+        names = sorted(p.name for p in group[0].iterdir())
+        ok &= len(names) > 0
+        compared += len(names)
+        for other in group[1:]:
+            ok &= names == sorted(p.name for p in other.iterdir())
+            for name in names:
+                ok &= (group[0] / name).read_bytes() == (other / name).read_bytes()
     _report("criterion 9: reruns in one and in a fresh interpreter and in one-path "
             "batches are byte-identical",
-            ok, f"{len(names)} artifacts compared across {len(outs)} runs")
+            ok, f"{compared} artifacts compared across {len(outs)} heat and "
+                f"{len(bracket_outs)} bracket runs")

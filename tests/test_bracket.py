@@ -1,7 +1,11 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from spdeorder import bracket
 from spdeorder import (
     DriftSpec,
     Field,
@@ -16,6 +20,8 @@ from spdeorder import (
     bracket_pair,
     bracket_study,
     build_extremal,
+    sample_noise_path,
+    sup_h_distance,
     verify_interval,
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
@@ -43,6 +49,15 @@ def test_extremal_forcing_values():
     assert np.allclose(f_hi(0, 0.0, u), [2.0, 4.0, 1.0])
     with pytest.raises(ValueError):
         extremal_forcing("sideways", 1.0)
+
+
+def test_extremal_forcing_per_path_sides():
+    # one side per path gives each row the forcing of its side, bit for bit
+    u = np.array([[0.0, 1.0, -0.5], [0.25, 3.0, -1.5], [0.1, 0.2, 0.3]])
+    sides = (MIN_SIDE, MAX_SIDE, MIN_SIDE)
+    batch = extremal_forcing(sides, 1.7)(0, 0.0, u)
+    for row, side in zip(range(3), sides):
+        assert np.array_equal(batch[row], extremal_forcing(side, 1.7)(0, 0.0, u[row]))
 
 
 def test_extremal_odes_match_exponential_solutions():
@@ -157,3 +172,135 @@ def test_bracket_study_pairs():
         # Lipschitz drift: brackets collapse to the unique solution
         assert pair.gap <= 1e-6
         assert pair.cross_order_violation <= 1e-6
+
+
+def test_min_side_defects_are_never_negative_zero():
+    # the min side's zero iterates differ by -(+0.0) = -0.0 between sweeps
+    spec = ode_sqrt_spec(n_steps=500)
+    pair = bracket_pair(spec, master_seed=0, tol_fixed=1e-10, max_outer=10)
+    for res in (pair.minimal, pair.maximal):
+        defects = res.monotonicity_violations + res.containment_violations
+        assert all(math.copysign(1.0, v) == 1.0 for v in defects)
+        assert "-0.0" not in res.to_text()
+
+
+def stochastic_jump_spec():
+    """A small stochastic bracket like the n256 benchmark: p=3, heaviside
+    jump, four noise modes, sine datum; its members need 3 or 4 sweeps."""
+    g = Grid(n_interior=16)
+    return ProblemSpec(
+        grid=g,
+        time_grid=TimeGrid(T=0.1, n_steps=50),
+        spatial=SpatialOpSpec(p=3.0),
+        drift=DriftSpec("heaviside", s0=0.5, low=0.0, high=1.0),
+        reaction=ReactionSpec(),
+        noise=NoiseSpec.geometric(4),
+        u0=Field(np.sin(np.pi * g.x), g),
+    )
+
+
+def path_bytes(spec):
+    """Bytes of one path's next iterates, both sides."""
+    return 2 * (spec.time_grid.n_steps + 1) * spec.grid.n_interior * 8
+
+
+def sweep_alone(spec, path, side, tol_fixed, max_outer):
+    """One side of one path swept at B = 1, the way the iteration is defined."""
+    start = build_extremal(spec, side, path)
+    current, residuals = start, []
+    for _ in range(max_outer):
+        nxt = apply_S(spec, current, path)
+        residuals.append(sup_h_distance(nxt, current))
+        current = nxt
+        if residuals[-1] <= tol_fixed:
+            break
+    return start, current, tuple(residuals)
+
+
+def test_bracket_study_independent_of_chunk_size(monkeypatch):
+    spec = stochastic_jump_spec()
+    M, kwargs = 5, dict(tol_fixed=1e-6, max_outer=100)
+    assert bracket.chunk_paths(spec) >= M  # the default chunk holds all paths
+    layouts = {"default": bracket.CHUNK_BYTES, "one path": 1,
+               "two paths": 2 * path_bytes(spec)}
+    studies = {}
+    for name, budget in layouts.items():
+        monkeypatch.setattr(bracket, "CHUNK_BYTES", budget)
+        studies[name] = bracket_study(spec, M, master_seed=12345, **kwargs)
+    assert bracket.chunk_paths(spec) == 2
+    results = {name: [r for p in pairs for r in (p.minimal, p.maximal)]
+               for name, pairs in studies.items()}
+    whole = results.pop("default")
+    assert len({r.n_sweeps for r in whole}) >= 2  # members stop at different sweeps
+    for other in results.values():
+        for ours, theirs in zip(other, whole):
+            assert ours.side == theirs.side
+            assert np.array_equal(ours.final.values, theirs.final.values)
+            assert np.array_equal(ours.extremal_start.values, theirs.extremal_start.values)
+            assert (ours.residual_history, ours.monotonicity_violations,
+                    ours.containment_violations, ours.n_sweeps, ours.converged) == (
+                theirs.residual_history, theirs.monotonicity_violations,
+                theirs.containment_violations, theirs.n_sweeps, theirs.converged)
+    # and each member is bit for bit its side swept alone
+    for pair in studies["default"]:
+        path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
+        for res in (pair.minimal, pair.maximal):
+            start, final, residuals = sweep_alone(spec, path, res.side, **kwargs)
+            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(res.final.values, final.values)
+            assert res.residual_history == residuals
+
+
+def test_bracket_results_are_read_only_views():
+    spec = stochastic_jump_spec()
+    pairs = bracket_study(spec, 3, master_seed=1, tol_fixed=1e-6, max_outer=100)
+    for pair in pairs:
+        for res in (pair.minimal, pair.maximal):
+            for traj in (res.final, res.extremal_start):
+                assert traj.n_paths == 1
+                assert traj.values.base is not None  # a view, not a copy
+                assert not traj.values.flags.writeable
+    # every path of a chunk shares its extremal and its final arrays
+    assert pairs[0].minimal.final.values.base is pairs[2].maximal.final.values.base
+    assert (pairs[0].minimal.extremal_start.values.base
+            is pairs[2].maximal.extremal_start.values.base)
+
+
+def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
+    spec = stochastic_jump_spec()
+    counts, batch_sizes = Counter(), []
+    solve = bracket.solve_frozen
+
+    def counting_solve(*args, **kwargs):
+        counts["solve_frozen"] += 1
+        return solve(*args, **kwargs)
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            before = counts["solve_frozen"]
+            traj = fn(*args, **kwargs)
+            assert counts["solve_frozen"] == before + 1  # exactly one solve per call
+            counts[name] += 1
+            if name == "apply_S":
+                batch_sizes.append(traj.n_paths)
+            return traj
+        return call
+
+    monkeypatch.setattr(bracket, "solve_frozen", counting_solve)
+    monkeypatch.setattr(bracket, "build_extremal", counted(bracket.build_extremal,
+                                                           "build_extremal"))
+    monkeypatch.setattr(bracket, "apply_S", counted(bracket.apply_S, "apply_S"))
+    monkeypatch.setattr(bracket, "CHUNK_BYTES", 2 * path_bytes(spec))
+    pairs = bracket_study(spec, 5, master_seed=12345, tol_fixed=1e-6, max_outer=100)
+
+    chunks = [pairs[0:2], pairs[2:4], pairs[4:5]]
+    assert counts["build_extremal"] == len(chunks)
+    # lock step: a chunk sweeps until its slowest member stops
+    assert counts["apply_S"] == sum(max(r.n_sweeps for p in chunk
+                                        for r in (p.minimal, p.maximal))
+                                    for chunk in chunks)
+    assert counts["solve_frozen"] == counts["build_extremal"] + counts["apply_S"]
+    # a stopped member is never swept again
+    assert sum(batch_sizes) == sum(r.n_sweeps for p in pairs
+                                   for r in (p.minimal, p.maximal))
+    assert len(set(batch_sizes)) >= 2

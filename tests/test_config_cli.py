@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from spdeorder import scenarios
 from spdeorder.cli import main
 from spdeorder.config import (
     ConfigError,
@@ -283,3 +286,27 @@ def test_cli_seed_changes_output(tmp_path):
     main(["run", str(doc), "--out", str(out_b), "--seed", "2"])
     assert ((out_a / "trajectory_lower.csv").read_bytes()
             != (out_b / "trajectory_lower.csv").read_bytes())
+
+
+def test_cli_custom_gates_interval_containment(tmp_path, monkeypatch):
+    cfg = tmp_path / "bracket.cfg"
+    cfg.write_text("scenario = custom\ngrid.n = 12\ntime.T = 0.05\nspatial.p = 3.0\n"
+                   "drift.kind = heaviside\nnoise.K = 2\nu0.kind = sine\nrun.M = 3\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    assert "gate.interval = pass" in (tmp_path / "ok" / "summary.txt").read_text()
+
+    # a containment defect on the max side of the last path fails the gate
+    study = scenarios.bracket_study
+
+    def leaky_study(*args, **kwargs):
+        pairs = study(*args, **kwargs)
+        last = pairs[-1]
+        leaky = dataclasses.replace(last.maximal, containment_violations=(
+            last.maximal.containment_violations[:-1] + (1e-6,)))
+        return pairs[:-1] + [dataclasses.replace(last, maximal=leaky)]
+
+    monkeypatch.setattr(scenarios, "bracket_study", leaky_study)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "leaky")]) == 1
+    summary = (tmp_path / "leaky" / "summary.txt").read_text()
+    assert "gate.interval = fail" in summary
+    assert "gate.converged = pass" in summary and "gate.min_below_max = pass" in summary
