@@ -7,14 +7,14 @@ sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
 iteration is pathwise: each sweep is deterministic for a fixed noise path.
-The sweeps of a chunk of paths and of both sides run in lock step, one
-batched solve per sweep, and each path's iterates are those of sweeping
-it alone.
+The sweeps of all paths and of both sides run in lock step, one batched
+solve per sweep that writes the new iterates in place, and each path's
+iterates are those of sweeping it alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,24 +22,21 @@ from .noise import NoisePath, sample_noise_path
 from .operators import eval_b_values
 from .solver import (
     Forcing,
+    NewtonLog,
     NewtonParams,
     ProblemSpec,
     Trajectory,
-    paths_per_chunk,
     solve_frozen,
     sup_h_distance,
-    sup_h_norm,
 )
 
 MIN_SIDE = "min"
 MAX_SIDE = "max"
 
-# byte budget for the next iterates in flight in one lock-step chunk, both
-# sides: 2·P·(N+1)·n·8 bytes for P paths.  The results are stored either
-# way, so peak RSS grows by about the budget over sweeping one path at a
-# time: at 256 nodes and 500 steps 6 MiB gives 3 paths and about +4.5 MB
-# (4%); 4 paths gave +6.4 MB.
-CHUNK_BYTES = 6 * 1024 * 1024
+# a sweep reduces its defects in blocks of new states: at most 1/32 of the
+# steps and 256 KiB a block, so the reduction's numpy calls are paid once
+# per block, not once per step, and its temporaries stay small
+_BLOCK_BYTES = 256 * 1024
 
 
 def _side_sign(side: str) -> float:
@@ -81,26 +78,23 @@ def apply_S(
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
     members: Union[slice, np.ndarray] = slice(None),
-) -> Trajectory:
+    store: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> Union[Trajectory, NewtonLog]:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
     Forcing contract in the solver module), in one batch over the paths
-    `members` of u_tilde (all by default), one noise path each."""
+    `members` of u_tilde (all by default), one noise path each.  A store
+    takes the new states step by step instead (see solve_frozen); step n
+    reads row n + 1 of u_tilde before state n + 1 reaches the store."""
 
     def forcing(n, t, u):
         return eval_b_values(spec.drift, u_tilde.values[members, n + 1])
 
-    return solve_frozen(spec, forcing, noise_paths, newton)
-
-
-def chunk_paths(spec: ProblemSpec) -> int:
-    """Paths per lock-step chunk: the most whose next iterates, both sides,
-    fit in CHUNK_BYTES (at least one)."""
-    return paths_per_chunk(spec, CHUNK_BYTES)
+    return solve_frozen(spec, forcing, noise_paths, newton, store)
 
 
 def bracket_sides(P: int) -> tuple:
-    """Member sides of a lock-step chunk of P paths: P min, then P max."""
+    """Member sides of a lock-step batch of P paths: P min, then P max."""
     return (MIN_SIDE,) * P + (MAX_SIDE,) * P
 
 
@@ -138,25 +132,62 @@ class BracketResult:
         return "\n".join(lines) + "\n"
 
 
-def _record_sweep(history: tuple, sign: float, new: np.ndarray, old: np.ndarray,
-                  lower: np.ndarray, upper: np.ndarray, dx: float) -> float:
-    """Append one member's residual, monotonicity and containment defects
-    to its history, overwrite its iterate old with new, return the
-    residual.  The temporaries are one path's size and die on return."""
-    diff = new - old
-    residual = sup_h_norm(diff, dx)
-    # min side expects new >= old pointwise, max side the reverse
-    violation = float(np.max(sign * diff))
-    below = float(np.max(lower - new))
-    above = float(np.max(new - upper))
-    residuals, mono, containment = history
-    residuals.append(residual)
-    # max keeps the first of equal values, so 0.0 goes first: a -0.0 defect
-    # is recorded as +0.0
-    mono.append(max(0.0, violation))
-    containment.append(max(0.0, below, above))
-    old[...] = new
-    return residual
+class _InPlaceSweep:
+    """The store of one sweep: it writes the new states of the members into
+    `current`, in place of the iterate the sweep reads, and reduces each
+    member's residual, monotonicity and containment defects on the way.
+
+    New states wait in a block of steps.  A full block is compared with the
+    rows of `current` it replaces, which the sweep's forcing has read by
+    then, and with the extremals, and then written over them.  Step 0 is
+    spec.u0 in every iterate and extremal (iterate_bracket checks it), so
+    its defects are zero and it is skipped.  Sums of squares run along the contiguous node axis and maxima
+    are exact, so every defect equals the one taken over the whole
+    trajectory at once.
+    """
+
+    def __init__(self, current: np.ndarray, ext: np.ndarray, members: np.ndarray,
+                 P: int):
+        B, rows, n = len(members), current.shape[1], current.shape[2]
+        self.current, self.ext, self.members = current, ext, members
+        self.lower, self.upper = members % P, P + members % P
+        # min side expects new >= old pointwise, max side the reverse
+        self.sign = np.where(members < P, -1.0, 1.0)[:, None, None]
+        width = max(1, min((rows - 1) // 32, _BLOCK_BYTES // (8 * B * n)))
+        self.block = np.empty((B, width, n))
+        self.first = 1  # the row of current that block[:, 0] replaces
+        self.rows = rows
+        self.sq = np.zeros(B)  # worst sum of squares of new - old
+        self.mono = np.full(B, -np.inf)
+        self.excess = np.full(B, -np.inf)  # worst of lower - new and new - upper
+
+    def __call__(self, n: int, u: np.ndarray) -> None:
+        k = n + 1 - self.first
+        self.block[:, k] = u
+        if k + 1 == self.block.shape[1] or n + 2 == self.rows:
+            self._flush(k + 1)
+
+    def _flush(self, width: int) -> None:
+        rows = slice(self.first, self.first + width)
+        new = self.block[:, :width]
+        diff = new - self.current[self.members, rows]
+        np.maximum(self.sq, np.max(np.sum(diff * diff, axis=-1), axis=1), out=self.sq)
+        np.maximum(self.mono, np.max(self.sign * diff, axis=(1, 2)), out=self.mono)
+        np.maximum(self.excess, np.max(self.ext[self.lower, rows] - new, axis=(1, 2)),
+                   out=self.excess)
+        np.maximum(self.excess, np.max(new - self.ext[self.upper, rows], axis=(1, 2)),
+                   out=self.excess)
+        self.current[self.members, rows] = new
+        self.first += width
+
+    def defects(self, dx: float) -> list:
+        """(residual, monotonicity, containment) of each member: the residual
+        sup_t ||new - old||_H, and the worst defects, never below 0.0."""
+        residuals = np.sqrt(self.sq * dx).tolist()
+        # max keeps the first of equal values, so 0.0 goes first: a -0.0
+        # defect is recorded as +0.0
+        return [(r, max(0.0, m), max(0.0, e)) for r, m, e in
+                zip(residuals, self.mono.tolist(), self.excess.tolist())]
 
 
 def iterate_bracket(
@@ -175,44 +206,52 @@ def iterate_bracket(
     bracket_sides(P) and the paths twice over).  Member m < P sweeps the
     min side of path m from its lower extremal, member P + m the max side
     from its upper one.  Each sweep is one apply_S call over the members
-    that have not stopped.  A member stops when sup_t ||S(u) - u||_H <=
-    tol_fixed or after max_outer sweeps and is never swept again, so its
-    iterates are bit for bit those of sweeping it alone.  Min-side iterates
-    are expected nondecreasing in the sweep index (max side mirrored);
-    per-sweep violations and bracket-containment defects are logged, never
-    silently accepted.  Returns the 2P results in member order; their
-    trajectories are read-only views into the chunk's arrays.
+    that have not stopped, which writes their new iterates in place over
+    the old ones.  A member stops when sup_t ||S(u) - u||_H <= tol_fixed or
+    after max_outer sweeps and is never swept again, so its iterates are
+    bit for bit those of sweeping it alone.  Min-side iterates are expected
+    nondecreasing in the sweep index (max side mirrored); per-sweep
+    violations and bracket-containment defects are logged, never silently
+    accepted.  Returns the 2P results in member order; their trajectories
+    are read-only views into the batch's extremal and iterate arrays.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
     P = len(noise_paths)
+    if extremals.n_paths != 2 * P:
+        raise ValueError(f"{extremals.n_paths} extremals for {P} noise paths, "
+                         f"expected {2 * P}")
+    if extremals.grid != spec.grid or extremals.time_grid != spec.time_grid:
+        raise ValueError("extremals live on a different grid or time grid")
+    if not np.all(extremals.values[:, 0] == spec.u0.values):
+        raise ValueError("extremals do not start at spec.u0")
     sides = bracket_sides(P)
     grid, tg = spec.grid, spec.time_grid
     ext = extremals.values
-    # each member's latest iterate; a stopped member's slot is never written
+    # each member's latest iterate, rewritten in place by its sweeps; a
+    # stopped member's slot is never written again
     current = ext.copy()
-    # u_tilde of every sweep: a read-only view of current, which the loop
-    # changes only between sweeps
+    # u_tilde of every sweep: a read-only view of current
     iterates = Trajectory(grid, tg, current[:], copy=False)
     histories = [([], [], []) for _ in sides]
     finals = [None] * len(sides)
     active = np.arange(len(sides))
     for sweep in range(1, max_outer + 1):
-        nxt = apply_S(spec, iterates, [noise_paths[m % P] for m in active], newton,
-                      active)
+        sink = _InPlaceSweep(current, ext, active, P)
+        log = apply_S(spec, iterates, [noise_paths[m % P] for m in active], newton,
+                      active, sink)
         still = []
-        for j, m in enumerate(active):
-            residual = _record_sweep(histories[m], _side_sign(sides[m]), nxt.values[j],
-                                     current[m], ext[m % P], ext[P + m % P], grid.dx)
-            if residual <= tol_fixed or sweep == max_outer:
-                finals[m] = Trajectory(grid, tg, current[m:m + 1], nxt.newton_iters,
-                                       nxt.max_newton_residual, copy=False)
+        for m, defects in zip(active.tolist(), sink.defects(grid.dx)):
+            for record, value in zip(histories[m], defects):
+                record.append(value)
+            if defects[0] <= tol_fixed or sweep == max_outer:
+                finals[m] = Trajectory(grid, tg, current[m:m + 1], log.newton_iters,
+                                       log.max_newton_residual, copy=False)
             else:
                 still.append(m)
         active = np.array(still, dtype=int)
-        del nxt  # free this sweep's iterates before the next sweep solves
         if not still:
             break
     return [
@@ -284,7 +323,7 @@ class BracketPair:
         return float(np.max(self.minimal.final.values - self.maximal.final.values))
 
 
-def _bracket_chunk(spec: ProblemSpec, master_seed: int, path_indices: Sequence[int],
+def _bracket_batch(spec: ProblemSpec, master_seed: int, path_indices: Sequence[int],
                    tol_fixed: float, max_outer: int, mono_tol: float,
                    newton: NewtonParams) -> list[BracketPair]:
     """Both extremals of every path in one solve, then the lock-step sweeps."""
@@ -309,7 +348,7 @@ def bracket_pair(
 ) -> BracketPair:
     """Both extremals on one noise path, then both one-sided iterations from
     them in lock step; each side keeps its extremal as `extremal_start`."""
-    return _bracket_chunk(spec, master_seed, [path_index], tol_fixed, max_outer,
+    return _bracket_batch(spec, master_seed, [path_index], tol_fixed, max_outer,
                           mono_tol, newton)[0]
 
 
@@ -322,14 +361,10 @@ def bracket_study(
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketPair]:
-    """Run both one-sided iterations on M independent noise paths, in
-    lock-step chunks of chunk_paths(spec) paths; the results do not depend
-    on the chunk size."""
+    """Run both one-sided iterations on M independent noise paths, in one
+    lock-step batch of 2M members; each path's results are those of
+    bracket_pair on that path alone."""
     if M < 1:
         raise ValueError("need at least one path")
-    chunk = chunk_paths(spec)
-    pairs = []
-    for start in range(0, M, chunk):
-        pairs += _bracket_chunk(spec, master_seed, range(start, min(start + chunk, M)),
-                                tol_fixed, max_outer, mono_tol, newton)
-    return pairs
+    return _bracket_batch(spec, master_seed, range(M), tol_fixed, max_outer, mono_tol,
+                          newton)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .noise import NoisePath, sample_noise_path
 from .operators import sigma_hat
-from .solver import (Forcing, NewtonParams, ProblemSpec, Trajectory, paths_per_chunk,
-                     solve_frozen)
+from .solver import Forcing, NewtonParams, ProblemSpec, Trajectory, solve_frozen
 
 
 # byte budget for the stored states of one coupled batch, both sides.  Peak
@@ -109,8 +108,9 @@ class ComparisonReport:
 
 def chunk_paths(spec: ProblemSpec) -> int:
     """Paths per coupled batch: the most whose stored states, both sides,
-    fit in CHUNK_BYTES (at least one)."""
-    return paths_per_chunk(spec, CHUNK_BYTES)
+    2·paths·(N+1)·n·8 bytes, fit in CHUNK_BYTES (at least one)."""
+    per_path = 2 * (spec.time_grid.n_steps + 1) * spec.grid.n_interior * 8
+    return max(1, CHUNK_BYTES // per_path)
 
 
 def comparison_study(

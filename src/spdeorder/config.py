@@ -130,7 +130,8 @@ SCHEMA = {
                 "initial datum"),
     "u0.amplitude": (float, 1.0, None, "initial datum amplitude"),
     "run.M": (int, 100, lambda v: v >= 1, "Monte Carlo path count"),
-    "run.master_seed": (int, 12345, _nonnegative, "master seed"),
+    "run.master_seed": (int, 12345, lambda v: 0 <= v < 2**64,
+                        "master seed, a 64-bit word: 0 <= seed < 2**64"),
     "run.tol_fixed": (float, 1e-6, _positive, "fixed-point residual tolerance"),
     "run.max_outer": (int, 60, lambda v: v >= 1, "max outer sweeps"),
     "run.mono_tol": (float, 1e-10, _nonnegative, "monotonicity violation tolerance"),

@@ -75,7 +75,10 @@ class Trajectory:
     newton_iters[n] counts the batched Newton iterations of step n, one
     linear solve each for the whole batch: the most any path needed.
     Values are read-only; they are copied from the caller's array unless
-    copy=False hands over an array whose values nobody changes afterwards.
+    copy=False hands over the array itself.  Its owner may still write it:
+    a bracket sweep rewrites u_tilde in place while the forcing reads it,
+    each row only after the forcing has read it, one step or more behind
+    the reader.
     """
 
     grid: Grid
@@ -116,17 +119,23 @@ class Trajectory:
         return self.time_grid.times()
 
     def to_csv(self, path) -> None:
-        x = self.grid.x
-        times = self.times()
-        values = self.single_path()
+        xs = [repr(x) for x in self.grid.x.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write(f"# mode={self.grid.mode} n_interior={self.grid.n_interior} "
                      f"L={self.grid.length!r} dx={self.grid.dx!r}\n")
             fh.write("t,x,value\n")
-            for n, t in enumerate(times):
-                row = values[n]
-                for i in range(x.size):
-                    fh.write(f"{float(t)!r},{float(x[i])!r},{float(row[i])!r}\n")
+            # one write per time row; a Python float has the repr of float(value)
+            for t, row in zip(self.times().tolist(), self.single_path()):
+                t = repr(t)
+                fh.write("".join(f"{t},{x},{v!r}\n" for x, v in zip(xs, row.tolist())))
+
+
+@dataclass(frozen=True)
+class NewtonLog:
+    """The per-step Newton metadata of a solve whose states went to a store."""
+
+    newton_iters: tuple
+    max_newton_residual: float
 
 
 # A forcing supplies the frozen drift value for step n -> n+1: called as
@@ -258,10 +267,15 @@ def solve_frozen(
     forcing: Optional[Forcing],
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-) -> Trajectory:
+    store: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> Union[Trajectory, NewtonLog]:
     """Run the scheme over all steps with frozen drift h_n = forcing(t_n), for
     a batch of paths that all start from spec.u0: one per noise path (one
     path when noise_paths is None or a single NoisePath).
+
+    Returns every state as a Trajectory.  With store given, no state is
+    kept: store(n, u) receives the (B, n) states n + 1 right after step n,
+    and the result is the NewtonLog alone.
 
     Deterministic given (spec, forcing, noise_paths); each path's values do
     not depend on the other paths of the batch.
@@ -281,9 +295,14 @@ def solve_frozen(
 
     # (n_steps, B, K): the increments of step n are one contiguous (B, K) row
     dW = np.stack([inc.T for inc in increments], axis=1)
-    states = np.empty((len(increments), tg.n_steps + 1, spec.grid.n_interior))
-    u = np.broadcast_to(spec.u0.values, states[:, 0].shape).copy()
-    states[:, 0] = u
+    u = np.broadcast_to(spec.u0.values, (len(increments), spec.grid.n_interior)).copy()
+    keep = store is None
+    if keep:
+        states = np.empty((u.shape[0], tg.n_steps + 1, u.shape[1]))
+        states[:, 0] = u
+
+        def store(n, u_next):
+            states[:, n + 1] = u_next
     iters = []
     worst = 0.0
     for n in range(tg.n_steps):
@@ -293,17 +312,12 @@ def solve_frozen(
             u, report = implicit_step(spec, u, h_n, dW[n], t_n, newton)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
-        states[:, n + 1] = u
+        store(n, u)
         iters.append(report.iterations)
         worst = max(worst, report.residual)
-    return Trajectory(spec.grid, tg, states, tuple(iters), worst, copy=False)
-
-
-def paths_per_chunk(spec: ProblemSpec, budget: int) -> int:
-    """The most paths whose stored states for two runs, 2·paths·(N+1)·n·8
-    bytes, fit in budget bytes (at least one)."""
-    per_path = 2 * (spec.time_grid.n_steps + 1) * spec.grid.n_interior * 8
-    return max(1, budget // per_path)
+    if keep:
+        return Trajectory(spec.grid, tg, states, tuple(iters), worst, copy=False)
+    return NewtonLog(tuple(iters), worst)
 
 
 def sup_h_norm(values: np.ndarray, dx: float) -> float:

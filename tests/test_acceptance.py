@@ -261,7 +261,8 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     assert chunk_paths(spec) == 1
     assert main(args + [str(outs[3])]) == 0
 
-    # a noisy bracket study, in lock-step chunks of all three paths and of one
+    # a noisy bracket study, in one lock-step batch of all three paths and
+    # one path at a time
     bracket_cfg = tmp_path / "b.cfg"
     bracket_cfg.write_text("scenario = custom\n"
                            "grid.n = 12\n"
@@ -271,14 +272,18 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
                            "noise.K = 2\n"
                            "u0.kind = sine\n"
                            "run.M = 3\n")
-    bracket_outs = [tmp_path / name for name in ("bracket_run", "bracket_one_path_chunks")]
+    bracket_outs = [tmp_path / name for name in ("bracket_run", "bracket_one_path_runs")]
     bracket_args = ["run", str(bracket_cfg), "--seed", "2024", "--out"]
-    bracket_spec = build_problem_spec(load_config(str(bracket_cfg)))
-    assert spdeorder.bracket.chunk_paths(bracket_spec) >= 3
     assert main(bracket_args + [str(bracket_outs[0])]) == 0
-    monkeypatch.setattr(spdeorder.bracket, "CHUNK_BYTES", 1)
-    assert spdeorder.bracket.chunk_paths(bracket_spec) == 1
+    one_path_runs = []
+
+    def per_path_study(spec, M, master_seed, **kwargs):
+        one_path_runs.append(M)
+        return [bracket_pair(spec, master_seed, path_index=m, **kwargs) for m in range(M)]
+
+    monkeypatch.setattr(spdeorder.scenarios, "bracket_study", per_path_study)
     assert main(bracket_args + [str(bracket_outs[1])]) == 0
+    assert one_path_runs == [3]
 
     ok, compared = True, 0
     for group in (outs, bracket_outs):

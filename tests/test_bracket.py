@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,6 +22,7 @@ from spdeorder import (
     bracket_pair,
     bracket_study,
     build_extremal,
+    iterate_bracket,
     sample_noise_path,
     sup_h_distance,
     verify_interval,
@@ -199,11 +202,6 @@ def stochastic_jump_spec():
     )
 
 
-def path_bytes(spec):
-    """Bytes of one path's next iterates, both sides."""
-    return 2 * (spec.time_grid.n_steps + 1) * spec.grid.n_interior * 8
-
-
 def sweep_alone(spec, path, side, tol_fixed, max_outer):
     """One side of one path swept at B = 1, the way the iteration is defined."""
     start = build_extremal(spec, side, path)
@@ -217,23 +215,18 @@ def sweep_alone(spec, path, side, tol_fixed, max_outer):
     return start, current, tuple(residuals)
 
 
-def test_bracket_study_independent_of_chunk_size(monkeypatch):
+def test_bracket_study_independent_of_batch():
     spec = stochastic_jump_spec()
     M, kwargs = 5, dict(tol_fixed=1e-6, max_outer=100)
-    assert bracket.chunk_paths(spec) >= M  # the default chunk holds all paths
-    layouts = {"default": bracket.CHUNK_BYTES, "one path": 1,
-               "two paths": 2 * path_bytes(spec)}
-    studies = {}
-    for name, budget in layouts.items():
-        monkeypatch.setattr(bracket, "CHUNK_BYTES", budget)
-        studies[name] = bracket_study(spec, M, master_seed=12345, **kwargs)
-    assert bracket.chunk_paths(spec) == 2
-    results = {name: [r for p in pairs for r in (p.minimal, p.maximal)]
-               for name, pairs in studies.items()}
-    whole = results.pop("default")
+    batch = bracket_study(spec, M, master_seed=12345, **kwargs)
+    alone = [bracket_pair(spec, 12345, path_index=m, **kwargs) for m in range(M)]
+    smaller = bracket_study(spec, 2, master_seed=12345, **kwargs)
+    assert [p.path_index for p in batch] == list(range(M))
+    whole = [r for p in batch for r in (p.minimal, p.maximal)]
     assert len({r.n_sweeps for r in whole}) >= 2  # members stop at different sweeps
-    for other in results.values():
-        for ours, theirs in zip(other, whole):
+    for others in ([r for p in alone for r in (p.minimal, p.maximal)],
+                   [r for p in smaller for r in (p.minimal, p.maximal)]):
+        for ours, theirs in zip(others, whole):
             assert ours.side == theirs.side
             assert np.array_equal(ours.final.values, theirs.final.values)
             assert np.array_equal(ours.extremal_start.values, theirs.extremal_start.values)
@@ -242,13 +235,59 @@ def test_bracket_study_independent_of_chunk_size(monkeypatch):
                 theirs.residual_history, theirs.monotonicity_violations,
                 theirs.containment_violations, theirs.n_sweeps, theirs.converged)
     # and each member is bit for bit its side swept alone
-    for pair in studies["default"]:
+    for pair in batch:
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
         for res in (pair.minimal, pair.maximal):
             start, final, residuals = sweep_alone(spec, path, res.side, **kwargs)
             assert np.array_equal(res.extremal_start.values, start.values)
             assert np.array_equal(res.final.values, final.values)
             assert res.residual_history == residuals
+
+
+def test_iterate_bracket_rejects_mismatched_extremals():
+    spec = stochastic_jump_spec()
+    paths = [sample_noise_path(3, m, spec.noise.K, spec.time_grid) for m in range(3)]
+    sides = bracket.bracket_sides(3)
+    extremals = build_extremal(spec, sides, paths + paths)
+    # too many extremals: a max side would meet another path's lower extremal
+    with pytest.raises(ValueError, match="6 extremals for 2 noise paths"):
+        iterate_bracket(spec, extremals, paths[:2])
+    # too few: the batch would run out of extremals mid-sweep
+    with pytest.raises(ValueError, match="6 extremals for 4 noise paths"):
+        iterate_bracket(spec, extremals, paths + paths[:1])
+    shorter = dataclasses.replace(spec, time_grid=TimeGrid(T=0.1, n_steps=25))
+    wider = Grid(n_interior=16, length=2.0)
+    longer = dataclasses.replace(spec, grid=wider, u0=zeros(wider))
+    for other in (shorter, longer):
+        with pytest.raises(ValueError, match="different grid"):
+            iterate_bracket(other, extremals, paths)
+    with pytest.raises(ValueError, match="do not start at spec.u0"):
+        iterate_bracket(dataclasses.replace(spec, u0=zeros(spec.grid)), extremals, paths)
+
+
+def test_sweeps_write_their_iterates_in_place():
+    # once the extremals exist, a sweep needs no next-iterate array: its
+    # transient memory stays far below one (2M, N+1, n) array
+    g = Grid(n_interior=64)
+    spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
+                               time_grid=TimeGrid(T=0.2, n_steps=400),
+                               noise=NoiseSpec.geometric(2),
+                               u0=Field(np.sin(np.pi * g.x), g))
+    M = 3
+    paths = [sample_noise_path(7, m, spec.noise.K, spec.time_grid) for m in range(M)]
+    extremals = build_extremal(spec, bracket.bracket_sides(M), paths + paths)
+    one_array = extremals.values.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = iterate_bracket(spec, extremals, paths, tol_fixed=1e-6, max_outer=100)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(r.n_sweeps for r in results) >= 3
+    retained = after - before  # the iterates, which the results view
+    assert retained >= one_array
+    assert peak - before - retained < 0.25 * one_array
 
 
 def test_bracket_results_are_read_only_views():
@@ -260,7 +299,7 @@ def test_bracket_results_are_read_only_views():
                 assert traj.n_paths == 1
                 assert traj.values.base is not None  # a view, not a copy
                 assert not traj.values.flags.writeable
-    # every path of a chunk shares its extremal and its final arrays
+    # every path of the batch shares its extremal and its final arrays
     assert pairs[0].minimal.final.values.base is pairs[2].maximal.final.values.base
     assert (pairs[0].minimal.extremal_start.values.base
             is pairs[2].maximal.extremal_start.values.base)
@@ -278,29 +317,27 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
     def counted(fn, name):
         def call(*args, **kwargs):
             before = counts["solve_frozen"]
-            traj = fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
             assert counts["solve_frozen"] == before + 1  # exactly one solve per call
+            assert sum(result.newton_iters) > 0
             counts[name] += 1
             if name == "apply_S":
-                batch_sizes.append(traj.n_paths)
-            return traj
+                batch_sizes.append(len(args[2]))  # one noise path per member
+            return result
         return call
 
     monkeypatch.setattr(bracket, "solve_frozen", counting_solve)
     monkeypatch.setattr(bracket, "build_extremal", counted(bracket.build_extremal,
                                                            "build_extremal"))
     monkeypatch.setattr(bracket, "apply_S", counted(bracket.apply_S, "apply_S"))
-    monkeypatch.setattr(bracket, "CHUNK_BYTES", 2 * path_bytes(spec))
     pairs = bracket_study(spec, 5, master_seed=12345, tol_fixed=1e-6, max_outer=100)
 
-    chunks = [pairs[0:2], pairs[2:4], pairs[4:5]]
-    assert counts["build_extremal"] == len(chunks)
-    # lock step: a chunk sweeps until its slowest member stops
-    assert counts["apply_S"] == sum(max(r.n_sweeps for p in chunk
-                                        for r in (p.minimal, p.maximal))
-                                    for chunk in chunks)
+    results = [r for p in pairs for r in (p.minimal, p.maximal)]
+    assert counts["build_extremal"] == 1
+    # lock step: the batch sweeps until its slowest member stops
+    assert counts["apply_S"] == max(r.n_sweeps for r in results)
     assert counts["solve_frozen"] == counts["build_extremal"] + counts["apply_S"]
     # a stopped member is never swept again
-    assert sum(batch_sizes) == sum(r.n_sweeps for p in pairs
-                                   for r in (p.minimal, p.maximal))
+    assert batch_sizes[0] == 2 * len(pairs)
+    assert sum(batch_sizes) == sum(r.n_sweeps for r in results)
     assert len(set(batch_sizes)) >= 2

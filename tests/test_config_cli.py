@@ -151,12 +151,26 @@ def test_cli_invalid_override_exits_2(tmp_path, capsys):
     # an empty eps list would write a sigma trace with no columns
     ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\nrun.eps_list =\n",
      "'run.eps_list'"),
+    # the noise generator keys on 64-bit words
+    ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\n"
+     "run.master_seed = 18446744073709551616\n", "'run.master_seed'"),
 ])
 def test_cli_config_inconsistent_with_spec_exits_2(tmp_path, capsys, doc, key):
     path = tmp_path / "bad.cfg"
     path.write_text(doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_cli_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    doc = tmp_path / "heat.cfg"
+    doc.write_text("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\n")
+    for seed in ("18446744073709551616", "-1"):
+        assert main(["run", str(doc), "--seed", seed, "--out", str(tmp_path / "bad")]) == 2
+        assert "'run.master_seed'" in capsys.readouterr().err
+    # the largest 64-bit seed runs
+    assert main(["run", str(doc), "--seed", "18446744073709551615",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_ode_blow_up_exits_3(tmp_path, capsys):

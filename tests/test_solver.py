@@ -246,6 +246,22 @@ def test_trajectory_csv_layout(tmp_path):
     assert lines[1] == "t,x,value"
     assert len(lines) == 2 + 3 * 3  # (n_steps + 1) * n_interior rows
 
+    # the bytes of the per-value formatter, on values whose repr is delicate
+    grid = Grid(n_interior=3, length=0.7)
+    tg = TimeGrid(T=0.3, n_steps=2)
+    values = np.array([[[-0.0, 5e-324, 1e300],
+                        [0.1 + 0.2, -1e-300, 1.0 / 3.0],
+                        [-2.5, 0.0, 123456789.123456789]]])
+    traj = Trajectory(grid, tg, values)
+    traj.to_csv(out)
+    x, times = grid.x, tg.times()
+    expected = (f"# mode={grid.mode} n_interior=3 L={grid.length!r} dx={grid.dx!r}\n"
+                "t,x,value\n"
+                + "".join(f"{float(t)!r},{float(x[i])!r},{float(v)!r}\n"
+                          for t, row in zip(times, values[0]) for i, v in enumerate(row)))
+    assert out.read_bytes() == expected.encode()
+    assert b"-0.0" in out.read_bytes() and b"5e-324" in out.read_bytes()
+
 
 def test_sup_h_distance_examples():
     spec = heat_spec(n=4, T=1.0, n_steps=1)
