@@ -51,13 +51,11 @@ from .comparison import (
 from .bracket import (
     BracketPair,
     BracketResult,
-    IntervalReport,
     apply_S,
     bracket_pair,
     bracket_study,
     build_extremal,
     iterate_bracket,
-    verify_interval,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ def extremal_forcing(sides: Union[str, Sequence[str]], C_B: float) -> Forcing:
     else:
         sign = np.array([_side_sign(side) for side in sides])[:, None]
 
-    def forcing(n, t, u):
+    def forcing(n, u):
         return sign * C_B * (1.0 + u)
 
     return forcing
@@ -87,7 +87,7 @@ def apply_S(
     takes the new states step by step instead (see solve_frozen); step n
     reads row n + 1 of u_tilde before state n + 1 reaches the store."""
 
-    def forcing(n, t, u):
+    def forcing(n, u):
         return eval_b_values(spec.drift, u_tilde.values[members, n + 1])
 
     return solve_frozen(spec, forcing, noise_paths, newton, store)
@@ -269,41 +269,6 @@ def iterate_bracket(
         )
         for m, (side, (residuals, mono, containment)) in enumerate(zip(sides, histories))
     ]
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    passed: bool
-    max_lower_violation: float
-    max_upper_violation: float
-    witness: tuple  # (step, node) of the worst violation
-
-    def to_text(self) -> str:
-        return (
-            f"passed = {str(self.passed).lower()}\n"
-            f"max_lower_violation = {self.max_lower_violation!r}\n"
-            f"max_upper_violation = {self.max_upper_violation!r}\n"
-            f"witness_step = {self.witness[0]}\n"
-            f"witness_node = {self.witness[1]}\n"
-        )
-
-
-def verify_interval(
-    u: Trajectory, lower: Trajectory, upper: Trajectory, tol: float = 1e-8
-) -> IntervalReport:
-    """Per-time order checks lower <= u <= upper with worst-violation witness
-    (step, node)."""
-    below = lower.values - u.values
-    above = u.values - upper.values
-    max_below = float(np.max(below))
-    max_above = float(np.max(above))
-    if max_below >= max_above:
-        flat = int(np.argmax(below))
-    else:
-        flat = int(np.argmax(above))
-    witness = tuple(int(i) for i in np.unravel_index(flat, below.shape)[1:])
-    passed = max_below <= tol and max_above <= tol
-    return IntervalReport(passed, max_below, max_above, witness)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import os
 import sys
 
 from .config import ConfigError, SCENARIOS, load_config, resolve_config
@@ -42,7 +43,12 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config)
+        overrides = dict(load_config(args.config).values)
+        if args.seed is not None:
+            overrides["run.master_seed"] = args.seed
+        if args.paths is not None:
+            overrides["run.M"] = args.paths
+        cfg = resolve_config(overrides)
     except FileNotFoundError:
         sys.stderr.write(f"config file not found: {args.config}\n")
         close = difflib.get_close_matches(args.config, SCENARIOS, n=1)
@@ -50,18 +56,21 @@ def main(argv=None) -> int:
             sys.stderr.write(
                 f"did you mean a config with 'scenario = {close[0]}'?\n")
         return 2
-    except ConfigError as err:
+    except (OSError, UnicodeDecodeError) as err:  # a directory, unreadable, not UTF-8
+        reason = err.strerror if isinstance(err, OSError) else err
+        sys.stderr.write(f"cannot read config file {args.config}: {reason}\n")
+        return 2
+    except ConfigError as err:  # in the file or an override
         sys.stderr.write(f"config error: {err}\n")
         return 2
-
-    overrides = dict(cfg.values)
-    if args.seed is not None:
-        overrides["run.master_seed"] = args.seed
-    if args.paths is not None:
-        overrides["run.M"] = args.paths
     try:
-        return run_scenario(resolve_config(overrides), args.out)
-    except ConfigError as err:  # out of range, or inconsistent with the spec
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as err:
+        sys.stderr.write(f"cannot create output directory {args.out}: {err.strerror}\n")
+        return 2
+    try:
+        return run_scenario(cfg, args.out)
+    except ConfigError as err:  # inconsistent with the spec
         sys.stderr.write(f"config error: {err}\n")
         return 2
     except NewtonDivergenceError as err:

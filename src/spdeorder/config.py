@@ -241,6 +241,6 @@ def resolve_config(overrides: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return resolve_config(parse_config_text(text))

@@ -431,27 +431,26 @@ def check_assumptions(
             "spatial operator is identically zero"))
     else:
         dx = grid.dx
-        worst_coerc = 0.0
-        worst_tmono = {"identity": 0.0, "positive_part": 0.0, "sigma_eps": 0.0}
         sigmas = {
             "identity": lambda w: w,
             "positive_part": lambda w: np.maximum(w, 0.0),
             "sigma_eps": lambda w: sigma_eps(w, 1e-3),
         }
-        for _ in range(n_pairs):
-            phi = rng.standard_normal(grid.n_interior)
-            psi = rng.standard_normal(grid.n_interior)
-            Aphi = apply_A_values(spatial, phi, grid)
-            lhs = float(np.dot(Aphi, phi) * dx)
-            D = interface_gradients(phi, dx)
-            rhs = float(spatial.alpha * np.sum(np.abs(D) ** spatial.p) * dx)
-            worst_coerc = max(worst_coerc, abs(lhs - rhs) / max(rhs, 1e-300))
-            dA = Aphi - apply_A_values(spatial, psi, grid)
-            for name, sig in sigmas.items():
-                sv = sig(phi - psi)
-                val = float(np.dot(dA, sv) * dx)
-                scale = float(np.sum(np.abs(dA * sv)) * dx) + 1.0
-                worst_tmono[name] = min(worst_tmono[name], val / scale)
+        # pair i is (phi[i], psi[i]), drawn in that order; np.max and np.min
+        # propagate NaN, so a non-finite defect fails its check
+        phi, psi = np.moveaxis(rng.standard_normal((n_pairs, 2, grid.n_interior)), 1, 0)
+        Aphi = apply_A_values(spatial, phi, grid)
+        lhs = np.vecdot(Aphi, phi) * dx
+        rhs = spatial.alpha * np.sum(np.abs(interface_gradients(phi, dx)) ** spatial.p,
+                                     axis=-1) * dx
+        coerc = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
+        worst_coerc = float(np.max(coerc, initial=0.0))
+        dA = Aphi - apply_A_values(spatial, psi, grid)
+        worst_tmono = {}
+        for name, sig in sigmas.items():
+            sv = sig(phi - psi)
+            scale = np.sum(np.abs(dA * sv), axis=-1) * dx + 1.0
+            worst_tmono[name] = float(np.min(np.vecdot(dA, sv) * dx / scale, initial=0.0))
         checks.append(AssumptionCheck(
             "operator_coercivity_identity", worst_coerc <= 1e-12, True,
             f"max relative defect of <A(u),u> = alpha*sum|D|^p*dx: {worst_coerc:.3e}"))

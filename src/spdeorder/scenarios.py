@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bracket import BracketPair, bracket_pair, bracket_study, verify_interval
+from .bracket import BracketPair, bracket_pair, bracket_study
 from .comparison import comparison_study, sigma_energy_trace
 from .config import ConfigError, ScenarioConfig, SCENARIOS
 from .core import Field, Grid, TimeGrid, ODE
@@ -141,12 +141,24 @@ def _run_bracket_pair(cfg: ScenarioConfig, spec: ProblemSpec, out_dir: str,
     return pair
 
 
-def _interval_ok(pair: BracketPair, tol: float) -> bool:
-    """Both one-sided finals lie between the two extremals."""
-    lower, upper = pair.minimal.extremal_start, pair.maximal.extremal_start
-    reports = [verify_interval(result.final, lower, upper, tol)
-               for result in (pair.minimal, pair.maximal)]
-    return all(report.passed for report in reports)
+def _contained(pairs: list[BracketPair], tol: float) -> bool:
+    """Every iterate of both sides of every pair lies between the pair's
+    extremals, to tol: the worst containment defect of the sweeps."""
+    return max(max(res.containment_violations)
+               for pair in pairs for res in (pair.minimal, pair.maximal)) <= tol
+
+
+def _bracket_gates(cfg: ScenarioConfig, pairs: list[BracketPair]) -> tuple[dict, dict]:
+    """The gates that the bracket scenarios share, over all pairs, and the
+    cross-order extra."""
+    cross = max(pair.cross_order_violation for pair in pairs)
+    gates = {
+        "monotone_sweeps": all(p.minimal.monotone_ok and p.maximal.monotone_ok
+                               for p in pairs),
+        "interval": _contained(pairs, cfg["gates.interval_tol"]),
+        "min_below_max": cross <= cfg["run.mono_tol"],
+    }
+    return gates, {"cross_order_violation": cross}
 
 
 def _scenario_ode_counterexample(cfg: ScenarioConfig, out_dir: str) -> dict:
@@ -165,7 +177,7 @@ def _scenario_ode_counterexample(cfg: ScenarioConfig, out_dir: str) -> dict:
         "min_sup_zero": min_sup <= cfg["gates.min_sup"],
         "max_terminal": abs(max_terminal - target) <= cfg["gates.max_terminal_err"],
         "monotone_sweeps": minimal.monotone_ok and maximal.monotone_ok,
-        "interval": _interval_ok(pair, cfg["gates.interval_tol"]),
+        "interval": _contained([pair], cfg["gates.interval_tol"]),
     }
     extra = {
         "u_min_sup": min_sup,
@@ -223,20 +235,15 @@ def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
 
 def _plap_gates(cfg: ScenarioConfig, pair: BracketPair) -> tuple[dict, dict]:
     minimal, maximal = pair.minimal, pair.maximal
-    cross = pair.cross_order_violation
-    gates = {
-        "min_converged": minimal.converged,
-        "max_converged": maximal.converged,
-        "monotone_sweeps": minimal.monotone_ok and maximal.monotone_ok,
-        "interval": _interval_ok(pair, cfg["gates.interval_tol"]),
-        "min_below_max": cross <= cfg["run.mono_tol"],
-    }
+    shared, shared_extra = _bracket_gates(cfg, [pair])
+    gates = {"min_converged": minimal.converged, "max_converged": maximal.converged,
+             **shared}
     extra = {
         "min_sweeps": minimal.n_sweeps,
         "max_sweeps": maximal.n_sweeps,
         "min_final_residual": minimal.residual_history[-1],
         "max_final_residual": maximal.residual_history[-1],
-        "cross_order_violation": cross,
+        **shared_extra,
     }
     return gates, extra
 
@@ -267,24 +274,12 @@ def _scenario_custom(cfg: ScenarioConfig, out_dir: str) -> dict:
     M = cfg["run.M"] if spec.noise.K > 0 else 1
     pairs = bracket_study(spec, M, cfg["run.master_seed"], **_bracket_kwargs(cfg))
     gaps = [pair.gap for pair in pairs]
-    cross = max(pair.cross_order_violation for pair in pairs)
-    converged = all(p.minimal.converged and p.maximal.converged for p in pairs)
-    monotone = all(p.minimal.monotone_ok and p.maximal.monotone_ok for p in pairs)
-    contained = all(max(res.containment_violations) <= cfg["gates.interval_tol"]
-                    for p in pairs for res in (p.minimal, p.maximal))
     _write_pair(out_dir, pairs[0])
-    gates = {
-        "converged": converged,
-        "monotone_sweeps": monotone,
-        "interval": contained,
-        "min_below_max": cross <= cfg["run.mono_tol"],
-    }
-    extra = {
-        "paths": M,
-        "max_gap": max(gaps),
-        "mean_gap": sum(gaps) / len(gaps),
-        "cross_order_violation": cross,
-    }
+    shared, shared_extra = _bracket_gates(cfg, pairs)
+    gates = {"converged": all(p.minimal.converged and p.maximal.converged for p in pairs),
+             **shared}
+    extra = {"paths": M, "max_gap": max(gaps), "mean_gap": sum(gaps) / len(gaps),
+             **shared_extra}
     _write_summary(out_dir, cfg.scenario, gates, extra)
     return gates
 
@@ -298,7 +293,7 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
-    """Run one scenario, write artifacts, return 0 iff all gates pass."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one scenario, write artifacts to the existing directory out_dir,
+    return 0 iff all gates pass."""
     gates = _RUNNERS[cfg.scenario](cfg, out_dir)
     return 0 if all(gates.values()) else 1

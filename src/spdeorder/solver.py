@@ -139,22 +139,22 @@ class NewtonLog:
 
 
 # A forcing supplies the frozen drift value for step n -> n+1: called as
-# forcing(step_index, t_n, states) -> array, with states of shape (B, n).
+# forcing(step_index, states) -> array, with states of shape (B, n).
 # State-dependent forcings are necessarily explicit (left endpoint);
 # trajectory-frozen forcings sample the right endpoint t_{n+1}, which keeps
 # the nonzero branch of degenerate drifts (e.g. sqrt of the positive part
 # from a zero initial state) representable as a discrete fixed point.
-Forcing = Callable[[int, float, np.ndarray], np.ndarray]
+Forcing = Callable[[int, np.ndarray], np.ndarray]
 
 
 def constant_forcing(value: float) -> Forcing:
-    def forcing(n, t, u):
+    def forcing(n, u):
         return np.full_like(u, float(value))
     return forcing
 
 
 def forcing_from_trajectory(traj: Trajectory) -> Forcing:
-    def forcing(n, t, u):
+    def forcing(n, u):
         return traj.values[:, n + 1]
     return forcing
 
@@ -190,7 +190,6 @@ def implicit_step(
     u_n: np.ndarray,
     h_n: Optional[np.ndarray],
     dW_n: np.ndarray,
-    t_n: float,
     newton: NewtonParams = NewtonParams(),
 ) -> tuple[np.ndarray, NewtonReport]:
     """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + sum_k g_k(u_n) dW_k for
@@ -269,7 +268,7 @@ def solve_frozen(
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> Union[Trajectory, NewtonLog]:
-    """Run the scheme over all steps with frozen drift h_n = forcing(t_n), for
+    """Run the scheme over all steps with frozen drift h_n = forcing(n, u_n), for
     a batch of paths that all start from spec.u0: one per noise path (one
     path when noise_paths is None or a single NoisePath).
 
@@ -306,10 +305,9 @@ def solve_frozen(
     iters = []
     worst = 0.0
     for n in range(tg.n_steps):
-        t_n = n * tg.dt
-        h_n = forcing(n, t_n, u) if forcing is not None else None
+        h_n = forcing(n, u) if forcing is not None else None
         try:
-            u, report = implicit_step(spec, u, h_n, dW[n], t_n, newton)
+            u, report = implicit_step(spec, u, h_n, dW[n], newton)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
         store(n, u)

@@ -25,7 +25,6 @@ from spdeorder import (
     iterate_bracket,
     sample_noise_path,
     sup_h_distance,
-    verify_interval,
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
 from spdeorder.core import zeros
@@ -48,8 +47,8 @@ def test_extremal_forcing_values():
     f_lo = extremal_forcing(MIN_SIDE, 2.0)
     f_hi = extremal_forcing(MAX_SIDE, 2.0)
     u = np.array([0.0, 1.0, -0.5])
-    assert np.allclose(f_lo(0, 0.0, u), [-2.0, -4.0, -1.0])
-    assert np.allclose(f_hi(0, 0.0, u), [2.0, 4.0, 1.0])
+    assert np.allclose(f_lo(0, u), [-2.0, -4.0, -1.0])
+    assert np.allclose(f_hi(0, u), [2.0, 4.0, 1.0])
     with pytest.raises(ValueError):
         extremal_forcing("sideways", 1.0)
 
@@ -58,9 +57,9 @@ def test_extremal_forcing_per_path_sides():
     # one side per path gives each row the forcing of its side, bit for bit
     u = np.array([[0.0, 1.0, -0.5], [0.25, 3.0, -1.5], [0.1, 0.2, 0.3]])
     sides = (MIN_SIDE, MAX_SIDE, MIN_SIDE)
-    batch = extremal_forcing(sides, 1.7)(0, 0.0, u)
+    batch = extremal_forcing(sides, 1.7)(0, u)
     for row, side in zip(range(3), sides):
-        assert np.array_equal(batch[row], extremal_forcing(side, 1.7)(0, 0.0, u[row]))
+        assert np.array_equal(batch[row], extremal_forcing(side, 1.7)(0, u[row]))
 
 
 def test_extremal_odes_match_exponential_solutions():
@@ -136,24 +135,6 @@ def test_iterate_bracket_parameter_validation():
         bracket_pair(spec, master_seed=0, tol_fixed=0.0)
     with pytest.raises(ValueError):
         bracket_pair(spec, master_seed=0, max_outer=0)
-
-
-def test_verify_interval():
-    spec = ode_sqrt_spec(n_steps=100)
-    lower = build_extremal(spec, MIN_SIDE)
-    upper = build_extremal(spec, MAX_SIDE)
-    mid = Trajectory(spec.grid, spec.time_grid,
-                     0.5 * (lower.values + upper.values))
-    ok = verify_interval(mid, lower, upper)
-    assert ok.passed
-    bad_vals = upper.values + 0.5
-    report = verify_interval(
-        Trajectory(spec.grid, spec.time_grid, bad_vals), lower, upper)
-    assert not report.passed
-    assert report.max_upper_violation == pytest.approx(0.5)
-    assert "passed = false" in report.to_text()
-    step, node = report.witness
-    assert 0 <= step <= spec.time_grid.n_steps and node == 0
 
 
 def test_bracket_study_pairs():

@@ -120,6 +120,25 @@ def test_cli_missing_config_exits_2(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8", "out_is_file"])
+def test_cli_unusable_path_exits_2(tmp_path, capsys, case):
+    cfg, out = tmp_path / "ode.cfg", tmp_path / "out"
+    cfg.write_bytes(b"scenario = ode_counterexample\n")
+    named = cfg
+    if case == "config_is_directory":
+        cfg = named = tmp_path
+    elif case == "config_not_utf8":
+        cfg.write_bytes(b"scenario = ode_counterexample\n# caf\xe9\n")
+    else:
+        out.write_text("not a directory")
+        named = out
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(named) in err
+    assert out.is_file() if case == "out_is_file" else not out.exists()
+
+
 def test_cli_malformed_config_exits_2(tmp_path, capsys):
     doc = tmp_path / "bad.cfg"
     doc.write_text("grid.n = minus_four\n")
@@ -302,25 +321,40 @@ def test_cli_seed_changes_output(tmp_path):
             != (out_b / "trajectory_lower.csv").read_bytes())
 
 
-def test_cli_custom_gates_interval_containment(tmp_path, monkeypatch):
+def _leak(pair):
+    """pair with a containment defect of 1e-6 in the first sweep of its max
+    side, which the gate must see even when later sweeps have none"""
+    leaky = dataclasses.replace(pair.maximal, containment_violations=(
+        (1e-6,) + pair.maximal.containment_violations[1:]))
+    return dataclasses.replace(pair, maximal=leaky)
+
+
+@pytest.mark.parametrize("doc, runner, failed", [
+    ("scenario = custom\ngrid.n = 12\ntime.T = 0.05\nspatial.p = 3.0\n"
+     "drift.kind = heaviside\nnoise.K = 2\nu0.kind = sine\nrun.M = 3\n",
+     "bracket_study", ["gate.interval"]),
+    ("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\nrun.dual_jump_side = true\n",
+     "bracket_pair", ["gate.interval", "gate.interval_jump_upper"]),
+    ("scenario = ode_counterexample\n", "bracket_pair", ["gate.interval"]),
+], ids=["custom", "plap_bracket", "ode_counterexample"])
+def test_cli_custom_gates_interval_containment(tmp_path, monkeypatch, doc, runner, failed):
     cfg = tmp_path / "bracket.cfg"
-    cfg.write_text("scenario = custom\ngrid.n = 12\ntime.T = 0.05\nspatial.p = 3.0\n"
-                   "drift.kind = heaviside\nnoise.K = 2\nu0.kind = sine\nrun.M = 3\n")
+    cfg.write_text(doc)
     assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
     assert "gate.interval = pass" in (tmp_path / "ok" / "summary.txt").read_text()
 
-    # a containment defect on the max side of the last path fails the gate
-    study = scenarios.bracket_study
+    # a containment defect in the max side (of the last path of a study)
+    # fails the gate, and only that gate
+    run = getattr(scenarios, runner)
 
-    def leaky_study(*args, **kwargs):
-        pairs = study(*args, **kwargs)
-        last = pairs[-1]
-        leaky = dataclasses.replace(last.maximal, containment_violations=(
-            last.maximal.containment_violations[:-1] + (1e-6,)))
-        return pairs[:-1] + [dataclasses.replace(last, maximal=leaky)]
+    def leaky_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        if isinstance(result, list):
+            return result[:-1] + [_leak(result[-1])]
+        return _leak(result)
 
-    monkeypatch.setattr(scenarios, "bracket_study", leaky_study)
+    monkeypatch.setattr(scenarios, runner, leaky_run)
     assert main(["run", str(cfg), "--out", str(tmp_path / "leaky")]) == 1
     summary = (tmp_path / "leaky" / "summary.txt").read_text()
-    assert "gate.interval = fail" in summary
-    assert "gate.converged = pass" in summary and "gate.min_below_max = pass" in summary
+    assert [line for line in summary.splitlines() if line.endswith(" = fail")] == [
+        f"{gate} = fail" for gate in failed] + ["all_gates = fail"]

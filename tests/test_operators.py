@@ -22,8 +22,10 @@ from spdeorder import (
     sigma_eps_second,
     sigma_hat,
 )
+from spdeorder.config import parse_config_text, resolve_config
 from spdeorder.core import zeros
 from spdeorder.operators import interface_gradients, jacobian_bands
+from spdeorder.scenarios import build_problem_spec
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,21 @@ def test_check_assumptions_plaplacian_passes():
     names = {c.name for c in report.checks}
     assert "operator_coercivity_identity" in names
     assert "operator_T_monotonicity_positive_part" in names
+
+
+def test_check_assumptions_fails_non_finite_defects():
+    # |D|^p overflows at p = 200: the defects are NaN, which must not pass
+    cfg = resolve_config(parse_config_text("scenario = plap_bracket\nspatial.p = 200\n"))
+    spec = build_problem_spec(cfg)
+    with np.errstate(all="ignore"):
+        report = check_assumptions(spec.spatial, spec.drift, spec.reaction, spec.noise,
+                                   grid=spec.grid, seed=cfg["run.master_seed"])
+    by_name = {c.name: c for c in report.checks}
+    for name in ("operator_coercivity_identity", "operator_T_monotonicity_identity",
+                 "operator_T_monotonicity_positive_part",
+                 "operator_T_monotonicity_sigma_eps"):
+        assert not by_name[name].passed
+    assert not report.passed and "pairing nan" in report.to_text()
 
 
 def test_check_assumptions_heaviside_lipschitz_fails_informationally():

@@ -60,7 +60,7 @@ def test_implicit_step_matches_dense_linear_solve():
         e[j] = 1.0
         A[:, j] = apply_A_values(spec.spatial, e, spec.grid)
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n)
-    v, report = implicit_step(spec, u_n[None], None, np.zeros((1, 0)), 0.0)
+    v, report = implicit_step(spec, u_n[None], None, np.zeros((1, 0)))
     assert np.allclose(v[0], expected, atol=1e-12)
     assert report.iterations == 1  # linear problem: one Newton iteration
 
@@ -74,7 +74,7 @@ def test_implicit_step_sine_eigenvector():
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     u_n = np.sin(np.pi * g.x)
-    v, _ = implicit_step(spec, u_n[None], None, np.zeros((1, 0)), 0.0)
+    v, _ = implicit_step(spec, u_n[None], None, np.zeros((1, 0)))
     assert np.allclose(v[0], u_n / (1.0 + dt * lam), atol=1e-12)
 
 
@@ -129,8 +129,8 @@ def test_forcing_from_trajectory_right_endpoint():
     ref = Trajectory(spec.grid, spec.time_grid,
                      np.arange(12, dtype=float).reshape(1, 3, 4))
     forcing = forcing_from_trajectory(ref)
-    assert np.array_equal(forcing(0, 0.0, np.zeros((1, 4))), ref.values[:, 1])
-    assert np.array_equal(forcing(1, 0.5, np.zeros((1, 4))), ref.values[:, 2])
+    assert np.array_equal(forcing(0, np.zeros((1, 4))), ref.values[:, 1])
+    assert np.array_equal(forcing(1, np.zeros((1, 4))), ref.values[:, 2])
 
 
 def test_plaplacian_residual_at_tolerance():
@@ -159,7 +159,7 @@ def test_implicit_step_rejects_nan_residual():
     g = spec.grid
     with pytest.raises(NewtonDivergenceError):
         implicit_step(spec, np.sin(np.pi * g.x)[None], np.full((1, 8), np.nan), np.zeros((1, 0)),
-                      0.0, NewtonParams(max_iter=3))
+                      NewtonParams(max_iter=3))
 
 
 def test_non_finite_state_carries_step_index():
@@ -343,8 +343,8 @@ def test_implicit_step_batch_members_converge_independently():
     rng = np.random.default_rng(3)
     u_n = np.stack([np.zeros(16), np.sin(np.pi * g.x), 30.0 * np.sin(np.pi * g.x),
                     20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x)])
-    alone = [implicit_step(spec, row[None], None, np.zeros((1, 0)), 0.0) for row in u_n]
-    v, report = implicit_step(spec, u_n, None, np.zeros((5, 0)), 0.0)
+    alone = [implicit_step(spec, row[None], None, np.zeros((1, 0))) for row in u_n]
+    v, report = implicit_step(spec, u_n, None, np.zeros((5, 0)))
     for b, (v_b, report_b) in enumerate(alone):
         assert np.array_equal(v[b], v_b[0])
     iterations = [report_b.iterations for _, report_b in alone]
@@ -362,7 +362,7 @@ def test_batch_divergence_raises_with_step_index():
     paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
     newton = NewtonParams(max_iter=3)
 
-    def kick(n, t, u):
+    def kick(n, u):
         h = np.zeros_like(u)
         if n == 5:
             h[2] = 1e3
@@ -380,7 +380,7 @@ def test_batch_never_accepts_a_nan_member():
     spec = _noisy_spec(2.0, 3)
     paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
 
-    def forcing(n, t, u):
+    def forcing(n, u):
         h = np.zeros_like(u)
         if n == 3:
             h[2] = np.nan
