@@ -10,15 +10,15 @@ from .core import (
     GridMismatchError,
     TimeGrid,
     h_norm_values,
-    order_leq,
+    order_leq_values,
     positive_part_energy_values,
 )
 from .operators import (
     DriftSpec,
     NoiseSpec,
     ReactionSpec,
-    Sigma_functional,
     SpatialOpSpec,
+    Sigma_functional_values,
     apply_A_values,
     check_assumptions,
     eval_b_values,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .noise import NoisePath, sample_noise_path
-from .operators import sigma_hat
+from .operators import Sigma_functional_values
 from .solver import Forcing, NewtonParams, ProblemSpec, Trajectory, solve_frozen
 
 
@@ -66,7 +66,7 @@ def sigma_energy_trace(traj_1: Trajectory, traj_2: Trajectory, eps: float) -> np
     if traj_1.values.shape != traj_2.values.shape:
         raise ValueError("trajectories do not match")
     diff = traj_1.single_path() - traj_2.single_path()
-    return np.sum(sigma_hat(diff, eps), axis=1) * traj_1.grid.dx
+    return Sigma_functional_values(diff, eps, traj_1.grid.dx)
 
 
 @dataclass(frozen=True)

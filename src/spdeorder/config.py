@@ -139,7 +139,8 @@ SCHEMA = {
     "run.eps_list": (tuple, (1e-2, 1e-4), lambda v: len(v) >= 1 and all(e > 0 for e in v),
                      "regularizer eps values for diagnostics, at least one, each > 0"),
     "run.dual_jump_side": (bool, False, None, "also run the opposite jump_side"),
-    "newton.tol": (float, 1e-10, _positive, "Newton residual tolerance"),
+    "newton.tol": (float, 1e-10, _positive,
+                   "Newton residual tolerance, times max(1, ||rhs||_H) per path"),
     "newton.max_iter": (int, 50, lambda v: v >= 1, "Newton iteration cap"),
     "comparison.reversed": (bool, False, None, "swap the ordered initial data"),
     "comparison.h_low": (float, -1.0, None, "lower frozen forcing"),

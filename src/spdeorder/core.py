@@ -15,7 +15,7 @@ ODE = "ode"
 
 
 class GridMismatchError(ValueError):
-    """Two fields that must share a grid do not."""
+    """Two states that must share a grid do not (their shapes differ)."""
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,15 @@ def h_norm_values(values: np.ndarray, dx: float):
     return np.sqrt(np.vecdot(values, values) * dx)
 
 
-def order_leq(a: Field, b: Field, tol: float = 0.0) -> tuple[bool, float]:
-    """Pointwise order a <= b up to tol.
+def order_leq_values(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> tuple[bool, float]:
+    """Pointwise order a <= b up to tol, for states of the same shape.
 
     Returns (holds, max_violation) with max_violation = max_i(a_i - b_i),
     which may be negative.
     """
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
-    violation = float(np.max(a.values - b.values))
+    if np.shape(a) != np.shape(b):
+        raise GridMismatchError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
+    violation = float(np.max(np.subtract(a, b)))
     return violation <= tol, violation
 
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Field, Grid, ODE
+from .core import Grid, ODE
 
 JUMP_SIDES = ("lower", "mid", "upper")  # which value a heaviside drift takes at s0
 
@@ -332,9 +332,10 @@ def sigma_hat(r, eps: float):
     )
 
 
-def Sigma_functional(u: Field, eps: float) -> float:
-    """Integral of sigma_hat over the domain (dx-weighted sum)."""
-    return float(np.sum(sigma_hat(u.values, eps)) * u.grid.dx)
+def Sigma_functional_values(values: np.ndarray, eps: float, dx: float):
+    """Integral of sigma_hat over the domain (dx-weighted sum) along the
+    last axis."""
+    return np.sum(sigma_hat(values, eps), axis=-1) * dx
 
 
 # ---------------------------------------------------------------------------

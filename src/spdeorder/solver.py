@@ -10,7 +10,7 @@ from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .core import Field, Grid, ODE, TimeGrid, h_norm_values
 from .noise import NoisePath
@@ -73,7 +73,8 @@ class Trajectory:
     """A batch of B paths on one time grid, with per-step Newton metadata.
 
     newton_iters[n] counts the batched Newton iterations of step n, one
-    linear solve each for the whole batch: the most any path needed.
+    linear solve each for the whole batch: the most any path needed.  The
+    direct solve that starts a linear step is not counted.
     Values are read-only; they are copied from the caller's array unless
     copy=False hands over the array itself.  Its owner may still write it:
     a bracket sweep rewrites u_tilde in place while the forcing reads it,
@@ -176,6 +177,23 @@ def solve_banded(off, diag, rhs):
     return x.reshape(rhs.shape)
 
 
+def linear_factor(spec: ProblemSpec) -> Optional[tuple]:
+    """The LAPACK pttrf factor (d, e) of I + dt A when the spatial operator is
+    linear (p = 2 on a pde_1d grid), else None.
+
+    At p = 2 the flux weight alpha (D^2 + delta)^0 is alpha, so the Jacobian
+    bands are those of A itself, whatever the state they are taken at.
+    """
+    if spec.grid.mode == ODE or spec.spatial.p != 2.0:
+        return None
+    dt = spec.time_grid.dt
+    off, diag = jacobian_bands(spec.spatial, spec.u0.values, spec.grid)
+    d, e, info = dpttrf(1.0 + dt * diag, dt * off)
+    if info != 0:
+        raise NewtonDivergenceError(f"I + dt A is not positive definite (pttrf info {info})")
+    return d, e
+
+
 def _failing(ok: np.ndarray):
     """Index of the paths where ok is False: None when there are none, and
     the whole batch (Ellipsis, no fancy indexing) when it is all of them."""
@@ -191,14 +209,18 @@ def implicit_step(
     h_n: Optional[np.ndarray],
     dW_n: np.ndarray,
     newton: NewtonParams = NewtonParams(),
+    factor: Optional[tuple] = None,
 ) -> tuple[np.ndarray, NewtonReport]:
     """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + sum_k g_k(u_n) dW_k for
     every path of the batch: u_n and h_n are (B, n), dW_n is (B, K).
 
     Damped Newton runs on the paths that have not converged yet, each with
     its own line-search damping, so every path takes the iterates it would
-    take alone.  The report counts the batched iterations and gives the
-    largest final residual.
+    take alone.  It starts from u_n, or, given the linear_factor of a linear
+    operator, from the direct solution, which usually needs no iteration.
+    A path is converged when its residual is at most newton.tol times
+    max(1, ||rhs||_H).  The report counts the batched iterations and gives
+    the largest final residual.
     """
     dt = spec.time_grid.dt
     dx = spec.grid.dx
@@ -219,15 +241,21 @@ def implicit_step(
     def residual(v, target):
         return v + dt * apply_A_values(spec.spatial, v, spec.grid) - target
 
-    v = u_n.astype(float, copy=True)
+    if factor is None:
+        v = u_n.astype(float, copy=True)
+    else:
+        # the (B, n) C-order rhs is the F-order (n, B) matrix pttrs takes
+        v = dpttrs(*factor, rhs.T)[0].T
     res = residual(v, rhs)
     rnorm = h_norm_values(res, dx)
+    limit = newton.tol * np.maximum(1.0, h_norm_values(rhs, dx))
     iters = 0
     # a NaN residual compares false with everything: never accept it
-    while (sel := _failing(rnorm <= newton.tol)) is not None:
+    while (sel := _failing(rnorm <= limit)) is not None:
         if iters >= newton.max_iter:
+            worst = np.argmax(rnorm[sel])
             raise NewtonDivergenceError(
-                f"Newton residual {np.max(rnorm[sel]):.3e} > tol {newton.tol:.3e} "
+                f"Newton residual {rnorm[sel][worst]:.3e} > tol {limit[sel][worst]:.3e} "
                 f"after {iters} iterations")
         v_a, rhs_a, rnorm_a = v[sel], rhs[sel], rnorm[sel]
         off, diag = jacobian_bands(spec.spatial, v_a, spec.grid)
@@ -291,6 +319,7 @@ def solve_frozen(
     if any(inc.shape != (spec.noise.K, tg.n_steps) for inc in increments):
         raise ValueError("noise path shape does not match (K, n_steps)")
     _check_guards(spec)
+    factor = linear_factor(spec)
 
     # (n_steps, B, K): the increments of step n are one contiguous (B, K) row
     dW = np.stack([inc.T for inc in increments], axis=1)
@@ -307,7 +336,7 @@ def solve_frozen(
     for n in range(tg.n_steps):
         h_n = forcing(n, u) if forcing is not None else None
         try:
-            u, report = implicit_step(spec, u, h_n, dW[n], newton)
+            u, report = implicit_step(spec, u, h_n, dW[n], newton, factor)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
         store(n, u)

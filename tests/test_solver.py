@@ -21,9 +21,12 @@ from spdeorder import (
     solve_frozen,
     sup_h_distance,
 )
+from spdeorder import comparison
+from spdeorder.cli import main
 from spdeorder.core import constant, zeros
-from spdeorder.noise import sample_noise_path
+from spdeorder.noise import NoisePath, sample_noise_path
 from spdeorder.operators import apply_A_values
+from spdeorder.solver import linear_factor
 
 
 def heat_spec(n=32, T=0.1, n_steps=100, u0=None, p=2.0, alpha=1.0):
@@ -63,6 +66,23 @@ def test_implicit_step_matches_dense_linear_solve():
     v, report = implicit_step(spec, u_n[None], None, np.zeros((1, 0)))
     assert np.allclose(v[0], expected, atol=1e-12)
     assert report.iterations == 1  # linear problem: one Newton iteration
+
+
+def test_linear_step_is_the_direct_solve():
+    # with the factor of I + dt A, the first iterate is the solution itself
+    spec = heat_spec(n=16, alpha=0.7)
+    rng = np.random.default_rng(5)
+    u_n = rng.standard_normal((3, 16))
+    dt = spec.time_grid.dt
+    A = np.column_stack([apply_A_values(spec.spatial, e, spec.grid) for e in np.eye(16)])
+    expected = np.linalg.solve(np.eye(16) + dt * A, u_n.T).T
+    v, report = implicit_step(spec, u_n, None, np.zeros((3, 0)), factor=linear_factor(spec))
+    np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
+    assert report.iterations == 0
+    # only p = 2 on a pde_1d grid is linear
+    assert linear_factor(heat_spec(p=3.0)) is None
+    assert linear_factor(ProblemSpec(**{**spec.__dict__, "grid": Grid.ode(),
+                                        "u0": zeros(Grid.ode())})) is None
 
 
 def test_implicit_step_sine_eigenvector():
@@ -331,6 +351,9 @@ def test_batch_members_equal_single_path_solves(p, K, B):
         assert np.array_equal(batch.values[b], single.values[0])
     per_member = np.array([single.newton_iters for single in singles])
     assert batch.newton_iters == tuple(int(i) for i in per_member.max(axis=0))
+    if p == 2.0:
+        # the direct solve of the linear step needs no Newton iteration
+        assert set(batch.newton_iters) == {0}
     if p == 3.0 and K > 0 and B > 1:
         # members converge after different numbers of Newton iterations
         assert np.any(per_member.min(axis=0) != per_member.max(axis=0))
@@ -389,3 +412,43 @@ def test_batch_never_accepts_a_nan_member():
     with pytest.raises(NewtonDivergenceError, match="nan") as exc:
         solve_frozen(spec, forcing, paths, NewtonParams(max_iter=5))
     assert exc.value.step_index == 3
+
+
+def _nan_at(path: NoisePath, k: int, n: int) -> NoisePath:
+    increments = path.increments.copy()
+    increments[k, n] = np.nan
+    return NoisePath(increments, path.dt, path.master_seed, path.path_index)
+
+
+def test_linear_step_rejects_a_nan_noise_increment():
+    # the direct solve of a NaN right-hand side is NaN: never accepted
+    spec = _noisy_spec(2.0, 3)
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
+    paths[2] = _nan_at(paths[2], 1, 4)
+    with pytest.raises(NewtonDivergenceError, match="nan") as exc:
+        solve_frozen(spec, constant_forcing(0.5), paths, NewtonParams(max_iter=5))
+    assert exc.value.step_index == 4
+
+
+def test_cli_nan_noise_increment_at_p2_exits_3(tmp_path, monkeypatch, capsys):
+    def nan_path(master_seed, m, K, tg):
+        path = sample_noise_path(master_seed, m, K, tg)
+        return _nan_at(path, 0, 4) if m == 1 else path
+
+    monkeypatch.setattr(comparison, "sample_noise_path", nan_path)
+    doc = tmp_path / "heat.cfg"
+    doc.write_text("scenario = heat_comparison\nrun.M = 3\ntime.T = 0.02\n")
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
+    assert "(step 4)" in capsys.readouterr().err
+
+
+def test_cli_large_amplitude_linear_run_is_accepted(tmp_path, capsys):
+    # solved to rounding at |u| ~ 1e6: the residual tolerance scales with
+    # the right-hand side, so the absolute 1e-10 does not fail the run
+    doc = tmp_path / "big.cfg"
+    doc.write_text("scenario = custom\ngrid.n = 64\nu0.kind = sine\nu0.amplitude = 1e6\n"
+                   "time.T = 0.02\nnoise.K = 2\nrun.M = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", str(doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "all_gates = pass" in (out / "summary.txt").read_text().splitlines()
