@@ -38,6 +38,7 @@ from .solver import (
     constant_forcing,
     forcing_from_trajectory,
     implicit_step,
+    march,
     solve_frozen,
     sup_h_distance,
 )

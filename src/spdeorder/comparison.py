@@ -15,13 +15,15 @@ import numpy as np
 
 from .noise import NoisePath, sample_noise_path
 from .operators import Sigma_functional_values
-from .solver import Forcing, NewtonParams, ProblemSpec, Trajectory, solve_frozen
-
-
-# byte budget for the stored states of one coupled batch, both sides.  Peak
-# RSS grows by about 1.7 times the budget: at 2 MiB (8 paths of 64 nodes and
-# 250 steps) a 100-path heat comparison peaked 5.7% above one path at a time.
-CHUNK_BYTES = 1280 * 1024
+from .solver import (
+    Forcing,
+    NewtonParams,
+    ProblemSpec,
+    Trajectory,
+    consume,
+    march,
+    solve_frozen,
+)
 
 
 class SpecCompatibilityError(ValueError):
@@ -51,6 +53,7 @@ def run_coupled(
 
 
 def _energy_series(values_1: np.ndarray, values_2: np.ndarray, dx: float) -> np.ndarray:
+    """||(u_1 - u_2)^+||_H^2 of each row: one per time, or one per member."""
     diff = np.maximum(values_1 - values_2, 0.0)
     return np.sum(diff * diff, axis=1) * dx
 
@@ -79,7 +82,7 @@ class ComparisonReport:
     worst_step: int
     worst_energy: float
     tol: float
-    first_pair: tuple  # the coupled trajectories of path 0, for diagnostics
+    first_pair: tuple  # path 0's coupled trajectories, with the batch's Newton log
 
     @property
     def passed(self) -> bool:
@@ -106,11 +109,22 @@ class ComparisonReport:
                 writer.writerow([repr(float(t)), repr(float(mx)), repr(float(mn))])
 
 
-def chunk_paths(spec: ProblemSpec) -> int:
-    """Paths per coupled batch: the most whose stored states, both sides,
-    2·paths·(N+1)·n·8 bytes, fit in CHUNK_BYTES (at least one)."""
-    per_path = 2 * (spec.time_grid.n_steps + 1) * spec.grid.n_interior * 8
-    return max(1, CHUNK_BYTES // per_path)
+def _coupled_forcing(forcing_1: Optional[Forcing], forcing_2: Optional[Forcing],
+                     M: int) -> Optional[Forcing]:
+    """The forcing of a batch of M side-1 members, then M side-2 members."""
+    if forcing_1 is None and forcing_2 is None:
+        return None
+
+    def forcing(n, u):
+        # a side without forcing gets -0.0: adding dt * -0.0 leaves its
+        # right-hand side exactly as a solve without forcing leaves it
+        h = np.full_like(u, -0.0)
+        for side_forcing, rows in ((forcing_1, slice(None, M)), (forcing_2, slice(M, None))):
+            if side_forcing is not None:
+                h[rows] = side_forcing(n, u[rows])
+        return h
+
+    return forcing
 
 
 def comparison_study(
@@ -125,35 +139,59 @@ def comparison_study(
 ) -> ComparisonReport:
     """Monte Carlo estimate of the comparison defect over M coupled paths.
 
-    The paths are solved in batches of chunk_paths(spec_1), and their
-    energies are reduced one path at a time in path-index order, so the
-    report does not depend on the batch size.
+    All paths and both sides march in one batch of 2M members: the M
+    side-1 members, then the M side-2 ones, member m and M + m on noise
+    path m.  Each step reduces the members' energies into an (M, N+1)
+    array and keeps only path 0's pair of states.  The energies are then
+    reduced one path at a time in path-index order.  Every path's report
+    entries are bit for bit those of run_coupled on that path alone.
     """
     if M < 1:
         raise ValueError("need at least one path")
     _check_coupled_specs(spec_1, spec_2)
     K = spec_1.noise.K
     tg = spec_1.time_grid
-    chunk = chunk_paths(spec_1)
+    grid = spec_1.grid
+    N = tg.n_steps
 
-    max_energy = np.zeros(tg.n_steps + 1)
-    total_energy = np.zeros(tg.n_steps + 1)
+    # the increments of every path, held once, K-major in memory as in
+    # solve_frozen: np.vecdot then takes the same strided dot products
+    noise = np.empty((K, N, M))
+    for m in range(M):
+        noise[:, :, m] = sample_noise_path(master_seed, m, K, tg).increments
+
+    def increments():
+        both = np.empty((K, 2 * M))
+        for n in range(N):
+            both[:, :M] = noise[:, n]
+            both[:, M:] = noise[:, n]
+            yield both.T
+
+    u0 = np.empty((2 * M, grid.n_interior))
+    u0[:M], u0[M:] = spec_1.u0.values, spec_2.u0.values
+    energies = np.empty((M, N + 1))
+    energies[:, 0] = _energy_series(u0[:M], u0[M:], grid.dx)
+    pair = np.empty((2, N + 1, grid.n_interior))
+    pair[:, 0] = u0[[0, M]]
+
+    def reduce_step(n, u):
+        energies[:, n + 1] = _energy_series(u[:M], u[M:], grid.dx)
+        pair[:, n + 1] = u[[0, M]]
+
+    log = consume(march(spec_1, u0, _coupled_forcing(forcing_1, forcing_2, M),
+                        increments(), newton), reduce_step)
+
+    max_energy = np.zeros(N + 1)
+    total_energy = np.zeros(N + 1)
     worst_path, worst_step, worst_energy = 0, 0, -np.inf
-    for start in range(0, M, chunk):
-        paths = [sample_noise_path(master_seed, m, K, tg)
-                 for m in range(start, min(start + chunk, M))]
-        traj_1, traj_2 = run_coupled(spec_1, spec_2, paths, forcing_1, forcing_2, newton)
-        if start == 0:
-            first_pair = (traj_1.path(0), traj_2.path(0))
-        for m, (values_1, values_2) in enumerate(zip(traj_1.values, traj_2.values),
-                                                 start):
-            energy = _energy_series(values_1, values_2, spec_1.grid.dx)
-            np.maximum(max_energy, energy, out=max_energy)
-            total_energy += energy
-            step = int(np.argmax(energy))
-            if energy[step] > worst_energy:  # the first path wins a tie
-                worst_path, worst_step, worst_energy = m, step, energy[step]
-        del traj_1, traj_2  # free this batch before the next one is solved
+    for m, energy in enumerate(energies):
+        np.maximum(max_energy, energy, out=max_energy)
+        total_energy += energy
+        step = int(np.argmax(energy))
+        if energy[step] > worst_energy:  # the first path wins a tie
+            worst_path, worst_step, worst_energy = m, step, energy[step]
+    first_pair = tuple(Trajectory(grid, tg, pair[side:side + 1], log.newton_iters,
+                                  log.max_newton_residual, copy=False) for side in (0, 1))
     return ComparisonReport(
         times=tg.times(),
         max_energy=max_energy,

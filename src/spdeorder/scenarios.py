@@ -201,9 +201,11 @@ def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
     spec_1 = build_problem_spec(cfg, u0=u0_1)
     spec_2 = build_problem_spec(cfg, u0=u0_2)
     _run_assumptions(cfg, spec_1, out_dir)
+    # without noise every path is the same deterministic pair
+    M = cfg["run.M"] if spec_1.noise.K > 0 else 1
 
     report = comparison_study(
-        spec_1, spec_2, cfg["run.M"], cfg["run.master_seed"],
+        spec_1, spec_2, M, cfg["run.master_seed"],
         forcing_1=constant_forcing(cfg["comparison.h_low"]),
         forcing_2=constant_forcing(cfg["comparison.h_high"]),
         tol=cfg["run.comparison_tol"], newton=build_newton(cfg))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
@@ -104,11 +104,6 @@ class Trajectory:
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-    def path(self, b: int) -> "Trajectory":
-        """Path b alone, with the batch's Newton metadata."""
-        return Trajectory(self.grid, self.time_grid, self.values[b:b + 1],
-                          self.newton_iters, self.max_newton_residual)
 
     def single_path(self) -> np.ndarray:
         """The (n_steps + 1, n_interior) values of a one-path trajectory."""
@@ -276,17 +271,65 @@ def implicit_step(
 
 
 def _check_guards(spec: ProblemSpec) -> None:
+    # stacklevel 5: past march and consume to the caller of solve_frozen or
+    # comparison_study
     dt = spec.time_grid.dt
     if dt * spec.reaction.C_F >= 1.0:
         warnings.warn(
             f"dt*C_F = {dt * spec.reaction.C_F:.3g} >= 1: explicit reaction may break "
-            "order preservation", stacklevel=3)
+            "order preservation", stacklevel=5)
     if spec.noise.K > 0 and spec.noise.C_G * np.sqrt(dt) >= _NOISE_STD_GUARD:
         warnings.warn(
             f"per-step noise multiplier std C_G*sqrt(dt) = "
             f"{spec.noise.C_G * np.sqrt(dt):.3g} >= {_NOISE_STD_GUARD}: order "
             "preservation failure probability is no longer negligible",
-            stacklevel=3)
+            stacklevel=5)
+
+
+def march(
+    spec: ProblemSpec,
+    u0: np.ndarray,
+    forcing: Optional[Forcing],
+    increments: Iterable[np.ndarray],
+    newton: NewtonParams = NewtonParams(),
+) -> Iterator[tuple[int, np.ndarray, NewtonReport]]:
+    """Step the scheme for a batch of B members from their own (B, n)
+    initial states u0, with frozen drift h_n = forcing(n, u_n) (one row per
+    member) and the (B, K) noise increments that `increments` gives for
+    each step in turn.
+
+    Yields (n, u_{n+1}, report) right after step n, for n = 0, ..., N - 1;
+    u_{n+1} is the next step's input and must not be written to.  spec
+    gives everything but the initial states.  A step that fails raises
+    NewtonDivergenceError with its index.  Each member's states do not
+    depend on the other members of the batch.
+    """
+    u = np.array(u0, dtype=float, order="C")  # the rounding of a row follows its layout
+    if u.ndim != 2 or u.shape[1] != spec.grid.n_interior:
+        raise ValueError(f"initial states of shape {u.shape}, "
+                         f"expected (B, {spec.grid.n_interior})")
+    _check_guards(spec)
+    factor = linear_factor(spec)
+    for n, dW_n in zip(range(spec.time_grid.n_steps), increments, strict=True):
+        h_n = forcing(n, u) if forcing is not None else None
+        try:
+            u, report = implicit_step(spec, u, h_n, dW_n, newton, factor)
+        except NewtonDivergenceError as err:
+            raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
+        yield n, u, report
+
+
+def consume(steps: Iterable[tuple[int, np.ndarray, NewtonReport]],
+            store: Callable[[int, np.ndarray], None]) -> NewtonLog:
+    """Hand each state of a march to store(n, u_{n+1}) as it is yielded, and
+    return the march's per-step Newton metadata."""
+    iters = []
+    worst = 0.0
+    for n, u, report in steps:
+        store(n, u)
+        iters.append(report.iterations)
+        worst = max(worst, report.residual)
+    return NewtonLog(tuple(iters), worst)
 
 
 def solve_frozen(
@@ -296,9 +339,9 @@ def solve_frozen(
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> Union[Trajectory, NewtonLog]:
-    """Run the scheme over all steps with frozen drift h_n = forcing(n, u_n), for
-    a batch of paths that all start from spec.u0: one per noise path (one
-    path when noise_paths is None or a single NoisePath).
+    """March the scheme over all steps with frozen drift h_n = forcing(n, u_n),
+    for a batch of paths that all start from spec.u0: one per noise path
+    (one path when noise_paths is None or a single NoisePath).
 
     Returns every state as a Trajectory.  With store given, no state is
     kept: store(n, u) receives the (B, n) states n + 1 right after step n,
@@ -318,33 +361,23 @@ def solve_frozen(
         increments = [path.increments for path in noise_paths]
     if any(inc.shape != (spec.noise.K, tg.n_steps) for inc in increments):
         raise ValueError("noise path shape does not match (K, n_steps)")
-    _check_guards(spec)
-    factor = linear_factor(spec)
 
-    # (n_steps, B, K): the increments of step n are one contiguous (B, K) row
+    # (n_steps, B, K), K-major in memory: np.vecdot takes a strided dot
+    # product of each row of increments, whatever B is
     dW = np.stack([inc.T for inc in increments], axis=1)
-    u = np.broadcast_to(spec.u0.values, (len(increments), spec.grid.n_interior)).copy()
+    u0 = np.broadcast_to(spec.u0.values, (len(increments), spec.grid.n_interior))
     keep = store is None
     if keep:
-        states = np.empty((u.shape[0], tg.n_steps + 1, u.shape[1]))
-        states[:, 0] = u
+        states = np.empty((u0.shape[0], tg.n_steps + 1, u0.shape[1]))
+        states[:, 0] = u0
 
         def store(n, u_next):
             states[:, n + 1] = u_next
-    iters = []
-    worst = 0.0
-    for n in range(tg.n_steps):
-        h_n = forcing(n, u) if forcing is not None else None
-        try:
-            u, report = implicit_step(spec, u, h_n, dW[n], newton, factor)
-        except NewtonDivergenceError as err:
-            raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
-        store(n, u)
-        iters.append(report.iterations)
-        worst = max(worst, report.residual)
+    log = consume(march(spec, u0, forcing, dW, newton), store)
     if keep:
-        return Trajectory(spec.grid, tg, states, tuple(iters), worst, copy=False)
-    return NewtonLog(tuple(iters), worst)
+        return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual,
+                          copy=False)
+    return log
 
 
 def sup_h_norm(values: np.ndarray, dx: float) -> float:

@@ -13,9 +13,11 @@ import pytest
 
 import spdeorder
 from spdeorder import (
+    ComparisonReport,
     DriftSpec,
     Field,
     Grid,
+    NewtonParams,
     NoiseSpec,
     ProblemSpec,
     ReactionSpec,
@@ -27,6 +29,9 @@ from spdeorder import (
     check_assumptions,
     comparison_study,
     constant_forcing,
+    energy_series,
+    run_coupled,
+    sample_noise_path,
     sigma_eps,
     sigma_eps_prime,
     sigma_eps_second,
@@ -35,8 +40,7 @@ from spdeorder import (
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE
 from spdeorder.cli import main
-from spdeorder.comparison import chunk_paths
-from spdeorder.config import load_config, resolve_config
+from spdeorder.config import resolve_config
 from spdeorder.core import zeros
 from spdeorder.scenarios import build_newton, build_problem_spec
 
@@ -244,7 +248,7 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     cfg = tmp_path / "a.cfg"
     cfg.write_text(base)
 
-    outs = [tmp_path / name for name in ("run1", "run2", "run_fresh", "run_one_path_chunks")]
+    outs = [tmp_path / name for name in ("run1", "run2", "run_fresh", "run_one_path_solves")]
     args = ["run", str(cfg), "--seed", "2024", "--out"]
     assert main(args + [str(outs[0])]) == 0
     assert main(args + [str(outs[1])]) == 0
@@ -254,12 +258,29 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
          os.environ.get("PYTHONPATH", "")]))
     cmd = [sys.executable, "-m", "spdeorder.cli"] + args + [str(outs[2])]
     assert subprocess.run(cmd, env=env).returncode == 0
-    # the fourth run solves one path per batch instead of all four at once
-    spec = build_problem_spec(load_config(str(cfg)))
-    assert chunk_paths(spec) >= 4
-    monkeypatch.setattr(spdeorder.comparison, "CHUNK_BYTES", 1)
-    assert chunk_paths(spec) == 1
+    # the fourth run solves each path alone, both sides apart, instead of
+    # all four paths and both sides in one batch, then reduces in path order
+    one_path_studies = []
+
+    def per_path_comparison(spec_1, spec_2, M, master_seed, forcing_1=None,
+                            forcing_2=None, tol=1e-10, newton=NewtonParams()):
+        one_path_studies.append(M)
+        tg = spec_1.time_grid
+        pairs = [run_coupled(spec_1, spec_2,
+                             sample_noise_path(master_seed, m, spec_1.noise.K, tg),
+                             forcing_1, forcing_2, newton) for m in range(M)]
+        energies = np.stack([energy_series(*pair) for pair in pairs])
+        worst_path, worst_step = divmod(int(np.argmax(energies)), tg.n_steps + 1)
+        return ComparisonReport(
+            times=tg.times(), max_energy=np.max(energies, axis=0),
+            mean_energy=np.sum(energies, axis=0) / M, n_paths=M,
+            worst_path=worst_path, worst_step=worst_step,
+            worst_energy=float(energies[worst_path, worst_step]), tol=tol,
+            first_pair=pairs[0])
+
+    monkeypatch.setattr(spdeorder.scenarios, "comparison_study", per_path_comparison)
     assert main(args + [str(outs[3])]) == 0
+    assert one_path_studies == [4]
 
     # a noisy bracket study, in one lock-step batch of all three paths and
     # one path at a time

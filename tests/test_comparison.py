@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,18 +20,17 @@ from spdeorder import (
     run_coupled,
     sigma_energy_trace,
 )
-from spdeorder import comparison
 from spdeorder.comparison import SpecCompatibilityError
 from spdeorder.core import constant, zeros
 from spdeorder.noise import sample_noise_path
 
 
-def make_spec(u0_value, grid=None, n_steps=50, T=0.1, K=0, reaction=None):
+def make_spec(u0_value, grid=None, n_steps=50, T=0.1, K=0, reaction=None, p=2.0):
     grid = grid or Grid(n_interior=16)
     return ProblemSpec(
         grid=grid,
         time_grid=TimeGrid(T=T, n_steps=n_steps),
-        spatial=SpatialOpSpec(),
+        spatial=SpatialOpSpec(p=p),
         drift=DriftSpec("zero"),
         reaction=reaction or ReactionSpec(),
         noise=NoiseSpec.geometric(K) if K else NoiseSpec(),
@@ -177,20 +178,49 @@ def test_sigma_trace_shape_mismatch():
         sigma_energy_trace(t1, t2, 0.1)
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_comparison_study_independent_of_chunk_size(monkeypatch, chunk):
-    # 7 paths in batches of 1 or 3 against one batch of all 7
-    lo = make_spec(0.0, K=3)
-    hi = make_spec(0.5, K=3)
-    whole = comparison_study(hi, lo, M=7, master_seed=11)
-    per_path = 2 * 51 * 16 * 8
-    monkeypatch.setattr(comparison, "CHUNK_BYTES", chunk * per_path)
-    assert comparison.chunk_paths(hi) == chunk
-    report = comparison_study(hi, lo, M=7, master_seed=11)
-    assert np.array_equal(report.max_energy, whole.max_energy)
-    assert np.array_equal(report.mean_energy, whole.mean_energy)
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_comparison_study_equals_per_path_coupled_solves(p):
+    # 7 paths and both sides in one batch against each path solved alone;
+    # side 1 has no forcing, side 2 a constant one
+    lo = make_spec(0.0, K=3, p=p)
+    hi = make_spec(0.5, K=3, p=p)
+    h_lo = constant_forcing(-0.5)
+    report = comparison_study(hi, lo, M=7, master_seed=11, forcing_2=h_lo)
+    pairs = [run_coupled(hi, lo, sample_noise_path(11, m, 3, hi.time_grid),
+                         forcing_2=h_lo) for m in range(7)]
+    if p == 3.0:
+        assert all(sum(t.newton_iters) > 0 for pair in pairs for t in pair)
+    stacked = np.stack([energy_series(*pair) for pair in pairs])
+    assert np.array_equal(report.max_energy, np.max(stacked, axis=0))
+    assert np.array_equal(report.mean_energy, np.sum(stacked, axis=0) / 7)
+    worst_path, worst_step = divmod(int(np.argmax(stacked)), stacked.shape[1])
+    assert report.worst_energy > 0.0
     assert (report.worst_path, report.worst_step, report.worst_energy) == (
-        whole.worst_path, whole.worst_step, whole.worst_energy)
-    for ours, theirs in zip(report.first_pair, whole.first_pair):
+        worst_path, worst_step, float(stacked[worst_path, worst_step]))
+    for ours, theirs in zip(report.first_pair, pairs[0]):
         assert ours.n_paths == 1
         assert np.array_equal(ours.values, theirs.values)
+
+
+def test_comparison_study_memory_is_path_zero_noise_and_energies():
+    # the heat_comparison setting at M = 40: n = 64, 250 steps, K = 8.  Only
+    # path 0's pair of states is kept; the step's (2M, n) temporaries must
+    # fit in the stored states of two more paths.  Batches of 5 stored
+    # paths, both sides, do not.
+    M, N, n, K = 40, 250, 64, 8
+    grid = Grid(n_interior=n)
+    lo = make_spec(0.0, grid=grid, n_steps=N, T=0.25, K=K)
+    hi = make_spec(1.0, grid=grid, n_steps=N, T=0.25, K=K)
+    forcings = dict(forcing_1=constant_forcing(-0.5), forcing_2=constant_forcing(0.5))
+    comparison_study(lo, hi, M=2, master_seed=3, **forcings)  # warm up
+    tracemalloc.start()
+    try:
+        report = comparison_study(lo, hi, M=M, master_seed=3, **forcings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path_states = 2 * (N + 1) * n * 8  # one path, both sides
+    noise = M * K * N * 8
+    energies = M * (N + 1) * 8
+    assert report.n_paths == M and report.first_pair[0].values.nbytes == path_states // 2
+    assert peak < 3 * path_states + noise + energies

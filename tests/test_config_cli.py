@@ -289,6 +289,17 @@ def test_cli_failing_gate_exits_1(tmp_path):
     assert "gate.comparison = fail" in (out_dir / "summary.txt").read_text()
 
 
+def test_cli_heat_comparison_without_noise_solves_one_path(tmp_path):
+    # K = 0 makes every path the same deterministic pair: run.M is not used
+    doc = tmp_path / "det.cfg"
+    doc.write_text("scenario = heat_comparison\nnoise.K = 0\nrun.M = 5\n"
+                   "time.T = 0.02\ngrid.n = 16\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(doc), "--out", str(out_dir)]) == 0
+    for name in ("summary.txt", "comparison.txt"):
+        assert "paths = 1" in (out_dir / name).read_text().splitlines()
+
+
 def test_cli_reruns_byte_identical(tmp_path):
     doc = tmp_path / "heat.cfg"
     doc.write_text(

@@ -18,10 +18,12 @@ from spdeorder import (
     constant_forcing,
     forcing_from_trajectory,
     implicit_step,
+    march,
     solve_frozen,
     sup_h_distance,
 )
 from spdeorder import comparison
+from spdeorder.bracket import extremal_forcing
 from spdeorder.cli import main
 from spdeorder.core import constant, zeros
 from spdeorder.noise import NoisePath, sample_noise_path
@@ -357,6 +359,42 @@ def test_batch_members_equal_single_path_solves(p, K, B):
     if p == 3.0 and K > 0 and B > 1:
         # members converge after different numbers of Newton iterations
         assert np.any(per_member.min(axis=0) != per_member.max(axis=0))
+
+
+@pytest.mark.parametrize("K", [0, 3])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_march_members_equal_their_own_solves(p, K):
+    # four members with their own initial data, forcing signs and noise paths
+    spec = _noisy_spec(p, K)
+    g, tg = spec.grid, spec.time_grid
+    data = [spec.u0.values, np.zeros(16), -2.0 * np.sin(2.0 * np.pi * g.x),
+            0.5 * np.cos(np.pi * g.x)]
+    sides = ["min", "max", "max", "min"]
+    paths = [sample_noise_path(5, m, K, tg) for m in range(4)]
+    dW = np.stack([path.increments.T for path in paths], axis=1)
+    steps = list(march(spec, np.stack(data), extremal_forcing(sides, 2.0), dW))
+    assert [n for n, _, _ in steps] == list(range(tg.n_steps))
+    batch = np.stack([np.stack(data)] + [u for _, u, _ in steps], axis=1)
+    singles = [
+        solve_frozen(ProblemSpec(**{**spec.__dict__, "u0": Field(u0, g)}),
+                     extremal_forcing(side, 2.0), path)
+        for u0, side, path in zip(data, sides, paths)]
+    for b, single in enumerate(singles):
+        assert np.array_equal(batch[b], single.values[0])
+    per_member = np.array([single.newton_iters for single in singles])
+    assert [report.iterations for _, _, report in steps] == list(per_member.max(axis=0))
+    if p == 3.0:
+        assert per_member.sum() > 0
+
+
+def test_march_rejects_mismatched_inputs():
+    spec = _noisy_spec(2.0, 3)
+    dW = np.zeros((spec.time_grid.n_steps, 2, 3))
+    with pytest.raises(ValueError, match="initial states"):
+        next(march(spec, np.zeros((2, 15)), None, dW))
+    # increments for one step too few: an error, not a shorter march
+    with pytest.raises(ValueError):
+        list(march(spec, np.zeros((2, 16)), None, dW[:-1]))
 
 
 def test_implicit_step_batch_members_converge_independently():
