@@ -140,9 +140,9 @@ class _InPlaceSweep:
     New states wait in a block of steps.  A full block is compared with the
     rows of `current` it replaces, which the sweep's forcing has read by
     then, and with the extremals, and then written over them.  Step 0 is
-    spec.u0 in every iterate and extremal (iterate_bracket checks it), so
-    its defects are zero and it is skipped.  Sums of squares run along the contiguous node axis and maxima
-    are exact, so every defect equals the one taken over the whole
+    spec.u0 in every iterate and extremal, so its defects are zero and it
+    is skipped.  Sums of squares run along the contiguous node axis and
+    maxima are exact, so every defect equals the one taken over the whole
     trajectory at once.
     """
 
@@ -192,7 +192,6 @@ class _InPlaceSweep:
 
 def iterate_bracket(
     spec: ProblemSpec,
-    extremals: Trajectory,
     noise_paths: Sequence[NoisePath],
     tol_fixed: float = 1e-6,
     max_outer: int = 60,
@@ -201,33 +200,28 @@ def iterate_bracket(
 ) -> list[BracketResult]:
     """Monotone sweeps u <- S(u) of both sides of P paths, in lock step.
 
-    extremals holds the P lower extremals, then the P upper ones, of the P
-    noise paths (as build_extremal returns them for the sides
-    bracket_sides(P) and the paths twice over).  Member m < P sweeps the
-    min side of path m from its lower extremal, member P + m the max side
-    from its upper one.  Each sweep is one apply_S call over the members
-    that have not stopped, which writes their new iterates in place over
-    the old ones.  A member stops when sup_t ||S(u) - u||_H <= tol_fixed or
-    after max_outer sweeps and is never swept again, so its iterates are
-    bit for bit those of sweeping it alone.  Min-side iterates are expected
-    nondecreasing in the sweep index (max side mirrored); per-sweep
-    violations and bracket-containment defects are logged, never silently
-    accepted.  Returns the 2P results in member order; their trajectories
-    are read-only views into the batch's extremal and iterate arrays.
+    One build_extremal call solves the 2P extremals of the P noise paths:
+    the lower ones, then the upper ones (the sides bracket_sides(P)).
+    Member m < P sweeps the min side of path m from its lower extremal,
+    member P + m the max side from its upper one.  Each sweep is one
+    apply_S call over the members that have not stopped, which writes
+    their new iterates in place over the old ones.  A member stops when
+    sup_t ||S(u) - u||_H <= tol_fixed or after max_outer sweeps and is
+    never swept again, so its iterates are bit for bit those of sweeping it
+    alone.  Min-side iterates are expected nondecreasing in the sweep index
+    (max side mirrored); per-sweep violations and bracket-containment
+    defects are logged, never silently accepted.  Returns the 2P results in
+    member order; their trajectories are read-only views into the batch's
+    extremal and iterate arrays.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
-    P = len(noise_paths)
-    if extremals.n_paths != 2 * P:
-        raise ValueError(f"{extremals.n_paths} extremals for {P} noise paths, "
-                         f"expected {2 * P}")
-    if extremals.grid != spec.grid or extremals.time_grid != spec.time_grid:
-        raise ValueError("extremals live on a different grid or time grid")
-    if not np.all(extremals.values[:, 0] == spec.u0.values):
-        raise ValueError("extremals do not start at spec.u0")
+    paths = list(noise_paths)
+    P = len(paths)
     sides = bracket_sides(P)
+    extremals = build_extremal(spec, sides, paths + paths, newton)
     grid, tg = spec.grid, spec.time_grid
     ext = extremals.values
     # each member's latest iterate, rewritten in place by its sweeps; a
@@ -240,7 +234,7 @@ def iterate_bracket(
     active = np.arange(len(sides))
     for sweep in range(1, max_outer + 1):
         sink = _InPlaceSweep(current, ext, active, P)
-        log = apply_S(spec, iterates, [noise_paths[m % P] for m in active], newton,
+        log = apply_S(spec, iterates, [paths[m % P] for m in active], newton,
                       active, sink)
         still = []
         for m, defects in zip(active.tolist(), sink.defects(grid.dx)):
@@ -291,13 +285,11 @@ class BracketPair:
 def _bracket_batch(spec: ProblemSpec, master_seed: int, path_indices: Sequence[int],
                    tol_fixed: float, max_outer: int, mono_tol: float,
                    newton: NewtonParams) -> list[BracketPair]:
-    """Both extremals of every path in one solve, then the lock-step sweeps."""
+    """The lock-step bracket sweeps of the noise paths path_indices, paired."""
     paths = [sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
              for m in path_indices]
     P = len(paths)
-    extremals = build_extremal(spec, bracket_sides(P), paths + paths, newton)
-    results = iterate_bracket(spec, extremals, paths, tol_fixed, max_outer, mono_tol,
-                              newton)
+    results = iterate_bracket(spec, paths, tol_fixed, max_outer, mono_tol, newton)
     return [BracketPair(m, results[i], results[P + i])
             for i, m in enumerate(path_indices)]
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .noise import NoisePath, sample_noise_path
-from .operators import Sigma_functional_values
+from .operators import Sigma_functional_values, noise_weights
 from .solver import (
     Forcing,
     NewtonParams,
@@ -149,23 +149,14 @@ def comparison_study(
     if M < 1:
         raise ValueError("need at least one path")
     _check_coupled_specs(spec_1, spec_2)
-    K = spec_1.noise.K
+    noise = spec_1.noise
     tg = spec_1.time_grid
     grid = spec_1.grid
     N = tg.n_steps
 
-    # the increments of every path, held once, K-major in memory as in
-    # solve_frozen: np.vecdot then takes the same strided dot products
-    noise = np.empty((K, N, M))
-    for m in range(M):
-        noise[:, :, m] = sample_noise_path(master_seed, m, K, tg).increments
-
-    def increments():
-        both = np.empty((K, 2 * M))
-        for n in range(N):
-            both[:, :M] = noise[:, n]
-            both[:, M:] = noise[:, n]
-            yield both.T
+    paths = (sample_noise_path(master_seed, m, noise.K, tg) for m in range(M))
+    weights = np.stack([noise_weights(noise, path.increments) for path in paths], axis=1)
+    weights = np.concatenate([weights, weights], axis=1)
 
     u0 = np.empty((2 * M, grid.n_interior))
     u0[:M], u0[M:] = spec_1.u0.values, spec_2.u0.values
@@ -179,7 +170,7 @@ def comparison_study(
         pair[:, n + 1] = u[[0, M]]
 
     log = consume(march(spec_1, u0, _coupled_forcing(forcing_1, forcing_2, M),
-                        increments(), newton), reduce_step)
+                        weights, newton), reduce_step)
 
     max_energy = np.zeros(N + 1)
     total_energy = np.zeros(N + 1)

@@ -274,12 +274,18 @@ def eval_g_values(spec: NoiseSpec, k: int, r: np.ndarray) -> np.ndarray:
     return spec.coeffs[k] * NOISE_KINDS[spec.pointwise_kind](np.asarray(r, dtype=float))
 
 
-def noise_term_values(spec: NoiseSpec, r: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """sum_k g_k(r) dW_k, vectorized over nodes; r is (..., n) and dW
-    (..., K), with one row of increments per path."""
+def noise_weights(spec: NoiseSpec, increments: np.ndarray) -> np.ndarray:
+    """The (n_steps,) weights W_n = sum_k c_k dW_k^n of one noise path's
+    (K, n_steps) increments: every mode has the same shape, so the noise
+    term of step n is W_n times shape(u).  One dot product per step."""
+    return np.vecdot(increments.T, spec.coeff_array)
+
+
+def noise_term_values(spec: NoiseSpec, r: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_k g_k(r) dW_k = weight * shape(r), vectorized over nodes; r is
+    (..., n) and weight (...), one noise weight per path."""
     if spec.K == 0:
         return np.zeros_like(r)
-    weight = np.vecdot(dW, spec.coeff_array)  # one dot per path, no matrix product
     return weight[..., None] * NOISE_KINDS[spec.pointwise_kind](r)
 
 

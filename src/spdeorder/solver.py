@@ -23,6 +23,7 @@ from .operators import (
     eval_f_values,
     jacobian_bands,
     noise_term_values,
+    noise_weights,
 )
 
 # per-step noise multiplier std above which discrete order preservation
@@ -202,12 +203,13 @@ def implicit_step(
     spec: ProblemSpec,
     u_n: np.ndarray,
     h_n: Optional[np.ndarray],
-    dW_n: np.ndarray,
+    w_n: np.ndarray,
     newton: NewtonParams = NewtonParams(),
     factor: Optional[tuple] = None,
 ) -> tuple[np.ndarray, NewtonReport]:
-    """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + sum_k g_k(u_n) dW_k for
-    every path of the batch: u_n and h_n are (B, n), dW_n is (B, K).
+    """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + w_n shape(u_n) for
+    every path of the batch: u_n and h_n are (B, n), and w_n holds the (B,)
+    noise weights of the step (see noise_weights).
 
     Damped Newton runs on the paths that have not converged yet, each with
     its own line-search damping, so every path takes the iterates it would
@@ -223,7 +225,7 @@ def implicit_step(
     if h_n is not None:
         rhs = rhs + dt * h_n
     if spec.noise.K > 0:
-        rhs = rhs + noise_term_values(spec.noise, u_n, dW_n)
+        rhs = rhs + noise_term_values(spec.noise, u_n, w_n)
 
     if spec.grid.mode == ODE:
         # spatial operator is identically zero: the step is explicit.  Only
@@ -290,13 +292,13 @@ def march(
     spec: ProblemSpec,
     u0: np.ndarray,
     forcing: Optional[Forcing],
-    increments: Iterable[np.ndarray],
+    weights: np.ndarray,
     newton: NewtonParams = NewtonParams(),
 ) -> Iterator[tuple[int, np.ndarray, NewtonReport]]:
     """Step the scheme for a batch of B members from their own (B, n)
     initial states u0, with frozen drift h_n = forcing(n, u_n) (one row per
-    member) and the (B, K) noise increments that `increments` gives for
-    each step in turn.
+    member) and the (N, B) noise weights: row n holds each member's weight
+    of step n (see noise_weights).
 
     Yields (n, u_{n+1}, report) right after step n, for n = 0, ..., N - 1;
     u_{n+1} is the next step's input and must not be written to.  spec
@@ -308,12 +310,15 @@ def march(
     if u.ndim != 2 or u.shape[1] != spec.grid.n_interior:
         raise ValueError(f"initial states of shape {u.shape}, "
                          f"expected (B, {spec.grid.n_interior})")
+    if weights.shape != (spec.time_grid.n_steps, u.shape[0]):
+        raise ValueError(f"noise weights of shape {weights.shape}, "
+                         f"expected ({spec.time_grid.n_steps}, {u.shape[0]})")
     _check_guards(spec)
     factor = linear_factor(spec)
-    for n, dW_n in zip(range(spec.time_grid.n_steps), increments, strict=True):
+    for n, w_n in enumerate(weights):
         h_n = forcing(n, u) if forcing is not None else None
         try:
-            u, report = implicit_step(spec, u, h_n, dW_n, newton, factor)
+            u, report = implicit_step(spec, u, h_n, w_n, newton, factor)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
         yield n, u, report
@@ -362,9 +367,7 @@ def solve_frozen(
     if any(inc.shape != (spec.noise.K, tg.n_steps) for inc in increments):
         raise ValueError("noise path shape does not match (K, n_steps)")
 
-    # (n_steps, B, K), K-major in memory: np.vecdot takes a strided dot
-    # product of each row of increments, whatever B is
-    dW = np.stack([inc.T for inc in increments], axis=1)
+    weights = np.stack([noise_weights(spec.noise, inc) for inc in increments], axis=1)
     u0 = np.broadcast_to(spec.u0.values, (len(increments), spec.grid.n_interior))
     keep = store is None
     if keep:
@@ -373,7 +376,7 @@ def solve_frozen(
 
         def store(n, u_next):
             states[:, n + 1] = u_next
-    log = consume(march(spec, u0, forcing, dW, newton), store)
+    log = consume(march(spec, u0, forcing, weights, newton), store)
     if keep:
         return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual,
                           copy=False)

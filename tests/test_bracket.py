@@ -225,30 +225,10 @@ def test_bracket_study_independent_of_batch():
             assert res.residual_history == residuals
 
 
-def test_iterate_bracket_rejects_mismatched_extremals():
-    spec = stochastic_jump_spec()
-    paths = [sample_noise_path(3, m, spec.noise.K, spec.time_grid) for m in range(3)]
-    sides = bracket.bracket_sides(3)
-    extremals = build_extremal(spec, sides, paths + paths)
-    # too many extremals: a max side would meet another path's lower extremal
-    with pytest.raises(ValueError, match="6 extremals for 2 noise paths"):
-        iterate_bracket(spec, extremals, paths[:2])
-    # too few: the batch would run out of extremals mid-sweep
-    with pytest.raises(ValueError, match="6 extremals for 4 noise paths"):
-        iterate_bracket(spec, extremals, paths + paths[:1])
-    shorter = dataclasses.replace(spec, time_grid=TimeGrid(T=0.1, n_steps=25))
-    wider = Grid(n_interior=16, length=2.0)
-    longer = dataclasses.replace(spec, grid=wider, u0=zeros(wider))
-    for other in (shorter, longer):
-        with pytest.raises(ValueError, match="different grid"):
-            iterate_bracket(other, extremals, paths)
-    with pytest.raises(ValueError, match="do not start at spec.u0"):
-        iterate_bracket(dataclasses.replace(spec, u0=zeros(spec.grid)), extremals, paths)
-
-
 def test_sweeps_write_their_iterates_in_place():
-    # once the extremals exist, a sweep needs no next-iterate array: its
-    # transient memory stays far below one (2M, N+1, n) array
+    # the whole call holds the extremals and the iterates, two (2M, N+1, n)
+    # arrays; the sweeps need no next-iterate array, so the transient
+    # memory stays far below one more
     g = Grid(n_interior=64)
     spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
                                time_grid=TimeGrid(T=0.2, n_steps=400),
@@ -256,18 +236,18 @@ def test_sweeps_write_their_iterates_in_place():
                                u0=Field(np.sin(np.pi * g.x), g))
     M = 3
     paths = [sample_noise_path(7, m, spec.noise.K, spec.time_grid) for m in range(M)]
-    extremals = build_extremal(spec, bracket.bracket_sides(M), paths + paths)
-    one_array = extremals.values.nbytes
+    one_array = 2 * M * (spec.time_grid.n_steps + 1) * g.n_interior * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        results = iterate_bracket(spec, extremals, paths, tol_fixed=1e-6, max_outer=100)
+        results = iterate_bracket(spec, paths, tol_fixed=1e-6, max_outer=100)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert max(r.n_sweeps for r in results) >= 3
-    retained = after - before  # the iterates, which the results view
-    assert retained >= one_array
+    assert results[0].extremal_start.values.base.nbytes == one_array
+    retained = after - before  # the extremals and iterates, which the results view
+    assert retained >= 2 * one_array
     assert peak - before - retained < 0.25 * one_array
 
 

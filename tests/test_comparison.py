@@ -206,7 +206,8 @@ def test_comparison_study_memory_is_path_zero_noise_and_energies():
     # the heat_comparison setting at M = 40: n = 64, 250 steps, K = 8.  Only
     # path 0's pair of states is kept; the step's (2M, n) temporaries must
     # fit in the stored states of two more paths.  Batches of 5 stored
-    # paths, both sides, do not.
+    # paths, both sides, do not.  The noise is held as one weight per
+    # member and step, never as the paths' K increments per step.
     M, N, n, K = 40, 250, 64, 8
     grid = Grid(n_interior=n)
     lo = make_spec(0.0, grid=grid, n_steps=N, T=0.25, K=K)
@@ -220,7 +221,7 @@ def test_comparison_study_memory_is_path_zero_noise_and_energies():
     finally:
         tracemalloc.stop()
     path_states = 2 * (N + 1) * n * 8  # one path, both sides
-    noise = M * K * N * 8
+    noise = 2 * M * N * 8  # the (N, 2M) noise weights
     energies = M * (N + 1) * 8
     assert report.n_paths == M and report.first_pair[0].values.nbytes == path_states // 2
     assert peak < 3 * path_states + noise + energies

@@ -11,6 +11,7 @@ from spdeorder import (
     ReactionSpec,
     Sigma_functional_values,
     SpatialOpSpec,
+    TimeGrid,
     apply_A_values,
     check_assumptions,
     eval_b_values,
@@ -20,10 +21,16 @@ from spdeorder import (
     sigma_eps_prime,
     sigma_eps_second,
     sigma_hat,
+    sample_noise_path,
 )
 from spdeorder.config import parse_config_text, resolve_config
 from spdeorder.core import zeros
-from spdeorder.operators import interface_gradients, jacobian_bands
+from spdeorder.operators import (
+    interface_gradients,
+    jacobian_bands,
+    noise_term_values,
+    noise_weights,
+)
 from spdeorder.scenarios import build_problem_spec
 
 
@@ -153,6 +160,26 @@ def test_noise_mode_evaluation():
     assert eval_g_values(spec_t, 1, np.array([0.0]))[0] == 0.0
     with pytest.raises(IndexError):
         eval_g_values(spec, 2, np.array([1.0]))
+
+
+@pytest.mark.parametrize("K", [0, 3, 8])
+def test_noise_weights_are_the_per_step_dot_products(K):
+    # bit for bit the dot products of each step's (B, K) increments, taken
+    # from their (N, B, K) stack: a path's rounding does not depend on the
+    # layout the increments are held in
+    spec = NoiseSpec.geometric(K, pointwise_kind="lipschitz_tanh")
+    tg = TimeGrid(T=0.25, n_steps=250)
+    paths = [sample_noise_path(12345, m, K, tg) for m in range(5)]
+    stacked = np.stack([path.increments.T for path in paths], axis=1)
+    expected = np.stack([np.vecdot(dW_n, spec.coeff_array) for dW_n in stacked])
+    weights = np.stack([noise_weights(spec, path.increments) for path in paths], axis=1)
+    assert weights.shape == (250, 5)
+    assert np.array_equal(weights, expected)
+    # the noise term of a step is the sum over modes of g_k(u) dW_k
+    u = np.random.default_rng(0).standard_normal((5, 7))
+    modes = sum(eval_g_values(spec, k, u) * stacked[3, :, k:k + 1] for k in range(K))
+    np.testing.assert_allclose(noise_term_values(spec, u, weights[3]), modes,
+                               rtol=1e-13, atol=1e-15)
 
 
 def test_noise_summability_enforced():

@@ -27,7 +27,7 @@ from spdeorder.bracket import extremal_forcing
 from spdeorder.cli import main
 from spdeorder.core import constant, zeros
 from spdeorder.noise import NoisePath, sample_noise_path
-from spdeorder.operators import apply_A_values
+from spdeorder.operators import apply_A_values, noise_weights
 from spdeorder.solver import linear_factor
 
 
@@ -65,7 +65,7 @@ def test_implicit_step_matches_dense_linear_solve():
         e[j] = 1.0
         A[:, j] = apply_A_values(spec.spatial, e, spec.grid)
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n)
-    v, report = implicit_step(spec, u_n[None], None, np.zeros((1, 0)))
+    v, report = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], expected, atol=1e-12)
     assert report.iterations == 1  # linear problem: one Newton iteration
 
@@ -78,7 +78,7 @@ def test_linear_step_is_the_direct_solve():
     dt = spec.time_grid.dt
     A = np.column_stack([apply_A_values(spec.spatial, e, spec.grid) for e in np.eye(16)])
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n.T).T
-    v, report = implicit_step(spec, u_n, None, np.zeros((3, 0)), factor=linear_factor(spec))
+    v, report = implicit_step(spec, u_n, None, np.zeros(3), factor=linear_factor(spec))
     np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
     assert report.iterations == 0
     # only p = 2 on a pde_1d grid is linear
@@ -96,7 +96,7 @@ def test_implicit_step_sine_eigenvector():
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     u_n = np.sin(np.pi * g.x)
-    v, _ = implicit_step(spec, u_n[None], None, np.zeros((1, 0)))
+    v, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], u_n / (1.0 + dt * lam), atol=1e-12)
 
 
@@ -180,7 +180,7 @@ def test_implicit_step_rejects_nan_residual():
     spec = heat_spec(n=8, p=3.0)
     g = spec.grid
     with pytest.raises(NewtonDivergenceError):
-        implicit_step(spec, np.sin(np.pi * g.x)[None], np.full((1, 8), np.nan), np.zeros((1, 0)),
+        implicit_step(spec, np.sin(np.pi * g.x)[None], np.full((1, 8), np.nan), np.zeros(1),
                       NewtonParams(max_iter=3))
 
 
@@ -361,7 +361,7 @@ def test_batch_members_equal_single_path_solves(p, K, B):
         assert np.any(per_member.min(axis=0) != per_member.max(axis=0))
 
 
-@pytest.mark.parametrize("K", [0, 3])
+@pytest.mark.parametrize("K", [0, 3, 8])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_march_members_equal_their_own_solves(p, K):
     # four members with their own initial data, forcing signs and noise paths
@@ -371,8 +371,8 @@ def test_march_members_equal_their_own_solves(p, K):
             0.5 * np.cos(np.pi * g.x)]
     sides = ["min", "max", "max", "min"]
     paths = [sample_noise_path(5, m, K, tg) for m in range(4)]
-    dW = np.stack([path.increments.T for path in paths], axis=1)
-    steps = list(march(spec, np.stack(data), extremal_forcing(sides, 2.0), dW))
+    weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
+    steps = list(march(spec, np.stack(data), extremal_forcing(sides, 2.0), weights))
     assert [n for n, _, _ in steps] == list(range(tg.n_steps))
     batch = np.stack([np.stack(data)] + [u for _, u, _ in steps], axis=1)
     singles = [
@@ -389,12 +389,14 @@ def test_march_members_equal_their_own_solves(p, K):
 
 def test_march_rejects_mismatched_inputs():
     spec = _noisy_spec(2.0, 3)
-    dW = np.zeros((spec.time_grid.n_steps, 2, 3))
+    weights = np.zeros((spec.time_grid.n_steps, 2))
     with pytest.raises(ValueError, match="initial states"):
-        next(march(spec, np.zeros((2, 15)), None, dW))
-    # increments for one step too few: an error, not a shorter march
-    with pytest.raises(ValueError):
-        list(march(spec, np.zeros((2, 16)), None, dW[:-1]))
+        next(march(spec, np.zeros((2, 15)), None, weights))
+    # weights one step short: an error, not a shorter march; one member
+    # short: an error, not a broadcast weight
+    for short in (weights[:-1], weights[:, :1]):
+        with pytest.raises(ValueError, match="noise weights of shape"):
+            next(march(spec, np.zeros((2, 16)), None, short))
 
 
 def test_implicit_step_batch_members_converge_independently():
@@ -404,8 +406,8 @@ def test_implicit_step_batch_members_converge_independently():
     rng = np.random.default_rng(3)
     u_n = np.stack([np.zeros(16), np.sin(np.pi * g.x), 30.0 * np.sin(np.pi * g.x),
                     20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x)])
-    alone = [implicit_step(spec, row[None], None, np.zeros((1, 0))) for row in u_n]
-    v, report = implicit_step(spec, u_n, None, np.zeros((5, 0)))
+    alone = [implicit_step(spec, row[None], None, np.zeros(1)) for row in u_n]
+    v, report = implicit_step(spec, u_n, None, np.zeros(5))
     for b, (v_b, report_b) in enumerate(alone):
         assert np.array_equal(v[b], v_b[0])
     iterations = [report_b.iterations for _, report_b in alone]
