@@ -53,7 +53,6 @@ from .bracket import (
     BracketPair,
     BracketResult,
     apply_S,
-    bracket_pair,
     bracket_study,
     build_extremal,
     iterate_bracket,

@@ -6,10 +6,10 @@ forcing -C_B(1+u) (lower) and +C_B(1+u) (upper).  The candidate map S
 sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
-iteration is pathwise: each sweep is deterministic for a fixed noise path.
-The sweeps of all paths and of both sides run in lock step, one batched
-solve per sweep that writes the new iterates in place, and each path's
-iterates are those of sweeping it alone.
+iteration is pathwise: each sweep is deterministic for a fixed noise path
+and drift.  The sweeps of all (noise path, drift) pairs and of both sides
+run in lock step, one batched solve per sweep that writes the new iterates
+in place, and each member's iterates are those of sweeping it alone.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .noise import NoisePath, sample_noise_path
-from .operators import eval_b_values
+from .operators import DriftSpec, eval_b_values
 from .solver import (
     Forcing,
     NewtonLog,
@@ -39,24 +39,19 @@ MAX_SIDE = "max"
 _BLOCK_BYTES = 256 * 1024
 
 
-def _side_sign(side: str) -> float:
-    if side == MIN_SIDE:
-        return -1.0
-    if side == MAX_SIDE:
-        return 1.0
-    raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
-
-
-def extremal_forcing(sides: Union[str, Sequence[str]], C_B: float) -> Forcing:
-    """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u): one side for
-    the whole batch, or one side per path."""
-    if isinstance(sides, str):
-        sign = _side_sign(sides)
-    else:
-        sign = np.array([_side_sign(side) for side in sides])[:, None]
+def extremal_forcing(sides: Union[str, Sequence[str]],
+                     C_B: Union[float, Sequence[float]]) -> Forcing:
+    """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u): one side and
+    one C_B for the whole batch, or one of either per member."""
+    sides = np.asarray(sides)
+    if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
+        raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
+    coeff = np.where(sides == MAX_SIDE, 1.0, -1.0) * np.asarray(C_B, dtype=float)
+    if coeff.ndim:
+        coeff = coeff[:, None]
 
     def forcing(n, u):
-        return sign * C_B * (1.0 + u)
+        return coeff * (1.0 + u)
 
     return forcing
 
@@ -66,10 +61,13 @@ def build_extremal(
     sides: Union[str, Sequence[str]],
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
+    drifts: Optional[Sequence[DriftSpec]] = None,
 ) -> Trajectory:
     """Solve the auxiliary bracket problems in one batch: one side for every
-    path, or one side per noise path."""
-    return solve_frozen(spec, extremal_forcing(sides, spec.drift.C_B), noise_paths, newton)
+    path, or one side per noise path.  The forcing reads only C_B of the
+    drift: spec.drift's, or that of each member's drift in drifts."""
+    C_B = spec.drift.C_B if drifts is None else [drift.C_B for drift in drifts]
+    return solve_frozen(spec, extremal_forcing(sides, C_B), noise_paths, newton)
 
 
 def apply_S(
@@ -79,23 +77,34 @@ def apply_S(
     newton: NewtonParams = NewtonParams(),
     members: Union[slice, np.ndarray] = slice(None),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
+    drifts: Optional[Sequence[DriftSpec]] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
     Forcing contract in the solver module), in one batch over the paths
-    `members` of u_tilde (all by default), one noise path each.  A store
-    takes the new states step by step instead (see solve_frozen); step n
-    reads row n + 1 of u_tilde before state n + 1 reaches the store."""
+    `members` of u_tilde (all by default), one noise path each.  drifts
+    holds one drift per member (spec.drift for all by default); each
+    drift is evaluated on its own members' rows, one eval_b_values call per
+    distinct drift, so every member's values are those of its solve alone.
+    A store takes the new states step by step instead (see solve_frozen);
+    step n reads row n + 1 of u_tilde before state n + 1 reaches the
+    store."""
+    source = np.arange(u_tilde.n_paths)[members]
+    drifts = (spec.drift,) * len(source) if drifts is None else drifts
+    if len(drifts) != len(source):
+        raise ValueError("apply_S needs one drift per member")
+    groups = [(drift, [row for row, d in enumerate(drifts) if d == drift])
+              for drift in dict.fromkeys(drifts)]
 
     def forcing(n, u):
-        return eval_b_values(spec.drift, u_tilde.values[members, n + 1])
+        if len(groups) == 1:  # the whole batch in one call
+            return eval_b_values(groups[0][0], u_tilde.values[members, n + 1])
+        h = np.empty(u.shape)
+        for drift, rows in groups:
+            h[rows] = eval_b_values(drift, u_tilde.values[source[rows], n + 1])
+        return h
 
     return solve_frozen(spec, forcing, noise_paths, newton, store)
-
-
-def bracket_sides(P: int) -> tuple:
-    """Member sides of a lock-step batch of P paths: P min, then P max."""
-    return (MIN_SIDE,) * P + (MAX_SIDE,) * P
 
 
 @dataclass(frozen=True)
@@ -193,26 +202,28 @@ class _InPlaceSweep:
 def iterate_bracket(
     spec: ProblemSpec,
     noise_paths: Sequence[NoisePath],
+    drifts: Optional[Sequence[DriftSpec]] = None,
     tol_fixed: float = 1e-6,
     max_outer: int = 60,
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketResult]:
-    """Monotone sweeps u <- S(u) of both sides of P paths, in lock step.
+    """Monotone sweeps u <- S(u) of both sides of P (noise path, drift)
+    pairs, in lock step: path m carries drifts[m] (spec.drift for all by
+    default).
 
-    One build_extremal call solves the 2P extremals of the P noise paths:
-    the lower ones, then the upper ones (the sides bracket_sides(P)).
-    Member m < P sweeps the min side of path m from its lower extremal,
-    member P + m the max side from its upper one.  Each sweep is one
-    apply_S call over the members that have not stopped, which writes
-    their new iterates in place over the old ones.  A member stops when
-    sup_t ||S(u) - u||_H <= tol_fixed or after max_outer sweeps and is
-    never swept again, so its iterates are bit for bit those of sweeping it
-    alone.  Min-side iterates are expected nondecreasing in the sweep index
-    (max side mirrored); per-sweep violations and bracket-containment
-    defects are logged, never silently accepted.  Returns the 2P results in
-    member order; their trajectories are read-only views into the batch's
-    extremal and iterate arrays.
+    One build_extremal call solves the 2P extremals: the P lower ones, then
+    the P upper ones, each under the C_B of its path's drift.  Member m < P sweeps the min side of path m from its
+    lower extremal, member P + m the max side from its upper one.  Each
+    sweep is one apply_S call over the members that have not stopped,
+    which writes their new iterates in place over the old ones.  A member
+    stops when sup_t ||S(u) - u||_H <= tol_fixed or after max_outer sweeps
+    and is never swept again, so its iterates are bit for bit those of
+    sweeping it alone.  Min-side iterates are expected nondecreasing in the
+    sweep index (max side mirrored); per-sweep violations and
+    bracket-containment defects are logged, never silently accepted.
+    Returns the 2P results in member order; their trajectories are
+    read-only views into the batch's extremal and iterate arrays.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
@@ -220,8 +231,11 @@ def iterate_bracket(
         raise ValueError("max_outer must be at least 1")
     paths = list(noise_paths)
     P = len(paths)
-    sides = bracket_sides(P)
-    extremals = build_extremal(spec, sides, paths + paths, newton)
+    drifts = [spec.drift] * P if drifts is None else list(drifts)
+    if P < 1 or len(drifts) != P:
+        raise ValueError("need at least one noise path and one drift per path")
+    sides = (MIN_SIDE,) * P + (MAX_SIDE,) * P
+    extremals = build_extremal(spec, sides, paths + paths, newton, drifts + drifts)
     grid, tg = spec.grid, spec.time_grid
     ext = extremals.values
     # each member's latest iterate, rewritten in place by its sweeps; a
@@ -235,7 +249,7 @@ def iterate_bracket(
     for sweep in range(1, max_outer + 1):
         sink = _InPlaceSweep(current, ext, active, P)
         log = apply_S(spec, iterates, [paths[m % P] for m in active], newton,
-                      active, sink)
+                      active, sink, [drifts[m % P] for m in active])
         still = []
         for m, defects in zip(active.tolist(), sink.defects(grid.dx)):
             for record, value in zip(histories[m], defects):
@@ -282,46 +296,32 @@ class BracketPair:
         return float(np.max(self.minimal.final.values - self.maximal.final.values))
 
 
-def _bracket_batch(spec: ProblemSpec, master_seed: int, path_indices: Sequence[int],
-                   tol_fixed: float, max_outer: int, mono_tol: float,
-                   newton: NewtonParams) -> list[BracketPair]:
-    """The lock-step bracket sweeps of the noise paths path_indices, paired."""
-    paths = [sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
-             for m in path_indices]
-    P = len(paths)
-    results = iterate_bracket(spec, paths, tol_fixed, max_outer, mono_tol, newton)
-    return [BracketPair(m, results[i], results[P + i])
-            for i, m in enumerate(path_indices)]
-
-
-def bracket_pair(
-    spec: ProblemSpec,
-    master_seed: int,
-    path_index: int = 0,
-    tol_fixed: float = 1e-6,
-    max_outer: int = 60,
-    mono_tol: float = 1e-10,
-    newton: NewtonParams = NewtonParams(),
-) -> BracketPair:
-    """Both extremals on one noise path, then both one-sided iterations from
-    them in lock step; each side keeps its extremal as `extremal_start`."""
-    return _bracket_batch(spec, master_seed, [path_index], tol_fixed, max_outer,
-                          mono_tol, newton)[0]
-
-
 def bracket_study(
     spec: ProblemSpec,
-    M: int,
     master_seed: int,
+    path_indices: Sequence[int] = (0,),
+    drifts: Optional[Sequence[DriftSpec]] = None,
     tol_fixed: float = 1e-6,
     max_outer: int = 60,
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketPair]:
-    """Run both one-sided iterations on M independent noise paths, in one
-    lock-step batch of 2M members; each path's results are those of
-    bracket_pair on that path alone."""
-    if M < 1:
-        raise ValueError("need at least one path")
-    return _bracket_batch(spec, master_seed, range(M), tol_fixed, max_outer, mono_tol,
-                          newton)
+    """Both one-sided iterations of every (drift, noise path) pair, in one
+    lock-step batch (see iterate_bracket): drifts defaults to
+    (spec.drift,), and path index m is noise path m of master_seed.
+
+    Returns one pair per (drift, path), drift-major: pair
+    d * len(path_indices) + i is drifts[d] on path path_indices[i].  Each
+    pair's results are bit for bit those of the call with that one drift
+    and that one path.
+    """
+    drifts = (spec.drift,) if drifts is None else tuple(drifts)
+    indices = list(path_indices)
+    paths = [sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
+             for m in indices]
+    results = iterate_bracket(spec, paths * len(drifts),
+                              [drift for drift in drifts for _ in indices],
+                              tol_fixed, max_outer, mono_tol, newton)
+    P = len(indices) * len(drifts)
+    return [BracketPair(indices[i % len(indices)], results[i], results[P + i])
+            for i in range(P)]

@@ -234,6 +234,9 @@ def resolve_config(overrides: dict) -> ScenarioConfig:
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
         raise ConfigError("config key 'time.dt': T/dt must be an integer "
                           f"step count, got {n_steps}")
+    if round(n_steps) < 1:
+        raise ConfigError(f"config key 'time.T': T/dt must be at least one step, "
+                          f"got {n_steps}")
     if merged["grid.mode"] == "ode" and merged["grid.n"] != 1:
         raise ConfigError("config key 'grid.n': ode mode requires grid.n = 1")
     if merged["grid.mode"] == "pde_1d" and merged["grid.n"] < 2:

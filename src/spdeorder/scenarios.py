@@ -5,12 +5,13 @@ summary.txt with one pass/fail line per gate).
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Optional
 
 import numpy as np
 
-from .bracket import BracketPair, bracket_pair, bracket_study
+from .bracket import BracketPair, bracket_study
 from .comparison import comparison_study, sigma_energy_trace
 from .config import ConfigError, ScenarioConfig, SCENARIOS
 from .core import Field, Grid, TimeGrid, ODE
@@ -123,22 +124,32 @@ def _run_assumptions(cfg: ScenarioConfig, spec: ProblemSpec, out_dir: str) -> No
     _write(out_dir, "assumptions.txt", report.to_text())
 
 
-def _bracket_kwargs(cfg: ScenarioConfig) -> dict:
-    return dict(tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"],
-                mono_tol=cfg["run.mono_tol"], newton=build_newton(cfg))
-
-
-def _write_pair(out_dir: str, pair: BracketPair, suffix: str = "") -> None:
-    for res in (pair.minimal, pair.maximal):
-        _write(out_dir, f"bracket_{res.side}{suffix}.txt", res.to_text())
-        res.final.to_csv(os.path.join(out_dir, f"trajectory_{res.side}{suffix}.csv"))
-
-
-def _run_bracket_pair(cfg: ScenarioConfig, spec: ProblemSpec, out_dir: str,
-                      suffix: str = "") -> BracketPair:
-    pair = bracket_pair(spec, cfg["run.master_seed"], **_bracket_kwargs(cfg))
-    _write_pair(out_dir, pair, suffix)
-    return pair
+def _run_brackets(cfg: ScenarioConfig, out_dir: str, M: int = 1,
+                  flip_jump: bool = False) -> dict:
+    """The one runner of the bracket scenarios: check the assumptions, then
+    sweep noise paths 0..M-1 under the configured drift, and under the
+    other jump side too when flip_jump, in one bracket_study batch.  Writes
+    path 0's pair of each drift and returns each drift's pairs, keyed by the
+    suffix of its files: "" for the configured drift, _jump_<side> else."""
+    spec = build_problem_spec(cfg)
+    _run_assumptions(cfg, spec, out_dir)
+    drifts = {"": spec.drift}
+    if flip_jump:
+        flipped = "upper" if cfg["drift.jump_side"] == "lower" else "lower"
+        try:
+            drifts[f"_jump_{flipped}"] = dataclasses.replace(spec.drift,
+                                                             jump_side=flipped)
+        except SpecError as err:  # a jump value above the growth bound
+            raise ConfigError(f"config key {err.key!r}: {err}") from None
+    pairs = bracket_study(spec, cfg["run.master_seed"], range(M), tuple(drifts.values()),
+                          tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"],
+                          mono_tol=cfg["run.mono_tol"], newton=build_newton(cfg))
+    groups = {suffix: pairs[d * M:(d + 1) * M] for d, suffix in enumerate(drifts)}
+    for suffix, group in groups.items():
+        for res in (group[0].minimal, group[0].maximal):
+            _write(out_dir, f"bracket_{res.side}{suffix}.txt", res.to_text())
+            res.final.to_csv(os.path.join(out_dir, f"trajectory_{res.side}{suffix}.csv"))
+    return groups
 
 
 def _contained(pairs: list[BracketPair], tol: float) -> bool:
@@ -162,13 +173,11 @@ def _bracket_gates(cfg: ScenarioConfig, pairs: list[BracketPair]) -> tuple[dict,
 
 
 def _scenario_ode_counterexample(cfg: ScenarioConfig, out_dir: str) -> dict:
-    spec = build_problem_spec(cfg)
-    _run_assumptions(cfg, spec, out_dir)
-    pair = _run_bracket_pair(cfg, spec, out_dir)
+    (pair,) = _run_brackets(cfg, out_dir)[""]
     minimal, maximal = pair.minimal, pair.maximal
 
     min_sup = float(np.max(np.abs(minimal.final.values)))
-    t_final = spec.time_grid.T
+    t_final = cfg["time.T"]
     max_terminal = float(maximal.final.single_path()[-1, 0])
     target = t_final**2 / 4.0
     gates = {
@@ -251,32 +260,20 @@ def _plap_gates(cfg: ScenarioConfig, pair: BracketPair) -> tuple[dict, dict]:
 
 
 def _scenario_plap_bracket(cfg: ScenarioConfig, out_dir: str) -> dict:
-    spec = build_problem_spec(cfg)
-    _run_assumptions(cfg, spec, out_dir)
-    gates, extra = _plap_gates(cfg, _run_bracket_pair(cfg, spec, out_dir))
-
-    if cfg["run.dual_jump_side"]:
-        # expose the jump-selection dependence of the computed bracket
-        flipped = "upper" if cfg["drift.jump_side"] == "lower" else "lower"
-        alt_values = dict(cfg.values)
-        alt_values["drift.jump_side"] = flipped
-        alt_cfg = ScenarioConfig(alt_values)
-        alt_spec = build_problem_spec(alt_cfg)
-        alt = _run_bracket_pair(alt_cfg, alt_spec, out_dir, suffix=f"_jump_{flipped}")
-        alt_gates, _ = _plap_gates(alt_cfg, alt)
-        gates.update({f"{k}_jump_{flipped}": v for k, v in alt_gates.items()})
-
+    # the flipped jump side exposes the jump-selection dependence of the
+    # computed bracket
+    groups = _run_brackets(cfg, out_dir, flip_jump=cfg["run.dual_jump_side"])
+    gates, extra = _plap_gates(cfg, groups.pop("")[0])
+    for suffix, (pair,) in groups.items():
+        gates.update({f"{k}{suffix}": v for k, v in _plap_gates(cfg, pair)[0].items()})
     _write_summary(out_dir, cfg.scenario, gates, extra)
     return gates
 
 
 def _scenario_custom(cfg: ScenarioConfig, out_dir: str) -> dict:
-    spec = build_problem_spec(cfg)
-    _run_assumptions(cfg, spec, out_dir)
-    M = cfg["run.M"] if spec.noise.K > 0 else 1
-    pairs = bracket_study(spec, M, cfg["run.master_seed"], **_bracket_kwargs(cfg))
+    M = cfg["run.M"] if cfg["noise.K"] > 0 else 1
+    pairs = _run_brackets(cfg, out_dir, M)[""]
     gaps = [pair.gap for pair in pairs]
-    _write_pair(out_dir, pairs[0])
     shared, shared_extra = _bracket_gates(cfg, pairs)
     gates = {"converged": all(p.minimal.converged and p.maximal.converged for p in pairs),
              **shared}

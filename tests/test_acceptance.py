@@ -23,7 +23,6 @@ from spdeorder import (
     ReactionSpec,
     SpatialOpSpec,
     TimeGrid,
-    bracket_pair,
     bracket_study,
     build_extremal,
     check_assumptions,
@@ -57,7 +56,7 @@ def test_criterion_1_counterexample_regression():
     cfg = resolve_config({"scenario": "ode_counterexample"})
     spec = build_problem_spec(cfg)
     kwargs = dict(tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"])
-    pair = bracket_pair(spec, cfg["run.master_seed"], **kwargs)
+    (pair,) = bracket_study(spec, cfg["run.master_seed"], **kwargs)
     minimal, maximal = pair.minimal, pair.maximal
     elapsed = time.perf_counter() - start
 
@@ -172,7 +171,7 @@ def test_criterion_6_monotone_iteration_properties():
     cfg = resolve_config({"scenario": "plap_bracket"})
     spec = build_problem_spec(cfg)
     kwargs = dict(tol_fixed=1e-6, max_outer=100, newton=build_newton(cfg))
-    pair = bracket_pair(spec, cfg["run.master_seed"], **kwargs)
+    (pair,) = bracket_study(spec, cfg["run.master_seed"], **kwargs)
     minimal, maximal = pair.minimal, pair.maximal
     mono = max(max(minimal.monotonicity_violations),
                max(maximal.monotonicity_violations))
@@ -203,8 +202,8 @@ def test_criterion_7_unique_regime_collapse():
 
     gaps = {}
     for K, M in ((0, 1), (4, 20)):
-        pairs = bracket_study(spec_for(K), M=M, master_seed=777,
-                              tol_fixed=1e-8, max_outer=100)
+        pairs = bracket_study(spec_for(K), 777, range(M), tol_fixed=1e-8,
+                              max_outer=100)
         gaps[K] = max(pair.gap for pair in pairs)
         assert all(p.minimal.converged and p.maximal.converged for p in pairs)
     ok = gaps[0] <= 1e-6 and gaps[4] <= 1e-6
@@ -282,32 +281,41 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     assert main(args + [str(outs[3])]) == 0
     assert one_path_studies == [4]
 
-    # a noisy bracket study, in one lock-step batch of all three paths and
-    # one path at a time
-    bracket_cfg = tmp_path / "b.cfg"
-    bracket_cfg.write_text("scenario = custom\n"
-                           "grid.n = 12\n"
-                           "time.T = 0.05\n"
-                           "spatial.p = 3.0\n"
-                           "drift.kind = heaviside\n"
-                           "noise.K = 2\n"
-                           "u0.kind = sine\n"
-                           "run.M = 3\n")
-    bracket_outs = [tmp_path / name for name in ("bracket_run", "bracket_one_path_runs")]
-    bracket_args = ["run", str(bracket_cfg), "--seed", "2024", "--out"]
-    assert main(bracket_args + [str(bracket_outs[0])]) == 0
-    one_path_runs = []
+    # a noisy bracket study and a plap bracket under both jump sides, each
+    # in one lock-step batch of all its (path, drift) pairs and one pair at
+    # a time
+    bracket_cfgs = [tmp_path / "b.cfg", tmp_path / "c.cfg"]
+    bracket_cfgs[0].write_text("scenario = custom\n"
+                               "grid.n = 12\n"
+                               "time.T = 0.05\n"
+                               "spatial.p = 3.0\n"
+                               "drift.kind = heaviside\n"
+                               "noise.K = 2\n"
+                               "u0.kind = sine\n"
+                               "run.M = 3\n")
+    bracket_cfgs[1].write_text("scenario = plap_bracket\n"
+                               "grid.n = 16\n"
+                               "time.T = 0.05\n"
+                               "run.dual_jump_side = true\n")
+    bracket_groups = [[tmp_path / f"{cfg.stem}_{name}" for name in ("run", "one_pair_runs")]
+                      for cfg in bracket_cfgs]
+    for cfg, group in zip(bracket_cfgs, bracket_groups):
+        assert main(["run", str(cfg), "--seed", "2024", "--out", str(group[0])]) == 0
+    one_pair_runs = []
+    study = spdeorder.scenarios.bracket_study
 
-    def per_path_study(spec, M, master_seed, **kwargs):
-        one_path_runs.append(M)
-        return [bracket_pair(spec, master_seed, path_index=m, **kwargs) for m in range(M)]
+    def per_pair_study(spec, master_seed, path_indices, drifts, **kwargs):
+        one_pair_runs.append((len(path_indices), len(drifts)))
+        return [study(spec, master_seed, [m], [drift], **kwargs)[0]
+                for drift in drifts for m in path_indices]
 
-    monkeypatch.setattr(spdeorder.scenarios, "bracket_study", per_path_study)
-    assert main(bracket_args + [str(bracket_outs[1])]) == 0
-    assert one_path_runs == [3]
+    monkeypatch.setattr(spdeorder.scenarios, "bracket_study", per_pair_study)
+    for cfg, group in zip(bracket_cfgs, bracket_groups):
+        assert main(["run", str(cfg), "--seed", "2024", "--out", str(group[1])]) == 0
+    assert one_pair_runs == [(3, 1), (1, 2)]
 
     ok, compared = True, 0
-    for group in (outs, bracket_outs):
+    for group in [outs] + bracket_groups:
         names = sorted(p.name for p in group[0].iterdir())
         ok &= len(names) > 0
         compared += len(names)
@@ -316,6 +324,6 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
             for name in names:
                 ok &= (group[0] / name).read_bytes() == (other / name).read_bytes()
     _report("criterion 9: reruns in one and in a fresh interpreter and in one-path "
-            "batches are byte-identical",
+            "and one-(path, drift) batches are byte-identical",
             ok, f"{compared} artifacts compared across {len(outs)} heat and "
-                f"{len(bracket_outs)} bracket runs")
+                f"{2 * len(bracket_groups)} bracket runs")

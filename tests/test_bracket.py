@@ -19,7 +19,6 @@ from spdeorder import (
     TimeGrid,
     Trajectory,
     apply_S,
-    bracket_pair,
     bracket_study,
     build_extremal,
     iterate_bracket,
@@ -27,6 +26,7 @@ from spdeorder import (
     sup_h_distance,
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
+from spdeorder.cli import main
 from spdeorder.core import zeros
 
 
@@ -54,12 +54,15 @@ def test_extremal_forcing_values():
 
 
 def test_extremal_forcing_per_path_sides():
-    # one side per path gives each row the forcing of its side, bit for bit
+    # one side and one C_B per member give each row the forcing of its
+    # side and its C_B, bit for bit
     u = np.array([[0.0, 1.0, -0.5], [0.25, 3.0, -1.5], [0.1, 0.2, 0.3]])
     sides = (MIN_SIDE, MAX_SIDE, MIN_SIDE)
     batch = extremal_forcing(sides, 1.7)(0, u)
-    for row, side in zip(range(3), sides):
+    mixed = extremal_forcing(sides, [1.7, 0.3, 2.9])(0, u)
+    for row, side, C_B in zip(range(3), sides, (1.7, 0.3, 2.9)):
         assert np.array_equal(batch[row], extremal_forcing(side, 1.7)(0, u[row]))
+        assert np.array_equal(mixed[row], extremal_forcing(side, C_B)(0, u[row]))
 
 
 def test_extremal_odes_match_exponential_solutions():
@@ -92,7 +95,8 @@ def test_apply_S_on_upper_extremal_quadrature_oracle():
 
 def test_min_side_iteration_locks_onto_zero():
     spec = ode_sqrt_spec(n_steps=500)
-    res = bracket_pair(spec, master_seed=0, tol_fixed=1e-10, max_outer=10).minimal
+    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-10, max_outer=10)
+    res = pair.minimal
     assert res.converged
     assert res.monotone_ok
     assert np.all(res.final.values == 0.0)
@@ -101,7 +105,8 @@ def test_min_side_iteration_locks_onto_zero():
 
 def test_max_side_iteration_monotone_decreasing_residual():
     spec = ode_sqrt_spec(n_steps=2000)
-    res = bracket_pair(spec, master_seed=0, tol_fixed=1e-6, max_outer=60).maximal
+    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-6, max_outer=60)
+    res = pair.maximal
     assert res.converged
     assert res.monotone_ok
     # after the first correction the residuals must not increase
@@ -124,7 +129,8 @@ def test_zero_drift_converges_in_two_sweeps():
         u0=zeros(g),
     )
     # S is constant in its argument, so the second sweep reproduces the first
-    res = bracket_pair(spec, master_seed=0, tol_fixed=1e-12, max_outer=5).minimal
+    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-12, max_outer=5)
+    res = pair.minimal
     assert res.converged
     assert res.n_sweeps <= 2
 
@@ -132,9 +138,16 @@ def test_zero_drift_converges_in_two_sweeps():
 def test_iterate_bracket_parameter_validation():
     spec = ode_sqrt_spec(n_steps=10)
     with pytest.raises(ValueError):
-        bracket_pair(spec, master_seed=0, tol_fixed=0.0)
+        bracket_study(spec, master_seed=0, tol_fixed=0.0)
     with pytest.raises(ValueError):
-        bracket_pair(spec, master_seed=0, max_outer=0)
+        bracket_study(spec, master_seed=0, max_outer=0)
+    with pytest.raises(ValueError):
+        bracket_study(spec, master_seed=0, path_indices=[])
+    with pytest.raises(ValueError):
+        bracket_study(spec, master_seed=0, drifts=[])
+    path = sample_noise_path(0, 0, 0, spec.time_grid)
+    with pytest.raises(ValueError):  # one drift per path
+        iterate_bracket(spec, [path, path], [spec.drift])
 
 
 def test_bracket_study_pairs():
@@ -148,7 +161,7 @@ def test_bracket_study_pairs():
         noise=NoiseSpec.geometric(2),
         u0=zeros(g),
     )
-    pairs = bracket_study(spec, M=2, master_seed=5, tol_fixed=1e-8,
+    pairs = bracket_study(spec, master_seed=5, path_indices=range(2), tol_fixed=1e-8,
                           max_outer=50)
     assert [p.path_index for p in pairs] == [0, 1]
     for pair in pairs:
@@ -161,7 +174,7 @@ def test_bracket_study_pairs():
 def test_min_side_defects_are_never_negative_zero():
     # the min side's zero iterates differ by -(+0.0) = -0.0 between sweeps
     spec = ode_sqrt_spec(n_steps=500)
-    pair = bracket_pair(spec, master_seed=0, tol_fixed=1e-10, max_outer=10)
+    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-10, max_outer=10)
     for res in (pair.minimal, pair.maximal):
         defects = res.monotonicity_violations + res.containment_violations
         assert all(math.copysign(1.0, v) == 1.0 for v in defects)
@@ -184,7 +197,8 @@ def stochastic_jump_spec():
 
 
 def sweep_alone(spec, path, side, tol_fixed, max_outer):
-    """One side of one path swept at B = 1, the way the iteration is defined."""
+    """One side of one path swept at B = 1, the way the iteration is defined,
+    under spec.drift."""
     start = build_extremal(spec, side, path)
     current, residuals = start, []
     for _ in range(max_outer):
@@ -199,9 +213,9 @@ def sweep_alone(spec, path, side, tol_fixed, max_outer):
 def test_bracket_study_independent_of_batch():
     spec = stochastic_jump_spec()
     M, kwargs = 5, dict(tol_fixed=1e-6, max_outer=100)
-    batch = bracket_study(spec, M, master_seed=12345, **kwargs)
-    alone = [bracket_pair(spec, 12345, path_index=m, **kwargs) for m in range(M)]
-    smaller = bracket_study(spec, 2, master_seed=12345, **kwargs)
+    batch = bracket_study(spec, 12345, range(M), **kwargs)
+    alone = [bracket_study(spec, 12345, [m], **kwargs)[0] for m in range(M)]
+    smaller = bracket_study(spec, 12345, range(2), **kwargs)
     assert [p.path_index for p in batch] == list(range(M))
     whole = [r for p in batch for r in (p.minimal, p.maximal)]
     assert len({r.n_sweeps for r in whole}) >= 2  # members stop at different sweeps
@@ -223,6 +237,51 @@ def test_bracket_study_independent_of_batch():
             assert np.array_equal(res.extremal_start.values, start.values)
             assert np.array_equal(res.final.values, final.values)
             assert res.residual_history == residuals
+
+
+def test_mixed_drift_batch_members_equal_their_sweeps_alone():
+    # from u0 = 0 at the jump s0 = 0 the jump value selects the solution, so
+    # the two heaviside members differ; the tanh member has its own C_B
+    spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(),
+                               noise=NoiseSpec.geometric(2),
+                               u0=zeros(Grid(n_interior=16)))
+    drifts = [DriftSpec("heaviside", s0=0.0, jump_side="lower"),
+              DriftSpec("heaviside", s0=0.0, jump_side="upper"),
+              DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5),
+              DriftSpec("heaviside", s0=0.0, jump_side="lower")]
+    paths = [sample_noise_path(3, m, 2, spec.time_grid) for m in (0, 0, 1, 1)]
+    kwargs = dict(tol_fixed=1e-6, max_outer=100)
+    results = iterate_bracket(spec, paths, drifts, **kwargs)
+    P = len(paths)
+    assert [r.side for r in results] == [MIN_SIDE] * P + [MAX_SIDE] * P
+    assert not np.array_equal(results[0].final.values, results[1].final.values)
+    assert len({r.n_sweeps for r in results}) >= 2
+    for m, res in enumerate(results):
+        alone = dataclasses.replace(spec, drift=drifts[m % P])
+        start, final, residuals = sweep_alone(alone, paths[m % P], res.side, **kwargs)
+        assert np.array_equal(res.extremal_start.values, start.values)
+        assert np.array_equal(res.final.values, final.values)
+        assert res.residual_history == residuals
+        assert res.n_sweeps == len(residuals)
+
+
+def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch):
+    calls = []
+    build = bracket.build_extremal
+
+    def counted(spec, sides, noise_paths, newton, drifts):
+        calls.append([(side, drift.jump_side) for side, drift in zip(sides, drifts)])
+        assert len(noise_paths) == len(sides)
+        return build(spec, sides, noise_paths, newton, drifts)
+
+    monkeypatch.setattr(bracket, "build_extremal", counted)
+    cfg = tmp_path / "dual.cfg"
+    cfg.write_text("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\n"
+                   "run.dual_jump_side = true\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # one call for both sides of both jump sides
+    assert calls == [[(MIN_SIDE, "lower"), (MIN_SIDE, "upper"),
+                      (MAX_SIDE, "lower"), (MAX_SIDE, "upper")]]
 
 
 def test_sweeps_write_their_iterates_in_place():
@@ -253,7 +312,7 @@ def test_sweeps_write_their_iterates_in_place():
 
 def test_bracket_results_are_read_only_views():
     spec = stochastic_jump_spec()
-    pairs = bracket_study(spec, 3, master_seed=1, tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, 1, range(3), tol_fixed=1e-6, max_outer=100)
     for pair in pairs:
         for res in (pair.minimal, pair.maximal):
             for traj in (res.final, res.extremal_start):
@@ -291,7 +350,7 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
     monkeypatch.setattr(bracket, "build_extremal", counted(bracket.build_extremal,
                                                            "build_extremal"))
     monkeypatch.setattr(bracket, "apply_S", counted(bracket.apply_S, "apply_S"))
-    pairs = bracket_study(spec, 5, master_seed=12345, tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, 12345, range(5), tol_fixed=1e-6, max_outer=100)
 
     results = [r for p in pairs for r in (p.minimal, p.maximal)]
     assert counts["build_extremal"] == 1

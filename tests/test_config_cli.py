@@ -156,6 +156,9 @@ def test_cli_invalid_override_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("doc,key", [
     # passes the schema, but b = 5 above the jump exceeds C_B (1 + |r|)
     ("scenario = plap_bracket\ndrift.high = 5\ndrift.C_B = 0.5\n", "'drift.C_B'"),
+    # only the flipped jump side takes b(0) = 1.002 above C_B (1 + |0|)
+    ("scenario = plap_bracket\ndrift.s0 = 0\ndrift.high = 1.002\n"
+     "run.dual_jump_side = true\n", "'drift.C_B'"),
     # slope 20000 against the default C_F = 1e-12
     ("scenario = custom\nreaction.kind = linear\nreaction.slope = 20000\n",
      "'reaction.C_F'"),
@@ -179,6 +182,17 @@ def test_cli_config_inconsistent_with_spec_exits_2(tmp_path, capsys, doc, key):
     path.write_text(doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["custom", "plap_bracket", "ode_counterexample",
+                                      "heat_comparison"])
+def test_cli_zero_time_steps_exits_2(tmp_path, capsys, scenario):
+    # T/dt = 1e-297 is within the integer tolerance of 0 steps
+    doc = tmp_path / "short.cfg"
+    doc.write_text(f"scenario = {scenario}\ntime.T = 1e-300\n")
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'time.T'" in err and "Traceback" not in err
 
 
 def test_cli_seed_beyond_64_bits_exits_2(tmp_path, capsys):
@@ -340,31 +354,35 @@ def _leak(pair):
     return dataclasses.replace(pair, maximal=leaky)
 
 
-@pytest.mark.parametrize("doc, runner, failed", [
+_DUAL_JUMP = "scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\nrun.dual_jump_side = true\n"
+
+
+@pytest.mark.parametrize("doc, leaked, failed", [
     ("scenario = custom\ngrid.n = 12\ntime.T = 0.05\nspatial.p = 3.0\n"
      "drift.kind = heaviside\nnoise.K = 2\nu0.kind = sine\nrun.M = 3\n",
-     "bracket_study", ["gate.interval"]),
-    ("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\nrun.dual_jump_side = true\n",
-     "bracket_pair", ["gate.interval", "gate.interval_jump_upper"]),
-    ("scenario = ode_counterexample\n", "bracket_pair", ["gate.interval"]),
-], ids=["custom", "plap_bracket", "ode_counterexample"])
-def test_cli_custom_gates_interval_containment(tmp_path, monkeypatch, doc, runner, failed):
+     -1, ["gate.interval"]),
+    (_DUAL_JUMP, 0, ["gate.interval"]),
+    (_DUAL_JUMP, 1, ["gate.interval_jump_upper"]),
+    ("scenario = ode_counterexample\n", 0, ["gate.interval"]),
+], ids=["custom", "plap_bracket", "plap_bracket_jump_upper", "ode_counterexample"])
+def test_cli_custom_gates_interval_containment(tmp_path, monkeypatch, doc, leaked, failed):
     cfg = tmp_path / "bracket.cfg"
     cfg.write_text(doc)
     assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
     assert "gate.interval = pass" in (tmp_path / "ok" / "summary.txt").read_text()
 
-    # a containment defect in the max side (of the last path of a study)
-    # fails the gate, and only that gate
-    run = getattr(scenarios, runner)
+    # a containment defect in the max side of one pair of the scenario's one
+    # bracket_study call (the last path of a study; the configured or the
+    # flipped drift of a dual-jump run) fails the gate of that pair, and
+    # only that gate
+    study = scenarios.bracket_study
 
-    def leaky_run(*args, **kwargs):
-        result = run(*args, **kwargs)
-        if isinstance(result, list):
-            return result[:-1] + [_leak(result[-1])]
-        return _leak(result)
+    def leaky_study(*args, **kwargs):
+        pairs = study(*args, **kwargs)
+        pairs[leaked] = _leak(pairs[leaked])
+        return pairs
 
-    monkeypatch.setattr(scenarios, runner, leaky_run)
+    monkeypatch.setattr(scenarios, "bracket_study", leaky_study)
     assert main(["run", str(cfg), "--out", str(tmp_path / "leaky")]) == 1
     summary = (tmp_path / "leaky" / "summary.txt").read_text()
     assert [line for line in summary.splitlines() if line.endswith(" = fail")] == [
