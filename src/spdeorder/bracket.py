@@ -78,6 +78,7 @@ def apply_S(
     members: Union[slice, np.ndarray] = slice(None),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
     drifts: Optional[Sequence[DriftSpec]] = None,
+    start: int = 0,
 ) -> Union[Trajectory, NewtonLog]:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
@@ -88,13 +89,14 @@ def apply_S(
     distinct drift, so every member's values are those of its solve alone.
     A store takes the new states step by step instead (see solve_frozen);
     step n reads row n + 1 of u_tilde before state n + 1 reaches the
-    store."""
+    store.  With start > 0 the solve steps from row start of u_tilde on,
+    which the caller knows S(u_tilde) to share with u_tilde, and the
+    store receives states start + 1 to N."""
     source = np.arange(u_tilde.n_paths)[members]
     drifts = (spec.drift,) * len(source) if drifts is None else drifts
     if len(drifts) != len(source):
         raise ValueError("apply_S needs one drift per member")
-    groups = [(drift, [row for row, d in enumerate(drifts) if d == drift])
-              for drift in dict.fromkeys(drifts)]
+    groups = _drift_groups(drifts)
 
     def forcing(n, u):
         if len(groups) == 1:  # the whole batch in one call
@@ -104,7 +106,18 @@ def apply_S(
             h[rows] = eval_b_values(drift, u_tilde.values[source[rows], n + 1])
         return h
 
-    return solve_frozen(spec, forcing, noise_paths, newton, store)
+    u_start = u_tilde.values[source, start] if start else None
+    return solve_frozen(spec, forcing, noise_paths, newton, store, start, u_start)
+
+
+def _drift_groups(drifts: Sequence[DriftSpec]) -> list:
+    """Each distinct drift with the batch rows that carry it, in order of
+    first appearance: all of them (a slice, no copy) when there is one."""
+    distinct = list(dict.fromkeys(drifts))
+    if len(distinct) == 1:
+        return [(distinct[0], slice(None))]
+    return [(drift, [row for row, d in enumerate(drifts) if d == drift])
+            for drift in distinct]
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,9 @@ class BracketResult:
     residual_history: tuple
     monotonicity_violations: tuple
     containment_violations: tuple
+    # the step each sweep starts at, N for a sweep taken without stepping;
+    # a batch steps from the smallest start among its members
+    sweep_starts: tuple
     converged: bool
     final: Trajectory
     n_sweeps: int
@@ -144,31 +160,45 @@ class BracketResult:
 class _InPlaceSweep:
     """The store of one sweep: it writes the new states of the members into
     `current`, in place of the iterate the sweep reads, and reduces each
-    member's residual, monotonicity and containment defects on the way.
+    member's residual, monotonicity and containment defects on the way.  It
+    also records, for each member, the first row where the drift values of
+    the new states differ from those of the old ones.
 
-    New states wait in a block of steps.  A full block is compared with the
-    rows of `current` it replaces, which the sweep's forcing has read by
-    then, and with the extremals, and then written over them.  Step 0 is
-    spec.u0 in every iterate and extremal, so its defects are zero and it
-    is skipped.  Sums of squares run along the contiguous node axis and
-    maxima are exact, so every defect equals the one taken over the whole
-    trajectory at once.
+    A sweep from step start keeps rows 0..start of its members: their
+    residual and monotonicity defects are zero, and their containment
+    defects are reduced over the stored rows, in blocks, when the store is
+    made.  New states wait in a block of steps.  A full block is compared
+    with the rows of `current` it replaces, which the sweep's forcing has
+    read by then, and with the extremals, and then written over them.
+    Step 0 is spec.u0 in every iterate and extremal, so its defects are
+    zero and it is skipped.  Sums of squares run along the contiguous node
+    axis and maxima are exact, so every defect equals the one taken over
+    the whole trajectory at once.
     """
 
-    def __init__(self, current: np.ndarray, ext: np.ndarray, members: np.ndarray,
-                 P: int):
+    def __init__(self, current: np.ndarray, ext: np.ndarray, index: np.ndarray,
+                 members: np.ndarray, P: int, start: int,
+                 drifts: Sequence[DriftSpec] = ()):
         B, rows, n = len(members), current.shape[1], current.shape[2]
         self.current, self.ext, self.members = current, ext, members
-        self.lower, self.upper = members % P, P + members % P
+        # the rows of ext holding each member's lower and upper extremal
+        self.lower, self.upper = index[members % P], index[P + members % P]
         # min side expects new >= old pointwise, max side the reverse
         self.sign = np.where(members < P, -1.0, 1.0)[:, None, None]
+        self.groups = [(drift, np.arange(B)[batch]) for drift, batch in _drift_groups(drifts)]
         width = max(1, min((rows - 1) // 32, _BLOCK_BYTES // (8 * B * n)))
-        self.block = np.empty((B, width, n))
-        self.first = 1  # the row of current that block[:, 0] replaces
+        # the new states of a block, and the old rows they replace
+        self.pair = np.empty((2, B, width, n))
+        self.block = self.pair[0]
         self.rows = rows
         self.sq = np.zeros(B)  # worst sum of squares of new - old
         self.mono = np.full(B, -np.inf)
         self.excess = np.full(B, -np.inf)  # worst of lower - new and new - upper
+        self.changed = np.full(B, rows)  # rows: no drift value changed
+        for first in range(1, start + 1, width):
+            kept = slice(first, min(first + width, start + 1))
+            self._contain(current[members, kept], kept)
+        self.first = start + 1  # the row of current that block[:, 0] replaces
 
     def __call__(self, n: int, u: np.ndarray) -> None:
         k = n + 1 - self.first
@@ -176,27 +206,48 @@ class _InPlaceSweep:
         if k + 1 == self.block.shape[1] or n + 2 == self.rows:
             self._flush(k + 1)
 
-    def _flush(self, width: int) -> None:
-        rows = slice(self.first, self.first + width)
-        new = self.block[:, :width]
-        diff = new - self.current[self.members, rows]
-        np.maximum(self.sq, np.max(np.sum(diff * diff, axis=-1), axis=1), out=self.sq)
-        np.maximum(self.mono, np.max(self.sign * diff, axis=(1, 2)), out=self.mono)
+    def _contain(self, new: np.ndarray, rows: slice) -> None:
         np.maximum(self.excess, np.max(self.ext[self.lower, rows] - new, axis=(1, 2)),
                    out=self.excess)
         np.maximum(self.excess, np.max(new - self.ext[self.upper, rows], axis=(1, 2)),
                    out=self.excess)
+
+    def _flush(self, width: int) -> None:
+        rows = slice(self.first, self.first + width)
+        pair = self.pair[:, :, :width]
+        new, old = pair
+        old[...] = self.current[self.members, rows]
+        for drift, batch in self.groups:
+            # the members whose first change is not found yet, evaluated in
+            # a view from the first to the last of them: no copy
+            todo = batch[self.changed[batch] == self.rows]
+            if not len(todo):
+                continue
+            lo, hi = todo[0], todo[-1] + 1
+            # bit patterns, not ==: +0.0 against -0.0 changes the forcing too
+            bits = eval_b_values(drift, pair[:, lo:hi]).view(np.int64)
+            moved = np.any(bits[0] != bits[1], axis=-1)[todo - lo]  # (todo, width)
+            self.changed[todo] = np.where(moved.any(axis=1),
+                                          self.first + moved.argmax(axis=1), self.rows)
+        diff = np.subtract(new, old, out=old)
+        np.maximum(self.sq, np.max(np.sum(diff * diff, axis=-1), axis=1), out=self.sq)
+        np.maximum(self.mono, np.max(self.sign * diff, axis=(1, 2)), out=self.mono)
+        self._contain(new, rows)
         self.current[self.members, rows] = new
         self.first += width
 
-    def defects(self, dx: float) -> list:
-        """(residual, monotonicity, containment) of each member: the residual
-        sup_t ||new - old||_H, and the worst defects, never below 0.0."""
+    def outcomes(self, dx: float) -> list:
+        """(member, (residual, monotonicity, containment), first changed row)
+        of each member: the residual sup_t ||new - old||_H, the worst
+        defects, never below 0.0, and the first row whose drift values
+        changed (the row count when none did)."""
         residuals = np.sqrt(self.sq * dx).tolist()
         # max keeps the first of equal values, so 0.0 goes first: a -0.0
         # defect is recorded as +0.0
-        return [(r, max(0.0, m), max(0.0, e)) for r, m, e in
-                zip(residuals, self.mono.tolist(), self.excess.tolist())]
+        return [(member, (r, max(0.0, m), max(0.0, e)), changed)
+                for member, r, m, e, changed in
+                zip(self.members.tolist(), residuals, self.mono.tolist(),
+                    self.excess.tolist(), self.changed.tolist())]
 
 
 def iterate_bracket(
@@ -212,18 +263,29 @@ def iterate_bracket(
     pairs, in lock step: path m carries drifts[m] (spec.drift for all by
     default).
 
-    One build_extremal call solves the 2P extremals: the P lower ones, then
-    the P upper ones, each under the C_B of its path's drift.  Member m < P sweeps the min side of path m from its
-    lower extremal, member P + m the max side from its upper one.  Each
-    sweep is one apply_S call over the members that have not stopped,
-    which writes their new iterates in place over the old ones.  A member
-    stops when sup_t ||S(u) - u||_H <= tol_fixed or after max_outer sweeps
-    and is never swept again, so its iterates are bit for bit those of
-    sweeping it alone.  Min-side iterates are expected nondecreasing in the
-    sweep index (max side mirrored); per-sweep violations and
-    bracket-containment defects are logged, never silently accepted.
-    Returns the 2P results in member order; their trajectories are
-    read-only views into the batch's extremal and iterate arrays.
+    Member m < P sweeps the min side of path m from its lower extremal,
+    member P + m the max side from its upper one.  The extremal forcing
+    reads only C_B of the drift, so one build_extremal call solves each
+    distinct (noise path, side, C_B) once, and members that share one read
+    the same extremal.
+
+    S reads u only through the drift values b(u) along it.  If b(u^k) and
+    b(u^{k-1}) agree bit for bit on rows 1..R, sweep k + 1 repeats the
+    first R steps of sweep k, so u^{k+1} equals u^k on rows 0..R; R = N
+    when no drift value changed.  So each member's sweep starts at its own
+    R (sweep 1 at 0), and a member with R = N takes its sweep without
+    stepping: residual and monotonicity defects 0.0, containment reduced
+    over its stored iterate.  The other members sweep in one apply_S call
+    from the smallest R among them, which writes their new iterates in
+    place over the old ones.  A member stops when sup_t ||S(u) - u||_H <=
+    tol_fixed, which a sweep without stepping always meets, or after
+    max_outer sweeps, and is never swept again; so its iterates and defects
+    are bit for bit those of sweeping it alone from step 0 every time.
+    Min-side iterates are expected nondecreasing in the sweep index (max
+    side mirrored); per-sweep violations and bracket-containment defects
+    are logged, never silently accepted.  Returns the 2P results in member
+    order; their trajectories are read-only views into the batch's
+    extremal and iterate arrays.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
@@ -235,47 +297,69 @@ def iterate_bracket(
     if P < 1 or len(drifts) != P:
         raise ValueError("need at least one noise path and one drift per path")
     sides = (MIN_SIDE,) * P + (MAX_SIDE,) * P
-    extremals = build_extremal(spec, sides, paths + paths, newton, drifts + drifts)
-    grid, tg = spec.grid, spec.time_grid
+    keys = [(id(paths[m % P]), side, drifts[m % P].C_B) for m, side in enumerate(sides)]
+    slots = {}
+    for key in keys:
+        slots.setdefault(key, len(slots))
+    index = np.array([slots[key] for key in keys])  # each member's extremal
+    owners = [keys.index(key) for key in slots]  # the first member of each
+    extremals = build_extremal(spec, [sides[m] for m in owners],
+                               [paths[m % P] for m in owners], newton,
+                               [drifts[m % P] for m in owners])
+    grid, tg, N = spec.grid, spec.time_grid, spec.time_grid.n_steps
     ext = extremals.values
     # each member's latest iterate, rewritten in place by its sweeps; a
     # stopped member's slot is never written again
-    current = ext.copy()
+    current = ext[index]
     # u_tilde of every sweep: a read-only view of current
     iterates = Trajectory(grid, tg, current[:], copy=False)
-    histories = [([], [], []) for _ in sides]
+    # residual, monotonicity and containment defects and start of each sweep
+    histories = [([], [], [], []) for _ in sides]
     finals = [None] * len(sides)
+    starts = np.zeros(len(sides), dtype=int)  # each member's next start step
     active = np.arange(len(sides))
     for sweep in range(1, max_outer + 1):
-        sink = _InPlaceSweep(current, ext, active, P)
-        log = apply_S(spec, iterates, [paths[m % P] for m in active], newton,
-                      active, sink, [drifts[m % P] for m in active])
-        still = []
-        for m, defects in zip(active.tolist(), sink.defects(grid.dx)):
-            for record, value in zip(histories[m], defects):
+        idle = starts[active] == N
+        swept = []  # (member, defects, first changed row, Newton metadata of each step)
+        if idle.any():
+            sink = _InPlaceSweep(current, ext, index, active[idle], P, N)
+            log = NewtonLog((0,) * N, 0.0)
+            swept += [(*outcome, log) for outcome in sink.outcomes(grid.dx)]
+        if not idle.all():
+            members = active[~idle]
+            start = int(starts[members].min())
+            member_drifts = [drifts[m % P] for m in members]
+            sink = _InPlaceSweep(current, ext, index, members, P, start, member_drifts)
+            log = apply_S(spec, iterates, [paths[m % P] for m in members], newton,
+                          members, sink, member_drifts, start)
+            log = NewtonLog((0,) * start + log.newton_iters, log.max_newton_residual)
+            swept += [(*outcome, log) for outcome in sink.outcomes(grid.dx)]
+        for m, defects, changed, log in swept:
+            for record, value in zip(histories[m], (*defects, int(starts[m]))):
                 record.append(value)
+            starts[m] = changed - 1
             if defects[0] <= tol_fixed or sweep == max_outer:
                 finals[m] = Trajectory(grid, tg, current[m:m + 1], log.newton_iters,
                                        log.max_newton_residual, copy=False)
-            else:
-                still.append(m)
-        active = np.array(still, dtype=int)
-        if not still:
+        active = active[[finals[m] is None for m in active]]
+        if not len(active):
             break
     return [
         BracketResult(
             side=side,
-            extremal_start=Trajectory(grid, tg, ext[m:m + 1], extremals.newton_iters,
+            extremal_start=Trajectory(grid, tg, ext[e:e + 1], extremals.newton_iters,
                                       extremals.max_newton_residual, copy=False),
             residual_history=tuple(residuals),
             monotonicity_violations=tuple(mono),
             containment_violations=tuple(containment),
+            sweep_starts=tuple(sweep_starts),
             converged=residuals[-1] <= tol_fixed,
             final=finals[m],
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )
-        for m, (side, (residuals, mono, containment)) in enumerate(zip(sides, histories))
+        for m, (side, e, (residuals, mono, containment, sweep_starts))
+        in enumerate(zip(sides, index.tolist(), histories))
     ]
 
 

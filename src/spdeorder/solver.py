@@ -294,17 +294,19 @@ def march(
     forcing: Optional[Forcing],
     weights: np.ndarray,
     newton: NewtonParams = NewtonParams(),
+    start: int = 0,
 ) -> Iterator[tuple[int, np.ndarray, NewtonReport]]:
     """Step the scheme for a batch of B members from their own (B, n)
-    initial states u0, with frozen drift h_n = forcing(n, u_n) (one row per
-    member) and the (N, B) noise weights: row n holds each member's weight
-    of step n (see noise_weights).
+    states u0 at step start (0 by default), with frozen drift
+    h_n = forcing(n, u_n) (one row per member) and the (N, B) noise
+    weights: row n holds each member's weight of step n (see
+    noise_weights).
 
-    Yields (n, u_{n+1}, report) right after step n, for n = 0, ..., N - 1;
-    u_{n+1} is the next step's input and must not be written to.  spec
-    gives everything but the initial states.  A step that fails raises
-    NewtonDivergenceError with its index.  Each member's states do not
-    depend on the other members of the batch.
+    Yields (n, u_{n+1}, report) right after step n, for n = start, ...,
+    N - 1; u_{n+1} is the next step's input and must not be written to.
+    spec gives everything but the initial states.  A step that fails
+    raises NewtonDivergenceError with its index.  Each member's states do
+    not depend on the other members of the batch.
     """
     u = np.array(u0, dtype=float, order="C")  # the rounding of a row follows its layout
     if u.ndim != 2 or u.shape[1] != spec.grid.n_interior:
@@ -313,9 +315,11 @@ def march(
     if weights.shape != (spec.time_grid.n_steps, u.shape[0]):
         raise ValueError(f"noise weights of shape {weights.shape}, "
                          f"expected ({spec.time_grid.n_steps}, {u.shape[0]})")
+    if not 0 <= start <= spec.time_grid.n_steps:
+        raise ValueError(f"start step {start} outside 0..{spec.time_grid.n_steps}")
     _check_guards(spec)
     factor = linear_factor(spec)
-    for n, w_n in enumerate(weights):
+    for n, w_n in enumerate(weights[start:], start):
         h_n = forcing(n, u) if forcing is not None else None
         try:
             u, report = implicit_step(spec, u, h_n, w_n, newton, factor)
@@ -343,14 +347,18 @@ def solve_frozen(
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
+    start: int = 0,
+    u_start: Optional[np.ndarray] = None,
 ) -> Union[Trajectory, NewtonLog]:
-    """March the scheme over all steps with frozen drift h_n = forcing(n, u_n),
-    for a batch of paths that all start from spec.u0: one per noise path
-    (one path when noise_paths is None or a single NoisePath).
+    """March the scheme with frozen drift h_n = forcing(n, u_n) for a batch
+    of paths, one per noise path (one path when noise_paths is None or a
+    single NoisePath): over all steps from spec.u0, or over steps start to
+    N - 1 from the paths' (B, n) states u_start at step start.
 
     Returns every state as a Trajectory.  With store given, no state is
     kept: store(n, u) receives the (B, n) states n + 1 right after step n,
-    and the result is the NewtonLog alone.
+    and the result is the NewtonLog of the steps taken.  A march from a
+    later step needs a store, since it has no earlier states to return.
 
     Deterministic given (spec, forcing, noise_paths); each path's values do
     not depend on the other paths of the batch.
@@ -368,15 +376,18 @@ def solve_frozen(
         raise ValueError("noise path shape does not match (K, n_steps)")
 
     weights = np.stack([noise_weights(spec.noise, inc) for inc in increments], axis=1)
-    u0 = np.broadcast_to(spec.u0.values, (len(increments), spec.grid.n_interior))
     keep = store is None
+    if start and (keep or u_start is None):
+        raise ValueError("a march from a later step needs its states and a store")
+    u0 = np.broadcast_to(spec.u0.values if u_start is None else u_start,
+                         (len(increments), spec.grid.n_interior))
     if keep:
         states = np.empty((u0.shape[0], tg.n_steps + 1, u0.shape[1]))
         states[:, 0] = u0
 
         def store(n, u_next):
             states[:, n + 1] = u_next
-    log = consume(march(spec, u0, forcing, weights, newton), store)
+    log = consume(march(spec, u0, forcing, weights, newton, start), store)
     if keep:
         return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual,
                           copy=False)

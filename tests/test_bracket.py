@@ -12,6 +12,7 @@ from spdeorder import (
     DriftSpec,
     Field,
     Grid,
+    NewtonParams,
     NoiseSpec,
     ProblemSpec,
     ReactionSpec,
@@ -27,7 +28,10 @@ from spdeorder import (
 )
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
 from spdeorder.cli import main
+from spdeorder.config import resolve_config
 from spdeorder.core import zeros
+from spdeorder.operators import eval_b_values
+from spdeorder.scenarios import build_problem_spec
 
 
 def ode_sqrt_spec(n_steps=1000, T=1.0):
@@ -197,17 +201,32 @@ def stochastic_jump_spec():
 
 
 def sweep_alone(spec, path, side, tol_fixed, max_outer):
-    """One side of one path swept at B = 1, the way the iteration is defined,
-    under spec.drift."""
-    start = build_extremal(spec, side, path)
-    current, residuals = start, []
+    """One side of one path swept at B = 1 under spec.drift, the way the
+    iteration is defined: every sweep a whole apply_S call from step 0.
+    Returns the extremal, the final and, per sweep, the residual,
+    monotonicity and containment defects and the start step the drift
+    values give (sweep 1 at 0, then the row before the first changed
+    drift value, N when none changed)."""
+    lower, upper = (bracket.build_extremal(spec, s, path) for s in (MIN_SIDE, MAX_SIDE))
+    start = current = lower if side == MIN_SIDE else upper
+    sign = -1.0 if side == MIN_SIDE else 1.0
+    history, old_bits = [], None
     for _ in range(max_outer):
+        bits = eval_b_values(spec.drift, current.values[0]).view(np.int64)
+        if old_bits is None:
+            first = 0
+        else:
+            changed = np.flatnonzero(np.any(bits != old_bits, axis=-1))
+            first = int(changed[0]) - 1 if len(changed) else spec.time_grid.n_steps
         nxt = apply_S(spec, current, path)
-        residuals.append(sup_h_distance(nxt, current))
-        current = nxt
-        if residuals[-1] <= tol_fixed:
+        excess = max(np.max(lower.values - nxt.values), np.max(nxt.values - upper.values))
+        history.append((sup_h_distance(nxt, current),
+                        max(0.0, float(np.max(sign * (nxt.values - current.values)))),
+                        max(0.0, float(excess)), first))
+        current, old_bits = nxt, bits
+        if history[-1][0] <= tol_fixed:
             break
-    return start, current, tuple(residuals)
+    return start, current, tuple(zip(*history))
 
 
 def test_bracket_study_independent_of_batch():
@@ -233,7 +252,7 @@ def test_bracket_study_independent_of_batch():
     for pair in batch:
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
         for res in (pair.minimal, pair.maximal):
-            start, final, residuals = sweep_alone(spec, path, res.side, **kwargs)
+            start, final, (residuals, *_) = sweep_alone(spec, path, res.side, **kwargs)
             assert np.array_equal(res.extremal_start.values, start.values)
             assert np.array_equal(res.final.values, final.values)
             assert res.residual_history == residuals
@@ -249,16 +268,21 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
               DriftSpec("heaviside", s0=0.0, jump_side="upper"),
               DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5),
               DriftSpec("heaviside", s0=0.0, jump_side="lower")]
-    paths = [sample_noise_path(3, m, 2, spec.time_grid) for m in (0, 0, 1, 1)]
+    shared = [sample_noise_path(3, m, 2, spec.time_grid) for m in (0, 1)]
+    paths = [shared[m] for m in (0, 0, 1, 1)]
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
     results = iterate_bracket(spec, paths, drifts, **kwargs)
     P = len(paths)
+    # one extremal per distinct (noise path, side, C_B): the two heaviside
+    # drifts on path 0 share theirs, the tanh and heaviside ones on path 1
+    # differ in C_B
+    assert results[0].extremal_start.values.base.shape[0] == 6
     assert [r.side for r in results] == [MIN_SIDE] * P + [MAX_SIDE] * P
     assert not np.array_equal(results[0].final.values, results[1].final.values)
     assert len({r.n_sweeps for r in results}) >= 2
     for m, res in enumerate(results):
         alone = dataclasses.replace(spec, drift=drifts[m % P])
-        start, final, residuals = sweep_alone(alone, paths[m % P], res.side, **kwargs)
+        start, final, (residuals, *_) = sweep_alone(alone, paths[m % P], res.side, **kwargs)
         assert np.array_equal(res.extremal_start.values, start.values)
         assert np.array_equal(res.final.values, final.values)
         assert res.residual_history == residuals
@@ -279,9 +303,9 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
     cfg.write_text("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\n"
                    "run.dual_jump_side = true\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    # one call for both sides of both jump sides
-    assert calls == [[(MIN_SIDE, "lower"), (MIN_SIDE, "upper"),
-                      (MAX_SIDE, "lower"), (MAX_SIDE, "upper")]]
+    # one call, and one extremal per side: the jump sides share path 0 and
+    # C_B, the only part of the drift the extremal forcing reads
+    assert calls == [[(MIN_SIDE, "lower"), (MAX_SIDE, "lower")]]
 
 
 def test_sweeps_write_their_iterates_in_place():
@@ -353,11 +377,108 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
     pairs = bracket_study(spec, 12345, range(5), tol_fixed=1e-6, max_outer=100)
 
     results = [r for p in pairs for r in (p.minimal, p.maximal)]
+    N = spec.time_grid.n_steps
     assert counts["build_extremal"] == 1
-    # lock step: the batch sweeps until its slowest member stops
-    assert counts["apply_S"] == max(r.n_sweeps for r in results)
+    # lock step: one apply_S call for each sweep in which a member steps
+    stepping = {k for r in results for k, start in enumerate(r.sweep_starts) if start < N}
+    assert counts["apply_S"] == len(stepping)
     assert counts["solve_frozen"] == counts["build_extremal"] + counts["apply_S"]
-    # a stopped member is never swept again
+    # a stopped member is never swept again, and a member whose drift
+    # values did not change takes its sweep without stepping
+    without_stepping = sum(r.sweep_starts.count(N) for r in results)
+    assert without_stepping > 0
     assert batch_sizes[0] == 2 * len(pairs)
-    assert sum(batch_sizes) == sum(r.n_sweeps for r in results)
+    assert sum(batch_sizes) + without_stepping == sum(r.n_sweeps for r in results)
     assert len(set(batch_sizes)) >= 2
+
+
+def plap_p3_dual_jump():
+    cfg = resolve_config({"scenario": "plap_bracket", "spatial.p": 3.0, "grid.n": 16,
+                          "time.T": 0.05})
+    spec = build_problem_spec(cfg)
+    return spec, (spec.drift, dataclasses.replace(spec.drift, jump_side="upper")), 1
+
+
+# (spec, drifts, paths) of each case, and the start steps its sweeps take:
+# step 0, a later step, or none (N, a sweep without stepping)
+ALL_STARTS = {"0", "later", "none"}
+REFERENCE_CASES = {
+    "heaviside_batch": (lambda: (stochastic_jump_spec(), None, 3), ALL_STARTS),
+    "plap_p3_dual_jump": (plap_p3_dual_jump, ALL_STARTS),
+    # the tanh drift changes on row 1 in every sweep
+    "lipschitz_tanh": (lambda: (dataclasses.replace(
+        stochastic_jump_spec(), drift=DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)),
+        None, 2), {"0"}),
+    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), None, 1), {"0", "none"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
+    build, kinds = REFERENCE_CASES[case]
+    spec, drifts, M = build()
+    kwargs = dict(tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, 12345, range(M), drifts, **kwargs)
+    drifts = drifts or (spec.drift,)
+    N = spec.time_grid.n_steps
+    all_starts = []
+    for i, pair in enumerate(pairs):
+        path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
+        for res in (pair.minimal, pair.maximal):
+            alone = dataclasses.replace(spec, drift=drifts[i // M])
+            start, final, (*defects, starts) = sweep_alone(alone, path, res.side, **kwargs)
+            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(res.final.values, final.values)
+            for ours, theirs in zip((res.residual_history, res.monotonicity_violations,
+                                     res.containment_violations), defects):
+                assert np.array_equal(ours, theirs)
+            assert res.sweep_starts == starts
+            # only a last sweep, which repeats its iterate, takes no step
+            assert all(start < N for start in res.sweep_starts[:-1])
+            all_starts += res.sweep_starts
+    assert {"0" if s == 0 else "none" if s == N else "later" for s in all_starts} == kinds
+
+
+def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
+    # lower extremals raised on rows 1 and 2 leave every min-side iterate
+    # below them there; the sweeps keep those rows (they start later) or
+    # take no step, and still record the defect of every row
+    build = bracket.build_extremal
+
+    def raised(spec, sides, noise_paths=None, newton=NewtonParams(), drifts=None):
+        ext = build(spec, sides, noise_paths, newton, drifts)
+        values = ext.values.copy()
+        values[np.asarray(sides).reshape(-1) == MIN_SIDE, 1:3] += 0.01
+        return Trajectory(ext.grid, ext.time_grid, values)
+
+    monkeypatch.setattr(bracket, "build_extremal", raised)
+    spec = stochastic_jump_spec()
+    kwargs = dict(tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, 12345, range(2), **kwargs)
+    for pair in pairs:
+        path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
+        for res in (pair.minimal, pair.maximal):
+            _, final, (*_, containment, starts) = sweep_alone(spec, path, res.side, **kwargs)
+            assert np.array_equal(res.final.values, final.values)
+            assert np.array_equal(res.containment_violations, containment)
+            assert res.sweep_starts == starts
+        assert min(pair.minimal.containment_violations) > 0.0
+        assert min(pair.minimal.sweep_starts[1:]) > 2
+
+
+def test_a_drift_value_changed_only_in_the_sign_of_zero_is_a_change():
+    # the drift is -0.0 below s0 and +0.0 above: the lower extremal
+    # e^{-2t} - 1 crosses s0 = -0.5, the first iterate stays at +0.0.  The
+    # values are == equal but the forcing differs, so sweep 2 must step
+    # from the row before the crossing, not be taken without stepping
+    drift = DriftSpec("heaviside", s0=-0.5, low=-0.0, high=0.0, C_B=2.0)
+    spec = dataclasses.replace(ode_sqrt_spec(n_steps=100), drift=drift)
+    (pair,) = bracket_study(spec, 0)
+    res = pair.minimal
+    ext_values = eval_b_values(drift, res.extremal_start.values)
+    final_values = eval_b_values(drift, res.final.values)
+    assert np.array_equal(ext_values, final_values)
+    crossing = int(np.flatnonzero(np.signbit(ext_values[0, :, 0]))[0])
+    assert 0 < crossing < spec.time_grid.n_steps
+    assert res.sweep_starts == (0, crossing - 1)
+    assert res.residual_history[-1] == 0.0

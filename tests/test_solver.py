@@ -387,6 +387,32 @@ def test_march_members_equal_their_own_solves(p, K):
         assert per_member.sum() > 0
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_march_from_a_later_step_repeats_the_full_march(p):
+    # started at step s from the full march's states there, solve_frozen
+    # stores states s + 1, ..., N of the full march, bit for bit
+    spec = _noisy_spec(p, 3)
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(3)]
+    full = solve_frozen(spec, constant_forcing(0.5), paths)
+    N = spec.time_grid.n_steps
+    for start in (1, 11, N - 1, N):
+        stored = {}
+        log = solve_frozen(spec, constant_forcing(0.5), paths, store=stored.__setitem__,
+                           start=start, u_start=full.values[:, start])
+        assert sorted(stored) == list(range(start, N))
+        for n, u in stored.items():
+            assert np.array_equal(u, full.values[:, n + 1])
+        assert log.newton_iters == full.newton_iters[start:]
+    with pytest.raises(ValueError, match="needs its states and a store"):
+        solve_frozen(spec, constant_forcing(0.5), paths, start=3,
+                     u_start=full.values[:, 3])
+    with pytest.raises(ValueError, match="needs its states and a store"):
+        solve_frozen(spec, constant_forcing(0.5), paths, store=stored.__setitem__, start=3)
+    weights = np.zeros((N, 3))
+    with pytest.raises(ValueError, match="start step"):
+        next(march(spec, full.values[:, 0], None, weights, start=N + 1))
+
+
 def test_march_rejects_mismatched_inputs():
     spec = _noisy_spec(2.0, 3)
     weights = np.zeros((spec.time_grid.n_steps, 2))
