@@ -112,12 +112,9 @@ def apply_S(
 
 def _drift_groups(drifts: Sequence[DriftSpec]) -> list:
     """Each distinct drift with the batch rows that carry it, in order of
-    first appearance: all of them (a slice, no copy) when there is one."""
-    distinct = list(dict.fromkeys(drifts))
-    if len(distinct) == 1:
-        return [(distinct[0], slice(None))]
+    first appearance."""
     return [(drift, [row for row, d in enumerate(drifts) if d == drift])
-            for drift in distinct]
+            for drift in dict.fromkeys(drifts)]
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ class _InPlaceSweep:
         self.lower, self.upper = index[members % P], index[P + members % P]
         # min side expects new >= old pointwise, max side the reverse
         self.sign = np.where(members < P, -1.0, 1.0)[:, None, None]
-        self.groups = [(drift, np.arange(B)[batch]) for drift, batch in _drift_groups(drifts)]
+        self.groups = [(drift, np.array(rows)) for drift, rows in _drift_groups(drifts)]
         width = max(1, min((rows - 1) // 32, _BLOCK_BYTES // (8 * B * n)))
         # the new states of a block, and the old rows they replace
         self.pair = np.empty((2, B, width, n))
