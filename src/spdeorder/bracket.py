@@ -96,14 +96,13 @@ def apply_S(
     drifts = (spec.drift,) * len(source) if drifts is None else drifts
     if len(drifts) != len(source):
         raise ValueError("apply_S needs one drift per member")
-    groups = _drift_groups(drifts)
+    # each drift with its batch rows and the rows of u_tilde they read
+    groups = [(drift, rows, source[rows]) for drift, rows in _drift_groups(drifts)]
 
     def forcing(n, u):
-        if len(groups) == 1:  # the whole batch in one call
-            return eval_b_values(groups[0][0], u_tilde.values[members, n + 1])
         h = np.empty(u.shape)
-        for drift, rows in groups:
-            h[rows] = eval_b_values(drift, u_tilde.values[source[rows], n + 1])
+        for drift, rows, read in groups:
+            h[rows] = eval_b_values(drift, u_tilde.values[read, n + 1])
         return h
 
     u_start = u_tilde.values[source, start] if start else None
@@ -113,7 +112,7 @@ def apply_S(
 def _drift_groups(drifts: Sequence[DriftSpec]) -> list:
     """Each distinct drift with the batch rows that carry it, in order of
     first appearance."""
-    return [(drift, [row for row, d in enumerate(drifts) if d == drift])
+    return [(drift, np.array([row for row, d in enumerate(drifts) if d == drift]))
             for drift in dict.fromkeys(drifts)]
 
 
@@ -157,32 +156,30 @@ class BracketResult:
 class _InPlaceSweep:
     """The store of one sweep: it writes the new states of the members into
     `current`, in place of the iterate the sweep reads, and reduces each
-    member's residual, monotonicity and containment defects on the way.  It
-    also records, for each member, the first row where the drift values of
-    the new states differ from those of the old ones.
+    member's residual and monotonicity defects on the way.  It writes the
+    containment defect of each new row into `excess`, and records, for each
+    member, the first row where the drift values of the new states differ
+    from those of the old ones.
 
-    A sweep from step start keeps rows 0..start of its members: their
-    residual and monotonicity defects are zero, and their containment
-    defects are reduced over the stored rows, in blocks, when the store is
-    made.  New states wait in a block of steps.  A full block is compared
-    with the rows of `current` it replaces, which the sweep's forcing has
-    read by then, and with the extremals, and then written over them.
-    Step 0 is spec.u0 in every iterate and extremal, so its defects are
-    zero and it is skipped.  Sums of squares run along the contiguous node
-    axis and maxima are exact, so every defect equals the one taken over
-    the whole trajectory at once.
+    A sweep from step start keeps rows 0..start of its members, whose
+    residual and monotonicity defects are zero.  New states wait in a block
+    of steps.  A full block is compared with the rows of `current` it
+    replaces, which the sweep's forcing has read by then, and with the
+    extremals, and then written over them.  Sums of squares run along the
+    contiguous node axis and maxima are exact, so every defect equals the
+    one taken over the whole trajectory at once.
     """
 
     def __init__(self, current: np.ndarray, ext: np.ndarray, index: np.ndarray,
-                 members: np.ndarray, P: int, start: int,
-                 drifts: Sequence[DriftSpec] = ()):
+                 excess: np.ndarray, members: np.ndarray, P: int, start: int,
+                 drifts: Sequence[DriftSpec]):
         B, rows, n = len(members), current.shape[1], current.shape[2]
-        self.current, self.ext, self.members = current, ext, members
+        self.current, self.ext, self.excess, self.members = current, ext, excess, members
         # the rows of ext holding each member's lower and upper extremal
         self.lower, self.upper = index[members % P], index[P + members % P]
         # min side expects new >= old pointwise, max side the reverse
         self.sign = np.where(members < P, -1.0, 1.0)[:, None, None]
-        self.groups = [(drift, np.array(rows)) for drift, rows in _drift_groups(drifts)]
+        self.groups = _drift_groups(drifts)
         width = max(1, min((rows - 1) // 32, _BLOCK_BYTES // (8 * B * n)))
         # the new states of a block, and the old rows they replace
         self.pair = np.empty((2, B, width, n))
@@ -190,11 +187,7 @@ class _InPlaceSweep:
         self.rows = rows
         self.sq = np.zeros(B)  # worst sum of squares of new - old
         self.mono = np.full(B, -np.inf)
-        self.excess = np.full(B, -np.inf)  # worst of lower - new and new - upper
         self.changed = np.full(B, rows)  # rows: no drift value changed
-        for first in range(1, start + 1, width):
-            kept = slice(first, min(first + width, start + 1))
-            self._contain(current[members, kept], kept)
         self.first = start + 1  # the row of current that block[:, 0] replaces
 
     def __call__(self, n: int, u: np.ndarray) -> None:
@@ -202,12 +195,6 @@ class _InPlaceSweep:
         self.block[:, k] = u
         if k + 1 == self.block.shape[1] or n + 2 == self.rows:
             self._flush(k + 1)
-
-    def _contain(self, new: np.ndarray, rows: slice) -> None:
-        np.maximum(self.excess, np.max(self.ext[self.lower, rows] - new, axis=(1, 2)),
-                   out=self.excess)
-        np.maximum(self.excess, np.max(new - self.ext[self.upper, rows], axis=(1, 2)),
-                   out=self.excess)
 
     def _flush(self, width: int) -> None:
         rows = slice(self.first, self.first + width)
@@ -229,7 +216,10 @@ class _InPlaceSweep:
         diff = np.subtract(new, old, out=old)
         np.maximum(self.sq, np.max(np.sum(diff * diff, axis=-1), axis=1), out=self.sq)
         np.maximum(self.mono, np.max(self.sign * diff, axis=(1, 2)), out=self.mono)
-        self._contain(new, rows)
+        # worst of lower - new and new - upper on each row
+        self.excess[self.members, rows] = np.maximum(
+            np.max(self.ext[self.lower, rows] - new, axis=-1),
+            np.max(new - self.ext[self.upper, rows], axis=-1))
         self.current[self.members, rows] = new
         self.first += width
 
@@ -239,12 +229,13 @@ class _InPlaceSweep:
         defects, never below 0.0, and the first row whose drift values
         changed (the row count when none did)."""
         residuals = np.sqrt(self.sq * dx).tolist()
+        excess = self.excess[self.members].max(axis=1).tolist()
         # max keeps the first of equal values, so 0.0 goes first: a -0.0
         # defect is recorded as +0.0
         return [(member, (r, max(0.0, m), max(0.0, e)), changed)
                 for member, r, m, e, changed in
                 zip(self.members.tolist(), residuals, self.mono.tolist(),
-                    self.excess.tolist(), self.changed.tolist())]
+                    excess, self.changed.tolist())]
 
 
 def iterate_bracket(
@@ -271,10 +262,11 @@ def iterate_bracket(
     first R steps of sweep k, so u^{k+1} equals u^k on rows 0..R; R = N
     when no drift value changed.  So each member's sweep starts at its own
     R (sweep 1 at 0), and a member with R = N takes its sweep without
-    stepping: residual and monotonicity defects 0.0, containment reduced
-    over its stored iterate.  The other members sweep in one apply_S call
-    from the smallest R among them, which writes their new iterates in
-    place over the old ones.  A member stops when sup_t ||S(u) - u||_H <=
+    stepping: its iterate is unchanged, so its residual and monotonicity
+    defects are 0.0 and its containment defect is that of its previous
+    sweep.  The other members sweep in one apply_S call from the smallest R
+    among them, which writes their new iterates in place over the old
+    ones, and their containment defects row by row.  A member stops when sup_t ||S(u) - u||_H <=
     tol_fixed, which a sweep without stepping always meets, or after
     max_outer sweeps, and is never swept again; so its iterates and defects
     are bit for bit those of sweeping it alone from step 0 every time.
@@ -310,6 +302,9 @@ def iterate_bracket(
     current = ext[index]
     # u_tilde of every sweep: a read-only view of current
     iterates = Trajectory(grid, tg, current[:], copy=False)
+    # the containment defect of each row of each member's latest iterate;
+    # row 0 is spec.u0 in every iterate and extremal
+    excess = np.zeros((len(sides), N + 1))
     # residual, monotonicity and containment defects and start of each sweep
     histories = [([], [], [], []) for _ in sides]
     finals = [None] * len(sides)
@@ -317,16 +312,15 @@ def iterate_bracket(
     active = np.arange(len(sides))
     for sweep in range(1, max_outer + 1):
         idle = starts[active] == N
-        swept = []  # (member, defects, first changed row, Newton metadata of each step)
-        if idle.any():
-            sink = _InPlaceSweep(current, ext, index, active[idle], P, N)
-            log = NewtonLog((0,) * N, 0.0)
-            swept += [(*outcome, log) for outcome in sink.outcomes(grid.dx)]
+        # (member, defects, first changed row, Newton metadata of each step)
+        swept = [(m, (0.0, 0.0, histories[m][2][-1]), N + 1, NewtonLog((0,) * N, 0.0))
+                 for m in active[idle].tolist()]
         if not idle.all():
             members = active[~idle]
             start = int(starts[members].min())
             member_drifts = [drifts[m % P] for m in members]
-            sink = _InPlaceSweep(current, ext, index, members, P, start, member_drifts)
+            sink = _InPlaceSweep(current, ext, index, excess, members, P, start,
+                                 member_drifts)
             log = apply_S(spec, iterates, [paths[m % P] for m in members], newton,
                           members, sink, member_drifts, start)
             log = NewtonLog((0,) * start + log.newton_iters, log.max_newton_residual)

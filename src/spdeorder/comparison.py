@@ -20,7 +20,6 @@ from .solver import (
     NewtonParams,
     ProblemSpec,
     Trajectory,
-    consume,
     march,
     solve_frozen,
 )
@@ -143,7 +142,7 @@ def comparison_study(
     side-1 members, then the M side-2 ones, member m and M + m on noise
     path m.  Each step reduces the members' energies into an (M, N+1)
     array and keeps only path 0's pair of states.  The energies are then
-    reduced one path at a time in path-index order.  Every path's report
+    reduced over the paths in path-index order.  Every path's report
     entries are bit for bit those of run_coupled on that path alone.
     """
     if M < 1:
@@ -169,28 +168,21 @@ def comparison_study(
         energies[:, n + 1] = _energy_series(u[:M], u[M:], grid.dx)
         pair[:, n + 1] = u[[0, M]]
 
-    log = consume(march(spec_1, u0, _coupled_forcing(forcing_1, forcing_2, M),
-                        weights, newton), reduce_step)
+    log = march(spec_1, u0, _coupled_forcing(forcing_1, forcing_2, M), weights,
+                reduce_step, newton)
 
-    max_energy = np.zeros(N + 1)
-    total_energy = np.zeros(N + 1)
-    worst_path, worst_step, worst_energy = 0, 0, -np.inf
-    for m, energy in enumerate(energies):
-        np.maximum(max_energy, energy, out=max_energy)
-        total_energy += energy
-        step = int(np.argmax(energy))
-        if energy[step] > worst_energy:  # the first path wins a tie
-            worst_path, worst_step, worst_energy = m, step, energy[step]
+    # the first path, then its first step, wins a tie
+    worst_path, worst_step = divmod(int(np.argmax(energies)), N + 1)
     first_pair = tuple(Trajectory(grid, tg, pair[side:side + 1], log.newton_iters,
                                   log.max_newton_residual, copy=False) for side in (0, 1))
     return ComparisonReport(
         times=tg.times(),
-        max_energy=max_energy,
-        mean_energy=total_energy / M,
+        max_energy=energies.max(axis=0),
+        mean_energy=energies.sum(axis=0) / M,
         n_paths=M,
         worst_path=worst_path,
         worst_step=worst_step,
-        worst_energy=float(worst_energy),
+        worst_energy=float(energies[worst_path, worst_step]),
         tol=tol,
         first_pair=first_pair,
     )

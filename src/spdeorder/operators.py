@@ -128,8 +128,10 @@ def _abs_or_tiny(x: float) -> float:
 
 def _heaviside(spec, r):
     jump = {"lower": spec.low, "mid": 0.5 * (spec.low + spec.high), "upper": spec.high}
-    return np.where(r < spec.s0, spec.low,
-                    np.where(r > spec.s0, spec.high, jump[spec.jump_side]))
+    b = np.full_like(r, jump[spec.jump_side])
+    b[r < spec.s0] = spec.low
+    b[r > spec.s0] = spec.high
+    return b
 
 
 def _piecewise_linear(spec, r):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
@@ -273,19 +273,18 @@ def implicit_step(
 
 
 def _check_guards(spec: ProblemSpec) -> None:
-    # stacklevel 5: past march and consume to the caller of solve_frozen or
-    # comparison_study
+    # stacklevel 4: past march to the caller of solve_frozen or comparison_study
     dt = spec.time_grid.dt
     if dt * spec.reaction.C_F >= 1.0:
         warnings.warn(
             f"dt*C_F = {dt * spec.reaction.C_F:.3g} >= 1: explicit reaction may break "
-            "order preservation", stacklevel=5)
+            "order preservation", stacklevel=4)
     if spec.noise.K > 0 and spec.noise.C_G * np.sqrt(dt) >= _NOISE_STD_GUARD:
         warnings.warn(
             f"per-step noise multiplier std C_G*sqrt(dt) = "
             f"{spec.noise.C_G * np.sqrt(dt):.3g} >= {_NOISE_STD_GUARD}: order "
             "preservation failure probability is no longer negligible",
-            stacklevel=5)
+            stacklevel=4)
 
 
 def march(
@@ -293,20 +292,22 @@ def march(
     u0: np.ndarray,
     forcing: Optional[Forcing],
     weights: np.ndarray,
+    store: Callable[[int, np.ndarray], None],
     newton: NewtonParams = NewtonParams(),
     start: int = 0,
-) -> Iterator[tuple[int, np.ndarray, NewtonReport]]:
+) -> NewtonLog:
     """Step the scheme for a batch of B members from their own (B, n)
     states u0 at step start (0 by default), with frozen drift
     h_n = forcing(n, u_n) (one row per member) and the (N, B) noise
     weights: row n holds each member's weight of step n (see
     noise_weights).
 
-    Yields (n, u_{n+1}, report) right after step n, for n = start, ...,
-    N - 1; u_{n+1} is the next step's input and must not be written to.
-    spec gives everything but the initial states.  A step that fails
-    raises NewtonDivergenceError with its index.  Each member's states do
-    not depend on the other members of the batch.
+    Calls store(n, u_{n+1}) right after step n, for n = start, ...,
+    N - 1, and returns the per-step Newton metadata; u_{n+1} is the next
+    step's input and must not be written to.  spec gives everything but
+    the initial states.  A step that fails raises NewtonDivergenceError
+    with its index.  Each member's states do not depend on the other
+    members of the batch.
     """
     u = np.array(u0, dtype=float, order="C")  # the rounding of a row follows its layout
     if u.ndim != 2 or u.shape[1] != spec.grid.n_interior:
@@ -319,22 +320,13 @@ def march(
         raise ValueError(f"start step {start} outside 0..{spec.time_grid.n_steps}")
     _check_guards(spec)
     factor = linear_factor(spec)
+    iters, worst = [], 0.0
     for n, w_n in enumerate(weights[start:], start):
         h_n = forcing(n, u) if forcing is not None else None
         try:
             u, report = implicit_step(spec, u, h_n, w_n, newton, factor)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
-        yield n, u, report
-
-
-def consume(steps: Iterable[tuple[int, np.ndarray, NewtonReport]],
-            store: Callable[[int, np.ndarray], None]) -> NewtonLog:
-    """Hand each state of a march to store(n, u_{n+1}) as it is yielded, and
-    return the march's per-step Newton metadata."""
-    iters = []
-    worst = 0.0
-    for n, u, report in steps:
         store(n, u)
         iters.append(report.iterations)
         worst = max(worst, report.residual)
@@ -387,7 +379,7 @@ def solve_frozen(
 
         def store(n, u_next):
             states[:, n + 1] = u_next
-    log = consume(march(spec, u0, forcing, weights, newton, start), store)
+    log = march(spec, u0, forcing, weights, store, newton, start)
     if keep:
         return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual,
                           copy=False)

@@ -435,6 +435,9 @@ def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
             assert res.sweep_starts == starts
             # only a last sweep, which repeats its iterate, takes no step
             assert all(start < N for start in res.sweep_starts[:-1])
+            if res.sweep_starts[-1] == N:
+                assert res.residual_history[-1] == res.monotonicity_violations[-1] == 0.0
+                assert res.containment_violations[-1] == res.containment_violations[-2]
             all_starts += res.sweep_starts
     assert {"0" if s == 0 else "none" if s == N else "later" for s in all_starts} == kinds
 

@@ -116,6 +116,21 @@ def test_comparison_study_path_ordered_reduction():
         worst_path, worst_step, float(stacked[worst_path, worst_step]))
 
 
+def test_comparison_study_tie_goes_to_the_first_path():
+    # without noise the three paths are one pair, so every step ties
+    # across paths: path 0 wins, and the reductions see three equal rows
+    lo = make_spec(0.0)
+    hi = make_spec(0.5)
+    report = comparison_study(hi, lo, M=3, master_seed=11)
+    single = energy_series(*run_coupled(hi, lo, None))
+    assert (report.worst_path, report.worst_step) == (0, int(np.argmax(single)))
+    assert report.worst_energy == single.max() > 0.0
+    assert np.array_equal(report.max_energy, single)
+    # (e + e + e) / 3 rounds away from e on some steps: the mean is the
+    # path-order sum over M, not the single path's energy
+    assert np.array_equal(report.mean_energy, (single + single + single) / 3)
+
+
 def test_report_keeps_path_zero_pair():
     # the scenario's trajectory and sigma-trace artifacts reuse this pair
     lo = make_spec(0.0, K=3)

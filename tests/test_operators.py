@@ -122,6 +122,22 @@ def test_heaviside_jump_selection(jump_side, expected):
     assert out[0] == expected
 
 
+@pytest.mark.parametrize("jump_side", ["lower", "mid", "upper"])
+@pytest.mark.parametrize("s0,low,high", [(0.5, 0.0, 1.0), (0.0, -0.0, 0.0),
+                                         (-1.5, -2.0, 3.0)])
+def test_heaviside_bit_patterns_at_edge_inputs(jump_side, s0, low, high):
+    # signed zeros, infinities, NaN and the neighbours of s0 map bit for bit
+    # to low below s0, high above it and the jump value elsewhere (s0, NaN)
+    spec = DriftSpec("heaviside", s0=s0, low=low, high=high, jump_side=jump_side, C_B=4.0)
+    r = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, s0,
+                  np.nextafter(s0, -np.inf), np.nextafter(s0, np.inf)]).reshape(2, 4)
+    jump = {"lower": low, "mid": 0.5 * (low + high), "upper": high}[jump_side]
+    expected = np.where(r < s0, low, np.where(r > s0, high, jump))
+    out = eval_b_values(spec, r)
+    assert out.shape == r.shape and out.dtype == np.float64
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 def test_piecewise_linear_interpolation():
     spec = DriftSpec("piecewise_linear", knots=[(-1.0, -1.0), (1.0, 1.0)])
     out = eval_b_values(spec, np.array([0.25]))

@@ -244,6 +244,7 @@ def test_discrete_order_preservation_deterministic():
 
 
 def test_guard_warnings():
+    # dt = 2: dt*C_F = 2 and C_G*sqrt(dt) = 0.5*sqrt(2) both trip a guard
     g = Grid(n_interior=4)
     spec = ProblemSpec(
         grid=g,
@@ -251,11 +252,20 @@ def test_guard_warnings():
         spatial=SpatialOpSpec(),
         drift=DriftSpec("zero"),
         reaction=ReactionSpec("linear", slope=1.0),
-        noise=NoiseSpec(),
+        noise=NoiseSpec.geometric(1),
         u0=zeros(g),
     )
-    with pytest.warns(UserWarning, match="dt\\*C_F"):
-        solve_frozen(spec, None, None)
+    path = sample_noise_path(3, 0, 1, spec.time_grid)
+    # each warning points at the caller, this function: one frame deeper
+    # would be pytest's
+    with pytest.warns(UserWarning) as solve_record:
+        solve_frozen(spec, None, path)
+    with pytest.warns(UserWarning) as study_record:
+        comparison.comparison_study(spec, spec, 2, 3)
+    for record in (solve_record, study_record):
+        assert [str(w.message).split(" =")[0] for w in record] == [
+            "dt*C_F", "per-step noise multiplier std C_G*sqrt(dt)"]
+        assert [w.filename for w in record] == [__file__] * 2
 
 
 def test_trajectory_csv_layout(tmp_path):
@@ -372,9 +382,11 @@ def test_march_members_equal_their_own_solves(p, K):
     sides = ["min", "max", "max", "min"]
     paths = [sample_noise_path(5, m, K, tg) for m in range(4)]
     weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
-    steps = list(march(spec, np.stack(data), extremal_forcing(sides, 2.0), weights))
-    assert [n for n, _, _ in steps] == list(range(tg.n_steps))
-    batch = np.stack([np.stack(data)] + [u for _, u, _ in steps], axis=1)
+    steps = []
+    log = march(spec, np.stack(data), extremal_forcing(sides, 2.0), weights,
+                lambda n, u: steps.append((n, u.copy())))
+    assert [n for n, _ in steps] == list(range(tg.n_steps))
+    batch = np.stack([np.stack(data)] + [u for _, u in steps], axis=1)
     singles = [
         solve_frozen(ProblemSpec(**{**spec.__dict__, "u0": Field(u0, g)}),
                      extremal_forcing(side, 2.0), path)
@@ -382,7 +394,7 @@ def test_march_members_equal_their_own_solves(p, K):
     for b, single in enumerate(singles):
         assert np.array_equal(batch[b], single.values[0])
     per_member = np.array([single.newton_iters for single in singles])
-    assert [report.iterations for _, _, report in steps] == list(per_member.max(axis=0))
+    assert list(log.newton_iters) == list(per_member.max(axis=0))
     if p == 3.0:
         assert per_member.sum() > 0
 
@@ -409,20 +421,24 @@ def test_a_march_from_a_later_step_repeats_the_full_march(p):
     with pytest.raises(ValueError, match="needs its states and a store"):
         solve_frozen(spec, constant_forcing(0.5), paths, store=stored.__setitem__, start=3)
     weights = np.zeros((N, 3))
+    stored.clear()
     with pytest.raises(ValueError, match="start step"):
-        next(march(spec, full.values[:, 0], None, weights, start=N + 1))
+        march(spec, full.values[:, 0], None, weights, stored.__setitem__, start=N + 1)
+    assert not stored
 
 
 def test_march_rejects_mismatched_inputs():
     spec = _noisy_spec(2.0, 3)
     weights = np.zeros((spec.time_grid.n_steps, 2))
+    stored = {}
     with pytest.raises(ValueError, match="initial states"):
-        next(march(spec, np.zeros((2, 15)), None, weights))
+        march(spec, np.zeros((2, 15)), None, weights, stored.__setitem__)
     # weights one step short: an error, not a shorter march; one member
     # short: an error, not a broadcast weight
     for short in (weights[:-1], weights[:, :1]):
         with pytest.raises(ValueError, match="noise weights of shape"):
-            next(march(spec, np.zeros((2, 16)), None, short))
+            march(spec, np.zeros((2, 16)), None, short, stored.__setitem__)
+    assert not stored  # no step is taken before the inputs are checked
 
 
 def test_implicit_step_batch_members_converge_independently():
