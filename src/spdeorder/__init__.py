@@ -5,7 +5,6 @@ monotone fixed-point iteration approximating the minimal and maximal
 solutions.
 """
 from .core import (
-    Field,
     Grid,
     GridMismatchError,
     TimeGrid,

@@ -58,16 +58,17 @@ def extremal_forcing(sides: Union[str, Sequence[str]],
 
 def build_extremal(
     spec: ProblemSpec,
+    u0: np.ndarray,
     sides: Union[str, Sequence[str]],
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
     drifts: Optional[Sequence[DriftSpec]] = None,
 ) -> Trajectory:
-    """Solve the auxiliary bracket problems in one batch: one side for every
-    path, or one side per noise path.  The forcing reads only C_B of the
-    drift: spec.drift's, or that of each member's drift in drifts."""
+    """Solve the auxiliary bracket problems from u0 in one batch: one side
+    for every path, or one side per noise path.  The forcing reads only C_B
+    of the drift: spec.drift's, or that of each member's drift in drifts."""
     C_B = spec.drift.C_B if drifts is None else [drift.C_B for drift in drifts]
-    return solve_frozen(spec, extremal_forcing(sides, C_B), noise_paths, newton)
+    return solve_frozen(spec, u0, extremal_forcing(sides, C_B), noise_paths, newton)
 
 
 def apply_S(
@@ -89,9 +90,10 @@ def apply_S(
     distinct drift, so every member's values are those of its solve alone.
     A store takes the new states step by step instead (see solve_frozen);
     step n reads row n + 1 of u_tilde before state n + 1 reaches the
-    store.  With start > 0 the solve steps from row start of u_tilde on,
-    which the caller knows S(u_tilde) to share with u_tilde, and the
-    store receives states start + 1 to N."""
+    store.  The solve steps from row start of u_tilde on (row 0, the
+    datum, by default); with start > 0 the caller knows S(u_tilde) to
+    share rows 0..start with u_tilde, and the store receives states
+    start + 1 to N."""
     source = np.arange(u_tilde.n_paths)[members]
     drifts = (spec.drift,) * len(source) if drifts is None else drifts
     if len(drifts) != len(source):
@@ -105,8 +107,8 @@ def apply_S(
             h[rows] = eval_b_values(drift, u_tilde.values[read, n + 1])
         return h
 
-    u_start = u_tilde.values[source, start] if start else None
-    return solve_frozen(spec, forcing, noise_paths, newton, store, start, u_start)
+    return solve_frozen(spec, u_tilde.values[source, start], forcing, noise_paths, newton,
+                        store, start)
 
 
 def _drift_groups(drifts: Sequence[DriftSpec]) -> list:
@@ -177,8 +179,9 @@ class _InPlaceSweep:
         self.current, self.ext, self.excess, self.members = current, ext, excess, members
         # the rows of ext holding each member's lower and upper extremal
         self.lower, self.upper = index[members % P], index[P + members % P]
-        # min side expects new >= old pointwise, max side the reverse
-        self.sign = np.where(members < P, -1.0, 1.0)[:, None, None]
+        # min side expects new >= old pointwise, max side the reverse; the
+        # members are in order, so the min-side ones come first
+        self.n_min = int(np.count_nonzero(members < P))
         self.groups = _drift_groups(drifts)
         width = max(1, min((rows - 1) // 32, _BLOCK_BYTES // (8 * B * n)))
         # the new states of a block, and the old rows they replace
@@ -215,7 +218,8 @@ class _InPlaceSweep:
                                           self.first + moved.argmax(axis=1), self.rows)
         diff = np.subtract(new, old, out=old)
         np.maximum(self.sq, np.max(np.sum(diff * diff, axis=-1), axis=1), out=self.sq)
-        np.maximum(self.mono, np.max(self.sign * diff, axis=(1, 2)), out=self.mono)
+        np.negative(diff[:self.n_min], out=diff[:self.n_min])  # in place, exact
+        np.maximum(self.mono, np.max(diff, axis=(1, 2)), out=self.mono)
         # worst of lower - new and new - upper on each row
         self.excess[self.members, rows] = np.maximum(
             np.max(self.ext[self.lower, rows] - new, axis=-1),
@@ -240,6 +244,7 @@ class _InPlaceSweep:
 
 def iterate_bracket(
     spec: ProblemSpec,
+    u0: np.ndarray,
     noise_paths: Sequence[NoisePath],
     drifts: Optional[Sequence[DriftSpec]] = None,
     tol_fixed: float = 1e-6,
@@ -248,8 +253,8 @@ def iterate_bracket(
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketResult]:
     """Monotone sweeps u <- S(u) of both sides of P (noise path, drift)
-    pairs, in lock step: path m carries drifts[m] (spec.drift for all by
-    default).
+    pairs from the one (n,) datum u0, in lock step: path m carries
+    drifts[m] (spec.drift for all by default).
 
     Member m < P sweeps the min side of path m from its lower extremal,
     member P + m the max side from its upper one.  The extremal forcing
@@ -292,7 +297,7 @@ def iterate_bracket(
         slots.setdefault(key, len(slots))
     index = np.array([slots[key] for key in keys])  # each member's extremal
     owners = [keys.index(key) for key in slots]  # the first member of each
-    extremals = build_extremal(spec, [sides[m] for m in owners],
+    extremals = build_extremal(spec, u0, [sides[m] for m in owners],
                                [paths[m % P] for m in owners], newton,
                                [drifts[m % P] for m in owners])
     grid, tg, N = spec.grid, spec.time_grid, spec.time_grid.n_steps
@@ -303,7 +308,7 @@ def iterate_bracket(
     # u_tilde of every sweep: a read-only view of current
     iterates = Trajectory(grid, tg, current[:], copy=False)
     # the containment defect of each row of each member's latest iterate;
-    # row 0 is spec.u0 in every iterate and extremal
+    # row 0 is u0 in every iterate and extremal
     excess = np.zeros((len(sides), N + 1))
     # residual, monotonicity and containment defects and start of each sweep
     histories = [([], [], [], []) for _ in sides]
@@ -373,6 +378,7 @@ class BracketPair:
 
 def bracket_study(
     spec: ProblemSpec,
+    u0: np.ndarray,
     master_seed: int,
     path_indices: Sequence[int] = (0,),
     drifts: Optional[Sequence[DriftSpec]] = None,
@@ -381,9 +387,10 @@ def bracket_study(
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketPair]:
-    """Both one-sided iterations of every (drift, noise path) pair, in one
-    lock-step batch (see iterate_bracket): drifts defaults to
-    (spec.drift,), and path index m is noise path m of master_seed.
+    """Both one-sided iterations of every (drift, noise path) pair from the
+    (n,) datum u0, in one lock-step batch (see iterate_bracket): drifts
+    defaults to (spec.drift,), and path index m is noise path m of
+    master_seed.
 
     Returns one pair per (drift, path), drift-major: pair
     d * len(path_indices) + i is drifts[d] on path path_indices[i].  Each
@@ -394,7 +401,7 @@ def bracket_study(
     indices = list(path_indices)
     paths = [sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
              for m in indices]
-    results = iterate_bracket(spec, paths * len(drifts),
+    results = iterate_bracket(spec, u0, paths * len(drifts),
                               [drift for drift in drifts for _ in indices],
                               tol_fixed, max_outer, mono_tol, newton)
     P = len(indices) * len(drifts)

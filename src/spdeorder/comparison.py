@@ -1,9 +1,9 @@
 """Pathwise-coupled runs for the comparison principle, with positive-part
 energy diagnostics and the smooth-regularizer energy trace.
 
-Two problems that share every component except initial datum and frozen
-drift are driven by the same noise path; ordered data must yield ordered
-trajectories, quantified through the energy ||(u_1 - u_2)^+||_H^2.
+One equation, started from two initial data with one frozen drift each,
+is driven by the same noise path on both sides; ordered data must yield
+ordered trajectories, quantified through the energy ||(u_1 - u_2)^+||_H^2.
 """
 from __future__ import annotations
 
@@ -25,29 +25,19 @@ from .solver import (
 )
 
 
-class SpecCompatibilityError(ValueError):
-    """Coupled specs differ in more than initial datum and frozen drift."""
-
-
-def _check_coupled_specs(spec_1: ProblemSpec, spec_2: ProblemSpec) -> None:
-    for name in ("grid", "time_grid", "spatial", "reaction", "noise"):
-        if getattr(spec_1, name) != getattr(spec_2, name):
-            raise SpecCompatibilityError(
-                f"coupled specs must share {name}; they differ")
-
-
 def run_coupled(
-    spec_1: ProblemSpec,
-    spec_2: ProblemSpec,
+    spec: ProblemSpec,
+    u0_1: np.ndarray,
+    u0_2: np.ndarray,
     noise_paths: Union[NoisePath, Sequence[NoisePath], None],
     forcing_1: Optional[Forcing] = None,
     forcing_2: Optional[Forcing] = None,
     newton: NewtonParams = NewtonParams(),
 ) -> tuple[Trajectory, Trajectory]:
-    """Solve both frozen problems on the same noise paths, one batch each."""
-    _check_coupled_specs(spec_1, spec_2)
-    traj_1 = solve_frozen(spec_1, forcing_1, noise_paths, newton)
-    traj_2 = solve_frozen(spec_2, forcing_2, noise_paths, newton)
+    """Solve the frozen problem from both data on the same noise paths, one
+    batch each."""
+    traj_1 = solve_frozen(spec, u0_1, forcing_1, noise_paths, newton)
+    traj_2 = solve_frozen(spec, u0_2, forcing_2, noise_paths, newton)
     return traj_1, traj_2
 
 
@@ -127,8 +117,9 @@ def _coupled_forcing(forcing_1: Optional[Forcing], forcing_2: Optional[Forcing],
 
 
 def comparison_study(
-    spec_1: ProblemSpec,
-    spec_2: ProblemSpec,
+    spec: ProblemSpec,
+    u0_1: np.ndarray,
+    u0_2: np.ndarray,
     M: int,
     master_seed: int,
     forcing_1: Optional[Forcing] = None,
@@ -136,7 +127,8 @@ def comparison_study(
     tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
 ) -> ComparisonReport:
-    """Monte Carlo estimate of the comparison defect over M coupled paths.
+    """Monte Carlo estimate of the comparison defect over M coupled paths,
+    side 1 from the (n,) datum u0_1, side 2 from u0_2.
 
     All paths and both sides march in one batch of 2M members: the M
     side-1 members, then the M side-2 ones, member m and M + m on noise
@@ -147,10 +139,7 @@ def comparison_study(
     """
     if M < 1:
         raise ValueError("need at least one path")
-    _check_coupled_specs(spec_1, spec_2)
-    noise = spec_1.noise
-    tg = spec_1.time_grid
-    grid = spec_1.grid
+    noise, tg, grid = spec.noise, spec.time_grid, spec.grid
     N = tg.n_steps
 
     paths = (sample_noise_path(master_seed, m, noise.K, tg) for m in range(M))
@@ -158,7 +147,7 @@ def comparison_study(
     weights = np.concatenate([weights, weights], axis=1)
 
     u0 = np.empty((2 * M, grid.n_interior))
-    u0[:M], u0[M:] = spec_1.u0.values, spec_2.u0.values
+    u0[:M], u0[M:] = u0_1, u0_2
     energies = np.empty((M, N + 1))
     energies[:, 0] = _energy_series(u0[:M], u0[M:], grid.dx)
     pair = np.empty((2, N + 1, grid.n_interior))
@@ -168,7 +157,7 @@ def comparison_study(
         energies[:, n + 1] = _energy_series(u[:M], u[M:], grid.dx)
         pair[:, n + 1] = u[[0, M]]
 
-    log = march(spec_1, u0, _coupled_forcing(forcing_1, forcing_2, M), weights,
+    log = march(spec, u0, _coupled_forcing(forcing_1, forcing_2, M), weights,
                 reduce_step, newton)
 
     # the first path, then its first step, wins a tie

@@ -1,4 +1,4 @@
-"""Grids, discrete fields, norms and order utilities shared by all modules.
+"""Grids, norms and order utilities shared by all modules.
 
 The discrete state space is the set of values on interior nodes of a
 uniform 1D grid with homogeneous Dirichlet boundary values (implicit
@@ -55,40 +55,6 @@ class Grid:
     @classmethod
     def ode(cls) -> "Grid":
         return cls(mode=ODE, n_interior=1, length=1.0)
-
-
-@dataclass(frozen=True)
-class Field:
-    """Values of the discrete state on the interior nodes of a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_interior,):
-            raise ValueError(
-                f"field has {vals.shape} values, grid has "
-                f"{self.grid.n_interior} interior nodes"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
-
-
-def zeros(grid: Grid) -> Field:
-    return Field(np.zeros(grid.n_interior), grid)
-
-
-def constant(grid: Grid, value: float) -> Field:
-    return Field(np.full(grid.n_interior, float(value)), grid)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Optional
 
 import numpy as np
 
 from .bracket import BracketPair, bracket_study
 from .comparison import comparison_study, sigma_energy_trace
 from .config import ConfigError, ScenarioConfig, SCENARIOS
-from .core import Field, Grid, TimeGrid, ODE
+from .core import Grid, TimeGrid, ODE
 from .operators import (
     DRIFT_KINDS,
     REACTION_KINDS,
@@ -58,27 +57,25 @@ def build_noise(cfg: ScenarioConfig) -> NoiseSpec:
                                pointwise_kind=cfg["noise.kind"], C_G=C_G)
 
 
-def build_u0(cfg: ScenarioConfig, grid: Grid) -> Field:
+def build_u0(cfg: ScenarioConfig, grid: Grid) -> np.ndarray:
+    """The (n,) initial datum of the config on grid."""
     kind = cfg["u0.kind"]
     amp = cfg["u0.amplitude"]
     if kind == "zero":
-        return Field(np.zeros(grid.n_interior), grid)
+        return np.zeros(grid.n_interior)
     if kind == "constant":
-        return Field(np.full(grid.n_interior, amp), grid)
+        return np.full(grid.n_interior, amp)
     if grid.mode == ODE:
-        return Field(np.array([amp]), grid)
-    return Field(amp * np.sin(np.pi * grid.x / grid.length), grid)
+        return np.array([amp])
+    return amp * np.sin(np.pi * grid.x / grid.length)
 
 
-def build_problem_spec(cfg: ScenarioConfig, u0: Optional[Field] = None) -> ProblemSpec:
+def build_problem_spec(cfg: ScenarioConfig) -> ProblemSpec:
     """Raises ConfigError naming the key when the config passes the schema
     but violates a spec hypothesis (e.g. a drift above its declared C_B)."""
-    grid = build_grid(cfg)
-    if u0 is None:
-        u0 = build_u0(cfg, grid)
     try:
         return ProblemSpec(
-            grid=grid,
+            grid=build_grid(cfg),
             time_grid=build_time_grid(cfg),
             spatial=SpatialOpSpec(p=cfg["spatial.p"], alpha=cfg["spatial.alpha"],
                                   reg_delta=cfg["spatial.reg_delta"]),
@@ -86,7 +83,6 @@ def build_problem_spec(cfg: ScenarioConfig, u0: Optional[Field] = None) -> Probl
             reaction=build_pointwise(cfg, "reaction", ReactionSpec, REACTION_KINDS,
                                      "C_F"),
             noise=build_noise(cfg),
-            u0=u0,
         )
     except SpecError as err:
         raise ConfigError(f"config key {err.key!r}: {err}") from None
@@ -141,7 +137,8 @@ def _run_brackets(cfg: ScenarioConfig, out_dir: str, M: int = 1,
                                                              jump_side=flipped)
         except SpecError as err:  # a jump value above the growth bound
             raise ConfigError(f"config key {err.key!r}: {err}") from None
-    pairs = bracket_study(spec, cfg["run.master_seed"], range(M), tuple(drifts.values()),
+    pairs = bracket_study(spec, build_u0(cfg, spec.grid), cfg["run.master_seed"], range(M),
+                          tuple(drifts.values()),
                           tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"],
                           mono_tol=cfg["run.mono_tol"], newton=build_newton(cfg))
     groups = {suffix: pairs[d * M:(d + 1) * M] for d, suffix in enumerate(drifts)}
@@ -200,21 +197,17 @@ def _scenario_ode_counterexample(cfg: ScenarioConfig, out_dir: str) -> dict:
 
 
 def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
-    grid = build_grid(cfg)
-    u0_flat = Field(np.zeros(grid.n_interior), grid)
-    u0_sine = Field(np.sin(np.pi * grid.x / grid.length), grid)
+    spec = build_problem_spec(cfg)
+    grid = spec.grid
+    u0_1, u0_2 = np.zeros(grid.n_interior), np.sin(np.pi * grid.x / grid.length)
     if cfg["comparison.reversed"]:
-        u0_1, u0_2 = u0_sine, u0_flat
-    else:
-        u0_1, u0_2 = u0_flat, u0_sine
-    spec_1 = build_problem_spec(cfg, u0=u0_1)
-    spec_2 = build_problem_spec(cfg, u0=u0_2)
-    _run_assumptions(cfg, spec_1, out_dir)
+        u0_1, u0_2 = u0_2, u0_1
+    _run_assumptions(cfg, spec, out_dir)
     # without noise every path is the same deterministic pair
-    M = cfg["run.M"] if spec_1.noise.K > 0 else 1
+    M = cfg["run.M"] if spec.noise.K > 0 else 1
 
     report = comparison_study(
-        spec_1, spec_2, M, cfg["run.master_seed"],
+        spec, u0_1, u0_2, M, cfg["run.master_seed"],
         forcing_1=constant_forcing(cfg["comparison.h_low"]),
         forcing_2=constant_forcing(cfg["comparison.h_high"]),
         tol=cfg["run.comparison_tol"], newton=build_newton(cfg))
@@ -225,7 +218,7 @@ def _scenario_heat_comparison(cfg: ScenarioConfig, out_dir: str) -> dict:
     t1, t2 = report.first_pair
     t1.to_csv(os.path.join(out_dir, "trajectory_lower.csv"))
     t2.to_csv(os.path.join(out_dir, "trajectory_upper.csv"))
-    times = spec_1.time_grid.times()
+    times = spec.time_grid.times()
     traces = {eps: sigma_energy_trace(t1, t2, eps) for eps in cfg["run.eps_list"]}
     with open(os.path.join(out_dir, "sigma_trace.csv"), "w") as fh:
         fh.write("t," + ",".join(f"eps_{eps!r}" for eps in traces) + "\n")

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
-from .core import Field, Grid, ODE, TimeGrid, h_norm_values
+from .core import Grid, ODE, TimeGrid, h_norm_values
 from .noise import NoisePath
 from .operators import (
     DriftSpec,
@@ -54,7 +54,8 @@ class NewtonReport:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full description of one Cauchy problem."""
+    """One equation: grid, time grid, operator, drift, reaction and noise.
+    The initial datum is an argument of each solve."""
 
     grid: Grid
     time_grid: TimeGrid
@@ -62,11 +63,6 @@ class ProblemSpec:
     drift: DriftSpec
     reaction: ReactionSpec
     noise: NoiseSpec
-    u0: Field
-
-    def __post_init__(self):
-        if self.u0.grid != self.grid:
-            raise ValueError("initial datum lives on a different grid")
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,13 @@ def linear_factor(spec: ProblemSpec) -> Optional[tuple]:
     linear (p = 2 on a pde_1d grid), else None.
 
     At p = 2 the flux weight alpha (D^2 + delta)^0 is alpha, so the Jacobian
-    bands are those of A itself, whatever the state they are taken at.
+    bands are those of A itself, whatever the state they are taken at: here
+    zero.
     """
     if spec.grid.mode == ODE or spec.spatial.p != 2.0:
         return None
     dt = spec.time_grid.dt
-    off, diag = jacobian_bands(spec.spatial, spec.u0.values, spec.grid)
+    off, diag = jacobian_bands(spec.spatial, np.zeros(spec.grid.n_interior), spec.grid)
     d, e, info = dpttrf(1.0 + dt * diag, dt * off)
     if info != 0:
         raise NewtonDivergenceError(f"I + dt A is not positive definite (pttrf info {info})")
@@ -304,15 +301,17 @@ def march(
 
     Calls store(n, u_{n+1}) right after step n, for n = start, ...,
     N - 1, and returns the per-step Newton metadata; u_{n+1} is the next
-    step's input and must not be written to.  spec gives everything but
-    the initial states.  A step that fails raises NewtonDivergenceError
-    with its index.  Each member's states do not depend on the other
-    members of the batch.
+    step's input and must not be written to.  Initial states of the wrong
+    shape or with a non-finite value raise ValueError before any step.  A
+    step that fails raises NewtonDivergenceError with its index.  Each
+    member's states do not depend on the other members of the batch.
     """
     u = np.array(u0, dtype=float, order="C")  # the rounding of a row follows its layout
     if u.ndim != 2 or u.shape[1] != spec.grid.n_interior:
         raise ValueError(f"initial states of shape {u.shape}, "
                          f"expected (B, {spec.grid.n_interior})")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial states must be finite")
     if weights.shape != (spec.time_grid.n_steps, u.shape[0]):
         raise ValueError(f"noise weights of shape {weights.shape}, "
                          f"expected ({spec.time_grid.n_steps}, {u.shape[0]})")
@@ -335,25 +334,26 @@ def march(
 
 def solve_frozen(
     spec: ProblemSpec,
+    u0: np.ndarray,
     forcing: Optional[Forcing],
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
     start: int = 0,
-    u_start: Optional[np.ndarray] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """March the scheme with frozen drift h_n = forcing(n, u_n) for a batch
-    of paths, one per noise path (one path when noise_paths is None or a
-    single NoisePath): over all steps from spec.u0, or over steps start to
-    N - 1 from the paths' (B, n) states u_start at step start.
+    of B paths, one per noise path (one path when noise_paths is None or a
+    single NoisePath), over steps start to N - 1 from their states u0 at
+    step start (0 by default): one (n,) state for every path, or one (B, n)
+    row per path.
 
     Returns every state as a Trajectory.  With store given, no state is
     kept: store(n, u) receives the (B, n) states n + 1 right after step n,
     and the result is the NewtonLog of the steps taken.  A march from a
     later step needs a store, since it has no earlier states to return.
 
-    Deterministic given (spec, forcing, noise_paths); each path's values do
-    not depend on the other paths of the batch.
+    Deterministic given (spec, u0, forcing, noise_paths); each path's
+    values do not depend on the other paths of the batch.
     """
     tg = spec.time_grid
     if noise_paths is None:
@@ -369,10 +369,13 @@ def solve_frozen(
 
     weights = np.stack([noise_weights(spec.noise, inc) for inc in increments], axis=1)
     keep = store is None
-    if start and (keep or u_start is None):
-        raise ValueError("a march from a later step needs its states and a store")
-    u0 = np.broadcast_to(spec.u0.values if u_start is None else u_start,
-                         (len(increments), spec.grid.n_interior))
+    if start and keep:
+        raise ValueError("a march from a later step needs a store")
+    shape = (len(increments), spec.grid.n_interior)
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape not in (shape, shape[1:]):
+        raise ValueError(f"initial datum of shape {u0.shape}, expected {shape} or {shape[1:]}")
+    u0 = np.broadcast_to(u0, shape)
     if keep:
         states = np.empty((u0.shape[0], tg.n_steps + 1, u0.shape[1]))
         states[:, 0] = u0

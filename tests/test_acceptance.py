@@ -15,7 +15,6 @@ import spdeorder
 from spdeorder import (
     ComparisonReport,
     DriftSpec,
-    Field,
     Grid,
     NewtonParams,
     NoiseSpec,
@@ -40,8 +39,7 @@ from spdeorder import (
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE
 from spdeorder.cli import main
 from spdeorder.config import resolve_config
-from spdeorder.core import zeros
-from spdeorder.scenarios import build_newton, build_problem_spec
+from spdeorder.scenarios import build_newton, build_problem_spec, build_u0
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:
@@ -56,7 +54,7 @@ def test_criterion_1_counterexample_regression():
     cfg = resolve_config({"scenario": "ode_counterexample"})
     spec = build_problem_spec(cfg)
     kwargs = dict(tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"])
-    (pair,) = bracket_study(spec, cfg["run.master_seed"], **kwargs)
+    (pair,) = bracket_study(spec, build_u0(cfg, spec.grid), cfg["run.master_seed"], **kwargs)
     minimal, maximal = pair.minimal, pair.maximal
     elapsed = time.perf_counter() - start
 
@@ -72,18 +70,16 @@ def test_criterion_1_counterexample_regression():
 
 
 def test_criterion_2_extremal_bracket_closed_forms():
-    g = Grid.ode()
     spec = ProblemSpec(
-        grid=g,
+        grid=Grid.ode(),
         time_grid=TimeGrid(T=1.0, n_steps=10_000),  # dt = 1e-4
         spatial=SpatialOpSpec(),
         drift=DriftSpec("sqrt_plus"),
         reaction=ReactionSpec(),
         noise=NoiseSpec(),
-        u0=Field([0.0], g),
     )
-    upper = build_extremal(spec, MAX_SIDE)
-    lower = build_extremal(spec, MIN_SIDE)
+    upper = build_extremal(spec, [0.0], MAX_SIDE)
+    lower = build_extremal(spec, [0.0], MIN_SIDE)
     err_up = abs(upper.values[0, -1, 0] - 1.71828)
     err_lo = abs(lower.values[0, -1, 0] + 0.63212)
     ok = err_up <= 2e-4 and err_lo <= 2e-4
@@ -94,20 +90,17 @@ def test_criterion_2_extremal_bracket_closed_forms():
 def test_criterion_3_comparison_principle_desk_scale():
     start = time.perf_counter()
     cfg = resolve_config({"scenario": "heat_comparison"})
-    grid = Grid(n_interior=cfg["grid.n"], length=cfg["grid.L"])
-    u0_flat = zeros(grid)
-    u0_sine = Field(np.sin(np.pi * grid.x), grid)
-    base = build_problem_spec(cfg, u0=u0_flat)
-    spec_lo = build_problem_spec(cfg, u0=u0_flat)
-    spec_hi = build_problem_spec(cfg, u0=u0_sine)
-    assert base.noise.K == 8 and base.time_grid.dt == 1e-3
+    spec = build_problem_spec(cfg)
+    u0_flat = np.zeros(spec.grid.n_interior)
+    u0_sine = np.sin(np.pi * spec.grid.x)
+    assert spec.noise.K == 8 and spec.time_grid.dt == 1e-3
 
     h_lo = constant_forcing(cfg["comparison.h_low"])
     h_hi = constant_forcing(cfg["comparison.h_high"])
-    report = comparison_study(spec_lo, spec_hi, M=cfg["run.M"],
+    report = comparison_study(spec, u0_flat, u0_sine, M=cfg["run.M"],
                               master_seed=cfg["run.master_seed"],
                               forcing_1=h_lo, forcing_2=h_hi, tol=1e-10)
-    reversed_report = comparison_study(spec_hi, spec_lo, M=10,
+    reversed_report = comparison_study(spec, u0_sine, u0_flat, M=10,
                                        master_seed=cfg["run.master_seed"],
                                        forcing_1=h_hi, forcing_2=h_lo, tol=1e-10)
     elapsed = time.perf_counter() - start
@@ -171,7 +164,7 @@ def test_criterion_6_monotone_iteration_properties():
     cfg = resolve_config({"scenario": "plap_bracket"})
     spec = build_problem_spec(cfg)
     kwargs = dict(tol_fixed=1e-6, max_outer=100, newton=build_newton(cfg))
-    (pair,) = bracket_study(spec, cfg["run.master_seed"], **kwargs)
+    (pair,) = bracket_study(spec, build_u0(cfg, spec.grid), cfg["run.master_seed"], **kwargs)
     minimal, maximal = pair.minimal, pair.maximal
     mono = max(max(minimal.monotonicity_violations),
                max(maximal.monotonicity_violations))
@@ -197,12 +190,11 @@ def test_criterion_7_unique_regime_collapse():
             drift=DriftSpec("lipschitz_tanh", scale=1.0),
             reaction=ReactionSpec(),
             noise=NoiseSpec.geometric(K) if K else NoiseSpec(),
-            u0=zeros(g),
         )
 
     gaps = {}
     for K, M in ((0, 1), (4, 20)):
-        pairs = bracket_study(spec_for(K), 777, range(M), tol_fixed=1e-8,
+        pairs = bracket_study(spec_for(K), np.zeros(64), 777, range(M), tol_fixed=1e-8,
                               max_outer=100)
         gaps[K] = max(pair.gap for pair in pairs)
         assert all(p.minimal.converged and p.maximal.converged for p in pairs)
@@ -226,9 +218,8 @@ def test_criterion_8_heat_solver_convergence():
             drift=DriftSpec("zero"),
             reaction=ReactionSpec(),
             noise=NoiseSpec(),
-            u0=Field(u0, g),
         )
-        traj = solve_frozen(spec, None, None)
+        traj = solve_frozen(spec, u0, None, None)
         return float(np.max(np.abs(traj.values[0, -1] - exact)))
 
     e1 = terminal_error(1e-4)
@@ -261,12 +252,12 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     # all four paths and both sides in one batch, then reduces in path order
     one_path_studies = []
 
-    def per_path_comparison(spec_1, spec_2, M, master_seed, forcing_1=None,
+    def per_path_comparison(spec, u0_1, u0_2, M, master_seed, forcing_1=None,
                             forcing_2=None, tol=1e-10, newton=NewtonParams()):
         one_path_studies.append(M)
-        tg = spec_1.time_grid
-        pairs = [run_coupled(spec_1, spec_2,
-                             sample_noise_path(master_seed, m, spec_1.noise.K, tg),
+        tg = spec.time_grid
+        pairs = [run_coupled(spec, u0_1, u0_2,
+                             sample_noise_path(master_seed, m, spec.noise.K, tg),
                              forcing_1, forcing_2, newton) for m in range(M)]
         energies = np.stack([energy_series(*pair) for pair in pairs])
         worst_path, worst_step = divmod(int(np.argmax(energies)), tg.n_steps + 1)
@@ -304,9 +295,9 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     one_pair_runs = []
     study = spdeorder.scenarios.bracket_study
 
-    def per_pair_study(spec, master_seed, path_indices, drifts, **kwargs):
+    def per_pair_study(spec, u0, master_seed, path_indices, drifts, **kwargs):
         one_pair_runs.append((len(path_indices), len(drifts)))
-        return [study(spec, master_seed, [m], [drift], **kwargs)[0]
+        return [study(spec, u0, master_seed, [m], [drift], **kwargs)[0]
                 for drift in drifts for m in path_indices]
 
     monkeypatch.setattr(spdeorder.scenarios, "bracket_study", per_pair_study)

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from spdeorder import bracket
 from spdeorder import (
     DriftSpec,
-    Field,
     Grid,
     NewtonParams,
     NoiseSpec,
@@ -29,22 +28,24 @@ from spdeorder import (
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
 from spdeorder.cli import main
 from spdeorder.config import resolve_config
-from spdeorder.core import zeros
 from spdeorder.operators import eval_b_values
-from spdeorder.scenarios import build_problem_spec
+from spdeorder.scenarios import build_problem_spec, build_u0
 
 
 def ode_sqrt_spec(n_steps=1000, T=1.0):
-    g = Grid.ode()
+    """The ODE u' = sqrt(u^+), whose solutions from the datum ZERO are 0 and
+    t^2/4, among others."""
     return ProblemSpec(
-        grid=g,
+        grid=Grid.ode(),
         time_grid=TimeGrid(T=T, n_steps=n_steps),
         spatial=SpatialOpSpec(),
         drift=DriftSpec("sqrt_plus"),
         reaction=ReactionSpec(),
         noise=NoiseSpec(),
-        u0=Field([0.0], g),
     )
+
+
+ZERO = np.zeros(1)  # the ODE datum
 
 
 def test_extremal_forcing_values():
@@ -72,8 +73,8 @@ def test_extremal_forcing_per_path_sides():
 def test_extremal_odes_match_exponential_solutions():
     # u' = -(1+u) from 0 gives e^{-t} - 1; u' = +(1+u) gives e^t - 1
     spec = ode_sqrt_spec(n_steps=10_000)
-    lower = build_extremal(spec, MIN_SIDE)
-    upper = build_extremal(spec, MAX_SIDE)
+    lower = build_extremal(spec, ZERO, MIN_SIDE)
+    upper = build_extremal(spec, ZERO, MAX_SIDE)
     times = lower.times()
     assert np.allclose(lower.values[0, :, 0], np.exp(-times) - 1.0, atol=2e-4)
     assert np.allclose(upper.values[0, :, 0], np.exp(times) - 1.0, atol=5e-4)
@@ -90,7 +91,7 @@ def test_apply_S_zero_is_fixed_point():
 def test_apply_S_on_upper_extremal_quadrature_oracle():
     # S applied to e^t - 1 integrates sqrt(e^s - 1); compare with quadrature
     spec = ode_sqrt_spec(n_steps=20_000)
-    upper = build_extremal(spec, MAX_SIDE)
+    upper = build_extremal(spec, ZERO, MAX_SIDE)
     image = apply_S(spec, upper)
     expected, _ = quad(lambda s: np.sqrt(np.expm1(s)), 0.0, 1.0)
     assert image.values[0, -1, 0] == pytest.approx(expected, abs=1e-3)
@@ -99,7 +100,7 @@ def test_apply_S_on_upper_extremal_quadrature_oracle():
 
 def test_min_side_iteration_locks_onto_zero():
     spec = ode_sqrt_spec(n_steps=500)
-    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-10, max_outer=10)
+    (pair,) = bracket_study(spec, ZERO, master_seed=0, tol_fixed=1e-10, max_outer=10)
     res = pair.minimal
     assert res.converged
     assert res.monotone_ok
@@ -109,7 +110,7 @@ def test_min_side_iteration_locks_onto_zero():
 
 def test_max_side_iteration_monotone_decreasing_residual():
     spec = ode_sqrt_spec(n_steps=2000)
-    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-6, max_outer=60)
+    (pair,) = bracket_study(spec, ZERO, master_seed=0, tol_fixed=1e-6, max_outer=60)
     res = pair.maximal
     assert res.converged
     assert res.monotone_ok
@@ -122,18 +123,16 @@ def test_max_side_iteration_monotone_decreasing_residual():
 
 
 def test_zero_drift_converges_in_two_sweeps():
-    g = Grid(n_interior=8)
     spec = ProblemSpec(
-        grid=g,
+        grid=Grid(n_interior=8),
         time_grid=TimeGrid(T=0.1, n_steps=20),
         spatial=SpatialOpSpec(),
         drift=DriftSpec("zero"),
         reaction=ReactionSpec(),
         noise=NoiseSpec(),
-        u0=zeros(g),
     )
     # S is constant in its argument, so the second sweep reproduces the first
-    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-12, max_outer=5)
+    (pair,) = bracket_study(spec, np.zeros(8), master_seed=0, tol_fixed=1e-12, max_outer=5)
     res = pair.minimal
     assert res.converged
     assert res.n_sweeps <= 2
@@ -142,31 +141,29 @@ def test_zero_drift_converges_in_two_sweeps():
 def test_iterate_bracket_parameter_validation():
     spec = ode_sqrt_spec(n_steps=10)
     with pytest.raises(ValueError):
-        bracket_study(spec, master_seed=0, tol_fixed=0.0)
+        bracket_study(spec, ZERO, master_seed=0, tol_fixed=0.0)
     with pytest.raises(ValueError):
-        bracket_study(spec, master_seed=0, max_outer=0)
+        bracket_study(spec, ZERO, master_seed=0, max_outer=0)
     with pytest.raises(ValueError):
-        bracket_study(spec, master_seed=0, path_indices=[])
+        bracket_study(spec, ZERO, master_seed=0, path_indices=[])
     with pytest.raises(ValueError):
-        bracket_study(spec, master_seed=0, drifts=[])
+        bracket_study(spec, ZERO, master_seed=0, drifts=[])
     path = sample_noise_path(0, 0, 0, spec.time_grid)
     with pytest.raises(ValueError):  # one drift per path
-        iterate_bracket(spec, [path, path], [spec.drift])
+        iterate_bracket(spec, ZERO, [path, path], [spec.drift])
 
 
 def test_bracket_study_pairs():
-    g = Grid(n_interior=8)
     spec = ProblemSpec(
-        grid=g,
+        grid=Grid(n_interior=8),
         time_grid=TimeGrid(T=0.1, n_steps=50),
         spatial=SpatialOpSpec(),
         drift=DriftSpec("lipschitz_tanh", scale=0.5),
         reaction=ReactionSpec(),
         noise=NoiseSpec.geometric(2),
-        u0=zeros(g),
     )
-    pairs = bracket_study(spec, master_seed=5, path_indices=range(2), tol_fixed=1e-8,
-                          max_outer=50)
+    pairs = bracket_study(spec, np.zeros(8), master_seed=5, path_indices=range(2),
+                          tol_fixed=1e-8, max_outer=50)
     assert [p.path_index for p in pairs] == [0, 1]
     for pair in pairs:
         assert pair.minimal.converged and pair.maximal.converged
@@ -178,7 +175,7 @@ def test_bracket_study_pairs():
 def test_min_side_defects_are_never_negative_zero():
     # the min side's zero iterates differ by -(+0.0) = -0.0 between sweeps
     spec = ode_sqrt_spec(n_steps=500)
-    (pair,) = bracket_study(spec, master_seed=0, tol_fixed=1e-10, max_outer=10)
+    (pair,) = bracket_study(spec, ZERO, master_seed=0, tol_fixed=1e-10, max_outer=10)
     for res in (pair.minimal, pair.maximal):
         defects = res.monotonicity_violations + res.containment_violations
         assert all(math.copysign(1.0, v) == 1.0 for v in defects)
@@ -187,27 +184,31 @@ def test_min_side_defects_are_never_negative_zero():
 
 def stochastic_jump_spec():
     """A small stochastic bracket like the n256 benchmark: p=3, heaviside
-    jump, four noise modes, sine datum; its members need 3 or 4 sweeps."""
-    g = Grid(n_interior=16)
+    jump, four noise modes; from the sine datum its members need 3 or 4
+    sweeps."""
     return ProblemSpec(
-        grid=g,
+        grid=Grid(n_interior=16),
         time_grid=TimeGrid(T=0.1, n_steps=50),
         spatial=SpatialOpSpec(p=3.0),
         drift=DriftSpec("heaviside", s0=0.5, low=0.0, high=1.0),
         reaction=ReactionSpec(),
         noise=NoiseSpec.geometric(4),
-        u0=Field(np.sin(np.pi * g.x), g),
     )
 
 
-def sweep_alone(spec, path, side, tol_fixed, max_outer):
+def sine(spec):
+    """The datum sin(pi x) on spec's grid."""
+    return np.sin(np.pi * spec.grid.x)
+
+
+def sweep_alone(spec, u0, path, side, tol_fixed, max_outer):
     """One side of one path swept at B = 1 under spec.drift, the way the
     iteration is defined: every sweep a whole apply_S call from step 0.
     Returns the extremal, the final and, per sweep, the residual,
     monotonicity and containment defects and the start step the drift
     values give (sweep 1 at 0, then the row before the first changed
     drift value, N when none changed)."""
-    lower, upper = (bracket.build_extremal(spec, s, path) for s in (MIN_SIDE, MAX_SIDE))
+    lower, upper = (bracket.build_extremal(spec, u0, s, path) for s in (MIN_SIDE, MAX_SIDE))
     start = current = lower if side == MIN_SIDE else upper
     sign = -1.0 if side == MIN_SIDE else 1.0
     history, old_bits = [], None
@@ -231,10 +232,11 @@ def sweep_alone(spec, path, side, tol_fixed, max_outer):
 
 def test_bracket_study_independent_of_batch():
     spec = stochastic_jump_spec()
+    u0 = sine(spec)
     M, kwargs = 5, dict(tol_fixed=1e-6, max_outer=100)
-    batch = bracket_study(spec, 12345, range(M), **kwargs)
-    alone = [bracket_study(spec, 12345, [m], **kwargs)[0] for m in range(M)]
-    smaller = bracket_study(spec, 12345, range(2), **kwargs)
+    batch = bracket_study(spec, u0, 12345, range(M), **kwargs)
+    alone = [bracket_study(spec, u0, 12345, [m], **kwargs)[0] for m in range(M)]
+    smaller = bracket_study(spec, u0, 12345, range(2), **kwargs)
     assert [p.path_index for p in batch] == list(range(M))
     whole = [r for p in batch for r in (p.minimal, p.maximal)]
     assert len({r.n_sweeps for r in whole}) >= 2  # members stop at different sweeps
@@ -252,7 +254,7 @@ def test_bracket_study_independent_of_batch():
     for pair in batch:
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
         for res in (pair.minimal, pair.maximal):
-            start, final, (residuals, *_) = sweep_alone(spec, path, res.side, **kwargs)
+            start, final, (residuals, *_) = sweep_alone(spec, u0, path, res.side, **kwargs)
             assert np.array_equal(res.extremal_start.values, start.values)
             assert np.array_equal(res.final.values, final.values)
             assert res.residual_history == residuals
@@ -262,8 +264,8 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     # from u0 = 0 at the jump s0 = 0 the jump value selects the solution, so
     # the two heaviside members differ; the tanh member has its own C_B
     spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(),
-                               noise=NoiseSpec.geometric(2),
-                               u0=zeros(Grid(n_interior=16)))
+                               noise=NoiseSpec.geometric(2))
+    u0 = np.zeros(16)
     drifts = [DriftSpec("heaviside", s0=0.0, jump_side="lower"),
               DriftSpec("heaviside", s0=0.0, jump_side="upper"),
               DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5),
@@ -271,7 +273,7 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     shared = [sample_noise_path(3, m, 2, spec.time_grid) for m in (0, 1)]
     paths = [shared[m] for m in (0, 0, 1, 1)]
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
-    results = iterate_bracket(spec, paths, drifts, **kwargs)
+    results = iterate_bracket(spec, u0, paths, drifts, **kwargs)
     P = len(paths)
     # one extremal per distinct (noise path, side, C_B): the two heaviside
     # drifts on path 0 share theirs, the tanh and heaviside ones on path 1
@@ -282,7 +284,8 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     assert len({r.n_sweeps for r in results}) >= 2
     for m, res in enumerate(results):
         alone = dataclasses.replace(spec, drift=drifts[m % P])
-        start, final, (residuals, *_) = sweep_alone(alone, paths[m % P], res.side, **kwargs)
+        start, final, (residuals, *_) = sweep_alone(alone, u0, paths[m % P], res.side,
+                                                    **kwargs)
         assert np.array_equal(res.extremal_start.values, start.values)
         assert np.array_equal(res.final.values, final.values)
         assert res.residual_history == residuals
@@ -293,10 +296,10 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
     calls = []
     build = bracket.build_extremal
 
-    def counted(spec, sides, noise_paths, newton, drifts):
+    def counted(spec, u0, sides, noise_paths, newton, drifts):
         calls.append([(side, drift.jump_side) for side, drift in zip(sides, drifts)])
         assert len(noise_paths) == len(sides)
-        return build(spec, sides, noise_paths, newton, drifts)
+        return build(spec, u0, sides, noise_paths, newton, drifts)
 
     monkeypatch.setattr(bracket, "build_extremal", counted)
     cfg = tmp_path / "dual.cfg"
@@ -315,15 +318,15 @@ def test_sweeps_write_their_iterates_in_place():
     g = Grid(n_interior=64)
     spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
                                time_grid=TimeGrid(T=0.2, n_steps=400),
-                               noise=NoiseSpec.geometric(2),
-                               u0=Field(np.sin(np.pi * g.x), g))
+                               noise=NoiseSpec.geometric(2))
+    u0 = sine(spec)
     M = 3
     paths = [sample_noise_path(7, m, spec.noise.K, spec.time_grid) for m in range(M)]
     one_array = 2 * M * (spec.time_grid.n_steps + 1) * g.n_interior * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        results = iterate_bracket(spec, paths, tol_fixed=1e-6, max_outer=100)
+        results = iterate_bracket(spec, u0, paths, tol_fixed=1e-6, max_outer=100)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -336,7 +339,7 @@ def test_sweeps_write_their_iterates_in_place():
 
 def test_bracket_results_are_read_only_views():
     spec = stochastic_jump_spec()
-    pairs = bracket_study(spec, 1, range(3), tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, sine(spec), 1, range(3), tol_fixed=1e-6, max_outer=100)
     for pair in pairs:
         for res in (pair.minimal, pair.maximal):
             for traj in (res.final, res.extremal_start):
@@ -374,7 +377,7 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
     monkeypatch.setattr(bracket, "build_extremal", counted(bracket.build_extremal,
                                                            "build_extremal"))
     monkeypatch.setattr(bracket, "apply_S", counted(bracket.apply_S, "apply_S"))
-    pairs = bracket_study(spec, 12345, range(5), tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, sine(spec), 12345, range(5), tol_fixed=1e-6, max_outer=100)
 
     results = [r for p in pairs for r in (p.minimal, p.maximal)]
     N = spec.time_grid.n_steps
@@ -396,29 +399,34 @@ def plap_p3_dual_jump():
     cfg = resolve_config({"scenario": "plap_bracket", "spatial.p": 3.0, "grid.n": 16,
                           "time.T": 0.05})
     spec = build_problem_spec(cfg)
-    return spec, (spec.drift, dataclasses.replace(spec.drift, jump_side="upper")), 1
+    return (spec, build_u0(cfg, spec.grid),
+            (spec.drift, dataclasses.replace(spec.drift, jump_side="upper")), 1)
 
 
-# (spec, drifts, paths) of each case, and the start steps its sweeps take:
+def with_sine(spec, M):
+    return spec, sine(spec), None, M
+
+
+# (spec, u0, drifts, paths) of each case, and the start steps its sweeps take:
 # step 0, a later step, or none (N, a sweep without stepping)
 ALL_STARTS = {"0", "later", "none"}
 REFERENCE_CASES = {
-    "heaviside_batch": (lambda: (stochastic_jump_spec(), None, 3), ALL_STARTS),
+    "heaviside_batch": (lambda: with_sine(stochastic_jump_spec(), 3), ALL_STARTS),
     "plap_p3_dual_jump": (plap_p3_dual_jump, ALL_STARTS),
     # the tanh drift changes on row 1 in every sweep
-    "lipschitz_tanh": (lambda: (dataclasses.replace(
+    "lipschitz_tanh": (lambda: with_sine(dataclasses.replace(
         stochastic_jump_spec(), drift=DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)),
-        None, 2), {"0"}),
-    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), None, 1), {"0", "none"}),
+        2), {"0"}),
+    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), ZERO, None, 1), {"0", "none"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
     build, kinds = REFERENCE_CASES[case]
-    spec, drifts, M = build()
+    spec, u0, drifts, M = build()
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
-    pairs = bracket_study(spec, 12345, range(M), drifts, **kwargs)
+    pairs = bracket_study(spec, u0, 12345, range(M), drifts, **kwargs)
     drifts = drifts or (spec.drift,)
     N = spec.time_grid.n_steps
     all_starts = []
@@ -426,7 +434,8 @@ def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
         for res in (pair.minimal, pair.maximal):
             alone = dataclasses.replace(spec, drift=drifts[i // M])
-            start, final, (*defects, starts) = sweep_alone(alone, path, res.side, **kwargs)
+            start, final, (*defects, starts) = sweep_alone(alone, u0, path, res.side,
+                                                           **kwargs)
             assert np.array_equal(res.extremal_start.values, start.values)
             assert np.array_equal(res.final.values, final.values)
             for ours, theirs in zip((res.residual_history, res.monotonicity_violations,
@@ -448,20 +457,22 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
     # take no step, and still record the defect of every row
     build = bracket.build_extremal
 
-    def raised(spec, sides, noise_paths=None, newton=NewtonParams(), drifts=None):
-        ext = build(spec, sides, noise_paths, newton, drifts)
+    def raised(spec, u0, sides, noise_paths=None, newton=NewtonParams(), drifts=None):
+        ext = build(spec, u0, sides, noise_paths, newton, drifts)
         values = ext.values.copy()
         values[np.asarray(sides).reshape(-1) == MIN_SIDE, 1:3] += 0.01
         return Trajectory(ext.grid, ext.time_grid, values)
 
     monkeypatch.setattr(bracket, "build_extremal", raised)
     spec = stochastic_jump_spec()
+    u0 = sine(spec)
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
-    pairs = bracket_study(spec, 12345, range(2), **kwargs)
+    pairs = bracket_study(spec, u0, 12345, range(2), **kwargs)
     for pair in pairs:
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
         for res in (pair.minimal, pair.maximal):
-            _, final, (*_, containment, starts) = sweep_alone(spec, path, res.side, **kwargs)
+            _, final, (*_, containment, starts) = sweep_alone(spec, u0, path, res.side,
+                                                              **kwargs)
             assert np.array_equal(res.final.values, final.values)
             assert np.array_equal(res.containment_violations, containment)
             assert res.sweep_starts == starts
@@ -476,7 +487,7 @@ def test_a_drift_value_changed_only_in_the_sign_of_zero_is_a_change():
     # from the row before the crossing, not be taken without stepping
     drift = DriftSpec("heaviside", s0=-0.5, low=-0.0, high=0.0, C_B=2.0)
     spec = dataclasses.replace(ode_sqrt_spec(n_steps=100), drift=drift)
-    (pair,) = bracket_study(spec, 0)
+    (pair,) = bracket_study(spec, ZERO, 0)
     res = pair.minimal
     ext_values = eval_b_values(drift, res.extremal_start.values)
     final_values = eval_b_values(drift, res.final.values)

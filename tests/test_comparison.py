@@ -6,7 +6,6 @@ import pytest
 from spdeorder import (
     ComparisonReport,
     DriftSpec,
-    Field,
     Grid,
     NoiseSpec,
     ProblemSpec,
@@ -20,49 +19,46 @@ from spdeorder import (
     run_coupled,
     sigma_energy_trace,
 )
-from spdeorder.comparison import SpecCompatibilityError
-from spdeorder.core import constant, zeros
 from spdeorder.noise import sample_noise_path
 
 
-def make_spec(u0_value, grid=None, n_steps=50, T=0.1, K=0, reaction=None, p=2.0):
-    grid = grid or Grid(n_interior=16)
+def make_spec(grid=None, n_steps=50, T=0.1, K=0, p=2.0):
     return ProblemSpec(
-        grid=grid,
+        grid=grid or Grid(n_interior=16),
         time_grid=TimeGrid(T=T, n_steps=n_steps),
         spatial=SpatialOpSpec(p=p),
         drift=DriftSpec("zero"),
-        reaction=reaction or ReactionSpec(),
-        noise=NoiseSpec.geometric(K) if K else NoiseSpec(),
-        u0=constant(grid, u0_value),
-    )
-
-
-def ode_spec(u0_value):
-    g = Grid.ode()
-    return ProblemSpec(
-        grid=g,
-        time_grid=TimeGrid(T=1.0, n_steps=100),
-        spatial=SpatialOpSpec(),
-        drift=DriftSpec("zero"),
         reaction=ReactionSpec(),
-        noise=NoiseSpec(),
-        u0=Field([u0_value], g),
+        noise=NoiseSpec.geometric(K) if K else NoiseSpec(),
     )
+
+
+def const(spec, value):
+    """The constant datum value on the nodes of spec's grid."""
+    return np.full(spec.grid.n_interior, float(value))
+
+
+ODE_SPEC = ProblemSpec(
+    grid=Grid.ode(),
+    time_grid=TimeGrid(T=1.0, n_steps=100),
+    spatial=SpatialOpSpec(),
+    drift=DriftSpec("zero"),
+    reaction=ReactionSpec(),
+    noise=NoiseSpec(),
+)
 
 
 def test_identical_specs_zero_energy():
-    spec = make_spec(1.0, K=2)
+    spec = make_spec(K=2)
     path = sample_noise_path(3, 0, 2, spec.time_grid)
-    t1, t2 = run_coupled(spec, spec, path)
+    t1, t2 = run_coupled(spec, const(spec, 1.0), const(spec, 1.0), path)
     assert np.all(energy_series(t1, t2) == 0.0)
     assert np.all(energy_series(t2, t1) == 0.0)
 
 
 def test_ode_opposite_forcings_exact_energy():
     # h = -1 gives u = -t, h = +1 gives u = +t (explicit in ode mode)
-    lo, hi = ode_spec(0.0), ode_spec(0.0)
-    t_lo, t_hi = run_coupled(lo, hi, None, constant_forcing(-1.0),
+    t_lo, t_hi = run_coupled(ODE_SPEC, [0.0], [0.0], None, constant_forcing(-1.0),
                              constant_forcing(1.0))
     times = t_lo.times()
     assert np.allclose(t_lo.values[0, :, 0], -times)
@@ -72,29 +68,19 @@ def test_ode_opposite_forcings_exact_energy():
     assert np.allclose(energy_series(t_hi, t_lo), (2.0 * times) ** 2)
 
 
-def test_incompatible_specs_rejected():
-    a = make_spec(0.0)
-    b = make_spec(0.0, grid=Grid(n_interior=17))
-    with pytest.raises(SpecCompatibilityError):
-        run_coupled(a, b, None)
-    c = make_spec(0.0, reaction=ReactionSpec("linear", slope=0.5))
-    with pytest.raises(SpecCompatibilityError):
-        run_coupled(a, c, None)
-
-
 def test_comparison_study_ordered_data_passes():
-    lo = make_spec(0.0, K=4)
-    hi = make_spec(1.0, K=4)
-    report = comparison_study(lo, hi, M=8, master_seed=7, tol=1e-10)
+    spec = make_spec(K=4)
+    report = comparison_study(spec, const(spec, 0.0), const(spec, 1.0), M=8, master_seed=7,
+                              tol=1e-10)
     assert report.passed
     assert report.worst_energy == 0.0
     assert report.n_paths == 8
 
 
 def test_comparison_study_reversed_order_fails():
-    lo = make_spec(0.0, K=4)
-    hi = make_spec(1.0, K=4)
-    report = comparison_study(hi, lo, M=4, master_seed=7, tol=1e-10)
+    spec = make_spec(K=4)
+    report = comparison_study(spec, const(spec, 1.0), const(spec, 0.0), M=4, master_seed=7,
+                              tol=1e-10)
     assert not report.passed
     assert report.worst_energy > 0.1
     assert report.worst_path >= 0
@@ -102,11 +88,11 @@ def test_comparison_study_reversed_order_fails():
 
 
 def test_comparison_study_path_ordered_reduction():
-    lo = make_spec(0.0, K=3)
-    hi = make_spec(0.5, K=3)
-    report = comparison_study(hi, lo, M=6, master_seed=11)
+    spec = make_spec(K=3)
+    hi, lo = const(spec, 0.5), const(spec, 0.0)
+    report = comparison_study(spec, hi, lo, M=6, master_seed=11)
     stacked = np.stack([
-        energy_series(*run_coupled(hi, lo, sample_noise_path(11, m, 3, hi.time_grid)))
+        energy_series(*run_coupled(spec, hi, lo, sample_noise_path(11, m, 3, spec.time_grid)))
         for m in range(6)])
     assert np.array_equal(report.max_energy, np.max(stacked, axis=0))
     assert np.array_equal(report.mean_energy, np.sum(stacked, axis=0) / 6)
@@ -119,10 +105,10 @@ def test_comparison_study_path_ordered_reduction():
 def test_comparison_study_tie_goes_to_the_first_path():
     # without noise the three paths are one pair, so every step ties
     # across paths: path 0 wins, and the reductions see three equal rows
-    lo = make_spec(0.0)
-    hi = make_spec(0.5)
-    report = comparison_study(hi, lo, M=3, master_seed=11)
-    single = energy_series(*run_coupled(hi, lo, None))
+    spec = make_spec()
+    hi, lo = const(spec, 0.5), const(spec, 0.0)
+    report = comparison_study(spec, hi, lo, M=3, master_seed=11)
+    single = energy_series(*run_coupled(spec, hi, lo, None))
     assert (report.worst_path, report.worst_step) == (0, int(np.argmax(single)))
     assert report.worst_energy == single.max() > 0.0
     assert np.array_equal(report.max_energy, single)
@@ -133,28 +119,26 @@ def test_comparison_study_tie_goes_to_the_first_path():
 
 def test_report_keeps_path_zero_pair():
     # the scenario's trajectory and sigma-trace artifacts reuse this pair
-    lo = make_spec(0.0, K=3)
-    hi = make_spec(0.5, K=3)
-    report = comparison_study(lo, hi, M=3, master_seed=11)
-    t1, t2 = run_coupled(lo, hi, sample_noise_path(11, 0, 3, lo.time_grid))
+    spec = make_spec(K=3)
+    lo, hi = const(spec, 0.0), const(spec, 0.5)
+    report = comparison_study(spec, lo, hi, M=3, master_seed=11)
+    t1, t2 = run_coupled(spec, lo, hi, sample_noise_path(11, 0, 3, spec.time_grid))
     assert np.array_equal(report.first_pair[0].values, t1.values)
     assert np.array_equal(report.first_pair[1].values, t2.values)
 
 
 def test_energies_csv(tmp_path):
-    lo = make_spec(0.0)
-    hi = make_spec(1.0)
-    report = comparison_study(lo, hi, M=1, master_seed=0)
+    spec = make_spec()
+    report = comparison_study(spec, const(spec, 0.0), const(spec, 1.0), M=1, master_seed=0)
     out = tmp_path / "energies.csv"
     report.energies_to_csv(out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,max_energy,mean_energy"
-    assert len(lines) == 1 + lo.time_grid.n_steps + 1
+    assert len(lines) == 1 + spec.time_grid.n_steps + 1
 
 
 def test_sigma_trace_zero_when_ordered():
-    lo, hi = ode_spec(0.0), ode_spec(1.0)
-    t_lo, t_hi = run_coupled(lo, hi, None)
+    t_lo, t_hi = run_coupled(ODE_SPEC, [0.0], [1.0], None)
     for eps in (1.0, 0.1, 1e-3):
         assert np.all(sigma_energy_trace(t_lo, t_hi, eps) == 0.0)
 
@@ -162,8 +146,7 @@ def test_sigma_trace_zero_when_ordered():
 def test_sigma_trace_constant_gap_oracle():
     # constant difference c above eps: trace is c^2/2 - 0.1 eps^2 per unit mass
     c = 2.0
-    lo, hi = ode_spec(0.0), ode_spec(c)
-    t_lo, t_hi = run_coupled(lo, hi, None)
+    t_lo, t_hi = run_coupled(ODE_SPEC, [0.0], [c], None)
     for eps in (0.5, 1e-2):
         trace = sigma_energy_trace(t_hi, t_lo, eps)
         assert np.allclose(trace, c * c / 2.0 - 0.1 * eps * eps)
@@ -197,11 +180,11 @@ def test_sigma_trace_shape_mismatch():
 def test_comparison_study_equals_per_path_coupled_solves(p):
     # 7 paths and both sides in one batch against each path solved alone;
     # side 1 has no forcing, side 2 a constant one
-    lo = make_spec(0.0, K=3, p=p)
-    hi = make_spec(0.5, K=3, p=p)
+    spec = make_spec(K=3, p=p)
+    hi, lo = const(spec, 0.5), const(spec, 0.0)
     h_lo = constant_forcing(-0.5)
-    report = comparison_study(hi, lo, M=7, master_seed=11, forcing_2=h_lo)
-    pairs = [run_coupled(hi, lo, sample_noise_path(11, m, 3, hi.time_grid),
+    report = comparison_study(spec, hi, lo, M=7, master_seed=11, forcing_2=h_lo)
+    pairs = [run_coupled(spec, hi, lo, sample_noise_path(11, m, 3, spec.time_grid),
                          forcing_2=h_lo) for m in range(7)]
     if p == 3.0:
         assert all(sum(t.newton_iters) > 0 for pair in pairs for t in pair)
@@ -225,13 +208,13 @@ def test_comparison_study_memory_is_path_zero_noise_and_energies():
     # member and step, never as the paths' K increments per step.
     M, N, n, K = 40, 250, 64, 8
     grid = Grid(n_interior=n)
-    lo = make_spec(0.0, grid=grid, n_steps=N, T=0.25, K=K)
-    hi = make_spec(1.0, grid=grid, n_steps=N, T=0.25, K=K)
+    spec = make_spec(grid=grid, n_steps=N, T=0.25, K=K)
+    data = (const(spec, 0.0), const(spec, 1.0))
     forcings = dict(forcing_1=constant_forcing(-0.5), forcing_2=constant_forcing(0.5))
-    comparison_study(lo, hi, M=2, master_seed=3, **forcings)  # warm up
+    comparison_study(spec, *data, M=2, master_seed=3, **forcings)  # warm up
     tracemalloc.start()
     try:
-        report = comparison_study(lo, hi, M=M, master_seed=3, **forcings)
+        report = comparison_study(spec, *data, M=M, master_seed=3, **forcings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

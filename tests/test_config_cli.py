@@ -274,6 +274,33 @@ def test_every_kind_builds_from_config(section, kind):
     np.testing.assert_allclose(values, expected, rtol=1e-15, atol=0.0)
 
 
+_DATA = {
+    # grid overrides, then the expected datum of each u0.kind at amplitude 1.5
+    "pde_1d": ({"grid.n": 5, "grid.L": 2.0},
+               {"zero": [0.0] * 5, "constant": [1.5] * 5,
+                # 1.5 sin(pi x / L) at x = L/6, ..., 5L/6
+                "sine": [0.75, 0.75 * np.sqrt(3.0), 1.5, 0.75 * np.sqrt(3.0), 0.75]}),
+    # an ODE datum is the amplitude itself, whatever its shape in space
+    "ode": ({"grid.mode": "ode", "grid.n": 1},
+            {"zero": [0.0], "constant": [1.5], "sine": [1.5]}),
+}
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "sine"])
+@pytest.mark.parametrize("mode", sorted(_DATA))
+def test_build_u0_is_the_configured_datum(mode, kind):
+    grid_keys, expected = _DATA[mode]
+    cfg = resolve_config({"scenario": "custom", **grid_keys, "u0.kind": kind,
+                          "u0.amplitude": 1.5})
+    grid = scenarios.build_grid(cfg)
+    u0 = scenarios.build_u0(cfg, grid)
+    assert isinstance(u0, np.ndarray) and u0.dtype == np.float64
+    assert u0.shape == (grid.n_interior,) == (len(expected[kind]),)
+    np.testing.assert_allclose(u0, expected[kind], rtol=0.0, atol=1e-15)
+    if kind != "sine":
+        assert np.array_equal(u0, expected[kind])
+
+
 def test_cli_ode_counterexample_end_to_end(tmp_path):
     doc = tmp_path / "ode.cfg"
     doc.write_text("scenario = ode_counterexample\ntime.dt = 0.002\n")

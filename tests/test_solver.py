@@ -5,7 +5,6 @@ import pytest
 
 from spdeorder import (
     DriftSpec,
-    Field,
     Grid,
     NewtonDivergenceError,
     NewtonParams,
@@ -25,30 +24,25 @@ from spdeorder import (
 from spdeorder import comparison
 from spdeorder.bracket import extremal_forcing
 from spdeorder.cli import main
-from spdeorder.core import constant, zeros
 from spdeorder.noise import NoisePath, sample_noise_path
 from spdeorder.operators import apply_A_values, noise_weights
 from spdeorder.solver import linear_factor
 
 
-def heat_spec(n=32, T=0.1, n_steps=100, u0=None, p=2.0, alpha=1.0):
-    grid = Grid(n_interior=n)
-    if u0 is None:
-        u0 = zeros(grid)
+def heat_spec(n=32, T=0.1, n_steps=100, p=2.0, alpha=1.0):
     return ProblemSpec(
-        grid=grid,
+        grid=Grid(n_interior=n),
         time_grid=TimeGrid(T=T, n_steps=n_steps),
         spatial=SpatialOpSpec(p=p, alpha=alpha),
         drift=DriftSpec("zero"),
         reaction=ReactionSpec(),
         noise=NoiseSpec(),
-        u0=u0,
     )
 
 
 def test_zero_data_stays_zero():
     spec = heat_spec(p=3.0)
-    traj = solve_frozen(spec, None, None)
+    traj = solve_frozen(spec, np.zeros(32), None, None)
     assert np.all(traj.values == 0.0)
     assert traj.max_newton_residual <= 1e-10
 
@@ -83,8 +77,7 @@ def test_linear_step_is_the_direct_solve():
     assert report.iterations == 0
     # only p = 2 on a pde_1d grid is linear
     assert linear_factor(heat_spec(p=3.0)) is None
-    assert linear_factor(ProblemSpec(**{**spec.__dict__, "grid": Grid.ode(),
-                                        "u0": zeros(Grid.ode())})) is None
+    assert linear_factor(ProblemSpec(**{**spec.__dict__, "grid": Grid.ode()})) is None
 
 
 def test_implicit_step_sine_eigenvector():
@@ -104,8 +97,8 @@ def test_heat_equation_semidiscrete_decay():
     # over many steps the eigenvector decays by (1 + dt lam)^{-n_steps}
     n, n_steps = 64, 200
     g = Grid(n_interior=n)
-    spec = heat_spec(n=n, T=0.1, n_steps=n_steps, u0=Field(np.sin(np.pi * g.x), g))
-    traj = solve_frozen(spec, None, None)
+    spec = heat_spec(n=n, T=0.1, n_steps=n_steps)
+    traj = solve_frozen(spec, np.sin(np.pi * g.x), None, None)
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     expected = np.sin(np.pi * g.x) * (1.0 + dt * lam) ** (-n_steps)
@@ -123,8 +116,8 @@ def test_first_order_in_time():
     exact = u0 * np.exp(-lam * T)
 
     def terminal_err(n_steps):
-        spec = heat_spec(n=n, T=T, n_steps=n_steps, u0=Field(u0, g))
-        traj = solve_frozen(spec, None, None)
+        spec = heat_spec(n=n, T=T, n_steps=n_steps)
+        traj = solve_frozen(spec, u0, None, None)
         return np.max(np.abs(traj.values[0, -1] - exact))
 
     e1, e2 = terminal_err(200), terminal_err(400)
@@ -140,9 +133,8 @@ def test_constant_forcing_ode_exact():
         drift=DriftSpec("zero"),
         reaction=ReactionSpec(),
         noise=NoiseSpec(),
-        u0=Field([2.0], Grid.ode()),
     )
-    traj = solve_frozen(spec, constant_forcing(3.0), None)
+    traj = solve_frozen(spec, [2.0], constant_forcing(3.0), None)
     assert np.allclose(traj.values[0, :, 0], 2.0 + 3.0 * traj.times())
 
 
@@ -159,19 +151,18 @@ def test_plaplacian_residual_at_tolerance():
     # p = 4 needs several Newton iterations; every step must end below tol
     n = 32
     g = Grid(n_interior=n)
-    spec = heat_spec(n=n, T=0.05, n_steps=50, u0=Field(np.sin(np.pi * g.x), g),
-                     p=4.0)
-    traj = solve_frozen(spec, None, None, NewtonParams(tol=1e-12))
+    spec = heat_spec(n=n, T=0.05, n_steps=50, p=4.0)
+    traj = solve_frozen(spec, np.sin(np.pi * g.x), None, None, NewtonParams(tol=1e-12))
     assert traj.max_newton_residual <= 1e-12
     assert max(traj.newton_iters) >= 2
 
 
 def test_newton_divergence_carries_step_index():
     g = Grid(n_interior=8)
-    spec = heat_spec(n=8, T=0.1, n_steps=5, u0=Field(np.sin(np.pi * g.x), g),
-                     p=3.0)
+    spec = heat_spec(n=8, T=0.1, n_steps=5, p=3.0)
     with pytest.raises(NewtonDivergenceError) as exc:
-        solve_frozen(spec, None, None, NewtonParams(tol=1e-10, max_iter=0))
+        solve_frozen(spec, np.sin(np.pi * g.x), None, None,
+                     NewtonParams(tol=1e-10, max_iter=0))
     assert exc.value.step_index == 0
 
 
@@ -186,19 +177,17 @@ def test_implicit_step_rejects_nan_residual():
 
 def test_non_finite_state_carries_step_index():
     # explicit ODE step with dt*f' = 1e3: the state overflows after ~100 steps
-    g = Grid.ode()
     spec = ProblemSpec(
-        grid=g,
+        grid=Grid.ode(),
         time_grid=TimeGrid(T=1.0, n_steps=1000),
         spatial=SpatialOpSpec(),
         drift=DriftSpec("zero"),
         reaction=ReactionSpec("linear", slope=1e6, C_F=1e6),
         noise=NoiseSpec(),
-        u0=Field([1.0], g),
     )
     with pytest.warns(UserWarning, match="dt\\*C_F"), np.errstate(over="ignore"):
         with pytest.raises(NewtonDivergenceError, match="non-finite") as exc:
-            solve_frozen(spec, None, None)
+            solve_frozen(spec, [1.0], None, None)
     assert 90 <= exc.value.step_index <= 110
 
 
@@ -211,11 +200,10 @@ def test_noisy_run_is_deterministic():
         drift=DriftSpec("zero"),
         reaction=ReactionSpec("linear", slope=0.5),
         noise=NoiseSpec.geometric(4),
-        u0=Field(np.sin(np.pi * g.x), g),
     )
     path = sample_noise_path(42, 0, 4, spec.time_grid)
-    a = solve_frozen(spec, None, path)
-    b = solve_frozen(spec, None, path)
+    a = solve_frozen(spec, np.sin(np.pi * g.x), None, path)
+    b = solve_frozen(spec, np.sin(np.pi * g.x), None, path)
     assert np.array_equal(a.values, b.values)
 
 
@@ -223,45 +211,42 @@ def test_noise_path_required_and_shape_checked():
     spec = heat_spec()
     noisy = ProblemSpec(**{**spec.__dict__, "noise": NoiseSpec.geometric(2)})
     with pytest.raises(ValueError):
-        solve_frozen(noisy, None, None)
+        solve_frozen(noisy, np.zeros(32), None, None)
     wrong = sample_noise_path(0, 0, 2, TimeGrid(T=1.0, n_steps=3))
     with pytest.raises(ValueError):
-        solve_frozen(noisy, None, wrong)
+        solve_frozen(noisy, np.zeros(32), None, wrong)
 
 
 def test_discrete_order_preservation_deterministic():
     # ordered initial data stay ordered under the implicit monotone step
     rng = np.random.default_rng(11)
-    g = Grid(n_interior=24)
     lo = rng.standard_normal(24)
     hi = lo + rng.uniform(0.0, 1.0, 24)
     for p in (2.0, 3.0):
-        s_lo = heat_spec(n=24, T=0.2, n_steps=100, u0=Field(lo, g), p=p)
-        s_hi = heat_spec(n=24, T=0.2, n_steps=100, u0=Field(hi, g), p=p)
-        t_lo = solve_frozen(s_lo, None, None)
-        t_hi = solve_frozen(s_hi, None, None)
+        spec = heat_spec(n=24, T=0.2, n_steps=100, p=p)
+        t_lo = solve_frozen(spec, lo, None, None)
+        t_hi = solve_frozen(spec, hi, None, None)
         assert np.all(t_lo.values <= t_hi.values + 1e-10)
 
 
 def test_guard_warnings():
     # dt = 2: dt*C_F = 2 and C_G*sqrt(dt) = 0.5*sqrt(2) both trip a guard
-    g = Grid(n_interior=4)
     spec = ProblemSpec(
-        grid=g,
+        grid=Grid(n_interior=4),
         time_grid=TimeGrid(T=10.0, n_steps=5),
         spatial=SpatialOpSpec(),
         drift=DriftSpec("zero"),
         reaction=ReactionSpec("linear", slope=1.0),
         noise=NoiseSpec.geometric(1),
-        u0=zeros(g),
     )
     path = sample_noise_path(3, 0, 1, spec.time_grid)
+    u0 = np.zeros(4)
     # each warning points at the caller, this function: one frame deeper
     # would be pytest's
     with pytest.warns(UserWarning) as solve_record:
-        solve_frozen(spec, None, path)
+        solve_frozen(spec, u0, None, path)
     with pytest.warns(UserWarning) as study_record:
-        comparison.comparison_study(spec, spec, 2, 3)
+        comparison.comparison_study(spec, u0, u0, 2, 3)
     for record in (solve_record, study_record):
         assert [str(w.message).split(" =")[0] for w in record] == [
             "dt*C_F", "per-step noise multiplier std C_G*sqrt(dt)"]
@@ -269,8 +254,8 @@ def test_guard_warnings():
 
 
 def test_trajectory_csv_layout(tmp_path):
-    spec = heat_spec(n=3, T=1.0, n_steps=2, u0=constant(Grid(n_interior=3), 1.0))
-    traj = solve_frozen(spec, None, None)
+    spec = heat_spec(n=3, T=1.0, n_steps=2)
+    traj = solve_frozen(spec, np.ones(3), None, None)
     out = tmp_path / "traj.csv"
     traj.to_csv(out)
     lines = out.read_text().strip().splitlines()
@@ -329,7 +314,7 @@ def test_solve_frozen_stores_its_states_once():
     states_bytes = 4 * 501 * 64 * 8
     tracemalloc.start()
     try:
-        traj = solve_frozen(spec, constant_forcing(1.0), paths)
+        traj = solve_frozen(spec, np.zeros(64), constant_forcing(1.0), paths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,16 +323,18 @@ def test_solve_frozen_stores_its_states_once():
 
 
 def _noisy_spec(p, K, n=16):
-    g = Grid(n_interior=n)
     return ProblemSpec(
-        grid=g,
+        grid=Grid(n_interior=n),
         time_grid=TimeGrid(T=0.05, n_steps=25),
         spatial=SpatialOpSpec(p=p),
         drift=DriftSpec("zero"),
         reaction=ReactionSpec("linear", slope=0.5),
         noise=NoiseSpec.geometric(K, gamma=2.0) if K else NoiseSpec(),
-        u0=Field(3.0 * np.sin(np.pi * g.x), g),
     )
+
+
+def _noisy_u0(spec):
+    return 3.0 * np.sin(np.pi * spec.grid.x)
 
 
 @pytest.mark.parametrize("B", [1, 3, 7])
@@ -355,9 +342,10 @@ def _noisy_spec(p, K, n=16):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_batch_members_equal_single_path_solves(p, K, B):
     spec = _noisy_spec(p, K)
+    u0 = _noisy_u0(spec)
     paths = [sample_noise_path(5, m, K, spec.time_grid) for m in range(B)]
-    batch = solve_frozen(spec, constant_forcing(0.5), paths)
-    singles = [solve_frozen(spec, constant_forcing(0.5), path) for path in paths]
+    batch = solve_frozen(spec, u0, constant_forcing(0.5), paths)
+    singles = [solve_frozen(spec, u0, constant_forcing(0.5), path) for path in paths]
     assert batch.values.shape == (B, 26, 16)
     for b, single in enumerate(singles):
         assert np.array_equal(batch.values[b], single.values[0])
@@ -377,7 +365,7 @@ def test_march_members_equal_their_own_solves(p, K):
     # four members with their own initial data, forcing signs and noise paths
     spec = _noisy_spec(p, K)
     g, tg = spec.grid, spec.time_grid
-    data = [spec.u0.values, np.zeros(16), -2.0 * np.sin(2.0 * np.pi * g.x),
+    data = [_noisy_u0(spec), np.zeros(16), -2.0 * np.sin(2.0 * np.pi * g.x),
             0.5 * np.cos(np.pi * g.x)]
     sides = ["min", "max", "max", "min"]
     paths = [sample_noise_path(5, m, K, tg) for m in range(4)]
@@ -388,8 +376,7 @@ def test_march_members_equal_their_own_solves(p, K):
     assert [n for n, _ in steps] == list(range(tg.n_steps))
     batch = np.stack([np.stack(data)] + [u for _, u in steps], axis=1)
     singles = [
-        solve_frozen(ProblemSpec(**{**spec.__dict__, "u0": Field(u0, g)}),
-                     extremal_forcing(side, 2.0), path)
+        solve_frozen(spec, u0, extremal_forcing(side, 2.0), path)
         for u0, side, path in zip(data, sides, paths)]
     for b, single in enumerate(singles):
         assert np.array_equal(batch[b], single.values[0])
@@ -405,21 +392,18 @@ def test_a_march_from_a_later_step_repeats_the_full_march(p):
     # stores states s + 1, ..., N of the full march, bit for bit
     spec = _noisy_spec(p, 3)
     paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(3)]
-    full = solve_frozen(spec, constant_forcing(0.5), paths)
+    full = solve_frozen(spec, _noisy_u0(spec), constant_forcing(0.5), paths)
     N = spec.time_grid.n_steps
     for start in (1, 11, N - 1, N):
         stored = {}
-        log = solve_frozen(spec, constant_forcing(0.5), paths, store=stored.__setitem__,
-                           start=start, u_start=full.values[:, start])
+        log = solve_frozen(spec, full.values[:, start], constant_forcing(0.5), paths,
+                           store=stored.__setitem__, start=start)
         assert sorted(stored) == list(range(start, N))
         for n, u in stored.items():
             assert np.array_equal(u, full.values[:, n + 1])
         assert log.newton_iters == full.newton_iters[start:]
-    with pytest.raises(ValueError, match="needs its states and a store"):
-        solve_frozen(spec, constant_forcing(0.5), paths, start=3,
-                     u_start=full.values[:, 3])
-    with pytest.raises(ValueError, match="needs its states and a store"):
-        solve_frozen(spec, constant_forcing(0.5), paths, store=stored.__setitem__, start=3)
+    with pytest.raises(ValueError, match="needs a store"):
+        solve_frozen(spec, full.values[:, 3], constant_forcing(0.5), paths, start=3)
     weights = np.zeros((N, 3))
     stored.clear()
     with pytest.raises(ValueError, match="start step"):
@@ -431,8 +415,18 @@ def test_march_rejects_mismatched_inputs():
     spec = _noisy_spec(2.0, 3)
     weights = np.zeros((spec.time_grid.n_steps, 2))
     stored = {}
-    with pytest.raises(ValueError, match="initial states"):
+    with pytest.raises(ValueError, match="initial states of shape"):
         march(spec, np.zeros((2, 15)), None, weights, stored.__setitem__)
+    for bad in (np.nan, np.inf):
+        u0 = np.zeros((2, 16))
+        u0[1, 7] = bad
+        with pytest.raises(ValueError, match="initial states must be finite"):
+            march(spec, u0, None, weights, stored.__setitem__)
+    # solve_frozen takes one datum for every path or one row per path
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(2)]
+    for shape in ((15,), (3, 16), (2, 1, 16)):
+        with pytest.raises(ValueError, match="initial datum of shape"):
+            solve_frozen(spec, np.zeros(shape), None, paths, store=stored.__setitem__)
     # weights one step short: an error, not a shorter march; one member
     # short: an error, not a broadcast weight
     for short in (weights[:-1], weights[:, :1]):
@@ -462,8 +456,8 @@ def test_batch_divergence_raises_with_step_index():
     # every member converges within max_iter until member 2 is kicked at
     # step 5; then the whole batch fails there and returns nothing
     g = Grid(n_interior=16)
-    spec = ProblemSpec(**{**_noisy_spec(3.0, 3).__dict__,
-                          "u0": Field(0.5 * np.sin(np.pi * g.x), g)})
+    spec = _noisy_spec(3.0, 3)
+    u0 = 0.5 * np.sin(np.pi * g.x)
     paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
     newton = NewtonParams(max_iter=3)
 
@@ -473,9 +467,9 @@ def test_batch_divergence_raises_with_step_index():
             h[2] = 1e3
         return h
 
-    assert solve_frozen(spec, None, paths, newton).n_paths == 4
+    assert solve_frozen(spec, u0, None, paths, newton).n_paths == 4
     with pytest.raises(NewtonDivergenceError, match="after 3 iterations") as exc:
-        solve_frozen(spec, kick, paths, newton)
+        solve_frozen(spec, u0, kick, paths, newton)
     assert exc.value.step_index == 5
     assert "(step 5)" in str(exc.value)
 
@@ -492,7 +486,7 @@ def test_batch_never_accepts_a_nan_member():
         return h
 
     with pytest.raises(NewtonDivergenceError, match="nan") as exc:
-        solve_frozen(spec, forcing, paths, NewtonParams(max_iter=5))
+        solve_frozen(spec, _noisy_u0(spec), forcing, paths, NewtonParams(max_iter=5))
     assert exc.value.step_index == 3
 
 
@@ -508,7 +502,8 @@ def test_linear_step_rejects_a_nan_noise_increment():
     paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
     paths[2] = _nan_at(paths[2], 1, 4)
     with pytest.raises(NewtonDivergenceError, match="nan") as exc:
-        solve_frozen(spec, constant_forcing(0.5), paths, NewtonParams(max_iter=5))
+        solve_frozen(spec, _noisy_u0(spec), constant_forcing(0.5), paths,
+                     NewtonParams(max_iter=5))
     assert exc.value.step_index == 4
 
 
