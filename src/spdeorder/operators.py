@@ -60,22 +60,26 @@ def interface_gradients(values: np.ndarray, dx: float) -> np.ndarray:
     return (padded[..., 1:] - padded[..., :-1]) / dx
 
 
-def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid) -> np.ndarray:
+def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid,
+                   D: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete -div(a(grad u)) with homogeneous Dirichlet values, along the
-    last axis (leading axes are paths)."""
+    last axis (leading axes are paths).  D, when given, is
+    interface_gradients(values, grid.dx)."""
     if grid.mode == ODE:
         return np.zeros_like(values)
     dx = grid.dx
-    D = interface_gradients(values, dx)
+    if D is None:
+        D = interface_gradients(values, dx)
     flux = spec.alpha * np.abs(D) ** (spec.p - 2.0) * D
     return (flux[..., 1:] - flux[..., :-1]) / -dx
 
 
 def jacobian_bands(
-    spec: SpatialOpSpec, values: np.ndarray, grid: Grid
+    spec: SpatialOpSpec, values: np.ndarray, grid: Grid, D: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bands (off, diag) of the symmetric tridiagonal linearized operator
     along the last axis; off holds the n-1 couplings of node i to node i+1.
+    D, when given, is interface_gradients(values, grid.dx).
 
     Uses the regularized flux derivative (D^2 + reg_delta)^((p-2)/2).
     """
@@ -83,7 +87,8 @@ def jacobian_bands(
     if grid.mode == ODE:
         return np.zeros(shape[:-1] + (shape[-1] - 1,)), np.zeros(shape)
     dx = grid.dx
-    D = interface_gradients(values, dx)
+    if D is None:
+        D = interface_gradients(values, dx)
     w = spec.alpha * (spec.p - 1.0) * (D * D + spec.reg_delta) ** ((spec.p - 2.0) / 2.0)
     w /= dx * dx
     return -w[..., 1:-1], w[..., :-1] + w[..., 1:]

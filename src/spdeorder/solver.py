@@ -10,7 +10,7 @@ from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, dptsv
 
 from .core import Grid, ODE, TimeGrid, h_norm_values
 from .noise import NoisePath
@@ -21,6 +21,7 @@ from .operators import (
     SpatialOpSpec,
     apply_A_values,
     eval_f_values,
+    interface_gradients,
     jacobian_bands,
     noise_term_values,
     noise_weights,
@@ -153,19 +154,20 @@ def forcing_from_trajectory(traj: Trajectory) -> Forcing:
 
 
 def solve_banded(off, diag, rhs):
-    """Solve the symmetric tridiagonal systems (off, diag) x = rhs of every
-    path (last axis) with one LAPACK gtsv call on their block-diagonal stack.
+    """Solve the symmetric positive definite tridiagonal systems
+    (off, diag) x = rhs of every path (last axis) with one LAPACK ptsv call
+    on their block-diagonal stack.  ptsv overwrites diag and rhs in place:
+    pass temporaries.
 
     The coupling between neighbouring paths is exactly zero, so each path's
-    solution is bit for bit the one its system alone would give.  gtsv
-    overwrites the coupling; the default overwrite flags copy it.
+    solution is bit for bit the one its system alone would give.
     """
     coupling = np.zeros(diag.shape)
     coupling[..., :-1] = off
-    coupling = coupling.ravel()[:-1]
-    *_, x, info = dgtsv(coupling, diag.ravel(), coupling, rhs.ravel())
+    *_, x, info = dptsv(diag.reshape(-1), coupling.reshape(-1)[:-1], rhs.reshape(-1, 1),
+                        overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
-        raise NewtonDivergenceError(f"singular Newton system (gtsv info {info})")
+        raise NewtonDivergenceError(f"Newton system not positive definite (ptsv info {info})")
     return x.reshape(rhs.shape)
 
 
@@ -203,7 +205,8 @@ def implicit_step(
     w_n: np.ndarray,
     newton: NewtonParams = NewtonParams(),
     factor: Optional[tuple] = None,
-) -> tuple[np.ndarray, NewtonReport]:
+    D_n: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, NewtonReport, Optional[np.ndarray]]:
     """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + w_n shape(u_n) for
     every path of the batch: u_n and h_n are (B, n), and w_n holds the (B,)
     noise weights of the step (see noise_weights).
@@ -215,6 +218,12 @@ def implicit_step(
     A path is converged when its residual is at most newton.tol times
     max(1, ||rhs||_H).  The report counts the batched iterations and gives
     the largest final residual.
+
+    The interface gradients of each iterate are taken once, for both its
+    residual and its Jacobian.  D_n, when given, is
+    interface_gradients(u_n, dx), and the step may write into it; the
+    gradients of v are returned with v (None in ODE mode) for the next
+    step to pass on.
     """
     dt = spec.time_grid.dt
     dx = spec.grid.dx
@@ -230,17 +239,19 @@ def implicit_step(
         # iterate whose residual is not finite.
         if not np.all(np.isfinite(rhs)):
             raise NewtonDivergenceError("non-finite state")
-        return rhs, NewtonReport(0, 0.0)
+        return rhs, NewtonReport(0, 0.0), None
 
-    def residual(v, target):
-        return v + dt * apply_A_values(spec.spatial, v, spec.grid) - target
+    def residual(v, target, D):
+        return v + dt * apply_A_values(spec.spatial, v, spec.grid, D) - target
 
     if factor is None:
         v = u_n.astype(float, copy=True)
+        D = interface_gradients(v, dx) if D_n is None else D_n
     else:
         # the (B, n) C-order rhs is the F-order (n, B) matrix pttrs takes
         v = dpttrs(*factor, rhs.T)[0].T
-    res = residual(v, rhs)
+        D = interface_gradients(v, dx)
+    res = residual(v, rhs, D)
     rnorm = h_norm_values(res, dx)
     limit = newton.tol * np.maximum(1.0, h_norm_values(rhs, dx))
     iters = 0
@@ -252,21 +263,26 @@ def implicit_step(
                 f"Newton residual {rnorm[sel][worst]:.3e} > tol {limit[sel][worst]:.3e} "
                 f"after {iters} iterations")
         v_a, rhs_a, rnorm_a = v[sel], rhs[sel], rnorm[sel]
-        off, diag = jacobian_bands(spec.spatial, v_a, spec.grid)
+        off, diag = jacobian_bands(spec.spatial, v_a, spec.grid, D[sel])
         dv = solve_banded(dt * off, 1.0 + dt * diag, -res[sel])
         # damped update: halve the step of each path whose residual grows
         step = 1.0
-        v_try = v_a + step * dv
-        res_try = residual(v_try, rhs_a)
+        v_try = v_a + dv
+        D_try = interface_gradients(v_try, dx)
+        res_try = residual(v_try, rhs_a, D_try)
         rnorm_try = h_norm_values(res_try, dx)
         while step > 1.0 / 1024.0 and (g := _failing(rnorm_try < rnorm_a)) is not None:
             step *= 0.5
             v_try[g] = v_a[g] + step * dv[g]
-            res_try[g] = residual(v_try[g], rhs_a[g])
+            D_try[g] = interface_gradients(v_try[g], dx)
+            res_try[g] = residual(v_try[g], rhs_a[g], D_try[g])
             rnorm_try[g] = h_norm_values(res_try[g], dx)
-        v[sel], res[sel], rnorm[sel] = v_try, res_try, rnorm_try
+        if sel is Ellipsis:
+            v, res, rnorm, D = v_try, res_try, rnorm_try, D_try
+        else:
+            v[sel], res[sel], rnorm[sel], D[sel] = v_try, res_try, rnorm_try, D_try
         iters += 1
-    return v, NewtonReport(iters, float(np.max(rnorm)))
+    return v, NewtonReport(iters, float(np.max(rnorm))), D
 
 
 def _check_guards(spec: ProblemSpec) -> None:
@@ -320,10 +336,11 @@ def march(
     _check_guards(spec)
     factor = linear_factor(spec)
     iters, worst = [], 0.0
+    D = None  # the interface gradients of u, once a step has computed them
     for n, w_n in enumerate(weights[start:], start):
         h_n = forcing(n, u) if forcing is not None else None
         try:
-            u, report = implicit_step(spec, u, h_n, w_n, newton, factor)
+            u, report, D = implicit_step(spec, u, h_n, w_n, newton, factor, D)
         except NewtonDivergenceError as err:
             raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
         store(n, u)

@@ -97,6 +97,24 @@ def test_jacobian_bands_ode_mode_zero():
     assert off.shape == (0,) and np.array_equal(diag, [0.0])
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_given_gradients_give_the_gradient_free_values(p):
+    # the solver takes an iterate's gradients once and hands them to both
+    spec = SpatialOpSpec(p=p, alpha=0.7)
+    g = Grid(n_interior=12)
+    u = np.random.default_rng(8).standard_normal((3, 12))
+    u[1] = 0.0  # flat rows: zero gradients
+    D = interface_gradients(u, g.dx)
+    assert np.array_equal(apply_A_values(spec, u, g, D), apply_A_values(spec, u, g))
+    for given_band, free_band in zip(jacobian_bands(spec, u, g, D), jacobian_bands(spec, u, g)):
+        assert np.array_equal(given_band, free_band)
+    # ODE mode has no gradients: the argument is ignored
+    ode = Grid.ode()
+    assert np.array_equal(apply_A_values(spec, u[:, :1], ode, D), np.zeros((3, 1)))
+    off, diag = jacobian_bands(spec, u[:, :1], ode, D)
+    assert off.shape == (3, 0) and np.array_equal(diag, np.zeros((3, 1)))
+
+
 def test_spatial_spec_validation():
     with pytest.raises(ValueError):
         SpatialOpSpec(p=1.5)

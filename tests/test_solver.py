@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -21,12 +22,12 @@ from spdeorder import (
     solve_frozen,
     sup_h_distance,
 )
-from spdeorder import comparison
+from spdeorder import comparison, solver
 from spdeorder.bracket import extremal_forcing
 from spdeorder.cli import main
 from spdeorder.noise import NoisePath, sample_noise_path
 from spdeorder.operators import apply_A_values, noise_weights
-from spdeorder.solver import linear_factor
+from spdeorder.solver import linear_factor, solve_banded
 
 
 def heat_spec(n=32, T=0.1, n_steps=100, p=2.0, alpha=1.0):
@@ -59,7 +60,7 @@ def test_implicit_step_matches_dense_linear_solve():
         e[j] = 1.0
         A[:, j] = apply_A_values(spec.spatial, e, spec.grid)
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n)
-    v, report = implicit_step(spec, u_n[None], None, np.zeros(1))
+    v, report, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], expected, atol=1e-12)
     assert report.iterations == 1  # linear problem: one Newton iteration
 
@@ -72,7 +73,7 @@ def test_linear_step_is_the_direct_solve():
     dt = spec.time_grid.dt
     A = np.column_stack([apply_A_values(spec.spatial, e, spec.grid) for e in np.eye(16)])
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n.T).T
-    v, report = implicit_step(spec, u_n, None, np.zeros(3), factor=linear_factor(spec))
+    v, report, _ = implicit_step(spec, u_n, None, np.zeros(3), factor=linear_factor(spec))
     np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
     assert report.iterations == 0
     # only p = 2 on a pde_1d grid is linear
@@ -89,7 +90,7 @@ def test_implicit_step_sine_eigenvector():
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     u_n = np.sin(np.pi * g.x)
-    v, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
+    v, _, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], u_n / (1.0 + dt * lam), atol=1e-12)
 
 
@@ -411,6 +412,76 @@ def test_a_march_from_a_later_step_repeats_the_full_march(p):
     assert not stored
 
 
+@pytest.mark.parametrize("start", [0, 1])
+def test_traced_identities_of_a_batched_march(monkeypatch, start):
+    # the identities a traced benchmark run checks: one Jacobian and one
+    # linear solve per Newton iteration, and one residual evaluation per
+    # step, Newton iteration and line-search halving.  Every residual and
+    # Jacobian reuses gradients the solver took once per iterate, and the
+    # gradients of each accepted state carry into the next step.
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if name in ("apply_A_values", "jacobian_bands"):
+                assert args[3] is not None  # gradients the solver took
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # spdeorder.solver calls the other five only inside implicit_step (p = 3
+    # has no linear_factor)
+    for name in ("implicit_step", "apply_A_values", "jacobian_bands", "solve_banded",
+                 "interface_gradients", "h_norm_values"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    spec = _noisy_spec(3.0, 3)
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(3)]
+    u0 = 30.0 * np.random.default_rng(3).standard_normal((3, 16))  # rough: line search halves
+    N = spec.time_grid.n_steps
+    if start:
+        first = solve_frozen(spec, u0, constant_forcing(0.5), paths)
+        counts.clear()
+        log = solve_frozen(spec, first.values[:, start], constant_forcing(0.5), paths,
+                           store=lambda n, u: None, start=start)
+    else:
+        log = solve_frozen(spec, u0, constant_forcing(0.5), paths)
+    iters = sum(log.newton_iters)
+    steps = counts["implicit_step"]
+    assert steps == N - start and iters > 0
+    assert counts["solve_banded"] == counts["jacobian_bands"] == iters
+    # h_norm_values runs twice per step (residual and rhs), and once per
+    # Newton iteration and halving
+    halvings = counts["h_norm_values"] - 2 * steps - iters
+    assert halvings > 0
+    assert counts["apply_A_values"] == steps + iters + halvings
+    # gradients: the first step's start, then one per tried iterate
+    assert counts["interface_gradients"] == 1 + iters + halvings
+
+
+def test_solve_banded_solves_each_block_as_alone():
+    # I + dt J: the identity plus a weighted graph Laplacian, symmetric
+    # positive definite; each block of the stack is solved as if alone
+    rng = np.random.default_rng(11)
+    B, n = 5, 9
+    off = -rng.uniform(0.0, 2.0, (B, n - 1))
+    diag = 1.0 + rng.uniform(0.0, 1.0, (B, n))
+    diag[:, 1:] -= off
+    diag[:, :-1] -= off
+    rhs = rng.standard_normal((B, n))
+    work = rhs.copy()
+    x = solve_banded(off.copy(), diag.copy(), work)
+    assert np.shares_memory(x, work)  # the solution overwrites rhs: no copy
+    for b in range(B):
+        alone = solve_banded(off[b].copy(), diag[b].copy(), rhs[b].copy())
+        assert np.array_equal(x[b], alone)
+        dense = np.diag(diag[b]) + np.diag(off[b], 1) + np.diag(off[b], -1)
+        exact = np.linalg.solve(dense, rhs[b])
+        assert np.max(np.abs(x[b] - exact)) <= 1e-12 * np.max(np.abs(exact))
+    diag[2, 3] = 0.0
+    with pytest.raises(NewtonDivergenceError, match="ptsv"):
+        solve_banded(off, diag, rhs)
+
+
 def test_march_rejects_mismatched_inputs():
     spec = _noisy_spec(2.0, 3)
     weights = np.zeros((spec.time_grid.n_steps, 2))
@@ -443,13 +514,13 @@ def test_implicit_step_batch_members_converge_independently():
     u_n = np.stack([np.zeros(16), np.sin(np.pi * g.x), 30.0 * np.sin(np.pi * g.x),
                     20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x)])
     alone = [implicit_step(spec, row[None], None, np.zeros(1)) for row in u_n]
-    v, report = implicit_step(spec, u_n, None, np.zeros(5))
-    for b, (v_b, report_b) in enumerate(alone):
+    v, report, _ = implicit_step(spec, u_n, None, np.zeros(5))
+    for b, (v_b, report_b, _) in enumerate(alone):
         assert np.array_equal(v[b], v_b[0])
-    iterations = [report_b.iterations for _, report_b in alone]
+    iterations = [report_b.iterations for _, report_b, _ in alone]
     assert len(set(iterations)) == 5
     assert report.iterations == max(iterations)
-    assert report.residual == max(report_b.residual for _, report_b in alone)
+    assert report.residual == max(report_b.residual for _, report_b, _ in alone)
 
 
 def test_batch_divergence_raises_with_step_index():
