@@ -7,14 +7,16 @@ sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
 iteration is pathwise: each sweep is deterministic for a fixed noise path
-and drift.  The sweeps of all (noise path, drift) pairs and of both sides
-run in lock step, one batched solve per sweep that writes the new iterates
-in place, and each member's iterates are those of sweeping it alone.
+and drift.  S is causal, so all sweeps of all (noise path, drift) pairs
+and of both sides run in one time march: a wave over sweep levels, each
+level one row or more behind the one it reads, whose passes step every
+level that can step in one batch and write the new iterates in place.
+Each member's iterates are those of sweeping it alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,11 +34,6 @@ from .solver import (
 
 MIN_SIDE = "min"
 MAX_SIDE = "max"
-
-# a sweep reduces its defects in blocks of new states: at most 1/32 of the
-# steps and 256 KiB a block, so the reduction's numpy calls are paid once
-# per block, not once per step, and its temporaries stay small
-_BLOCK_BYTES = 256 * 1024
 
 
 def extremal_forcing(sides: Union[str, Sequence[str]],
@@ -76,46 +73,51 @@ def apply_S(
     u_tilde: Trajectory,
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-    members: Union[slice, np.ndarray] = slice(None),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
     drifts: Optional[Sequence[DriftSpec]] = None,
-    start: int = 0,
+    schedule: Optional[Iterable] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
-    Forcing contract in the solver module), in one batch over the paths
-    `members` of u_tilde (all by default), one noise path each.  drifts
-    holds one drift per member (spec.drift for all by default); each
-    drift is evaluated on its own members' rows, one eval_b_values call per
-    distinct drift, so every member's values are those of its solve alone.
-    A store takes the new states step by step instead (see solve_frozen);
-    step n reads row n + 1 of u_tilde before state n + 1 reaches the
-    store.  The solve steps from row start of u_tilde on (row 0, the
-    datum, by default); with start > 0 the caller knows S(u_tilde) to
-    share rows 0..start with u_tilde, and the store receives states
-    start + 1 to N."""
-    source = np.arange(u_tilde.n_paths)[members]
-    drifts = (spec.drift,) * len(source) if drifts is None else drifts
-    if len(drifts) != len(source):
-        raise ValueError("apply_S needs one drift per member")
-    # each drift with its batch rows and the rows of u_tilde they read
-    groups = [(drift, rows, source[rows]) for drift, rows in _drift_groups(drifts)]
+    Forcing contract in the solver module), in one batch over the paths of
+    u_tilde, one noise path each, from row 0 of u_tilde.  drifts holds one
+    drift per path (spec.drift for all by default); each drift is
+    evaluated on its own paths' rows, one eval_b_values call per distinct
+    drift and pass, so every path's values are those of its solve alone.
+    A store takes the new states pass by pass instead, and a schedule
+    hands the march its passes (see solve_frozen); a pass that steps
+    path m at step n reads row n + 1 of path m of u_tilde before its new
+    states reach the store."""
+    drifts = (spec.drift,) * u_tilde.n_paths if drifts is None else drifts
+    if len(drifts) != u_tilde.n_paths:
+        raise ValueError("apply_S needs one drift per path")
+    kinds, group = _drift_kinds(drifts)
 
     def forcing(n, u):
-        h = np.empty(u.shape)
-        for drift, rows, read in groups:
-            h[rows] = eval_b_values(drift, u_tilde.values[read, n + 1])
-        return h
+        members, steps = n if isinstance(n, tuple) else (slice(None), n)
+        return _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
 
-    return solve_frozen(spec, u_tilde.values[source, start], forcing, noise_paths, newton,
-                        store, start)
+    return solve_frozen(spec, u_tilde.values[:, 0], forcing, noise_paths, newton, store,
+                        schedule)
 
 
-def _drift_groups(drifts: Sequence[DriftSpec]) -> list:
-    """Each distinct drift with the batch rows that carry it, in order of
-    first appearance."""
-    return [(drift, np.array([row for row, d in enumerate(drifts) if d == drift]))
-            for drift in dict.fromkeys(drifts)]
+def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
+    """The distinct drifts, in order of first appearance, and the index
+    among them of each drift."""
+    kinds = list(dict.fromkeys(drifts))
+    return kinds, np.array([kinds.index(drift) for drift in drifts])
+
+
+def _drift_values(kinds: Sequence[DriftSpec], group: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """b(values) with row i under the drift kinds[group[i]]: one
+    eval_b_values call per drift on all rows, pointwise, and each row keeps
+    the values of its own."""
+    h = eval_b_values(kinds[0], values)
+    for g in range(1, len(kinds)):
+        rows = (group == g).reshape(group.shape + (1,) * (values.ndim - 1))
+        np.copyto(h, eval_b_values(kinds[g], values), where=rows)
+    return h
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,7 @@ class BracketResult:
     residual_history: tuple
     monotonicity_violations: tuple
     containment_violations: tuple
-    # the step each sweep starts at, N for a sweep taken without stepping;
-    # a batch steps from the smallest start among its members
+    # the step each sweep starts at, N for a sweep taken without stepping
     sweep_starts: tuple
     converged: bool
     final: Trajectory
@@ -155,91 +156,144 @@ class BracketResult:
         return "\n".join(lines) + "\n"
 
 
-class _InPlaceSweep:
-    """The store of one sweep: it writes the new states of the members into
-    `current`, in place of the iterate the sweep reads, and reduces each
-    member's residual and monotonicity defects on the way.  It writes the
-    containment defect of each new row into `excess`, and records, for each
-    member, the first row where the drift values of the new states differ
-    from those of the old ones.
+class _Wave:
+    """The schedule and the store of the one march that runs every sweep
+    of every member.  Level k of member m, the sweep that makes
+    u^k = S(u^{k-1}) from the extremal u^0, is a lane; each pass steps
+    every lane that can step by one row, in one batch.
 
-    A sweep from step start keeps rows 0..start of its members, whose
-    residual and monotonicity defects are zero.  New states wait in a block
-    of steps.  A full block is compared with the rows of `current` it
-    replaces, which the sweep's forcing has read by then, and with the
-    extremals, and then written over them.  Sums of squares run along the
-    contiguous node axis and maxima are exact, so every defect equals the
-    one taken over the whole trajectory at once.
+    The levels of a member share its row of `current`: level k holds rows
+    0..have[m, k] there, and the later rows still hold lower levels.  A
+    lane at row r steps once level k - 1 holds row r + 1.  Its forcing
+    reads that row, which the lane then writes over, and its state is its
+    own row r.  Level k + 1 writes row r only in a pass that steps lane k
+    too, and a pass reads before it writes: a level that has stepped steps
+    in every pass until it completes, since its predecessor, which has
+    stepped too, stays at least a row ahead of it.
+
+    Level k + 1 starts at R = (the first row where b(u^k) and b(u^{k-1})
+    differ bit for bit) - 1, found as level k writes that row: rows 0..R
+    of u^{k+1} are those of u^k, so it neither solves nor writes them.  A
+    lane steps only while its predecessor cannot be final: its residual
+    so far exceeds tol_fixed (it only grows), or it completed without
+    stopping.  A level stops when it completes with a residual of at most
+    tol_fixed, or at level max_outer, and the levels after it are dropped:
+    they never stepped, so they wrote nothing.  If level k completes
+    without stopping and no drift value changed, level k + 1 is taken
+    without stepping: u^{k+1} = u^k, residual and monotonicity 0.0, the
+    containment defect of level k, and it stops.
+
+    Each lane's step gets the state, drift values and noise weight of its
+    sweep alone, and each row's defects are reduced on their own: sums of
+    squares run along the node axis and maxima are exact, so every defect
+    equals the one taken over the whole trajectory at once.
     """
 
     def __init__(self, current: np.ndarray, ext: np.ndarray, index: np.ndarray,
-                 excess: np.ndarray, members: np.ndarray, P: int, start: int,
-                 drifts: Sequence[DriftSpec]):
-        B, rows, n = len(members), current.shape[1], current.shape[2]
-        self.current, self.ext, self.excess, self.members = current, ext, excess, members
+                 drifts: Sequence[DriftSpec], max_outer: int, tol_fixed: float, dx: float):
+        M, N = current.shape[0], current.shape[1] - 1
+        P, K = M // 2, max_outer
+        self.current, self.ext = current, ext
+        # the containment defect of each row of each member's latest
+        # iterate; row 0 is u0 in every iterate and extremal
+        self.excess = np.zeros((M, N + 1))
+        self.N, self.P, self.K, self.tol, self.dx = N, P, K, tol_fixed, dx
         # the rows of ext holding each member's lower and upper extremal
-        self.lower, self.upper = index[members % P], index[P + members % P]
-        # min side expects new >= old pointwise, max side the reverse; the
-        # members are in order, so the min-side ones come first
-        self.n_min = int(np.count_nonzero(members < P))
-        self.groups = _drift_groups(drifts)
-        width = max(1, min((rows - 1) // 32, _BLOCK_BYTES // (8 * B * n)))
-        # the new states of a block, and the old rows they replace
-        self.pair = np.empty((2, B, width, n))
-        self.block = self.pair[0]
-        self.rows = rows
-        self.sq = np.zeros(B)  # worst sum of squares of new - old
-        self.mono = np.full(B, -np.inf)
-        self.changed = np.full(B, rows)  # rows: no drift value changed
-        self.first = start + 1  # the row of current that block[:, 0] replaces
+        members = np.arange(M) % P
+        self.bounds = np.stack((index[members], index[P + members]), axis=1)
+        self.kinds, self.group = _drift_kinds(drifts)
+        # the per-level arrays below have a column for each level up to
+        # top + 1 at least; they grow as levels start, not with max_outer.
+        # The last row each level holds; N + 1 for a level not started or
+        # dropped
+        self.have = np.full((M, 3), N + 1)
+        self.have[:, 0], self.have[:, 1] = N, 0
+        # the last row level k + 1 may step from: have[m, k] - 1, or -1
+        # while level k may be final
+        self.limit = np.full((M, 3), -1)
+        self.limit[:, 0] = N - 1
+        self.start = np.zeros((M, 3), dtype=int)
+        # each level's worst sum of squares of new - old, monotonicity and
+        # containment defects
+        self.defects = np.zeros((3, M, 3))
+        self.defects[1, :, 1] = -np.inf
+        self.top = 1  # the highest level started
+        # residual, monotonicity and containment defects and start of each sweep
+        self.histories = [[] for _ in range(M)]
 
-    def __call__(self, n: int, u: np.ndarray) -> None:
-        k = n + 1 - self.first
-        self.block[:, k] = u
-        if k + 1 == self.block.shape[1] or n + 2 == self.rows:
-            self._flush(k + 1)
+    def passes(self):
+        """The passes of the march: ((members, steps), states) of every
+        lane that can step."""
+        while True:
+            lanes = self.have[:, 1:self.top + 1]
+            m, k = np.nonzero(lanes <= self.limit[:, :self.top])
+            if not len(m):
+                return
+            steps = lanes[m, k]
+            self.k = k + 1
+            yield (m, steps), self.current[m, steps]
 
-    def _flush(self, width: int) -> None:
-        rows = slice(self.first, self.first + width)
-        pair = self.pair[:, :, :width]
-        new, old = pair
-        old[...] = self.current[self.members, rows]
-        for drift, batch in self.groups:
-            # the members whose first change is not found yet, evaluated in
-            # a view from the first to the last of them: no copy
-            todo = batch[self.changed[batch] == self.rows]
-            if not len(todo):
-                continue
-            lo, hi = todo[0], todo[-1] + 1
+    def store(self, n: tuple, v: np.ndarray) -> None:
+        (m, steps), k = n, self.k
+        rows = steps + 1
+        old = self.current[m, rows]
+        todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.K))
+        if len(todo):
             # bit patterns, not ==: +0.0 against -0.0 changes the forcing too
-            bits = eval_b_values(drift, pair[:, lo:hi]).view(np.int64)
-            moved = np.any(bits[0] != bits[1], axis=-1)[todo - lo]  # (todo, width)
-            self.changed[todo] = np.where(moved.any(axis=1),
-                                          self.first + moved.argmax(axis=1), self.rows)
-        diff = np.subtract(new, old, out=old)
-        np.maximum(self.sq, np.max(np.sum(diff * diff, axis=-1), axis=1), out=self.sq)
-        np.negative(diff[:self.n_min], out=diff[:self.n_min])  # in place, exact
-        np.maximum(self.mono, np.max(diff, axis=(1, 2)), out=self.mono)
+            pair = np.stack((v, old), axis=1)[todo]
+            bits = _drift_values(self.kinds, self.group[m[todo]], pair).view(np.int64)
+            for i in todo[(bits[:, 0] != bits[:, 1]).any(axis=-1)].tolist():
+                self._start(m[i], k[i] + 1, steps[i])
+        # the worst sum of squares of new - old, monotonicity and
+        # containment defect of each new row
+        found = np.empty((3, len(m)))
+        diff = np.subtract(v, old, out=old)
+        (diff * diff).sum(axis=-1, out=found[0])
+        # min side expects new >= old pointwise, max side the reverse; the
+        # lanes are in member order, so the min-side ones come first
+        n_min = m.searchsorted(self.P)
+        np.negative(diff[:n_min], out=diff[:n_min])  # in place, exact
+        diff.max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
-        self.excess[self.members, rows] = np.maximum(
-            np.max(self.ext[self.lower, rows] - new, axis=-1),
-            np.max(new - self.ext[self.upper, rows], axis=-1))
-        self.current[self.members, rows] = new
-        self.first += width
+        lower, upper = self.ext[self.bounds[m], rows[:, None]].transpose(1, 0, 2)
+        np.maximum((lower - v).max(axis=-1), (v - upper).max(axis=-1), out=found[2])
+        self.excess[m, rows] = found[2]
+        defects = np.maximum(self.defects[:, m, k], found, out=found)
+        self.defects[:, m, k] = defects
+        self.current[m, rows] = v
+        self.have[m, k] = rows
+        # a residual above tol_fixed so far: the level cannot be final
+        self.limit[m, k] = np.where(np.sqrt(defects[0] * self.dx) > self.tol, steps, -1)
+        if rows.max() == self.N:
+            for i in np.flatnonzero(rows == self.N).tolist():
+                self._complete(m[i], k[i])
 
-    def outcomes(self, dx: float) -> list:
-        """(member, (residual, monotonicity, containment), first changed row)
-        of each member: the residual sup_t ||new - old||_H, the worst
-        defects, never below 0.0, and the first row whose drift values
-        changed (the row count when none did)."""
-        residuals = np.sqrt(self.sq * dx).tolist()
-        excess = self.excess[self.members].max(axis=1).tolist()
+    def _start(self, m: int, k: int, R: int) -> None:
+        if k + 2 > self.have.shape[1]:  # double the level axis
+            for name, fill in (("have", self.N + 1), ("limit", -1), ("start", 0),
+                               ("defects", 0.0)):
+                levels = getattr(self, name)
+                setattr(self, name, np.concatenate(
+                    (levels, np.full(levels.shape, fill, levels.dtype)), axis=-1))
+        self.have[m, k] = self.start[m, k] = R
+        self.defects[:, m, k] = (0.0, -np.inf, self.excess[m, :R + 1].max())
+        self.top = max(self.top, k)
+
+    def _complete(self, m: int, k: int) -> None:
+        sq, mono, containment = self.defects[:, m, k].tolist()
+        residual = float(np.sqrt(sq * self.dx))
         # max keeps the first of equal values, so 0.0 goes first: a -0.0
         # defect is recorded as +0.0
-        return [(member, (r, max(0.0, m), max(0.0, e)), changed)
-                for member, r, m, e, changed in
-                zip(self.members.tolist(), residuals, self.mono.tolist(),
-                    excess, self.changed.tolist())]
+        containment = max(0.0, containment)
+        history = self.histories[m]
+        history.append((residual, max(0.0, mono), containment, int(self.start[m, k])))
+        if residual <= self.tol or k == self.K:
+            self.have[m, k + 1:] = self.N + 1
+        elif self.have[m, k + 1] == self.N + 1:
+            # no drift value changed: sweep k + 1 repeats u^k without stepping
+            history.append((0.0, 0.0, containment, self.N))
+        else:
+            self.limit[m, k] = self.N - 1
 
 
 def iterate_bracket(
@@ -253,8 +307,8 @@ def iterate_bracket(
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketResult]:
     """Monotone sweeps u <- S(u) of both sides of P (noise path, drift)
-    pairs from the one (n,) datum u0, in lock step: path m carries
-    drifts[m] (spec.drift for all by default).
+    pairs from the one (n,) datum u0: path m carries drifts[m]
+    (spec.drift for all by default).
 
     Member m < P sweeps the min side of path m from its lower extremal,
     member P + m the max side from its upper one.  The extremal forcing
@@ -262,24 +316,24 @@ def iterate_bracket(
     distinct (noise path, side, C_B) once, and members that share one read
     the same extremal.
 
-    S reads u only through the drift values b(u) along it.  If b(u^k) and
-    b(u^{k-1}) agree bit for bit on rows 1..R, sweep k + 1 repeats the
-    first R steps of sweep k, so u^{k+1} equals u^k on rows 0..R; R = N
-    when no drift value changed.  So each member's sweep starts at its own
-    R (sweep 1 at 0), and a member with R = N takes its sweep without
-    stepping: its iterate is unchanged, so its residual and monotonicity
-    defects are 0.0 and its containment defect is that of its previous
-    sweep.  The other members sweep in one apply_S call from the smallest R
-    among them, which writes their new iterates in place over the old
-    ones, and their containment defects row by row.  A member stops when sup_t ||S(u) - u||_H <=
-    tol_fixed, which a sweep without stepping always meets, or after
-    max_outer sweeps, and is never swept again; so its iterates and defects
-    are bit for bit those of sweeping it alone from step 0 every time.
-    Min-side iterates are expected nondecreasing in the sweep index (max
-    side mirrored); per-sweep violations and bracket-containment defects
-    are logged, never silently accepted.  Returns the 2P results in member
-    order; their trajectories are read-only views into the batch's
-    extremal and iterate arrays.
+    S is causal: row r of S(u) reads u only at rows <= r, and only through
+    the drift values b(u).  So all sweeps of all members run in one
+    apply_S call, a wave over sweep levels (see _Wave): sweep k steps a
+    row once sweep k - 1 has made the rows it reads, writes its iterate
+    in place over sweep k - 1's, and starts at the row R before the first
+    row where b(u^{k-1}) and b(u^{k-2}) differ bit for bit (sweep 1 at 0),
+    since S(u^{k-1}) equals u^{k-1} on rows 0..R; R = N, a sweep taken
+    without stepping, when none differs.  A member stops when
+    sup_t ||S(u) - u||_H <= tol_fixed, which a sweep without stepping
+    always meets, or after max_outer sweeps, and its later sweeps are
+    dropped before they step; so its iterates and defects are bit for bit
+    those of sweeping it alone from step 0 every time.  Min-side iterates
+    are expected nondecreasing in the sweep index (max side mirrored);
+    per-sweep violations and bracket-containment defects are logged, never
+    silently accepted.  Returns the 2P results in member order; their
+    trajectories are read-only views into the batch's extremal and iterate
+    arrays, and a final, whose rows many passes solved, carries no Newton
+    metadata.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
@@ -300,62 +354,30 @@ def iterate_bracket(
     extremals = build_extremal(spec, u0, [sides[m] for m in owners],
                                [paths[m % P] for m in owners], newton,
                                [drifts[m % P] for m in owners])
-    grid, tg, N = spec.grid, spec.time_grid, spec.time_grid.n_steps
+    grid, tg = spec.grid, spec.time_grid
     ext = extremals.values
-    # each member's latest iterate, rewritten in place by its sweeps; a
-    # stopped member's slot is never written again
+    # each member's latest iterate, rewritten in place by its sweeps
     current = ext[index]
+    wave = _Wave(current, ext, index, drifts * 2, max_outer, tol_fixed, grid.dx)
     # u_tilde of every sweep: a read-only view of current
-    iterates = Trajectory(grid, tg, current[:], copy=False)
-    # the containment defect of each row of each member's latest iterate;
-    # row 0 is u0 in every iterate and extremal
-    excess = np.zeros((len(sides), N + 1))
-    # residual, monotonicity and containment defects and start of each sweep
-    histories = [([], [], [], []) for _ in sides]
-    finals = [None] * len(sides)
-    starts = np.zeros(len(sides), dtype=int)  # each member's next start step
-    active = np.arange(len(sides))
-    for sweep in range(1, max_outer + 1):
-        idle = starts[active] == N
-        # (member, defects, first changed row, Newton metadata of each step)
-        swept = [(m, (0.0, 0.0, histories[m][2][-1]), N + 1, NewtonLog((0,) * N, 0.0))
-                 for m in active[idle].tolist()]
-        if not idle.all():
-            members = active[~idle]
-            start = int(starts[members].min())
-            member_drifts = [drifts[m % P] for m in members]
-            sink = _InPlaceSweep(current, ext, index, excess, members, P, start,
-                                 member_drifts)
-            log = apply_S(spec, iterates, [paths[m % P] for m in members], newton,
-                          members, sink, member_drifts, start)
-            log = NewtonLog((0,) * start + log.newton_iters, log.max_newton_residual)
-            swept += [(*outcome, log) for outcome in sink.outcomes(grid.dx)]
-        for m, defects, changed, log in swept:
-            for record, value in zip(histories[m], (*defects, int(starts[m]))):
-                record.append(value)
-            starts[m] = changed - 1
-            if defects[0] <= tol_fixed or sweep == max_outer:
-                finals[m] = Trajectory(grid, tg, current[m:m + 1], log.newton_iters,
-                                       log.max_newton_residual, copy=False)
-        active = active[[finals[m] is None for m in active]]
-        if not len(active):
-            break
+    apply_S(spec, Trajectory(grid, tg, current[:], copy=False), paths * 2, newton,
+            wave.store, drifts * 2, wave.passes())
     return [
         BracketResult(
             side=side,
             extremal_start=Trajectory(grid, tg, ext[e:e + 1], extremals.newton_iters,
                                       extremals.max_newton_residual, copy=False),
-            residual_history=tuple(residuals),
-            monotonicity_violations=tuple(mono),
-            containment_violations=tuple(containment),
-            sweep_starts=tuple(sweep_starts),
+            residual_history=residuals,
+            monotonicity_violations=mono,
+            containment_violations=containment,
+            sweep_starts=sweep_starts,
             converged=residuals[-1] <= tol_fixed,
-            final=finals[m],
+            final=Trajectory(grid, tg, current[m:m + 1], copy=False),
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )
         for m, (side, e, (residuals, mono, containment, sweep_starts))
-        in enumerate(zip(sides, index.tolist(), histories))
+        in enumerate(zip(sides, index.tolist(), (zip(*h) for h in wave.histories)))
     ]
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs, dptsv
@@ -75,9 +75,8 @@ class Trajectory:
     direct solve that starts a linear step is not counted.
     Values are read-only; they are copied from the caller's array unless
     copy=False hands over the array itself.  Its owner may still write it:
-    a bracket sweep rewrites u_tilde in place while the forcing reads it,
-    each row only after the forcing has read it, one step or more behind
-    the reader.
+    the bracket sweeps rewrite u_tilde in place while the forcing reads
+    it, each row only in the pass whose forcing has read it.
     """
 
     grid: Grid
@@ -138,6 +137,8 @@ class NewtonLog:
 # trajectory-frozen forcings sample the right endpoint t_{n+1}, which keeps
 # the nonzero branch of degenerate drifts (e.g. sqrt of the positive part
 # from a zero initial state) representable as a discrete fixed point.
+# In a pass of a march schedule, n may be the pair (members, steps) of
+# (L,) arrays instead: state i is member members[i] at step steps[i].
 Forcing = Callable[[int, np.ndarray], np.ndarray]
 
 
@@ -307,20 +308,27 @@ def march(
     weights: np.ndarray,
     store: Callable[[int, np.ndarray], None],
     newton: NewtonParams = NewtonParams(),
-    start: int = 0,
+    schedule: Optional[Iterable] = None,
 ) -> NewtonLog:
     """Step the scheme for a batch of B members from their own (B, n)
-    states u0 at step start (0 by default), with frozen drift
-    h_n = forcing(n, u_n) (one row per member) and the (N, B) noise
-    weights: row n holds each member's weight of step n (see
-    noise_weights).
+    states u0, with frozen drift h_n = forcing(n, u_n) (one row per
+    state) and the (N, B) noise weights: row n holds each member's weight
+    of step n (see noise_weights).
 
-    Calls store(n, u_{n+1}) right after step n, for n = start, ...,
-    N - 1, and returns the per-step Newton metadata; u_{n+1} is the next
-    step's input and must not be written to.  Initial states of the wrong
-    shape or with a non-finite value raise ValueError before any step.  A
-    step that fails raises NewtonDivergenceError with its index.  Each
-    member's states do not depend on the other members of the batch.
+    Each pass takes one implicit step for a batch of states and then calls
+    store(n, u_next) with the new states; u_next is the next pass's input
+    and must not be written to.  By default pass n steps every member from
+    its state n, for n = 0, ..., N - 1.  A schedule hands march its passes
+    instead, as pairs (n, u_n): a step n of every member with their (B, n)
+    states u_n, or None to step on from the states of the last pass (u0
+    at first); or n = (members, steps), two (L,) arrays, with the (L, n)
+    states of those members at those steps.  forcing and store get the
+    same n.  Returns the Newton metadata of each pass.
+
+    Initial states of the wrong shape or with a non-finite value raise
+    ValueError before any step.  A pass that fails raises
+    NewtonDivergenceError with the index of a step it took.  Each state's
+    step does not depend on the other states of its pass.
     """
     u = np.array(u0, dtype=float, order="C")  # the rounding of a row follows its layout
     if u.ndim != 2 or u.shape[1] != spec.grid.n_interior:
@@ -331,18 +339,23 @@ def march(
     if weights.shape != (spec.time_grid.n_steps, u.shape[0]):
         raise ValueError(f"noise weights of shape {weights.shape}, "
                          f"expected ({spec.time_grid.n_steps}, {u.shape[0]})")
-    if not 0 <= start <= spec.time_grid.n_steps:
-        raise ValueError(f"start step {start} outside 0..{spec.time_grid.n_steps}")
     _check_guards(spec)
     factor = linear_factor(spec)
     iters, worst = [], 0.0
-    D = None  # the interface gradients of u, once a step has computed them
-    for n, w_n in enumerate(weights[start:], start):
+    D = None  # the interface gradients of u, once a pass has computed them
+    if schedule is None:
+        schedule = ((n, None) for n in range(spec.time_grid.n_steps))
+    for n, u_n in schedule:
+        if u_n is not None:
+            u, D = u_n, None
+        # weights.T[members, steps] holds each state's weight of its step
+        w_n = weights.T[n] if isinstance(n, tuple) else weights[n]
         h_n = forcing(n, u) if forcing is not None else None
         try:
             u, report, D = implicit_step(spec, u, h_n, w_n, newton, factor, D)
         except NewtonDivergenceError as err:
-            raise NewtonDivergenceError(str(err) + f" (step {n})", n) from None
+            step = int(np.min(n[1])) if isinstance(n, tuple) else n
+            raise NewtonDivergenceError(str(err) + f" (step {step})", step) from None
         store(n, u)
         iters.append(report.iterations)
         worst = max(worst, report.residual)
@@ -356,18 +369,18 @@ def solve_frozen(
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[int, np.ndarray], None]] = None,
-    start: int = 0,
+    schedule: Optional[Iterable] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """March the scheme with frozen drift h_n = forcing(n, u_n) for a batch
     of B paths, one per noise path (one path when noise_paths is None or a
-    single NoisePath), over steps start to N - 1 from their states u0 at
-    step start (0 by default): one (n,) state for every path, or one (B, n)
-    row per path.
+    single NoisePath), from their initial states u0: one (n,) state for
+    every path, or one (B, n) row per path.
 
     Returns every state as a Trajectory.  With store given, no state is
     kept: store(n, u) receives the (B, n) states n + 1 right after step n,
-    and the result is the NewtonLog of the steps taken.  A march from a
-    later step needs a store, since it has no earlier states to return.
+    and the result is the NewtonLog of the steps taken.  A schedule hands
+    march its passes (see march); a scheduled march needs a store, since
+    its passes need not make the states in order.
 
     Deterministic given (spec, u0, forcing, noise_paths); each path's
     values do not depend on the other paths of the batch.
@@ -386,8 +399,8 @@ def solve_frozen(
 
     weights = np.stack([noise_weights(spec.noise, inc) for inc in increments], axis=1)
     keep = store is None
-    if start and keep:
-        raise ValueError("a march from a later step needs a store")
+    if schedule is not None and keep:
+        raise ValueError("a scheduled march needs a store")
     shape = (len(increments), spec.grid.n_interior)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape not in (shape, shape[1:]):
@@ -399,7 +412,7 @@ def solve_frozen(
 
         def store(n, u_next):
             states[:, n + 1] = u_next
-    log = march(spec, u0, forcing, weights, store, newton, start)
+    log = march(spec, u0, forcing, weights, store, newton, schedule)
     if keep:
         return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual,
                           copy=False)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdeorder import bracket
+from spdeorder import bracket, solver
 from spdeorder import (
     DriftSpec,
     Grid,
+    NewtonDivergenceError,
     NewtonParams,
     NoiseSpec,
     ProblemSpec,
@@ -151,6 +152,25 @@ def test_iterate_bracket_parameter_validation():
     path = sample_noise_path(0, 0, 0, spec.time_grid)
     with pytest.raises(ValueError):  # one drift per path
         iterate_bracket(spec, ZERO, [path, path], [spec.drift])
+
+
+def test_a_large_max_outer_allocates_nothing():
+    # the per-sweep counters grow with the sweeps that start, not with
+    # max_outer, and the limit changes no result it does not reach
+    spec = stochastic_jump_spec()
+    pairs = bracket_study(spec, sine(spec), 12345, range(2), tol_fixed=1e-6, max_outer=100)
+    tracemalloc.start()
+    try:
+        large = bracket_study(spec, sine(spec), 12345, range(2), tol_fixed=1e-6,
+                              max_outer=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for ours, theirs in zip(large, pairs):
+        for a, b in ((ours.minimal, theirs.minimal), (ours.maximal, theirs.maximal)):
+            assert a.to_text() == b.to_text() and a.sweep_starts == b.sweep_starts
+            assert np.array_equal(a.final.values, b.final.values)
 
 
 def test_bracket_study_pairs():
@@ -354,7 +374,7 @@ def test_bracket_results_are_read_only_views():
 
 def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
     spec = stochastic_jump_spec()
-    counts, batch_sizes = Counter(), []
+    counts, lanes = Counter(), []
     solve = bracket.solve_frozen
 
     def counting_solve(*args, **kwargs):
@@ -366,13 +386,25 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
             before = counts["solve_frozen"]
             result = fn(*args, **kwargs)
             assert counts["solve_frozen"] == before + 1  # exactly one solve per call
-            assert sum(result.newton_iters) > 0
             counts[name] += 1
-            if name == "apply_S":
-                batch_sizes.append(len(args[2]))  # one noise path per member
+            counts["newton_iters"] += sum(result.newton_iters)
             return result
         return call
 
+    def counted_step(fn):
+        def step(spec, u_n, *args):
+            if counts["build_extremal"]:  # a pass of the sweeps
+                lanes.append(len(u_n))
+            return fn(spec, u_n, *args)
+        return step
+
+    def counted_linsolve(*args):
+        counts["solve_banded"] += 1
+        return linsolve(*args)
+
+    linsolve = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded", counted_linsolve)
+    monkeypatch.setattr(solver, "implicit_step", counted_step(solver.implicit_step))
     monkeypatch.setattr(bracket, "solve_frozen", counting_solve)
     monkeypatch.setattr(bracket, "build_extremal", counted(bracket.build_extremal,
                                                            "build_extremal"))
@@ -381,18 +413,63 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
 
     results = [r for p in pairs for r in (p.minimal, p.maximal)]
     N = spec.time_grid.n_steps
-    assert counts["build_extremal"] == 1
-    # lock step: one apply_S call for each sweep in which a member steps
-    stepping = {k for r in results for k, start in enumerate(r.sweep_starts) if start < N}
-    assert counts["apply_S"] == len(stepping)
-    assert counts["solve_frozen"] == counts["build_extremal"] + counts["apply_S"]
-    # a stopped member is never swept again, and a member whose drift
-    # values did not change takes its sweep without stepping
-    without_stepping = sum(r.sweep_starts.count(N) for r in results)
-    assert without_stepping > 0
-    assert batch_sizes[0] == 2 * len(pairs)
-    assert sum(batch_sizes) + without_stepping == sum(r.n_sweeps for r in results)
-    assert len(set(batch_sizes)) >= 2
+    # one march for the extremals, one for every sweep of every member
+    assert (counts["build_extremal"], counts["apply_S"], counts["solve_frozen"]) == (1, 1, 2)
+    assert counts["newton_iters"] == counts["solve_banded"] > 0
+    # each stepping sweep solves the rows after its start once, and no
+    # other rows; a member whose drift values did not change takes its
+    # sweep without stepping
+    assert sum(lanes) == sum(N - start for r in results for start in r.sweep_starts)
+    assert sum(r.sweep_starts.count(N) for r in results) > 0
+    # the sweeps overlap in time: fewer passes than lock-step sweeps, each
+    # from the smallest start among its members, would take
+    lock_step = sum(N - min(r.sweep_starts[k] for r in results if r.n_sweeps > k)
+                    for k in range(max(r.n_sweeps for r in results)))
+    assert len(lanes) < lock_step
+    assert max(lanes) > 2 * len(pairs)  # passes with several sweeps of one member
+
+
+def _fail_in_pass(monkeypatch, failing):
+    """Make the implicit step of pass `failing` of the sweeps fail; returns
+    the steps of every pass handed out so far."""
+    passes = []
+    schedule = bracket._Wave.passes
+    step = solver.implicit_step
+
+    def recorded(wave):
+        for n, u in schedule(wave):
+            passes.append(n[1].tolist())
+            yield n, u
+
+    def failing_step(*args):
+        if len(passes) == failing:
+            raise NewtonDivergenceError("injected failure")
+        return step(*args)
+
+    monkeypatch.setattr(bracket._Wave, "passes", recorded)
+    monkeypatch.setattr(solver, "implicit_step", failing_step)
+    return passes
+
+
+def test_a_newton_failure_in_the_sweeps_names_a_step_of_its_pass(monkeypatch):
+    passes = _fail_in_pass(monkeypatch, 40)
+    spec = stochastic_jump_spec()
+    with pytest.raises(NewtonDivergenceError, match="injected failure") as exc:
+        bracket_study(spec, sine(spec), 12345, range(3), tol_fixed=1e-6, max_outer=100)
+    assert len(passes) == 40
+    assert len(set(passes[-1])) > 1  # lanes at different steps
+    assert exc.value.step_index in passes[-1]
+    assert f"(step {exc.value.step_index})" in str(exc.value)
+
+
+def test_cli_newton_failure_in_the_sweeps_exits_3(tmp_path, monkeypatch, capsys):
+    _fail_in_pass(monkeypatch, 40)
+    cfg = tmp_path / "plap.cfg"
+    cfg.write_text("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\nspatial.p = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "solver failure: injected failure (step" in capsys.readouterr().err
+    assert not list(out.glob("bracket_*.txt"))
 
 
 def plap_p3_dual_jump():
@@ -407,25 +484,47 @@ def with_sine(spec, M):
     return spec, sine(spec), None, M
 
 
-# (spec, u0, drifts, paths) of each case, and the start steps its sweeps take:
-# step 0, a later step, or none (N, a sweep without stepping)
+def sqrt_plus_pde_from_zero():
+    # the max side takes 16 sweeps, each from step 0, and the last one's
+    # residual stays below tol_fixed: the sweep after it waits, then is dropped
+    cfg = resolve_config({"scenario": "custom", "drift.kind": "sqrt_plus",
+                          "u0.kind": "zero", "noise.K": 0, "spatial.p": 3.0, "grid.n": 16,
+                          "time.T": 0.2})
+    spec = build_problem_spec(cfg)
+    return spec, build_u0(cfg, spec.grid), None, 1
+
+
+# (spec, u0, drifts, paths) of each case, the start steps its sweeps take:
+# step 0, a later step, or none (N, a sweep without stepping), and its
+# iteration arguments other than tol_fixed = 1e-6 and max_outer = 100
 ALL_STARTS = {"0", "later", "none"}
 REFERENCE_CASES = {
-    "heaviside_batch": (lambda: with_sine(stochastic_jump_spec(), 3), ALL_STARTS),
-    "plap_p3_dual_jump": (plap_p3_dual_jump, ALL_STARTS),
+    "heaviside_batch": (lambda: with_sine(stochastic_jump_spec(), 3), ALL_STARTS, {}),
+    "plap_p3_dual_jump": (plap_p3_dual_jump, ALL_STARTS, {}),
     # the tanh drift changes on row 1 in every sweep
     "lipschitz_tanh": (lambda: with_sine(dataclasses.replace(
         stochastic_jump_spec(), drift=DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)),
-        2), {"0"}),
-    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), ZERO, None, 1), {"0", "none"}),
+        2), {"0"}, {}),
+    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), ZERO, None, 1), {"0", "none"}, {}),
+    "sqrt_plus_pde_from_zero": (sqrt_plus_pde_from_zero, {"0", "none"}, {}),
+    "max_outer_1": (lambda: with_sine(stochastic_jump_spec(), 3), {"0"}, {"max_outer": 1}),
+    "max_outer_2": (lambda: with_sine(stochastic_jump_spec(), 3), {"0", "later"},
+                    {"max_outer": 2}),
+    # between the second and third sweeps' residuals of some members: they
+    # stop after a sweep that steps, and the sweep found to follow is dropped
+    "tol_between_sweeps": (lambda: with_sine(stochastic_jump_spec(), 3), ALL_STARTS,
+                           {"tol_fixed": 2e-3}),
+    "one_step": (lambda: with_sine(dataclasses.replace(
+        stochastic_jump_spec(), time_grid=TimeGrid(T=0.002, n_steps=1)), 3),
+        {"0", "none"}, {}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
-    build, kinds = REFERENCE_CASES[case]
+    build, kinds, arguments = REFERENCE_CASES[case]
     spec, u0, drifts, M = build()
-    kwargs = dict(tol_fixed=1e-6, max_outer=100)
+    kwargs = dict(tol_fixed=1e-6, max_outer=100) | arguments
     pairs = bracket_study(spec, u0, 12345, range(M), drifts, **kwargs)
     drifts = drifts or (spec.drift,)
     N = spec.time_grid.n_steps
@@ -449,6 +548,41 @@ def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
                 assert res.containment_violations[-1] == res.containment_violations[-2]
             all_starts += res.sweep_starts
     assert {"0" if s == 0 else "none" if s == N else "later" for s in all_starts} == kinds
+
+
+@pytest.mark.parametrize("case", ["heaviside_batch", "sqrt_plus_pde_from_zero",
+                                  "tol_between_sweeps"])
+def test_each_sweep_steps_from_its_own_row_and_reads_the_one_before(monkeypatch, case):
+    # every level of a member shares one iterate array: a lane's state is
+    # the row its level wrote last (or its start row), never one a later
+    # sweep wrote, and its forcing reads a row of an earlier sweep
+    schedule, store = bracket._Wave.passes, bracket._Wave.store
+    checked = Counter()
+
+    def passes(wave):
+        writer = np.zeros(wave.current.shape[:2], dtype=int)  # 0: the extremal
+        wave.writer = writer
+        for n, u in schedule(wave):
+            m, steps = n
+            state = writer[m, steps]
+            own = steps > wave.start[m, wave.k]  # past the start row
+            assert np.all(np.where(own, state == wave.k, state < wave.k))
+            assert np.all(writer[m, steps + 1] < wave.k)
+            checked["lanes"] += len(m)
+            yield n, u
+
+    def stores(wave, n, v):
+        m, steps = n
+        wave.writer[m, steps + 1] = wave.k
+        store(wave, n, v)
+
+    monkeypatch.setattr(bracket._Wave, "passes", passes)
+    monkeypatch.setattr(bracket._Wave, "store", stores)
+    build, _, arguments = REFERENCE_CASES[case]
+    spec, u0, drifts, M = build()
+    bracket_study(spec, u0, 12345, range(M), drifts,
+                  **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
+    assert checked["lanes"] > spec.time_grid.n_steps
 
 
 def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):

@@ -387,6 +387,12 @@ def test_march_members_equal_their_own_solves(p, K):
         assert per_member.sum() > 0
 
 
+def _from_step(start, states, N):
+    """The schedule of a march from step start: the states there, then on."""
+    yield start, states
+    yield from ((n, None) for n in range(start + 1, N))
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_a_march_from_a_later_step_repeats_the_full_march(p):
     # started at step s from the full march's states there, solve_frozen
@@ -395,21 +401,50 @@ def test_a_march_from_a_later_step_repeats_the_full_march(p):
     paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(3)]
     full = solve_frozen(spec, _noisy_u0(spec), constant_forcing(0.5), paths)
     N = spec.time_grid.n_steps
-    for start in (1, 11, N - 1, N):
+    for start in (1, 11, N - 1):
         stored = {}
-        log = solve_frozen(spec, full.values[:, start], constant_forcing(0.5), paths,
-                           store=stored.__setitem__, start=start)
+        log = solve_frozen(spec, full.values[:, 0], constant_forcing(0.5), paths,
+                           store=stored.__setitem__,
+                           schedule=_from_step(start, full.values[:, start], N))
         assert sorted(stored) == list(range(start, N))
         for n, u in stored.items():
             assert np.array_equal(u, full.values[:, n + 1])
         assert log.newton_iters == full.newton_iters[start:]
     with pytest.raises(ValueError, match="needs a store"):
-        solve_frozen(spec, full.values[:, 3], constant_forcing(0.5), paths, start=3)
-    weights = np.zeros((N, 3))
-    stored.clear()
-    with pytest.raises(ValueError, match="start step"):
-        march(spec, full.values[:, 0], None, weights, stored.__setitem__, start=N + 1)
-    assert not stored
+        solve_frozen(spec, full.values[:, 0], constant_forcing(0.5), paths,
+                     schedule=_from_step(3, full.values[:, 3], N))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_scheduled_march_steps_each_state_as_the_full_march(p):
+    # a wave: member 2 runs ahead, members 1 and 0 follow one and two
+    # steps behind, each pass one batch of (member, step) pairs read from
+    # and written to one states array; every state is the full march's
+    spec = _noisy_spec(p, 3)
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(3)]
+    u0 = np.stack([_noisy_u0(spec), np.zeros(16), -_noisy_u0(spec)])
+    full = solve_frozen(spec, u0, constant_forcing(0.5), paths)
+    weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
+    N = spec.time_grid.n_steps
+    states = np.full(full.values.shape, np.nan)
+    states[:, 0] = u0
+    lag = np.array([2, 1, 0])
+
+    def wave():
+        for n in range(N + 2):
+            members = np.flatnonzero((n - lag >= 0) & (n - lag < N))
+            steps = n - lag[members]
+            yield (members, steps), states[members, steps]
+
+    def store(n, u):
+        members, steps = n
+        states[members, steps + 1] = u
+
+    log = march(spec, u0, constant_forcing(0.5), weights, store, schedule=wave())
+    assert np.array_equal(states, full.values)
+    assert len(log.newton_iters) == N + 2
+    if p == 3.0:
+        assert sum(log.newton_iters) > 0
 
 
 @pytest.mark.parametrize("start", [0, 1])
@@ -441,8 +476,8 @@ def test_traced_identities_of_a_batched_march(monkeypatch, start):
     if start:
         first = solve_frozen(spec, u0, constant_forcing(0.5), paths)
         counts.clear()
-        log = solve_frozen(spec, first.values[:, start], constant_forcing(0.5), paths,
-                           store=lambda n, u: None, start=start)
+        log = solve_frozen(spec, u0, constant_forcing(0.5), paths, store=lambda n, u: None,
+                           schedule=_from_step(start, first.values[:, start], N))
     else:
         log = solve_frozen(spec, u0, constant_forcing(0.5), paths)
     iters = sum(log.newton_iters)
