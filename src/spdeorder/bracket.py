@@ -7,11 +7,12 @@ sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
 iteration is pathwise: each sweep is deterministic for a fixed noise path
-and drift.  S is causal, so all sweeps of all (noise path, drift) pairs
-and of both sides run in one time march: a wave over sweep levels, each
-level one row or more behind the one it reads, whose passes step every
-level that can step in one batch and write the new iterates in place.
-Each member's iterates are those of sweeping it alone.
+and drift.  S is causal, so the extremals and all sweeps of all (noise
+path, drift) pairs and of both sides run in one time march: a wave over
+sweep levels, the extremals at level 0, each level one row or more
+behind the one it reads, whose passes step every level that can step in
+one batch and write the new iterates in place.  Each member's extremal
+and iterates are those of solving and sweeping it alone.
 """
 from __future__ import annotations
 
@@ -40,10 +41,7 @@ def extremal_forcing(sides: Union[str, Sequence[str]],
                      C_B: Union[float, Sequence[float]]) -> Forcing:
     """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u): one side and
     one C_B for the whole batch, or one of either per member."""
-    sides = np.asarray(sides)
-    if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
-        raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
-    coeff = np.where(sides == MAX_SIDE, 1.0, -1.0) * np.asarray(C_B, dtype=float)
+    coeff = _extremal_coeff(sides, C_B)
     if coeff.ndim:
         coeff = coeff[:, None]
 
@@ -51,6 +49,15 @@ def extremal_forcing(sides: Union[str, Sequence[str]],
         return coeff * (1.0 + u)
 
     return forcing
+
+
+def _extremal_coeff(sides, C_B) -> np.ndarray:
+    """The coefficient -C_B (min side) or +C_B (max side) of the extremal
+    forcing, per side."""
+    sides = np.asarray(sides)
+    if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
+        raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
+    return np.where(sides == MAX_SIDE, 1.0, -1.0) * np.asarray(C_B, dtype=float)
 
 
 def build_extremal(
@@ -73,9 +80,10 @@ def apply_S(
     u_tilde: Trajectory,
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-    store: Optional[Callable[[int, np.ndarray], None]] = None,
+    store: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
     drifts: Optional[Sequence[DriftSpec]] = None,
     schedule: Optional[Iterable] = None,
+    sides: Optional[Sequence[Optional[str]]] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
@@ -84,21 +92,40 @@ def apply_S(
     drift per path (spec.drift for all by default); each drift is
     evaluated on its own paths' rows, one eval_b_values call per distinct
     drift and pass, so every path's values are those of its solve alone.
-    A store takes the new states pass by pass instead, and a schedule
-    hands the march its passes (see solve_frozen); a pass that steps
-    path m at step n reads row n + 1 of path m of u_tilde before its new
-    states reach the store."""
+
+    sides, when given, holds one entry per path: None for a path that S
+    maps, or the side of an extremal path, which steps instead with the
+    extremal forcing of that side and its drift's C_B on its own state,
+    bit for bit that of extremal_forcing; its values do not depend on
+    u_tilde past row 0.  A store takes the new states
+    pass by pass instead, as store(n, v, h) with the forcing values h the
+    pass read, and a schedule hands the march its passes (see
+    solve_frozen); a pass that steps path m at step n reads row n + 1 of
+    path m of u_tilde before its new states reach the store."""
     drifts = (spec.drift,) * u_tilde.n_paths if drifts is None else drifts
-    if len(drifts) != u_tilde.n_paths:
-        raise ValueError("apply_S needs one drift per path")
+    if len(drifts) != u_tilde.n_paths or (sides is not None and len(sides) != len(drifts)):
+        raise ValueError("apply_S needs one drift and one side per path")
     kinds, group = _drift_kinds(drifts)
+    if sides is not None:
+        extremal = np.array([side is not None for side in sides])
+        # each path's coefficient, read only on the extremal ones
+        coeff = _extremal_coeff([side or MIN_SIDE for side in sides],
+                                [drift.C_B for drift in drifts])
+    read = None
 
     def forcing(n, u):
+        nonlocal read
         members, steps = n if isinstance(n, tuple) else (slice(None), n)
-        return _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
+        read = _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
+        if sides is not None and (rows := extremal[members]).any():
+            read[rows] = coeff[members][rows, None] * (1.0 + u[rows])
+        return read
 
-    return solve_frozen(spec, u_tilde.values[:, 0], forcing, noise_paths, newton, store,
-                        schedule)
+    def stored(n, v):
+        store(n, v, read)
+
+    return solve_frozen(spec, u_tilde.values[:, 0], forcing, noise_paths, newton,
+                        None if store is None else stored, schedule)
 
 
 def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
@@ -122,6 +149,11 @@ def _drift_values(kinds: Sequence[DriftSpec], group: np.ndarray,
 
 @dataclass(frozen=True)
 class BracketResult:
+    """One side of one (noise path, drift) pair: its extremal, its final
+    iterate and the defects of each sweep.  Both trajectories are
+    read-only views into the study's one array, and their rows were made
+    in many passes, so neither carries per-step Newton metadata."""
+
     side: str
     extremal_start: Trajectory
     residual_history: tuple
@@ -157,12 +189,19 @@ class BracketResult:
 
 
 class _Wave:
-    """The schedule and the store of the one march that runs every sweep
-    of every member.  Level k of member m, the sweep that makes
-    u^k = S(u^{k-1}) from the extremal u^0, is a lane; each pass steps
-    every lane that can step by one row, in one batch.
+    """The schedule and the store of the one march that runs a whole
+    bracket study.  Level k of member m, the sweep that makes
+    u^k = S(u^{k-1}), is a lane; level 0 is the member's extremal u^0,
+    and each distinct extremal is one lane, read by every member that
+    shares it.  Each pass steps every lane that can step by one row, in
+    one batch: the extremals step in every pass, from row 0 until they
+    hold row N, with the forcing -C_B(1+u_n) / +C_B(1+u_n) of their own
+    state.
 
-    The levels of a member share its row of `current`: level k holds rows
+    buf holds each member's latest iterate in row m (current) and the
+    extremals in the rows after them (ext).  A pass that makes a row of
+    the extremals copies it into the members that read them, so all
+    levels of a member share its row of current: level k holds rows
     0..have[m, k] there, and the later rows still hold lower levels.  A
     lane at row r steps once level k - 1 holds row r + 1.  Its forcing
     reads that row, which the lane then writes over, and its state is its
@@ -183,17 +222,21 @@ class _Wave:
     without stepping: u^{k+1} = u^k, residual and monotonicity 0.0, the
     containment defect of level k, and it stops.
 
-    Each lane's step gets the state, drift values and noise weight of its
+    Each lane's step gets the state, forcing and noise weight of its
     sweep alone, and each row's defects are reduced on their own: sums of
     squares run along the node axis and maxima are exact, so every defect
-    equals the one taken over the whole trajectory at once.
+    equals the one taken over the whole trajectory at once.  The march
+    keeps no per-lane Newton metadata, so neither the extremals nor the
+    finals carry any.
     """
 
-    def __init__(self, current: np.ndarray, ext: np.ndarray, index: np.ndarray,
-                 drifts: Sequence[DriftSpec], max_outer: int, tol_fixed: float, dx: float):
-        M, N = current.shape[0], current.shape[1] - 1
+    def __init__(self, buf: np.ndarray, index: np.ndarray, drifts: Sequence[DriftSpec],
+                 max_outer: int, tol_fixed: float, dx: float):
+        M, N = len(index), buf.shape[1] - 1
         P, K = M // 2, max_outer
-        self.current, self.ext = current, ext
+        self.buf, self.current, self.ext = buf, buf[:M], buf[M:]
+        self.extremals = np.arange(M, len(buf))  # their rows of buf
+        self.index = index
         # the containment defect of each row of each member's latest
         # iterate; row 0 is u0 in every iterate and extremal
         self.excess = np.zeros((M, N + 1))
@@ -205,13 +248,12 @@ class _Wave:
         # the per-level arrays below have a column for each level up to
         # top + 1 at least; they grow as levels start, not with max_outer.
         # The last row each level holds; N + 1 for a level not started or
-        # dropped
+        # dropped.  Level 0 is the extremals, which all hold the same rows
         self.have = np.full((M, 3), N + 1)
-        self.have[:, 0], self.have[:, 1] = N, 0
+        self.have[:, :2] = 0
         # the last row level k + 1 may step from: have[m, k] - 1, or -1
         # while level k may be final
         self.limit = np.full((M, 3), -1)
-        self.limit[:, 0] = N - 1
         self.start = np.zeros((M, 3), dtype=int)
         # each level's worst sum of squares of new - old, monotonicity and
         # containment defects
@@ -222,27 +264,39 @@ class _Wave:
         self.histories = [[] for _ in range(M)]
 
     def passes(self):
-        """The passes of the march: ((members, steps), states) of every
-        lane that can step."""
+        """The passes of the march: ((rows of buf, steps), states) of every
+        lane that can step, the extremals last."""
         while True:
             lanes = self.have[:, 1:self.top + 1]
             m, k = np.nonzero(lanes <= self.limit[:, :self.top])
-            if not len(m):
-                return
             steps = lanes[m, k]
             self.k = k + 1
-            yield (m, steps), self.current[m, steps]
+            if self.have[0, 0] < self.N:
+                m = np.concatenate((m, self.extremals))
+                steps = np.concatenate((steps, np.full(len(self.ext), self.have[0, 0])))
+            elif not len(m):
+                return
+            yield (m, steps), self.buf[m, steps]
 
-    def store(self, n: tuple, v: np.ndarray) -> None:
+    def store(self, n: tuple, v: np.ndarray, h: np.ndarray) -> None:
         (m, steps), k = n, self.k
+        if self.have[0, 0] < self.N:  # the extremals end the pass
+            L, row = len(k), self.have[0, 0] + 1
+            self.ext[:, row] = v[L:]
+            self.current[:, row] = v[L + self.index]
+            self.have[:, 0], self.limit[:, 0] = row, row - 1
+            if not L:
+                return
+            m, steps, v = m[:L], steps[:L], v[:L]
         rows = steps + 1
         old = self.current[m, rows]
         todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.K))
         if len(todo):
-            # bit patterns, not ==: +0.0 against -0.0 changes the forcing too
-            pair = np.stack((v, old), axis=1)[todo]
-            bits = _drift_values(self.kinds, self.group[m[todo]], pair).view(np.int64)
-            for i in todo[(bits[:, 0] != bits[:, 1]).any(axis=-1)].tolist():
+            # h holds the b(old) each lane read; bit patterns, not ==:
+            # +0.0 against -0.0 changes the forcing too
+            new = _drift_values(self.kinds, self.group[m[todo]], v[todo])
+            changed = (new.view(np.int64) != h[todo].view(np.int64)).any(axis=-1)
+            for i in todo[changed].tolist():
                 self._start(m[i], k[i] + 1, steps[i])
         # the worst sum of squares of new - old, monotonicity and
         # containment defect of each new row
@@ -312,28 +366,30 @@ def iterate_bracket(
 
     Member m < P sweeps the min side of path m from its lower extremal,
     member P + m the max side from its upper one.  The extremal forcing
-    reads only C_B of the drift, so one build_extremal call solves each
-    distinct (noise path, side, C_B) once, and members that share one read
-    the same extremal.
+    reads only C_B of the drift, so each distinct (noise path, side, C_B)
+    extremal is solved once, and members that share one read it.
 
     S is causal: row r of S(u) reads u only at rows <= r, and only through
-    the drift values b(u).  So all sweeps of all members run in one
-    apply_S call, a wave over sweep levels (see _Wave): sweep k steps a
-    row once sweep k - 1 has made the rows it reads, writes its iterate
-    in place over sweep k - 1's, and starts at the row R before the first
-    row where b(u^{k-1}) and b(u^{k-2}) differ bit for bit (sweep 1 at 0),
-    since S(u^{k-1}) equals u^{k-1} on rows 0..R; R = N, a sweep taken
-    without stepping, when none differs.  A member stops when
+    the drift values b(u).  So the whole study runs in one apply_S call, a
+    wave over sweep levels (see _Wave) whose level 0 solves the
+    extremals: sweep k steps a row once sweep k - 1 (the extremal for
+    k = 1) has made the rows it reads, writes its iterate in place over
+    sweep k - 1's, and starts at the row R before the first row where
+    b(u^{k-1}) and b(u^{k-2}) differ bit for bit (sweep 1 at 0), since
+    S(u^{k-1}) equals u^{k-1} on rows 0..R; R = N, a sweep taken without
+    stepping, when none differs.  A member stops when
     sup_t ||S(u) - u||_H <= tol_fixed, which a sweep without stepping
     always meets, or after max_outer sweeps, and its later sweeps are
-    dropped before they step; so its iterates and defects are bit for bit
-    those of sweeping it alone from step 0 every time.  Min-side iterates
-    are expected nondecreasing in the sweep index (max side mirrored);
-    per-sweep violations and bracket-containment defects are logged, never
-    silently accepted.  Returns the 2P results in member order; their
-    trajectories are read-only views into the batch's extremal and iterate
-    arrays, and a final, whose rows many passes solved, carries no Newton
-    metadata.
+    dropped before they step; so its extremal, iterates and defects are
+    bit for bit those of build_extremal and of sweeping it alone from
+    step 0 every time.  Min-side iterates are expected nondecreasing in
+    the sweep index (max side mirrored); per-sweep violations and
+    bracket-containment defects are logged, never silently accepted.  A
+    Newton failure in any lane raises NewtonDivergenceError from the
+    first failing pass.  Returns the 2P results in member order; their
+    trajectories are read-only views into the study's one array, and
+    neither an extremal nor a final, whose rows many passes solved,
+    carries Newton metadata.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
@@ -351,28 +407,26 @@ def iterate_bracket(
         slots.setdefault(key, len(slots))
     index = np.array([slots[key] for key in keys])  # each member's extremal
     owners = [keys.index(key) for key in slots]  # the first member of each
-    extremals = build_extremal(spec, u0, [sides[m] for m in owners],
-                               [paths[m % P] for m in owners], newton,
-                               [drifts[m % P] for m in owners])
     grid, tg = spec.grid, spec.time_grid
-    ext = extremals.values
-    # each member's latest iterate, rewritten in place by its sweeps
-    current = ext[index]
-    wave = _Wave(current, ext, index, drifts * 2, max_outer, tol_fixed, grid.dx)
-    # u_tilde of every sweep: a read-only view of current
-    apply_S(spec, Trajectory(grid, tg, current[:], copy=False), paths * 2, newton,
-            wave.store, drifts * 2, wave.passes())
+    # each member's latest iterate, rewritten in place by its sweeps, then
+    # the extremals; finite before the march, since u_tilde wraps it
+    buf = np.zeros((2 * P + len(owners), tg.n_steps + 1, grid.n_interior))
+    buf[:, 0] = u0
+    wave = _Wave(buf, index, drifts * 2, max_outer, tol_fixed, grid.dx)
+    lanes = list(range(2 * P)) + owners  # the member whose path and drift each row takes
+    apply_S(spec, Trajectory(grid, tg, buf[:], copy=False), [paths[m % P] for m in lanes],
+            newton, wave.store, [drifts[m % P] for m in lanes], wave.passes(),
+            [None] * (2 * P) + [sides[m] for m in owners])
     return [
         BracketResult(
             side=side,
-            extremal_start=Trajectory(grid, tg, ext[e:e + 1], extremals.newton_iters,
-                                      extremals.max_newton_residual, copy=False),
+            extremal_start=Trajectory(grid, tg, wave.ext[e:e + 1], copy=False),
             residual_history=residuals,
             monotonicity_violations=mono,
             containment_violations=containment,
             sweep_starts=sweep_starts,
             converged=residuals[-1] <= tol_fixed,
-            final=Trajectory(grid, tg, current[m:m + 1], copy=False),
+            final=Trajectory(grid, tg, buf[m:m + 1], copy=False),
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )
@@ -410,7 +464,7 @@ def bracket_study(
     newton: NewtonParams = NewtonParams(),
 ) -> list[BracketPair]:
     """Both one-sided iterations of every (drift, noise path) pair from the
-    (n,) datum u0, in one lock-step batch (see iterate_bracket): drifts
+    (n,) datum u0, in one march (see iterate_bracket): drifts
     defaults to (spec.drift,), and path index m is noise path m of
     master_seed.
 

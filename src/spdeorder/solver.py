@@ -91,7 +91,8 @@ class Trajectory:
         expected = (self.time_grid.n_steps + 1, self.grid.n_interior)
         if arr.ndim != 3 or arr.shape[1:] != expected:
             raise ValueError(f"trajectory shape {arr.shape}, expected (B, *{expected})")
-        if not np.all(np.isfinite(arr)):
+        # min and max propagate NaN, and take no temporary array
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("trajectory contains non-finite values")
         if copy:
             arr = arr.copy()

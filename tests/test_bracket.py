@@ -297,8 +297,8 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     P = len(paths)
     # one extremal per distinct (noise path, side, C_B): the two heaviside
     # drifts on path 0 share theirs, the tanh and heaviside ones on path 1
-    # differ in C_B
-    assert results[0].extremal_start.values.base.shape[0] == 6
+    # differ in C_B.  The study's one array holds the 2P iterates, then them
+    assert results[0].extremal_start.values.base.shape[0] == 2 * P + 6
     assert [r.side for r in results] == [MIN_SIDE] * P + [MAX_SIDE] * P
     assert not np.array_equal(results[0].final.values, results[1].final.values)
     assert len({r.n_sweeps for r in results}) >= 2
@@ -312,29 +312,110 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
         assert res.n_sweeps == len(residuals)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_the_extremals_of_a_study_equal_build_extremal(p):
+    # the extremal lanes of the study's march are bit for bit build_extremal,
+    # batched or alone; at p = 2 each step starts from the direct linear
+    # solve.  Members that share a (noise path, side, C_B) view one row
+    spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(p=p),
+                               noise=NoiseSpec.geometric(2))
+    assert (solver.linear_factor(spec) is not None) == (p == 2.0)
+    u0 = sine(spec)
+    drifts = [DriftSpec("heaviside", s0=0.5, jump_side="lower"),
+              DriftSpec("heaviside", s0=0.5, jump_side="upper"),
+              DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5),
+              DriftSpec("heaviside", s0=0.5, jump_side="lower")]
+    shared = [sample_noise_path(3, m, 2, spec.time_grid) for m in (0, 1)]
+    paths = [shared[m] for m in (0, 0, 1, 1)]
+    results = iterate_bracket(spec, u0, paths, drifts, tol_fixed=1e-6, max_outer=100)
+    P = len(paths)
+    sides = [r.side for r in results]
+    batch = build_extremal(spec, u0, sides, paths * 2, NewtonParams(), drifts * 2)
+    for m, res in enumerate(results):
+        alone = build_extremal(spec, u0, res.side, paths[m % P], drifts=[drifts[m % P]])
+        assert np.array_equal(res.extremal_start.values, alone.values)
+        assert np.array_equal(res.extremal_start.values[0], batch.values[m])
+        assert res.extremal_start.newton_iters == ()
+    for a, b in ((0, 1), (P, P + 1)):  # the two heaviside drifts on path 0
+        assert np.shares_memory(results[a].extremal_start.values,
+                                results[b].extremal_start.values)
+    assert not np.shares_memory(results[2].extremal_start.values,
+                                results[3].extremal_start.values)
+    # apply_S steps a path with a side as that extremal, next to a path S
+    # maps, whatever u_tilde holds past row 0 on it
+    u_tilde = np.full((2, spec.time_grid.n_steps + 1, spec.grid.n_interior), 7.0)
+    u_tilde[:, 0] = u0
+    image = apply_S(spec, Trajectory(spec.grid, spec.time_grid, u_tilde), paths[2:],
+                    drifts=drifts[2:], sides=[None, MAX_SIDE])
+    assert np.array_equal(image.values[1], results[P + 3].extremal_start.values[0])
+    alone = apply_S(spec, Trajectory(spec.grid, spec.time_grid, u_tilde[:1]), paths[2],
+                    drifts=drifts[2:3])
+    assert np.array_equal(image.values[0], alone.values[0])
+    with pytest.raises(ValueError):
+        apply_S(spec, Trajectory(spec.grid, spec.time_grid, u_tilde), paths[2:],
+                drifts=drifts[2:], sides=[MAX_SIDE])
+
+
+def test_a_study_steps_its_extremals_alongside_its_sweeps(monkeypatch):
+    # the extremals are level 0 of the wave: a study takes one pass more
+    # than its sweeps step in (the first pass steps only the extremals),
+    # not N more
+    schedule = bracket._Wave.passes
+    counts = Counter()
+
+    def passes(wave):
+        for n, u in schedule(wave):
+            counts["passes"] += 1
+            counts["sweep passes"] += len(wave.k) > 0
+            yield n, u
+
+    monkeypatch.setattr(bracket._Wave, "passes", passes)
+    spec, u0, drifts, M = plap_p3_dual_jump()
+    N = spec.time_grid.n_steps
+    pairs = bracket_study(spec, u0, 12345, range(M), drifts, tol_fixed=1e-6, max_outer=100)
+    assert max(r.n_sweeps for p in pairs for r in (p.minimal, p.maximal)) >= 3
+    assert counts["passes"] == counts["sweep passes"] + 1 < N + counts["sweep passes"]
+
+
 def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch):
-    calls = []
-    build = bracket.build_extremal
+    calls, extremal_lanes = [], []
+    solve, schedule = bracket.apply_S, bracket._Wave.passes
 
-    def counted(spec, u0, sides, noise_paths, newton, drifts):
-        calls.append([(side, drift.jump_side) for side, drift in zip(sides, drifts)])
+    def counted(spec, u_tilde, noise_paths, newton, store, drifts, passes, sides):
+        calls.append([(side, drift.jump_side) for side, drift in zip(sides, drifts)
+                      if side is not None])
         assert len(noise_paths) == len(sides)
-        return build(spec, u0, sides, noise_paths, newton, drifts)
+        return solve(spec, u_tilde, noise_paths, newton, store, drifts, passes, sides)
 
-    monkeypatch.setattr(bracket, "build_extremal", counted)
+    def passes(wave):
+        for n, u in schedule(wave):
+            extremal_lanes.append(np.count_nonzero(n[0] >= len(wave.current)))
+            yield n, u
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a study solves its extremals in its one march")
+
+    monkeypatch.setattr(bracket, "apply_S", counted)
+    monkeypatch.setattr(bracket._Wave, "passes", passes)
+    monkeypatch.setattr(bracket, "build_extremal", unused)
     cfg = tmp_path / "dual.cfg"
     cfg.write_text("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\n"
                    "run.dual_jump_side = true\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    # one call, and one extremal per side: the jump sides share path 0 and
-    # C_B, the only part of the drift the extremal forcing reads
+    # one march, and one extremal lane per side: the jump sides share path 0
+    # and C_B, the only part of the drift the extremal forcing reads
     assert calls == [[(MIN_SIDE, "lower"), (MAX_SIDE, "lower")]]
+    N = build_problem_spec(resolve_config({"scenario": "plap_bracket", "grid.n": 16,
+                                           "time.T": 0.05})).time_grid.n_steps
+    # both step in each of the first N passes, and in no other
+    assert extremal_lanes[:N] == [2] * N and not any(extremal_lanes[N:])
 
 
 def test_sweeps_write_their_iterates_in_place():
-    # the whole call holds the extremals and the iterates, two (2M, N+1, n)
-    # arrays; the sweeps need no next-iterate array, so the transient
-    # memory stays far below one more
+    # the whole call holds one (2M + E, N+1, n) array: the iterates of the
+    # 2M members, then the E = 2M extremals (each path has its own); the
+    # sweeps need no next-iterate array, so the transient memory stays far
+    # below the 2M rows of one more
     g = Grid(n_interior=64)
     spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
                                time_grid=TimeGrid(T=0.2, n_steps=400),
@@ -351,8 +432,10 @@ def test_sweeps_write_their_iterates_in_place():
     finally:
         tracemalloc.stop()
     assert max(r.n_sweeps for r in results) >= 3
-    assert results[0].extremal_start.values.base.nbytes == one_array
-    retained = after - before  # the extremals and iterates, which the results view
+    buf = results[0].extremal_start.values.base
+    assert buf.nbytes == 2 * one_array
+    assert all(r.final.values.base is buf for r in results)
+    retained = after - before  # the iterates and extremals, which the results view
     assert retained >= 2 * one_array
     assert peak - before - retained < 0.25 * one_array
 
@@ -393,8 +476,7 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
 
     def counted_step(fn):
         def step(spec, u_n, *args):
-            if counts["build_extremal"]:  # a pass of the sweeps
-                lanes.append(len(u_n))
+            lanes.append(len(u_n))
             return fn(spec, u_n, *args)
         return step
 
@@ -413,32 +495,36 @@ def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
 
     results = [r for p in pairs for r in (p.minimal, p.maximal)]
     N = spec.time_grid.n_steps
-    # one march for the extremals, one for every sweep of every member
-    assert (counts["build_extremal"], counts["apply_S"], counts["solve_frozen"]) == (1, 1, 2)
+    # one march for the extremals and every sweep of every member
+    assert (counts["build_extremal"], counts["apply_S"], counts["solve_frozen"]) == (0, 1, 1)
     assert counts["newton_iters"] == counts["solve_banded"] > 0
-    # each stepping sweep solves the rows after its start once, and no
-    # other rows; a member whose drift values did not change takes its
+    # each of the 2 * 5 extremals (one per path and side) solves its N rows
+    # once; each stepping sweep solves the rows after its start once, and
+    # no other rows; a member whose drift values did not change takes its
     # sweep without stepping
-    assert sum(lanes) == sum(N - start for r in results for start in r.sweep_starts)
+    E = 2 * len(pairs)
+    assert sum(lanes) == E * N + sum(N - start for r in results for start in r.sweep_starts)
     assert sum(r.sweep_starts.count(N) for r in results) > 0
     # the sweeps overlap in time: fewer passes than lock-step sweeps, each
-    # from the smallest start among its members, would take
+    # from the smallest start among its members, would take after the
+    # extremals
     lock_step = sum(N - min(r.sweep_starts[k] for r in results if r.n_sweeps > k)
                     for k in range(max(r.n_sweeps for r in results)))
     assert len(lanes) < lock_step
-    assert max(lanes) > 2 * len(pairs)  # passes with several sweeps of one member
+    assert max(lanes) > E + 2 * len(pairs)  # passes with several sweeps of one member
 
 
 def _fail_in_pass(monkeypatch, failing):
-    """Make the implicit step of pass `failing` of the sweeps fail; returns
-    the steps of every pass handed out so far."""
+    """Make the implicit step of pass `failing` (from 1) of a study's march
+    fail; returns the rows of the study's array and the steps of every pass
+    handed out so far."""
     passes = []
     schedule = bracket._Wave.passes
     step = solver.implicit_step
 
     def recorded(wave):
         for n, u in schedule(wave):
-            passes.append(n[1].tolist())
+            passes.append((n[0].tolist(), n[1].tolist()))
             yield n, u
 
     def failing_step(*args):
@@ -457,9 +543,21 @@ def test_a_newton_failure_in_the_sweeps_names_a_step_of_its_pass(monkeypatch):
     with pytest.raises(NewtonDivergenceError, match="injected failure") as exc:
         bracket_study(spec, sine(spec), 12345, range(3), tol_fixed=1e-6, max_outer=100)
     assert len(passes) == 40
-    assert len(set(passes[-1])) > 1  # lanes at different steps
-    assert exc.value.step_index in passes[-1]
+    steps = passes[-1][1]
+    assert len(set(steps)) > 1  # lanes at different steps
+    assert exc.value.step_index in steps
     assert f"(step {exc.value.step_index})" in str(exc.value)
+
+
+def test_a_newton_failure_in_the_extremals_names_their_step(monkeypatch):
+    # the first pass steps only the extremals, rows 2M.. of the study's
+    # array, from step 0: no sweep lane has stepped when it fails
+    passes = _fail_in_pass(monkeypatch, 1)
+    spec = stochastic_jump_spec()
+    with pytest.raises(NewtonDivergenceError, match=r"injected failure \(step 0\)") as exc:
+        bracket_study(spec, sine(spec), 12345, range(3), tol_fixed=1e-6, max_outer=100)
+    assert passes == [(list(range(6, 12)), [0] * 6)]
+    assert exc.value.step_index == 0
 
 
 def test_cli_newton_failure_in_the_sweeps_exits_3(tmp_path, monkeypatch, capsys):
@@ -469,6 +567,17 @@ def test_cli_newton_failure_in_the_sweeps_exits_3(tmp_path, monkeypatch, capsys)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert "solver failure: injected failure (step" in capsys.readouterr().err
+    assert not list(out.glob("bracket_*.txt"))
+
+
+def test_cli_newton_failure_in_the_extremals_exits_3(tmp_path, monkeypatch, capsys):
+    passes = _fail_in_pass(monkeypatch, 1)
+    cfg = tmp_path / "plap.cfg"
+    cfg.write_text("scenario = plap_bracket\ngrid.n = 16\ntime.T = 0.05\nspatial.p = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "solver failure: injected failure (step 0)" in capsys.readouterr().err
+    assert passes == [([2, 3], [0, 0])]  # the two extremals of one path
     assert not list(out.glob("bracket_*.txt"))
 
 
@@ -553,28 +662,36 @@ def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
 @pytest.mark.parametrize("case", ["heaviside_batch", "sqrt_plus_pde_from_zero",
                                   "tol_between_sweeps"])
 def test_each_sweep_steps_from_its_own_row_and_reads_the_one_before(monkeypatch, case):
-    # every level of a member shares one iterate array: a lane's state is
-    # the row its level wrote last (or its start row), never one a later
-    # sweep wrote, and its forcing reads a row of an earlier sweep
+    # every level of a member shares one iterate row of the study's array:
+    # a lane's state is the row its level wrote last (or its start row),
+    # never one a later sweep wrote, and its forcing reads a row of an
+    # earlier sweep, made by the extremals for sweep 1.  The extremal lanes
+    # come last in a pass; each steps from the row it wrote last
     schedule, store = bracket._Wave.passes, bracket._Wave.store
     checked = Counter()
 
     def passes(wave):
         writer = np.zeros(wave.current.shape[:2], dtype=int)  # 0: the extremal
-        wave.writer = writer
+        wave.writer, wave.made = writer, 0  # the rows the extremals made
         for n, u in schedule(wave):
-            m, steps = n
+            L = len(wave.k)
+            m, steps = n[0][:L], n[1][:L]
+            assert np.all(n[0][L:] >= len(wave.current)) and np.all(n[1][L:] == wave.made)
             state = writer[m, steps]
             own = steps > wave.start[m, wave.k]  # past the start row
             assert np.all(np.where(own, state == wave.k, state < wave.k))
             assert np.all(writer[m, steps + 1] < wave.k)
-            checked["lanes"] += len(m)
+            assert np.all(steps + 1 <= wave.made)
+            checked["lanes"] += L
+            checked["extremal lanes"] += len(n[0]) - L
             yield n, u
 
-    def stores(wave, n, v):
-        m, steps = n
+    def stores(wave, n, v, h):
+        L = len(wave.k)
+        m, steps = n[0][:L], n[1][:L]
+        wave.made += len(n[0]) > L
         wave.writer[m, steps + 1] = wave.k
-        store(wave, n, v)
+        store(wave, n, v, h)
 
     monkeypatch.setattr(bracket._Wave, "passes", passes)
     monkeypatch.setattr(bracket._Wave, "store", stores)
@@ -583,13 +700,17 @@ def test_each_sweep_steps_from_its_own_row_and_reads_the_one_before(monkeypatch,
     bracket_study(spec, u0, 12345, range(M), drifts,
                   **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
     assert checked["lanes"] > spec.time_grid.n_steps
+    assert checked["extremal lanes"] == 2 * M * spec.time_grid.n_steps
 
 
 def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
     # lower extremals raised on rows 1 and 2 leave every min-side iterate
     # below them there; the sweeps keep those rows (they start later) or
-    # take no step, and still record the defect of every row
-    build = bracket.build_extremal
+    # take no step, and still record the defect of every row.  The study's
+    # min-side extremal lanes store rows 1 and 2 raised but step on from the
+    # rows they solved, as a raised copy of build_extremal's does
+    build, schedule, store = bracket.build_extremal, bracket._Wave.passes, bracket._Wave.store
+    solved = {}
 
     def raised(spec, u0, sides, noise_paths=None, newton=NewtonParams(), drifts=None):
         ext = build(spec, u0, sides, noise_paths, newton, drifts)
@@ -597,16 +718,38 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
         values[np.asarray(sides).reshape(-1) == MIN_SIDE, 1:3] += 0.01
         return Trajectory(ext.grid, ext.time_grid, values)
 
+    def lower_lanes(wave, m, steps, at):
+        # the lanes of min-side extremals stepping from a step in `at`
+        e = m - len(wave.current)
+        return np.flatnonzero(np.isin(e, wave.index[:wave.P]) & np.isin(steps, at))
+
+    def passes(wave):
+        for (m, steps), u in schedule(wave):
+            for i in lower_lanes(wave, m, steps, (1, 2)).tolist():
+                u[i] = solved[m[i], steps[i]]
+            yield (m, steps), u
+
+    def stores(wave, n, v, h):
+        v = v.copy()
+        for i in lower_lanes(wave, *n, (0, 1)).tolist():
+            solved[n[0][i], n[1][i] + 1] = v[i].copy()
+            v[i] += 0.01
+        store(wave, n, v, h)
+
     monkeypatch.setattr(bracket, "build_extremal", raised)
+    monkeypatch.setattr(bracket._Wave, "passes", passes)
+    monkeypatch.setattr(bracket._Wave, "store", stores)
     spec = stochastic_jump_spec()
     u0 = sine(spec)
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
     pairs = bracket_study(spec, u0, 12345, range(2), **kwargs)
+    assert len(solved) == 2 * 2  # rows 1 and 2 of both paths' lower extremals
     for pair in pairs:
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
         for res in (pair.minimal, pair.maximal):
-            _, final, (*_, containment, starts) = sweep_alone(spec, u0, path, res.side,
-                                                              **kwargs)
+            start, final, (*_, containment, starts) = sweep_alone(spec, u0, path, res.side,
+                                                                  **kwargs)
+            assert np.array_equal(res.extremal_start.values, start.values)
             assert np.array_equal(res.final.values, final.values)
             assert np.array_equal(res.containment_violations, containment)
             assert res.sweep_starts == starts

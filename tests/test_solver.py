@@ -308,6 +308,25 @@ def test_trajectory_takes_over_an_array_without_copying():
     assert not traj.values.flags.writeable
 
 
+def test_trajectory_rejects_a_non_finite_value_without_a_temporary():
+    # the check reduces the values (min and max propagate NaN) rather than
+    # allocate a mask of them
+    spec = heat_spec(n=64, T=0.5, n_steps=500)
+    values = np.zeros((4, 501, 64))
+    for bad in (np.nan, np.inf, -np.inf):
+        values[2, 250, 31] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Trajectory(spec.grid, spec.time_grid, values, copy=False)
+    values[2, 250, 31] = np.finfo(float).max
+    tracemalloc.start()
+    try:
+        Trajectory(spec.grid, spec.time_grid, values, copy=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.size // 64
+
+
 def test_solve_frozen_stores_its_states_once():
     # a copy of the states would double the peak memory of the solve
     spec = heat_spec(n=64, T=0.5, n_steps=500, p=3.0)
