@@ -4,14 +4,7 @@ pathwise comparison diagnostics, extremal sub/supersolution brackets, and a
 monotone fixed-point iteration approximating the minimal and maximal
 solutions.
 """
-from .core import (
-    Grid,
-    GridMismatchError,
-    TimeGrid,
-    h_norm_values,
-    order_leq_values,
-    positive_part_energy_values,
-)
+from .core import Grid, TimeGrid, h_norm_values
 from .operators import (
     DriftSpec,
     NoiseSpec,
@@ -35,7 +28,6 @@ from .solver import (
     ProblemSpec,
     Trajectory,
     constant_forcing,
-    forcing_from_trajectory,
     implicit_step,
     march,
     solve_frozen,

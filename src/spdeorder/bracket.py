@@ -80,7 +80,7 @@ def apply_S(
     u_tilde: Trajectory,
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-    store: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
+    store: Optional[Callable[[tuple, np.ndarray, np.ndarray], None]] = None,
     drifts: Optional[Sequence[DriftSpec]] = None,
     schedule: Optional[Iterable] = None,
     sides: Optional[Sequence[Optional[str]]] = None,
@@ -98,10 +98,11 @@ def apply_S(
     extremal forcing of that side and its drift's C_B on its own state,
     bit for bit that of extremal_forcing; its values do not depend on
     u_tilde past row 0.  A store takes the new states
-    pass by pass instead, as store(n, v, h) with the forcing values h the
-    pass read, and a schedule hands the march its passes (see
-    solve_frozen); a pass that steps path m at step n reads row n + 1 of
-    path m of u_tilde before its new states reach the store."""
+    pass by pass instead, as store(n, v, h) with the pass index
+    n = (members, steps) and the forcing values h the pass read, and a
+    schedule hands the march its passes (see march); a pass that steps
+    path m at step k reads row k + 1 of path m of u_tilde before its new
+    states reach the store."""
     drifts = (spec.drift,) * u_tilde.n_paths if drifts is None else drifts
     if len(drifts) != u_tilde.n_paths or (sides is not None and len(sides) != len(drifts)):
         raise ValueError("apply_S needs one drift and one side per path")
@@ -115,7 +116,7 @@ def apply_S(
 
     def forcing(n, u):
         nonlocal read
-        members, steps = n if isinstance(n, tuple) else (slice(None), n)
+        members, steps = n
         read = _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
         if sides is not None and (rows := extremal[members]).any():
             read[rows] = coeff[members][rows, None] * (1.0 + u[rows])
@@ -408,25 +409,28 @@ def iterate_bracket(
     index = np.array([slots[key] for key in keys])  # each member's extremal
     owners = [keys.index(key) for key in slots]  # the first member of each
     grid, tg = spec.grid, spec.time_grid
+    if np.shape(u0) != (grid.n_interior,):
+        raise ValueError(f"initial datum of shape {np.shape(u0)}, "
+                         f"expected ({grid.n_interior},)")
     # each member's latest iterate, rewritten in place by its sweeps, then
     # the extremals; finite before the march, since u_tilde wraps it
     buf = np.zeros((2 * P + len(owners), tg.n_steps + 1, grid.n_interior))
     buf[:, 0] = u0
     wave = _Wave(buf, index, drifts * 2, max_outer, tol_fixed, grid.dx)
     lanes = list(range(2 * P)) + owners  # the member whose path and drift each row takes
-    apply_S(spec, Trajectory(grid, tg, buf[:], copy=False), [paths[m % P] for m in lanes],
+    apply_S(spec, Trajectory(grid, tg, buf), [paths[m % P] for m in lanes],
             newton, wave.store, [drifts[m % P] for m in lanes], wave.passes(),
             [None] * (2 * P) + [sides[m] for m in owners])
     return [
         BracketResult(
             side=side,
-            extremal_start=Trajectory(grid, tg, wave.ext[e:e + 1], copy=False),
+            extremal_start=Trajectory(grid, tg, wave.ext[e:e + 1]),
             residual_history=residuals,
             monotonicity_violations=mono,
             containment_violations=containment,
             sweep_starts=sweep_starts,
             converged=residuals[-1] <= tol_fixed,
-            final=Trajectory(grid, tg, buf[m:m + 1], copy=False),
+            final=Trajectory(grid, tg, buf[m:m + 1]),
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )

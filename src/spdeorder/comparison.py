@@ -154,8 +154,8 @@ def comparison_study(
     pair[:, 0] = u0[[0, M]]
 
     def reduce_step(n, u):
-        energies[:, n + 1] = _energy_series(u[:M], u[M:], grid.dx)
-        pair[:, n + 1] = u[[0, M]]
+        energies[:, n[1] + 1] = _energy_series(u[:M], u[M:], grid.dx)
+        pair[:, n[1] + 1] = u[[0, M]]
 
     log = march(spec, u0, _coupled_forcing(forcing_1, forcing_2, M), weights,
                 reduce_step, newton)
@@ -163,7 +163,7 @@ def comparison_study(
     # the first path, then its first step, wins a tie
     worst_path, worst_step = divmod(int(np.argmax(energies)), N + 1)
     first_pair = tuple(Trajectory(grid, tg, pair[side:side + 1], log.newton_iters,
-                                  log.max_newton_residual, copy=False) for side in (0, 1))
+                                  log.max_newton_residual) for side in (0, 1))
     return ComparisonReport(
         times=tg.times(),
         max_energy=energies.max(axis=0),

@@ -177,8 +177,20 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({err})") from None
 
 
+def _has_type(value, typ) -> bool:
+    """value is of the SCHEMA type typ: an int is a float too, a bool is
+    neither, and a tuple holds floats."""
+    if typ is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, float) for v in value)
+    return (isinstance(value, (int, float) if typ is float else typ)
+            and isinstance(value, bool) == (typ is bool))
+
+
 def _validate(key: str, value):
     typ, _, validator, description = SCHEMA[key]
+    if not _has_type(value, typ):
+        raise ConfigError(f"config key {key!r}: value {value!r} is not of type "
+                          f"{typ.__name__}")
     if typ in (float, tuple) and not np.all(np.isfinite(value)):
         raise ConfigError(f"config key {key!r}: value {value!r} is not finite")
     if validator is not None and not validator(value):

@@ -1,4 +1,4 @@
-"""Grids, norms and order utilities shared by all modules.
+"""Grids and norms shared by all modules.
 
 The discrete state space is the set of values on interior nodes of a
 uniform 1D grid with homogeneous Dirichlet boundary values (implicit
@@ -12,10 +12,6 @@ import numpy as np
 
 PDE_1D = "pde_1d"
 ODE = "ode"
-
-
-class GridMismatchError(ValueError):
-    """Two states that must share a grid do not (their shapes differ)."""
 
 
 @dataclass(frozen=True)
@@ -85,22 +81,3 @@ def h_norm_values(values: np.ndarray, dx: float):
     that row alone), so a row's norm never depends on the rows beside it.
     """
     return np.sqrt(np.vecdot(values, values) * dx)
-
-
-def order_leq_values(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> tuple[bool, float]:
-    """Pointwise order a <= b up to tol, for states of the same shape.
-
-    Returns (holds, max_violation) with max_violation = max_i(a_i - b_i),
-    which may be negative.
-    """
-    if np.shape(a) != np.shape(b):
-        raise GridMismatchError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
-    violation = float(np.max(np.subtract(a, b)))
-    return violation <= tol, violation
-
-
-def positive_part_energy_values(diff: np.ndarray, dx: float) -> float:
-    """Squared discrete L2 norm of (a - b)^+ from diff = a - b; zero iff
-    a <= b pointwise."""
-    pos = np.maximum(diff, 0.0)
-    return float(np.dot(pos, pos) * dx)

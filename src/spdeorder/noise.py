@@ -9,7 +9,6 @@ the whole array is bit-reproducible regardless of evaluation order.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +47,6 @@ class NoisePath:
     @property
     def K(self) -> int:
         return self.increments.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[1]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "n", "increment"])
-            for k in range(self.K):
-                for n in range(self.n_steps):
-                    writer.writerow([k, n, repr(float(self.increments[k, n]))])
 
 
 def sample_noise_path(

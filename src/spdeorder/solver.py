@@ -6,7 +6,7 @@ multiplicative noise explicitly at the left endpoint of each step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -73,10 +73,7 @@ class Trajectory:
     newton_iters[n] counts the batched Newton iterations of step n, one
     linear solve each for the whole batch: the most any path needed.  The
     direct solve that starts a linear step is not counted.
-    Values are read-only; they are copied from the caller's array unless
-    copy=False hands over the array itself.  Its owner may still write it:
-    the bracket sweeps rewrite u_tilde in place while the forcing reads
-    it, each row only in the pass whose forcing has read it.
+    Values are a read-only view of the given array, never a copy.
     """
 
     grid: Grid
@@ -84,18 +81,15 @@ class Trajectory:
     values: np.ndarray  # shape (B, n_steps + 1, n_interior)
     newton_iters: tuple = ()
     max_newton_residual: float = 0.0
-    copy: InitVar[bool] = True
 
-    def __post_init__(self, copy: bool):
-        arr = np.asarray(self.values, dtype=float)
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=float).view()
         expected = (self.time_grid.n_steps + 1, self.grid.n_interior)
         if arr.ndim != 3 or arr.shape[1:] != expected:
             raise ValueError(f"trajectory shape {arr.shape}, expected (B, *{expected})")
         # min and max propagate NaN, and take no temporary array
         if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("trajectory contains non-finite values")
-        if copy:
-            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -132,26 +126,21 @@ class NewtonLog:
     max_newton_residual: float
 
 
-# A forcing supplies the frozen drift value for step n -> n+1: called as
-# forcing(step_index, states) -> array, with states of shape (B, n).
+# A forcing supplies the frozen drift values of a pass: called as
+# forcing(n, states) -> array, with n = (members, steps) and one row of
+# states per stepped state, state i being member members[i] at step
+# steps[i] (slice(None) and an int k in a pass of every member at step k).
 # State-dependent forcings are necessarily explicit (left endpoint);
-# trajectory-frozen forcings sample the right endpoint t_{n+1}, which keeps
-# the nonzero branch of degenerate drifts (e.g. sqrt of the positive part
-# from a zero initial state) representable as a discrete fixed point.
-# In a pass of a march schedule, n may be the pair (members, steps) of
-# (L,) arrays instead: state i is member members[i] at step steps[i].
-Forcing = Callable[[int, np.ndarray], np.ndarray]
+# trajectory-frozen forcings sample the right endpoint, row steps + 1,
+# which keeps the nonzero branch of degenerate drifts (e.g. sqrt of the
+# positive part from a zero initial state) representable as a discrete
+# fixed point.
+Forcing = Callable[[tuple, np.ndarray], np.ndarray]
 
 
 def constant_forcing(value: float) -> Forcing:
     def forcing(n, u):
         return np.full_like(u, float(value))
-    return forcing
-
-
-def forcing_from_trajectory(traj: Trajectory) -> Forcing:
-    def forcing(n, u):
-        return traj.values[:, n + 1]
     return forcing
 
 
@@ -307,7 +296,7 @@ def march(
     u0: np.ndarray,
     forcing: Optional[Forcing],
     weights: np.ndarray,
-    store: Callable[[int, np.ndarray], None],
+    store: Callable[[tuple, np.ndarray], None],
     newton: NewtonParams = NewtonParams(),
     schedule: Optional[Iterable] = None,
 ) -> NewtonLog:
@@ -316,15 +305,14 @@ def march(
     state) and the (N, B) noise weights: row n holds each member's weight
     of step n (see noise_weights).
 
-    Each pass takes one implicit step for a batch of states and then calls
+    Each pass steps the states of some members at some steps, named by
+    the pass index n = (members, steps) (see Forcing), and then calls
     store(n, u_next) with the new states; u_next is the next pass's input
-    and must not be written to.  By default pass n steps every member from
-    its state n, for n = 0, ..., N - 1.  A schedule hands march its passes
-    instead, as pairs (n, u_n): a step n of every member with their (B, n)
-    states u_n, or None to step on from the states of the last pass (u0
-    at first); or n = (members, steps), two (L,) arrays, with the (L, n)
-    states of those members at those steps.  forcing and store get the
-    same n.  Returns the Newton metadata of each pass.
+    and must not be written to.  By default pass k is (slice(None), k),
+    every member from its state k, for k = 0, ..., N - 1.  A schedule
+    hands march its passes instead, as pairs (n, u_n): the states of pass
+    n, or None to step on from the states of the last pass (u0 at first).
+    Returns the Newton metadata of each pass.
 
     Initial states of the wrong shape or with a non-finite value raise
     ValueError before any step.  A pass that fails raises
@@ -345,17 +333,17 @@ def march(
     iters, worst = [], 0.0
     D = None  # the interface gradients of u, once a pass has computed them
     if schedule is None:
-        schedule = ((n, None) for n in range(spec.time_grid.n_steps))
+        schedule = (((slice(None), k), None) for k in range(spec.time_grid.n_steps))
     for n, u_n in schedule:
         if u_n is not None:
             u, D = u_n, None
         # weights.T[members, steps] holds each state's weight of its step
-        w_n = weights.T[n] if isinstance(n, tuple) else weights[n]
+        w_n = weights.T[n]
         h_n = forcing(n, u) if forcing is not None else None
         try:
             u, report, D = implicit_step(spec, u, h_n, w_n, newton, factor, D)
         except NewtonDivergenceError as err:
-            step = int(np.min(n[1])) if isinstance(n, tuple) else n
+            step = int(np.min(n[1]))
             raise NewtonDivergenceError(str(err) + f" (step {step})", step) from None
         store(n, u)
         iters.append(report.iterations)
@@ -369,7 +357,7 @@ def solve_frozen(
     forcing: Optional[Forcing],
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-    store: Optional[Callable[[int, np.ndarray], None]] = None,
+    store: Optional[Callable[[tuple, np.ndarray], None]] = None,
     schedule: Optional[Iterable] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """March the scheme with frozen drift h_n = forcing(n, u_n) for a batch
@@ -378,10 +366,10 @@ def solve_frozen(
     every path, or one (B, n) row per path.
 
     Returns every state as a Trajectory.  With store given, no state is
-    kept: store(n, u) receives the (B, n) states n + 1 right after step n,
-    and the result is the NewtonLog of the steps taken.  A schedule hands
-    march its passes (see march); a scheduled march needs a store, since
-    its passes need not make the states in order.
+    kept: store(n, u) receives the new states of each pass n = (members,
+    steps) (see march), and the result is the NewtonLog of the passes
+    taken.  A schedule hands march its passes; a scheduled march needs a
+    store, since its passes need not make the states in order.
 
     Deterministic given (spec, u0, forcing, noise_paths); each path's
     values do not depend on the other paths of the batch.
@@ -412,11 +400,10 @@ def solve_frozen(
         states[:, 0] = u0
 
         def store(n, u_next):
-            states[:, n + 1] = u_next
+            states[n[0], n[1] + 1] = u_next
     log = march(spec, u0, forcing, weights, store, newton, schedule)
     if keep:
-        return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual,
-                          copy=False)
+        return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual)
     return log
 
 

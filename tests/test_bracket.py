@@ -152,6 +152,12 @@ def test_iterate_bracket_parameter_validation():
     path = sample_noise_path(0, 0, 0, spec.time_grid)
     with pytest.raises(ValueError):  # one drift per path
         iterate_bracket(spec, ZERO, [path, path], [spec.drift])
+    # a datum of any shape but (n,) is an error, not a broadcast constant
+    grid8 = dataclasses.replace(spec, grid=Grid(n_interior=8))
+    for bad_spec, u0 in ((spec, 0.0), (spec, np.zeros(2)), (spec, np.zeros((1, 1))),
+                         (grid8, np.zeros(1)), (grid8, np.zeros(7)), (grid8, np.zeros((2, 8)))):
+        with pytest.raises(ValueError, match="initial datum of shape"):
+            bracket_study(bad_spec, u0, master_seed=0)
 
 
 def test_a_large_max_outer_allocates_nothing():

@@ -83,6 +83,28 @@ def test_out_of_range_value_names_key():
         resolve_config({"spatial.p": 1.0})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("grid.n", "256"),
+    ("grid.n", 2.5),
+    ("grid.n", True),
+    ("time.T", "1"),
+    ("time.T", False),
+    ("run.dual_jump_side", "false"),
+    ("run.dual_jump_side", 0),
+    ("drift.kind", 1),
+    ("run.eps_list", [1e-2]),
+    ("run.eps_list", ("a",)),
+])
+def test_value_of_the_wrong_type_names_key(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'.*not of type"):
+        resolve_config({key: value})
+
+
+def test_an_int_is_a_float_value():
+    cfg = resolve_config({"time.T": 1, "drift.knots": (0, 1.0)})
+    assert cfg["time.T"] == 1 and isinstance(cfg["time.T"], int)
+
+
 def test_non_integer_step_count_rejected():
     with pytest.raises(ConfigError, match="'time.dt'"):
         resolve_config({"time.T": 1.0, "time.dt": 0.3})

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spdeorder import (
-    Grid,
-    GridMismatchError,
-    TimeGrid,
-    h_norm_values,
-    order_leq_values,
-    positive_part_energy_values,
-)
+from spdeorder import Grid, TimeGrid, Trajectory, energy_series, h_norm_values
 
 
 def test_grid_validation():
@@ -53,30 +46,6 @@ def test_h_norm_ode_mode_abs():
     assert h_norm_values(np.array([-3.0]), Grid.ode().dx) == 3.0
 
 
-def test_order_leq_examples():
-    a = np.zeros(8)
-    b = np.ones(8)
-    assert order_leq_values(a, a, 0.0) == (True, 0.0)
-    assert order_leq_values(a, b, 0.0) == (True, -1.0)
-    assert order_leq_values(b, a, 0.0) == (False, 1.0)
-
-
-def test_order_leq_grid_mismatch():
-    with pytest.raises(GridMismatchError):
-        order_leq_values(np.zeros(4), np.zeros(5), 0.0)
-
-
-def test_positive_part_energy_examples():
-    g = Grid.ode()
-    assert positive_part_energy_values(np.array([2.0 - 1.0]), g.dx) == 1.0
-    g99 = Grid(n_interior=99, length=1.0)
-    e = positive_part_energy_values(np.ones(99) - np.zeros(99), g99.dx)
-    assert e == pytest.approx(99 * g99.dx)
-    assert e == pytest.approx(0.99)
-    # a <= b pointwise gives zero
-    assert positive_part_energy_values(np.zeros(99) - np.full(99, 0.5), g99.dx) == 0.0
-
-
 _field_values = arrays(
     np.float64, 16,
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -103,23 +72,17 @@ def test_h_norm_absolute_homogeneity(u, c):
 @settings(max_examples=200, deadline=None)
 @given(u=_field_values, v=_field_values)
 def test_positive_part_energy_consistency(u, v):
+    # the energy the comparison gate reads, of (u - v)^+ on row 0 and of
+    # (v - u)^+ on row 1, is zero exactly where the pointwise order holds
     g = Grid(n_interior=16)
-    energy = positive_part_energy_values(u - v, g.dx)
-    holds, violation = order_leq_values(u, v, 0.0)
-    if holds:
-        assert energy == 0.0
-    else:
-        # squaring a tiny violation can underflow to zero, so only claim
-        # positivity when the square is representable
-        assert energy > 0.0 or violation**2 * g.dx == 0.0
-    assert energy <= h_norm_values(u - v, g.dx) ** 2 * (1 + 1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(u=_field_values, v=_field_values, w=_field_values)
-def test_order_is_partial_order(u, v, w):
-    assert order_leq_values(u, u, 0.0)[0]  # reflexive
-    if order_leq_values(u, v, 0.0)[0] and order_leq_values(v, u, 0.0)[0]:
-        assert np.array_equal(u, v)  # antisymmetric
-    if order_leq_values(u, v, 0.0)[0] and order_leq_values(v, w, 0.0)[0]:
-        assert order_leq_values(u, w, 0.0)[0]  # transitive
+    tg = TimeGrid(T=1.0, n_steps=1)
+    rows = np.stack([u, v])
+    energies = energy_series(Trajectory(g, tg, rows[None]), Trajectory(g, tg, rows[::-1][None]))
+    for energy, a, b in zip(energies, (u, v), (v, u)):
+        if np.all(a <= b):
+            assert energy == 0.0
+        else:
+            # squaring a tiny violation can underflow to zero, so only claim
+            # positivity when the square is representable
+            assert energy > 0.0 or np.max(a - b) ** 2 * g.dx == 0.0
+        assert energy <= h_norm_values(a - b, g.dx) ** 2 * (1 + 1e-12)

@@ -69,19 +69,6 @@ def test_variance_scales_with_dt():
     assert b.var() / a.var() == pytest.approx(4.0, rel=0.05)
 
 
-def test_csv_dump_round_trips(tmp_path):
-    tg = TimeGrid(T=1.0, n_steps=6)
-    path = sample_noise_path(11, 2, 3, tg)
-    out = tmp_path / "noise.csv"
-    path.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k,n,increment"
-    assert len(lines) == 1 + 3 * 6
-    k, n, val = lines[1].split(",")
-    assert (int(k), int(n)) == (0, 0)
-    assert float(val) == path.increments[0, 0]
-
-
 def test_path_shape_validation():
     with pytest.raises(ValueError):
         NoisePath(np.zeros(5), dt=0.1, master_seed=0, path_index=0)

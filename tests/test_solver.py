@@ -16,7 +16,6 @@ from spdeorder import (
     TimeGrid,
     Trajectory,
     constant_forcing,
-    forcing_from_trajectory,
     implicit_step,
     march,
     solve_frozen,
@@ -137,15 +136,6 @@ def test_constant_forcing_ode_exact():
     )
     traj = solve_frozen(spec, [2.0], constant_forcing(3.0), None)
     assert np.allclose(traj.values[0, :, 0], 2.0 + 3.0 * traj.times())
-
-
-def test_forcing_from_trajectory_right_endpoint():
-    spec = heat_spec(n=4, T=1.0, n_steps=2)
-    ref = Trajectory(spec.grid, spec.time_grid,
-                     np.arange(12, dtype=float).reshape(1, 3, 4))
-    forcing = forcing_from_trajectory(ref)
-    assert np.array_equal(forcing(0, np.zeros((1, 4))), ref.values[:, 1])
-    assert np.array_equal(forcing(1, np.zeros((1, 4))), ref.values[:, 2])
 
 
 def test_plaplacian_residual_at_tolerance():
@@ -289,23 +279,25 @@ def test_sup_h_distance_examples():
     assert sup_h_distance(a, b) == pytest.approx(np.sqrt(4 * spec.grid.dx))
 
 
-def test_trajectory_copies_a_callers_array():
-    spec = heat_spec(n=4, T=1.0, n_steps=2)
-    values = np.zeros((1, 3, 4))
-    traj = Trajectory(spec.grid, spec.time_grid, values)
-    values[0, 1, 2] = 5.0
-    assert np.all(traj.values == 0.0)
+def test_trajectory_takes_over_an_array_without_copying():
+    # the values are a read-only view of the caller's array, which stays
+    # writable: a write shows through the view
+    spec = heat_spec(n=64, T=0.5, n_steps=500)
+    values = np.zeros((4, 501, 64))
+    tracemalloc.start()
+    try:
+        traj = Trajectory(spec.grid, spec.time_grid, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.size // 64
+    assert np.shares_memory(traj.values, values)
     assert not traj.values.flags.writeable
     with pytest.raises(ValueError):
         traj.values[0, 0, 0] = 1.0
-
-
-def test_trajectory_takes_over_an_array_without_copying():
-    spec = heat_spec(n=4, T=1.0, n_steps=2)
-    values = np.zeros((2, 3, 4))
-    traj = Trajectory(spec.grid, spec.time_grid, values, copy=False)
-    assert traj.values is values
-    assert not traj.values.flags.writeable
+    assert values.flags.writeable
+    values[0, 1, 2] = 5.0
+    assert traj.values[0, 1, 2] == 5.0
 
 
 def test_trajectory_rejects_a_non_finite_value_without_a_temporary():
@@ -316,11 +308,11 @@ def test_trajectory_rejects_a_non_finite_value_without_a_temporary():
     for bad in (np.nan, np.inf, -np.inf):
         values[2, 250, 31] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            Trajectory(spec.grid, spec.time_grid, values, copy=False)
+            Trajectory(spec.grid, spec.time_grid, values)
     values[2, 250, 31] = np.finfo(float).max
     tracemalloc.start()
     try:
-        Trajectory(spec.grid, spec.time_grid, values, copy=False)
+        Trajectory(spec.grid, spec.time_grid, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,7 +385,7 @@ def test_march_members_equal_their_own_solves(p, K):
     steps = []
     log = march(spec, np.stack(data), extremal_forcing(sides, 2.0), weights,
                 lambda n, u: steps.append((n, u.copy())))
-    assert [n for n, _ in steps] == list(range(tg.n_steps))
+    assert [n for n, _ in steps] == [(slice(None), k) for k in range(tg.n_steps)]
     batch = np.stack([np.stack(data)] + [u for _, u in steps], axis=1)
     singles = [
         solve_frozen(spec, u0, extremal_forcing(side, 2.0), path)
@@ -408,8 +400,8 @@ def test_march_members_equal_their_own_solves(p, K):
 
 def _from_step(start, states, N):
     """The schedule of a march from step start: the states there, then on."""
-    yield start, states
-    yield from ((n, None) for n in range(start + 1, N))
+    yield (slice(None), start), states
+    yield from (((slice(None), k), None) for k in range(start + 1, N))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -422,9 +414,13 @@ def test_a_march_from_a_later_step_repeats_the_full_march(p):
     N = spec.time_grid.n_steps
     for start in (1, 11, N - 1):
         stored = {}
+
+        def store(n, u):
+            assert n[0] == slice(None)
+            stored[n[1]] = u
+
         log = solve_frozen(spec, full.values[:, 0], constant_forcing(0.5), paths,
-                           store=stored.__setitem__,
-                           schedule=_from_step(start, full.values[:, start], N))
+                           store=store, schedule=_from_step(start, full.values[:, start], N))
         assert sorted(stored) == list(range(start, N))
         for n, u in stored.items():
             assert np.array_equal(u, full.values[:, n + 1])
@@ -464,6 +460,47 @@ def test_a_scheduled_march_steps_each_state_as_the_full_march(p):
     assert len(log.newton_iters) == N + 2
     if p == 3.0:
         assert sum(log.newton_iters) > 0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_pass_index_names_the_same_rows_in_a_default_and_a_wave_march(p):
+    # a forcing that reads ref[n[0], n[1] + 1], the right endpoint of each
+    # state's step, and a store that writes states[n[0], n[1] + 1] make the
+    # same states bit for bit in a pass per step and in a wave of
+    # (member, step) pairs, and as solve_frozen's own store
+    spec = _noisy_spec(p, 3)
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(3)]
+    weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
+    N = spec.time_grid.n_steps
+    ref = np.random.default_rng(7).standard_normal((3, N + 1, 16))
+    u0 = np.stack([_noisy_u0(spec), np.zeros(16), -_noisy_u0(spec)])
+
+    def forcing(n, u):
+        return ref[n[0], n[1] + 1]
+
+    def states_and_store():
+        states = np.full(ref.shape, np.nan)
+        states[:, 0] = u0
+
+        def store(n, u):
+            states[n[0], n[1] + 1] = u
+        return states, store
+
+    default, store = states_and_store()
+    march(spec, u0, forcing, weights, store)
+    wave, store = states_and_store()
+    lag = np.array([2, 1, 0])
+
+    def passes():
+        for k in range(N + 2):
+            members = np.flatnonzero((k - lag >= 0) & (k - lag < N))
+            steps = k - lag[members]
+            yield (members, steps), wave[members, steps]
+
+    march(spec, u0, forcing, weights, store, schedule=passes())
+    assert not np.isnan(default).any()
+    assert np.array_equal(wave, default)
+    assert np.array_equal(solve_frozen(spec, u0, forcing, paths).values, default)
 
 
 @pytest.mark.parametrize("start", [0, 1])
@@ -588,7 +625,7 @@ def test_batch_divergence_raises_with_step_index():
 
     def kick(n, u):
         h = np.zeros_like(u)
-        if n == 5:
+        if n[1] == 5:
             h[2] = 1e3
         return h
 
@@ -606,7 +643,7 @@ def test_batch_never_accepts_a_nan_member():
 
     def forcing(n, u):
         h = np.zeros_like(u)
-        if n == 3:
+        if n[1] == 3:
             h[2] = np.nan
         return h
 
