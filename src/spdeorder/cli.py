@@ -76,6 +76,11 @@ def main(argv=None) -> int:
     except NewtonDivergenceError as err:
         sys.stderr.write(f"solver failure: {err}\n")
         return 3
+    except OSError as err:  # an artifact path that is a directory, a full disk
+        # a failed write to an open file names no path: name the directory
+        sys.stderr.write(f"cannot write artifact {err.filename or args.out}: "
+                         f"{err.strerror}\n")
+        return 2
 
 
 if __name__ == "__main__":

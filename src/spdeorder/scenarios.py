@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 
@@ -125,8 +126,10 @@ def _run_brackets(cfg: ScenarioConfig, out_dir: str, M: int = 1,
     """The one runner of the bracket scenarios: check the assumptions, then
     sweep noise paths 0..M-1 under the configured drift, and under the
     other jump side too when flip_jump, in one bracket_study batch.  Writes
-    path 0's pair of each drift and returns each drift's pairs, keyed by the
-    suffix of its files: "" for the configured drift, _jump_<side> else."""
+    path 0's pair of each drift (the CSV of a final bit-identical to one
+    already written is a byte copy of that file) and returns each drift's
+    pairs, keyed by the suffix of its files: "" for the configured drift,
+    _jump_<side> else."""
     spec = build_problem_spec(cfg)
     _run_assumptions(cfg, spec, out_dir)
     drifts = {"": spec.drift}
@@ -142,10 +145,20 @@ def _run_brackets(cfg: ScenarioConfig, out_dir: str, M: int = 1,
                           tol_fixed=cfg["run.tol_fixed"], max_outer=cfg["run.max_outer"],
                           mono_tol=cfg["run.mono_tol"], newton=build_newton(cfg))
     groups = {suffix: pairs[d * M:(d + 1) * M] for d, suffix in enumerate(drifts)}
+    formatted = []  # (bits, path) of each final formatted so far
     for suffix, group in groups.items():
         for res in (group[0].minimal, group[0].maximal):
             _write(out_dir, f"bracket_{res.side}{suffix}.txt", res.to_text())
-            res.final.to_csv(os.path.join(out_dir, f"trajectory_{res.side}{suffix}.csv"))
+            path = os.path.join(out_dir, f"trajectory_{res.side}{suffix}.csv")
+            # the same bits make the same file: copy it rather than format it
+            # again (int64 views, so -0.0 and +0.0 differ)
+            bits = res.final.values.view(np.int64)
+            same = next((prev for b, prev in formatted if np.array_equal(b, bits)), None)
+            if same is None:
+                res.final.to_csv(path)
+                formatted.append((bits, path))
+            else:
+                shutil.copyfile(same, path)
     return groups
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from spdeorder.operators import (
     eval_g_values,
 )
 from spdeorder.scenarios import build_problem_spec
+from spdeorder.solver import Trajectory
 
 
 def test_schema_and_defaults_agree():
@@ -436,3 +439,84 @@ def test_cli_custom_gates_interval_containment(tmp_path, monkeypatch, doc, leake
     summary = (tmp_path / "leaky" / "summary.txt").read_text()
     assert [line for line in summary.splitlines() if line.endswith(" = fail")] == [
         f"{gate} = fail" for gate in failed] + ["all_gates = fail"]
+
+
+_DUAL_P3 = ("scenario = plap_bracket\ngrid.n = 16\nspatial.p = 3\ntime.T = 0.05\n"
+            "run.dual_jump_side = true\n")
+
+
+@pytest.mark.parametrize("doc, copies", [
+    # the jump sides agree off s0, which no iterate hits: each flipped final
+    # is its configured final
+    (_DUAL_P3, {"min_jump_upper": "min", "max_jump_upper": "max"}),
+    # from zero at s0 = 0 the upper jump side takes b(0) = 1 and lifts the
+    # flipped minimal solution onto the maximal one
+    (_DUAL_P3 + "drift.s0 = 0\nu0.kind = zero\n",
+     {"min_jump_upper": "max", "max_jump_upper": "max"}),
+    # by t = 0.02 the bracket has not opened: all four finals are one
+    (_DUAL_P3.replace("time.T = 0.05", "time.T = 0.02"),
+     {"max": "min", "min_jump_upper": "min", "max_jump_upper": "min"}),
+    ("scenario = custom\ngrid.n = 16\ntime.T = 0.05\nspatial.p = 3\n"
+     "drift.kind = heaviside\nnoise.K = 2\nu0.kind = sine\nrun.M = 2\n", {}),
+], ids=["dual_jump", "dual_jump_s0_zero", "dual_jump_closed", "custom"])
+def test_a_bracket_run_formats_each_distinct_final_once(tmp_path, monkeypatch, doc, copies):
+    formatted, studies = [], []
+    to_csv, study = Trajectory.to_csv, scenarios.bracket_study
+
+    def counted(traj, path):
+        formatted.append(os.path.basename(path))
+        to_csv(traj, path)
+
+    def kept(*args, **kwargs):
+        studies.append(study(*args, **kwargs))
+        return studies[-1]
+
+    monkeypatch.setattr(Trajectory, "to_csv", counted)
+    monkeypatch.setattr(scenarios, "bracket_study", kept)
+    cfg, out = tmp_path / "bracket.cfg", tmp_path / "out"
+    cfg.write_text(doc)
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+    (pairs,) = studies
+    suffixes = ("", "_jump_upper") if "dual_jump_side" in doc else ("",)
+    M = len(pairs) // len(suffixes)
+    finals = {f"{res.side}{suffix}": res.final for d, suffix in enumerate(suffixes)
+              for res in (pairs[d * M].minimal, pairs[d * M].maximal)}
+    csv = {name: (out / f"trajectory_{name}.csv").read_bytes() for name in finals}
+    assert sorted(p.name for p in out.glob("trajectory_*.csv")) == sorted(
+        f"trajectory_{name}.csv" for name in finals)
+    # one to_csv call per distinct final, and pairwise distinct files from it
+    assert sorted(formatted) == sorted(f"trajectory_{name}.csv" for name in finals
+                                       if name not in copies)
+    assert len({csv[name] for name in finals if name not in copies}) == len(formatted)
+    for name, source in copies.items():
+        assert csv[name] == csv[source]
+    # every file is what to_csv writes for its own final
+    for name, final in finals.items():
+        to_csv(final, tmp_path / "own.csv")
+        assert csv[name] == (tmp_path / "own.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["summary.txt", "trajectory_min_jump_upper.csv"])
+def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, name):
+    # trajectory_min_jump_upper.csv is copied from trajectory_min.csv
+    cfg, out = tmp_path / "dual.cfg", tmp_path / "out"
+    cfg.write_text(_DUAL_P3)
+    (out / name).mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(out / name) in err
+
+
+def test_cli_failed_artifact_write_names_the_output_directory(tmp_path, monkeypatch, capsys):
+    # a write that fails on an open file (a full disk) carries no file name
+    def full(traj, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Trajectory, "to_csv", full)
+    cfg, out = tmp_path / "dual.cfg", tmp_path / "out"
+    cfg.write_text(_DUAL_P3)
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot write artifact {out}: {os.strerror(errno.ENOSPC)}\n")
