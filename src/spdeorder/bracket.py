@@ -17,7 +17,7 @@ and iterates are those of solving and sweeping it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +41,10 @@ def extremal_forcing(sides: Union[str, Sequence[str]],
                      C_B: Union[float, Sequence[float]]) -> Forcing:
     """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u): one side and
     one C_B for the whole batch, or one of either per member."""
-    coeff = _extremal_coeff(sides, C_B)
+    sides = np.asarray(sides)
+    if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
+        raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
+    coeff = np.where(sides == MAX_SIDE, 1.0, -1.0) * np.asarray(C_B, dtype=float)
     if coeff.ndim:
         coeff = coeff[:, None]
 
@@ -49,15 +52,6 @@ def extremal_forcing(sides: Union[str, Sequence[str]],
         return coeff * (1.0 + u)
 
     return forcing
-
-
-def _extremal_coeff(sides, C_B) -> np.ndarray:
-    """The coefficient -C_B (min side) or +C_B (max side) of the extremal
-    forcing, per side."""
-    sides = np.asarray(sides)
-    if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
-        raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
-    return np.where(sides == MAX_SIDE, 1.0, -1.0) * np.asarray(C_B, dtype=float)
 
 
 def build_extremal(
@@ -80,10 +74,8 @@ def apply_S(
     u_tilde: Trajectory,
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-    store: Optional[Callable[[tuple, np.ndarray, np.ndarray], None]] = None,
     drifts: Optional[Sequence[DriftSpec]] = None,
-    schedule: Optional[Iterable] = None,
-    sides: Optional[Sequence[Optional[str]]] = None,
+    wave: Optional[_Wave] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """Candidate map: solve the frozen problem with the drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
@@ -93,40 +85,25 @@ def apply_S(
     evaluated on its own paths' rows, one eval_b_values call per distinct
     drift and pass, so every path's values are those of its solve alone.
 
-    sides, when given, holds one entry per path: None for a path that S
-    maps, or the side of an extremal path, which steps instead with the
-    extremal forcing of that side and its drift's C_B on its own state,
-    bit for bit that of extremal_forcing; its values do not depend on
-    u_tilde past row 0.  A store takes the new states
-    pass by pass instead, as store(n, v, h) with the pass index
-    n = (members, steps) and the forcing values h the pass read, and a
-    schedule hands the march its passes (see march); a pass that steps
-    path m at step k reads row k + 1 of path m of u_tilde before its new
-    states reach the store."""
+    A wave, the study whose array u_tilde wraps, hands the march its
+    passes, steps its extremal lanes with their own forcing and takes the
+    new states in place, and the result is the NewtonLog of the passes
+    (see _Wave); a pass that steps path m at step k reads row k + 1 of
+    path m of u_tilde before its new states reach the wave."""
     drifts = (spec.drift,) * u_tilde.n_paths if drifts is None else drifts
-    if len(drifts) != u_tilde.n_paths or (sides is not None and len(sides) != len(drifts)):
-        raise ValueError("apply_S needs one drift and one side per path")
+    if len(drifts) != u_tilde.n_paths:
+        raise ValueError("apply_S needs one drift per path")
     kinds, group = _drift_kinds(drifts)
-    if sides is not None:
-        extremal = np.array([side is not None for side in sides])
-        # each path's coefficient, read only on the extremal ones
-        coeff = _extremal_coeff([side or MIN_SIDE for side in sides],
-                                [drift.C_B for drift in drifts])
-    read = None
 
     def forcing(n, u):
-        nonlocal read
         members, steps = n
-        read = _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
-        if sides is not None and (rows := extremal[members]).any():
-            read[rows] = coeff[members][rows, None] * (1.0 + u[rows])
-        return read
+        return _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
 
-    def stored(n, v):
-        store(n, v, read)
-
-    return solve_frozen(spec, u_tilde.values[:, 0], forcing, noise_paths, newton,
-                        None if store is None else stored, schedule)
+    u0 = u_tilde.values[:, 0]
+    if wave is None:
+        return solve_frozen(spec, u0, forcing, noise_paths, newton)
+    return solve_frozen(spec, u0, wave.forcing(forcing), noise_paths, newton, wave.store,
+                        wave.passes())
 
 
 def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
@@ -190,8 +167,8 @@ class BracketResult:
 
 
 class _Wave:
-    """The schedule and the store of the one march that runs a whole
-    bracket study.  Level k of member m, the sweep that makes
+    """A bracket study: its one array, its lanes, and the schedule, forcing
+    and store of the one march that runs it.  Level k of member m, the sweep that makes
     u^k = S(u^{k-1}), is a lane; level 0 is the member's extremal u^0,
     and each distinct extremal is one lane, read by every member that
     shares it.  Each pass steps every lane that can step by one row, in
@@ -231,21 +208,44 @@ class _Wave:
     finals carry any.
     """
 
-    def __init__(self, buf: np.ndarray, index: np.ndarray, drifts: Sequence[DriftSpec],
-                 max_outer: int, tol_fixed: float, dx: float):
-        M, N = len(index), buf.shape[1] - 1
-        P, K = M // 2, max_outer
-        self.buf, self.current, self.ext = buf, buf[:M], buf[M:]
-        self.extremals = np.arange(M, len(buf))  # their rows of buf
-        self.index = index
+    def __init__(self, spec: ProblemSpec, u0: np.ndarray, paths: Sequence[NoisePath],
+                 drifts: Sequence[DriftSpec], max_outer: int, tol_fixed: float):
+        P = len(paths)
+        M, N = 2 * P, spec.time_grid.n_steps
+        # member m < P sweeps the min side of paths[m] under drifts[m],
+        # member P + m the max side
+        self.sides = (MIN_SIDE,) * P + (MAX_SIDE,) * P
+        # the extremal forcing reads only C_B of the drift: one extremal
+        # per distinct (noise path, side, C_B)
+        keys = [(id(paths[m % P]), side, drifts[m % P].C_B)
+                for m, side in enumerate(self.sides)]
+        slots = {}
+        for key in keys:
+            slots.setdefault(key, len(slots))
+        self.index = index = np.array([slots[key] for key in keys])  # each member's extremal
+        owners = [keys.index(key) for key in slots]  # the first member of each
+        # each member's latest iterate, rewritten in place by its sweeps,
+        # then the extremals; finite before the march, since u_tilde wraps it
+        self.buf = np.zeros((M + len(owners), N + 1, spec.grid.n_interior))
+        self.buf[:, 0] = u0
+        self.current, self.ext = self.buf[:M], self.buf[M:]
+        self.extremals = np.arange(M, len(self.buf))  # their rows of buf
+        # the noise path and drift of each row of buf: an extremal takes
+        # those of the first member that reads it
+        lanes = list(range(M)) + owners
+        self.paths = [paths[m % P] for m in lanes]
+        self.drifts = [drifts[m % P] for m in lanes]
+        self.ext_forcing = extremal_forcing([self.sides[m] for m in owners],
+                                            [self.drifts[m].C_B for m in owners])
         # the containment defect of each row of each member's latest
         # iterate; row 0 is u0 in every iterate and extremal
         self.excess = np.zeros((M, N + 1))
-        self.N, self.P, self.K, self.tol, self.dx = N, P, K, tol_fixed, dx
+        self.N, self.P, self.max_outer = N, P, max_outer
+        self.tol, self.dx = tol_fixed, spec.grid.dx
         # the rows of ext holding each member's lower and upper extremal
         members = np.arange(M) % P
         self.bounds = np.stack((index[members], index[P + members]), axis=1)
-        self.kinds, self.group = _drift_kinds(drifts)
+        self.kinds, self.group = _drift_kinds(self.drifts)
         # the per-level arrays below have a column for each level up to
         # top + 1 at least; they grow as levels start, not with max_outer.
         # The last row each level holds; N + 1 for a level not started or
@@ -279,8 +279,23 @@ class _Wave:
                 return
             yield (m, steps), self.buf[m, steps]
 
-    def store(self, n: tuple, v: np.ndarray, h: np.ndarray) -> None:
-        (m, steps), k = n, self.k
+    def forcing(self, drift_forcing: Forcing) -> Forcing:
+        """The forcing of the passes: drift_forcing, S's, on the sweep
+        lanes, and the extremal forcing on the extremal lanes after them.
+        The values it hands out are kept for store."""
+
+        def forcing(n, u):
+            h = drift_forcing(n, u)
+            L = len(self.k)
+            if L < len(h):
+                h[L:] = self.ext_forcing(n, u[L:])
+            self.h = h
+            return h
+
+        return forcing
+
+    def store(self, n: tuple, v: np.ndarray) -> None:
+        (m, steps), k, h = n, self.k, self.h
         if self.have[0, 0] < self.N:  # the extremals end the pass
             L, row = len(k), self.have[0, 0] + 1
             self.ext[:, row] = v[L:]
@@ -291,7 +306,7 @@ class _Wave:
             m, steps, v = m[:L], steps[:L], v[:L]
         rows = steps + 1
         old = self.current[m, rows]
-        todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.K))
+        todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.max_outer))
         if len(todo):
             # h holds the b(old) each lane read; bit patterns, not ==:
             # +0.0 against -0.0 changes the forcing too
@@ -342,7 +357,7 @@ class _Wave:
         containment = max(0.0, containment)
         history = self.histories[m]
         history.append((residual, max(0.0, mono), containment, int(self.start[m, k])))
-        if residual <= self.tol or k == self.K:
+        if residual <= self.tol or k == self.max_outer:
             self.have[m, k + 1:] = self.N + 1
         elif self.have[m, k + 1] == self.N + 1:
             # no drift value changed: sweep k + 1 repeats u^k without stepping
@@ -401,26 +416,12 @@ def iterate_bracket(
     drifts = [spec.drift] * P if drifts is None else list(drifts)
     if P < 1 or len(drifts) != P:
         raise ValueError("need at least one noise path and one drift per path")
-    sides = (MIN_SIDE,) * P + (MAX_SIDE,) * P
-    keys = [(id(paths[m % P]), side, drifts[m % P].C_B) for m, side in enumerate(sides)]
-    slots = {}
-    for key in keys:
-        slots.setdefault(key, len(slots))
-    index = np.array([slots[key] for key in keys])  # each member's extremal
-    owners = [keys.index(key) for key in slots]  # the first member of each
     grid, tg = spec.grid, spec.time_grid
     if np.shape(u0) != (grid.n_interior,):
         raise ValueError(f"initial datum of shape {np.shape(u0)}, "
                          f"expected ({grid.n_interior},)")
-    # each member's latest iterate, rewritten in place by its sweeps, then
-    # the extremals; finite before the march, since u_tilde wraps it
-    buf = np.zeros((2 * P + len(owners), tg.n_steps + 1, grid.n_interior))
-    buf[:, 0] = u0
-    wave = _Wave(buf, index, drifts * 2, max_outer, tol_fixed, grid.dx)
-    lanes = list(range(2 * P)) + owners  # the member whose path and drift each row takes
-    apply_S(spec, Trajectory(grid, tg, buf), [paths[m % P] for m in lanes],
-            newton, wave.store, [drifts[m % P] for m in lanes], wave.passes(),
-            [None] * (2 * P) + [sides[m] for m in owners])
+    wave = _Wave(spec, u0, paths, drifts, max_outer, tol_fixed)
+    apply_S(spec, Trajectory(grid, tg, wave.buf), wave.paths, newton, wave.drifts, wave)
     return [
         BracketResult(
             side=side,
@@ -430,12 +431,13 @@ def iterate_bracket(
             containment_violations=containment,
             sweep_starts=sweep_starts,
             converged=residuals[-1] <= tol_fixed,
-            final=Trajectory(grid, tg, buf[m:m + 1]),
+            final=Trajectory(grid, tg, wave.buf[m:m + 1]),
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )
         for m, (side, e, (residuals, mono, containment, sweep_starts))
-        in enumerate(zip(sides, index.tolist(), (zip(*h) for h in wave.histories)))
+        in enumerate(zip(wave.sides, wave.index.tolist(),
+                         (zip(*h) for h in wave.histories)))
     ]
 
 

@@ -136,8 +136,10 @@ SCHEMA = {
     "run.max_outer": (int, 60, lambda v: v >= 1, "max outer sweeps"),
     "run.mono_tol": (float, 1e-10, _nonnegative, "monotonicity violation tolerance"),
     "run.comparison_tol": (float, 1e-10, _positive, "comparison energy tolerance"),
-    "run.eps_list": (tuple, (1e-2, 1e-4), lambda v: len(v) >= 1 and all(e > 0 for e in v),
-                     "regularizer eps values for diagnostics, at least one, each > 0"),
+    "run.eps_list": (tuple, (1e-2, 1e-4),
+                     lambda v: len(v) >= 1 and all(e > 0 for e in v) and len(set(v)) == len(v),
+                     "regularizer eps values for diagnostics, at least one, each > 0, "
+                     "no two equal"),
     "run.dual_jump_side": (bool, False, None, "also run the opposite jump_side"),
     "newton.tol": (float, 1e-10, _positive,
                    "Newton residual tolerance, times max(1, ||rhs||_H) per path"),

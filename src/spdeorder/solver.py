@@ -196,8 +196,7 @@ def implicit_step(
     w_n: np.ndarray,
     newton: NewtonParams = NewtonParams(),
     factor: Optional[tuple] = None,
-    D_n: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, NewtonReport, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, NewtonReport]:
     """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + w_n shape(u_n) for
     every path of the batch: u_n and h_n are (B, n), and w_n holds the (B,)
     noise weights of the step (see noise_weights).
@@ -211,10 +210,7 @@ def implicit_step(
     the largest final residual.
 
     The interface gradients of each iterate are taken once, for both its
-    residual and its Jacobian.  D_n, when given, is
-    interface_gradients(u_n, dx), and the step may write into it; the
-    gradients of v are returned with v (None in ODE mode) for the next
-    step to pass on.
+    residual and its Jacobian.
     """
     dt = spec.time_grid.dt
     dx = spec.grid.dx
@@ -230,20 +226,17 @@ def implicit_step(
         # iterate whose residual is not finite.
         if not np.all(np.isfinite(rhs)):
             raise NewtonDivergenceError("non-finite state")
-        return rhs, NewtonReport(0, 0.0), None
+        return rhs, NewtonReport(0, 0.0)
 
-    def residual(v, target, D):
-        return v + dt * apply_A_values(spec.spatial, v, spec.grid, D) - target
-
-    if factor is None:
-        v = u_n.astype(float, copy=True)
-        D = interface_gradients(v, dx) if D_n is None else D_n
-    else:
-        # the (B, n) C-order rhs is the F-order (n, B) matrix pttrs takes
-        v = dpttrs(*factor, rhs.T)[0].T
+    def evaluate(v, target):
+        """The interface gradients of v, its residual and the residual's norm."""
         D = interface_gradients(v, dx)
-    res = residual(v, rhs, D)
-    rnorm = h_norm_values(res, dx)
+        res = v + dt * apply_A_values(spec.spatial, v, spec.grid, D) - target
+        return D, res, h_norm_values(res, dx)
+
+    # the (B, n) C-order rhs is the F-order (n, B) matrix pttrs takes
+    v = u_n.astype(float, copy=True) if factor is None else dpttrs(*factor, rhs.T)[0].T
+    D, res, rnorm = evaluate(v, rhs)
     limit = newton.tol * np.maximum(1.0, h_norm_values(rhs, dx))
     iters = 0
     # a NaN residual compares false with everything: never accept it
@@ -259,21 +252,17 @@ def implicit_step(
         # damped update: halve the step of each path whose residual grows
         step = 1.0
         v_try = v_a + dv
-        D_try = interface_gradients(v_try, dx)
-        res_try = residual(v_try, rhs_a, D_try)
-        rnorm_try = h_norm_values(res_try, dx)
+        D_try, res_try, rnorm_try = evaluate(v_try, rhs_a)
         while step > 1.0 / 1024.0 and (g := _failing(rnorm_try < rnorm_a)) is not None:
             step *= 0.5
             v_try[g] = v_a[g] + step * dv[g]
-            D_try[g] = interface_gradients(v_try[g], dx)
-            res_try[g] = residual(v_try[g], rhs_a[g], D_try[g])
-            rnorm_try[g] = h_norm_values(res_try[g], dx)
+            D_try[g], res_try[g], rnorm_try[g] = evaluate(v_try[g], rhs_a[g])
         if sel is Ellipsis:
             v, res, rnorm, D = v_try, res_try, rnorm_try, D_try
         else:
             v[sel], res[sel], rnorm[sel], D[sel] = v_try, res_try, rnorm_try, D_try
         iters += 1
-    return v, NewtonReport(iters, float(np.max(rnorm))), D
+    return v, NewtonReport(iters, float(np.max(rnorm)))
 
 
 def _check_guards(spec: ProblemSpec) -> None:
@@ -331,17 +320,16 @@ def march(
     _check_guards(spec)
     factor = linear_factor(spec)
     iters, worst = [], 0.0
-    D = None  # the interface gradients of u, once a pass has computed them
     if schedule is None:
         schedule = (((slice(None), k), None) for k in range(spec.time_grid.n_steps))
     for n, u_n in schedule:
         if u_n is not None:
-            u, D = u_n, None
+            u = u_n
         # weights.T[members, steps] holds each state's weight of its step
         w_n = weights.T[n]
         h_n = forcing(n, u) if forcing is not None else None
         try:
-            u, report, D = implicit_step(spec, u, h_n, w_n, newton, factor, D)
+            u, report = implicit_step(spec, u, h_n, w_n, newton, factor)
         except NewtonDivergenceError as err:
             step = int(np.min(n[1]))
             raise NewtonDivergenceError(str(err) + f" (step {step})", step) from None

@@ -87,6 +87,8 @@ def test_apply_S_zero_is_fixed_point():
     zero = Trajectory(spec.grid, spec.time_grid, np.zeros((1, 201, 1)))
     image = apply_S(spec, zero)
     assert np.all(image.values == 0.0)
+    with pytest.raises(ValueError, match="one drift per path"):
+        apply_S(spec, zero, drifts=[spec.drift] * 2)
 
 
 def test_apply_S_on_upper_extremal_quadrature_oracle():
@@ -347,19 +349,6 @@ def test_the_extremals_of_a_study_equal_build_extremal(p):
                                 results[b].extremal_start.values)
     assert not np.shares_memory(results[2].extremal_start.values,
                                 results[3].extremal_start.values)
-    # apply_S steps a path with a side as that extremal, next to a path S
-    # maps, whatever u_tilde holds past row 0 on it
-    u_tilde = np.full((2, spec.time_grid.n_steps + 1, spec.grid.n_interior), 7.0)
-    u_tilde[:, 0] = u0
-    image = apply_S(spec, Trajectory(spec.grid, spec.time_grid, u_tilde), paths[2:],
-                    drifts=drifts[2:], sides=[None, MAX_SIDE])
-    assert np.array_equal(image.values[1], results[P + 3].extremal_start.values[0])
-    alone = apply_S(spec, Trajectory(spec.grid, spec.time_grid, u_tilde[:1]), paths[2],
-                    drifts=drifts[2:3])
-    assert np.array_equal(image.values[0], alone.values[0])
-    with pytest.raises(ValueError):
-        apply_S(spec, Trajectory(spec.grid, spec.time_grid, u_tilde), paths[2:],
-                drifts=drifts[2:], sides=[MAX_SIDE])
 
 
 def test_a_study_steps_its_extremals_alongside_its_sweeps(monkeypatch):
@@ -387,11 +376,13 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
     calls, extremal_lanes = [], []
     solve, schedule = bracket.apply_S, bracket._Wave.passes
 
-    def counted(spec, u_tilde, noise_paths, newton, store, drifts, passes, sides):
-        calls.append([(side, drift.jump_side) for side, drift in zip(sides, drifts)
-                      if side is not None])
-        assert len(noise_paths) == len(sides)
-        return solve(spec, u_tilde, noise_paths, newton, store, drifts, passes, sides)
+    def counted(spec, u_tilde, noise_paths, newton, drifts, wave):
+        # each extremal's side is that of the members that read it
+        sides = dict(zip(wave.index.tolist(), wave.sides))
+        calls.append([(sides[e], drift.jump_side)
+                      for e, drift in enumerate(drifts[len(wave.current):])])
+        assert len(noise_paths) == len(drifts) == u_tilde.n_paths
+        return solve(spec, u_tilde, noise_paths, newton, drifts, wave)
 
     def passes(wave):
         for n, u in schedule(wave):
@@ -692,12 +683,12 @@ def test_each_sweep_steps_from_its_own_row_and_reads_the_one_before(monkeypatch,
             checked["extremal lanes"] += len(n[0]) - L
             yield n, u
 
-    def stores(wave, n, v, h):
+    def stores(wave, n, v):
         L = len(wave.k)
         m, steps = n[0][:L], n[1][:L]
         wave.made += len(n[0]) > L
         wave.writer[m, steps + 1] = wave.k
-        store(wave, n, v, h)
+        store(wave, n, v)
 
     monkeypatch.setattr(bracket._Wave, "passes", passes)
     monkeypatch.setattr(bracket._Wave, "store", stores)
@@ -735,12 +726,12 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
                 u[i] = solved[m[i], steps[i]]
             yield (m, steps), u
 
-    def stores(wave, n, v, h):
+    def stores(wave, n, v):
         v = v.copy()
         for i in lower_lanes(wave, *n, (0, 1)).tolist():
             solved[n[0][i], n[1][i] + 1] = v[i].copy()
             v[i] += 0.01
-        store(wave, n, v, h)
+        store(wave, n, v)
 
     monkeypatch.setattr(bracket, "build_extremal", raised)
     monkeypatch.setattr(bracket._Wave, "passes", passes)

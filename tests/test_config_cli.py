@@ -49,6 +49,27 @@ def test_parse_basic_document():
     assert raw["run.eps_list"] == (0.01, 0.0001)
 
 
+@pytest.mark.parametrize("raw", ["false", "No", "0", "OFF"])
+def test_false_spellings_parse_as_false(raw):
+    assert parse_config_text(f"run.dual_jump_side = {raw}\n")["run.dual_jump_side"] is False
+
+
+def test_unparseable_boolean_names_key():
+    with pytest.raises(ConfigError, match="'run.dual_jump_side'.*'maybe'.*boolean"):
+        parse_config_text("run.dual_jump_side = maybe\n")
+
+
+def test_unknown_scenario_rejected():
+    with pytest.raises(ConfigError, match="'scenario'.*unknown scenario 'plap_braket'"):
+        resolve_config({"scenario": "plap_braket"})
+
+
+@pytest.mark.parametrize("mode,n,needs", [("ode", 2, "grid.n = 1"), ("pde_1d", 1, "grid.n >= 2")])
+def test_grid_size_must_fit_the_mode(mode, n, needs):
+    with pytest.raises(ConfigError, match=f"'grid.n'.*{mode} mode requires {needs}"):
+        resolve_config({"grid.mode": mode, "grid.n": n})
+
+
 @pytest.mark.parametrize("key,value", [
     ("u0.amplitude", float("inf")),  # a programmatic override
     ("time.T", float("1e400")),  # an overflowing literal parses to inf
@@ -145,6 +166,15 @@ def test_cli_missing_config_exits_2(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cli_scenario_name_as_config_path_suggests_the_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "plap_braket"]) == 2
+    assert capsys.readouterr().err == (
+        "config file not found: plap_braket\n"
+        "did you mean a config with 'scenario = plap_bracket'?\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8", "out_is_file"])
 def test_cli_unusable_path_exits_2(tmp_path, capsys, case):
     cfg, out = tmp_path / "ode.cfg", tmp_path / "out"
@@ -197,6 +227,11 @@ def test_cli_invalid_override_exits_2(tmp_path, capsys):
     ("scenario = heat_comparison\nrun.eps_list = 0\n", "'run.eps_list'"),
     # an empty eps list would write a sigma trace with no columns
     ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\nrun.eps_list =\n",
+     "'run.eps_list'"),
+    # one sigma_trace.csv column per eps: equal values would share one
+    ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\nrun.eps_list = 0.01, 0.01\n",
+     "'run.eps_list'"),
+    ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\nrun.eps_list = 1e-2,0.010\n",
      "'run.eps_list'"),
     # the noise generator keys on 64-bit words
     ("scenario = heat_comparison\nrun.M = 2\ntime.T = 0.01\n"

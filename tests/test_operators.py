@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from spdeorder import (
     TimeGrid,
     apply_A_values,
     check_assumptions,
+    comparison_study,
     eval_b_values,
     eval_f_values,
     eval_g_values,
@@ -25,6 +28,7 @@ from spdeorder import (
 )
 from spdeorder.config import parse_config_text, resolve_config
 from spdeorder.operators import (
+    SpecError,
     interface_gradients,
     jacobian_bands,
     noise_term_values,
@@ -120,6 +124,54 @@ def test_spatial_spec_validation():
         SpatialOpSpec(p=1.5)
     with pytest.raises(ValueError):
         SpatialOpSpec(alpha=0.0)
+
+
+def _heat_study(M):
+    spec = build_problem_spec(resolve_config({"scenario": "heat_comparison", "time.T": 0.01}))
+    u0 = np.zeros(spec.grid.n_interior)
+    return comparison_study(spec, u0, u0, M, 1)
+
+
+# (build, SpecError key or None for a plain ValueError, message) of each
+# validator that no scenario reaches with a valid config
+VALIDATORS = {
+    "drift.kind": (lambda: DriftSpec("cubic"), "drift.kind", "unknown drift kind 'cubic'"),
+    "drift.jump_side": (lambda: DriftSpec("heaviside", jump_side="left"), "drift.jump_side",
+                        "jump_side not in"),
+    "knot_count": (lambda: DriftSpec("piecewise_linear", knots=((0.0, 0.0),)), "drift.knots",
+                   "needs >= 2 knots"),
+    "knot_abscissae": (lambda: DriftSpec("piecewise_linear", knots=((0.0, 0.0), (0.0, 1.0))),
+                       "drift.knots", "abscissae must increase strictly"),
+    "drift.C_B": (lambda: DriftSpec("zero", C_B=0.0), "drift.C_B", "C_B must be positive"),
+    "reaction.kind": (lambda: ReactionSpec("cubic"), "reaction.kind",
+                      "unknown reaction kind 'cubic'"),
+    "reaction.C_F": (lambda: ReactionSpec(C_F=-1.0), "reaction.C_F", "C_F must be positive"),
+    "noise.K": (lambda: NoiseSpec(K=-1), "noise.K", "K must be nonnegative"),
+    "noise.coeffs": (lambda: NoiseSpec(K=2, coeffs=(0.5,)), "noise.K",
+                     "one coefficient per retained mode"),
+    "noise.kind": (lambda: NoiseSpec(pointwise_kind="cubic"), "noise.kind",
+                   "unknown noise kind 'cubic'"),
+    "noise.C_G": (lambda: NoiseSpec(C_G=0.0), "noise.C_G", "C_G must be positive"),
+    "reg_delta": (lambda: SpatialOpSpec(reg_delta=-1e-12), None,
+                  "reg_delta must be nonnegative"),
+    "grid_mode": (lambda: Grid(mode="pde_2d"), None, "unknown grid mode 'pde_2d'"),
+    "time_steps": (lambda: TimeGrid(T=1.0, n_steps=0), None, "at least one time step"),
+    "noise_path_K": (lambda: sample_noise_path(1, 0, -1, TimeGrid(T=1.0, n_steps=4)), None,
+                     "K must be nonnegative"),
+    "sigma_eps": (lambda: sigma_eps(0.5, 0.0), None, "eps must be positive"),
+    "comparison_M": (lambda: _heat_study(0), None, "need at least one path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATORS))
+def test_each_validator_raises_its_own_error(case):
+    build, key, message = VALIDATORS[case]
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        build()
+    if key is None:
+        assert not isinstance(err.value, SpecError)
+    else:
+        assert isinstance(err.value, SpecError) and err.value.key == key
 
 
 # ---------------------------------------------------------------------------

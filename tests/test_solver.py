@@ -59,7 +59,7 @@ def test_implicit_step_matches_dense_linear_solve():
         e[j] = 1.0
         A[:, j] = apply_A_values(spec.spatial, e, spec.grid)
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n)
-    v, report, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
+    v, report = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], expected, atol=1e-12)
     assert report.iterations == 1  # linear problem: one Newton iteration
 
@@ -72,7 +72,7 @@ def test_linear_step_is_the_direct_solve():
     dt = spec.time_grid.dt
     A = np.column_stack([apply_A_values(spec.spatial, e, spec.grid) for e in np.eye(16)])
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n.T).T
-    v, report, _ = implicit_step(spec, u_n, None, np.zeros(3), factor=linear_factor(spec))
+    v, report = implicit_step(spec, u_n, None, np.zeros(3), factor=linear_factor(spec))
     np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
     assert report.iterations == 0
     # only p = 2 on a pde_1d grid is linear
@@ -89,7 +89,7 @@ def test_implicit_step_sine_eigenvector():
     dt = spec.time_grid.dt
     lam = 2.0 / g.dx**2 * (1.0 - np.cos(np.pi * g.dx))
     u_n = np.sin(np.pi * g.x)
-    v, _, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
+    v, _ = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], u_n / (1.0 + dt * lam), atol=1e-12)
 
 
@@ -508,8 +508,7 @@ def test_traced_identities_of_a_batched_march(monkeypatch, start):
     # the identities a traced benchmark run checks: one Jacobian and one
     # linear solve per Newton iteration, and one residual evaluation per
     # step, Newton iteration and line-search halving.  Every residual and
-    # Jacobian reuses gradients the solver took once per iterate, and the
-    # gradients of each accepted state carry into the next step.
+    # Jacobian reuses gradients the solver took once per iterate.
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -545,8 +544,8 @@ def test_traced_identities_of_a_batched_march(monkeypatch, start):
     halvings = counts["h_norm_values"] - 2 * steps - iters
     assert halvings > 0
     assert counts["apply_A_values"] == steps + iters + halvings
-    # gradients: the first step's start, then one per tried iterate
-    assert counts["interface_gradients"] == 1 + iters + halvings
+    # gradients: one per step's start, then one per tried iterate
+    assert counts["interface_gradients"] == steps + iters + halvings
 
 
 def test_solve_banded_solves_each_block_as_alone():
@@ -605,13 +604,13 @@ def test_implicit_step_batch_members_converge_independently():
     u_n = np.stack([np.zeros(16), np.sin(np.pi * g.x), 30.0 * np.sin(np.pi * g.x),
                     20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x)])
     alone = [implicit_step(spec, row[None], None, np.zeros(1)) for row in u_n]
-    v, report, _ = implicit_step(spec, u_n, None, np.zeros(5))
-    for b, (v_b, report_b, _) in enumerate(alone):
+    v, report = implicit_step(spec, u_n, None, np.zeros(5))
+    for b, (v_b, report_b) in enumerate(alone):
         assert np.array_equal(v[b], v_b[0])
-    iterations = [report_b.iterations for _, report_b, _ in alone]
+    iterations = [report_b.iterations for _, report_b in alone]
     assert len(set(iterations)) == 5
     assert report.iterations == max(iterations)
-    assert report.residual == max(report_b.residual for _, report_b, _ in alone)
+    assert report.residual == max(report_b.residual for _, report_b in alone)
 
 
 def test_batch_divergence_raises_with_step_index():
