@@ -2,7 +2,10 @@
 iteration.
 
 The bracket trajectories solve the auxiliary problems with the Lipschitz
-forcing -C_B(1+u) (lower) and +C_B(1+u) (upper).  The candidate map S
+forcing -C_B(1+|u|) (lower) and +C_B(1+|u|) (upper), the bounds of the
+drift's growth condition |b(r)| <= C_B(1+|r|) at every state, so the
+lower one is a subsolution and the upper one a supersolution below
+u = -1 too.  The candidate map S
 sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
@@ -24,11 +27,13 @@ import numpy as np
 from .noise import NoisePath, sample_noise_path
 from .operators import DriftSpec, eval_b_values
 from .solver import (
+    STORE_ROLES,
     Forcing,
     NewtonLog,
     NewtonParams,
     ProblemSpec,
     Trajectory,
+    Workspace,
     solve_frozen,
     sup_h_distance,
 )
@@ -39,8 +44,8 @@ MAX_SIDE = "max"
 
 def extremal_forcing(sides: Union[str, Sequence[str]],
                      C_B: Union[float, Sequence[float]]) -> Forcing:
-    """State-dependent Lipschitz forcing -C_B(1+u) / +C_B(1+u): one side and
-    one C_B for the whole batch, or one of either per member."""
+    """State-dependent Lipschitz forcing -C_B(1+|u|) / +C_B(1+|u|): one
+    side and one C_B for the whole batch, or one of either per member."""
     sides = np.asarray(sides)
     if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
         raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
@@ -49,7 +54,7 @@ def extremal_forcing(sides: Union[str, Sequence[str]],
         coeff = coeff[:, None]
 
     def forcing(n, u):
-        return coeff * (1.0 + u)
+        return coeff * (1.0 + np.abs(u))
 
     return forcing
 
@@ -103,7 +108,7 @@ def apply_S(
     if wave is None:
         return solve_frozen(spec, u0, forcing, noise_paths, newton)
     return solve_frozen(spec, u0, wave.forcing(forcing), noise_paths, newton, wave.store,
-                        wave.passes())
+                        wave.passes(), wave.work)
 
 
 def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
@@ -173,7 +178,7 @@ class _Wave:
     and each distinct extremal is one lane, read by every member that
     shares it.  Each pass steps every lane that can step by one row, in
     one batch: the extremals step in every pass, from row 0 until they
-    hold row N, with the forcing -C_B(1+u_n) / +C_B(1+u_n) of their own
+    hold row N, with the forcing -C_B(1+|u_n|) / +C_B(1+|u_n|) of their own
     state.
 
     buf holds each member's latest iterate in row m (current) and the
@@ -229,6 +234,12 @@ class _Wave:
         self.buf = np.zeros((M + len(owners), N + 1, spec.grid.n_interior))
         self.buf[:, 0] = u0
         self.current, self.ext = self.buf[:M], self.buf[M:]
+        # their rows, one per (member or extremal, step): row m (N + 1) + r
+        # is row r of the m-th
+        self.current_rows = self.current.reshape(-1, spec.grid.n_interior)
+        self.ext_rows = self.ext.reshape(-1, spec.grid.n_interior)
+        # the march's buffers, which the store takes its scratch from
+        self.work = Workspace(spec.grid.n_interior)
         self.extremals = np.arange(M, len(self.buf))  # their rows of buf
         # the noise path and drift of each row of buf: an extremal takes
         # those of the first member that reads it
@@ -305,7 +316,8 @@ class _Wave:
                 return
             m, steps, v = m[:L], steps[:L], v[:L]
         rows = steps + 1
-        old = self.current[m, rows]
+        old, scratch = self.work.views(len(m), STORE_ROLES)
+        self.current_rows.take(m * (self.N + 1) + rows, 0, old)
         todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.max_outer))
         if len(todo):
             # h holds the b(old) each lane read; bit patterns, not ==:
@@ -318,15 +330,18 @@ class _Wave:
         # containment defect of each new row
         found = np.empty((3, len(m)))
         diff = np.subtract(v, old, out=old)
-        (diff * diff).sum(axis=-1, out=found[0])
+        np.multiply(diff, diff, out=scratch).sum(axis=-1, out=found[0])
         # min side expects new >= old pointwise, max side the reverse; the
         # lanes are in member order, so the min-side ones come first
         n_min = m.searchsorted(self.P)
         np.negative(diff[:n_min], out=diff[:n_min])  # in place, exact
         diff.max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
-        lower, upper = self.ext[self.bounds[m], rows[:, None]].transpose(1, 0, 2)
-        np.maximum((lower - v).max(axis=-1), (v - upper).max(axis=-1), out=found[2])
+        lower, upper = self.bounds[m].T * (self.N + 1) + rows  # rows of ext_rows
+        self.ext_rows.take(lower, 0, scratch)
+        below = np.subtract(scratch, v, out=scratch).max(axis=-1)
+        self.ext_rows.take(upper, 0, scratch)
+        np.maximum(below, np.subtract(v, scratch, out=scratch).max(axis=-1), out=found[2])
         self.excess[m, rows] = found[2]
         defects = np.maximum(self.defects[:, m, k], found, out=found)
         self.defects[:, m, k] = defects

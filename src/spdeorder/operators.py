@@ -52,46 +52,80 @@ class SpatialOpSpec:
             raise ValueError("reg_delta must be nonnegative")
 
 
-def interface_gradients(values: np.ndarray, dx: float) -> np.ndarray:
+def _zero_fill(out: np.ndarray) -> np.ndarray:
+    out.fill(0.0)
+    return out
+
+
+def interface_gradients(values: np.ndarray, dx: float,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Differences across the n+1 cell interfaces of the last axis, with
-    ghost zeros."""
-    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + 2,))
-    padded[..., 1:-1] = values
-    return (padded[..., 1:] - padded[..., :-1]) / dx
+    ghost zeros.  out, when given, is a (..., n+1) array that takes them."""
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    # u_i - u_{i-1} with u_{-1} = u_n = 0: the first difference is u_0
+    # itself and the last 0.0 - u_{n-1}, bit for bit
+    out[..., :-1] = values
+    out[..., -1] = 0.0
+    out[..., 1:] -= values
+    out /= dx
+    return out
 
 
 def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid,
-                   D: Optional[np.ndarray] = None) -> np.ndarray:
+                   D: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+                   flux: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete -div(a(grad u)) with homogeneous Dirichlet values, along the
     last axis (leading axes are paths).  D, when given, is
-    interface_gradients(values, grid.dx)."""
+    interface_gradients(values, grid.dx).  out, when given, takes the
+    values, and flux, a (..., n+1) array, the interface fluxes."""
     if grid.mode == ODE:
-        return np.zeros_like(values)
+        return np.zeros_like(values) if out is None else _zero_fill(out)
     dx = grid.dx
     if D is None:
         D = interface_gradients(values, dx)
-    flux = spec.alpha * np.abs(D) ** (spec.p - 2.0) * D
-    return (flux[..., 1:] - flux[..., :-1]) / -dx
+    # alpha |D|^(p-2) D, in the order of that product; a power or a factor
+    # of exactly 1.0 changes no bit, so it is skipped
+    flux = np.abs(D, out=flux)
+    if spec.p - 2.0 != 1.0:
+        flux **= spec.p - 2.0
+    if spec.alpha != 1.0:
+        flux *= spec.alpha
+    flux *= D
+    out = np.subtract(flux[..., 1:], flux[..., :-1], out=out)
+    out /= -dx
+    return out
 
 
 def jacobian_bands(
-    spec: SpatialOpSpec, values: np.ndarray, grid: Grid, D: Optional[np.ndarray] = None
+    spec: SpatialOpSpec, values: np.ndarray, grid: Grid, D: Optional[np.ndarray] = None,
+    out: Optional[tuple] = None, weights: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bands (off, diag) of the symmetric tridiagonal linearized operator
     along the last axis; off holds the n-1 couplings of node i to node i+1.
-    D, when given, is interface_gradients(values, grid.dx).
+    D, when given, is interface_gradients(values, grid.dx).  out, when
+    given, is the pair (off, diag) of arrays that take the bands, and
+    weights, a (..., n+1) array, the interface weights.
 
     Uses the regularized flux derivative (D^2 + reg_delta)^((p-2)/2).
     """
     shape = values.shape
     if grid.mode == ODE:
+        if out is not None:
+            return tuple(map(_zero_fill, out))
         return np.zeros(shape[:-1] + (shape[-1] - 1,)), np.zeros(shape)
     dx = grid.dx
     if D is None:
         D = interface_gradients(values, dx)
-    w = spec.alpha * (spec.p - 1.0) * (D * D + spec.reg_delta) ** ((spec.p - 2.0) / 2.0)
+    # alpha (p-1) (D^2 + reg_delta)^((p-2)/2) / dx^2, in the order of that product
+    w = np.multiply(D, D, out=weights)
+    w += spec.reg_delta
+    w **= (spec.p - 2.0) / 2.0
+    w *= spec.alpha * (spec.p - 1.0)
     w /= dx * dx
-    return -w[..., 1:-1], w[..., :-1] + w[..., 1:]
+    off, diag = (None, None) if out is None else out
+    return (np.negative(w[..., 1:-1], out=off),
+            np.add(w[..., :-1], w[..., 1:], out=diag))
 
 
 # ---------------------------------------------------------------------------

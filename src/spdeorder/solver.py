@@ -147,14 +147,24 @@ def constant_forcing(value: float) -> Forcing:
 def solve_banded(off, diag, rhs):
     """Solve the symmetric positive definite tridiagonal systems
     (off, diag) x = rhs of every path (last axis) with one LAPACK ptsv call
-    on their block-diagonal stack.  ptsv overwrites diag and rhs in place:
-    pass temporaries.
+    on their block-diagonal stack, and return x, which is rhs's memory.
+    off holds the n-1 couplings of node i to node i+1 of each path, or is
+    an array of diag's shape holding them in its first n-1 columns, whose
+    last column takes the stack's zero coupling to the next path.  ptsv
+    overwrites diag, rhs and such an off in place: the caller owns them,
+    and in implicit_step they are views of its march's Workspace.  A
+    shorter off is copied into a new coupling array.  The arrays ptsv
+    overwrites must be C-contiguous.
 
     The coupling between neighbouring paths is exactly zero, so each path's
     solution is bit for bit the one its system alone would give.
     """
-    coupling = np.zeros(diag.shape)
-    coupling[..., :-1] = off
+    if off.shape == diag.shape:
+        coupling = off
+        coupling[..., -1] = 0.0
+    else:
+        coupling = np.zeros(diag.shape)
+        coupling[..., :-1] = off
     *_, x, info = dptsv(diag.reshape(-1), coupling.reshape(-1)[:-1], rhs.reshape(-1, 1),
                         overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
@@ -180,6 +190,53 @@ def linear_factor(spec: ProblemSpec) -> Optional[tuple]:
     return d, e
 
 
+class Workspace:
+    """The reusable arrays of the temporaries of a march's passes: one
+    (rows, n + extra) array per role, grown to the most rows a pass has
+    asked of that role, and only when a pass asks for more.
+
+    views(rows, roles) gives the leading rows of each role's array, a
+    C-contiguous view; roles is a tuple of (name, extra) pairs.  Views of
+    one role share memory, so roles that are live at once must differ.
+    No array a march returns or stores is ever in a workspace.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.arrays = {}
+        self.last = {}  # roles -> (rows, views) of the last call
+
+    def views(self, rows: int, roles: tuple) -> list:
+        last = self.last.get(roles)
+        if last is not None and last[0] == rows:
+            return last[1]
+        views = []
+        for name, extra in roles:
+            array = self.arrays.get(name)
+            if array is None or len(array) < rows:
+                # views of the old array, kept for other roles, go stale;
+                # it is freed before its successor is made
+                self.last.clear()
+                array = self.arrays[name] = None
+                array = self.arrays[name] = np.empty((rows, self.n + extra))
+            views.append(array[:rows])
+        self.last[roles] = (rows, views)
+        return views
+
+
+# the roles of implicit_step's temporaries: those of a step's whole batch,
+# those of the Newton update of the paths not yet converged, those of
+# their subset when it is not the whole batch, and those of a halving's
+# subset of the trial paths
+_STEP_ROLES = (("rhs", 0), ("res", 0), ("grad", 1), ("flux", 1))
+_NEWTON_ROLES = (("dv", 0), ("v_try", 0))
+_SUBSET_ROLES = (("v_sub", 0), ("rhs_sub", 0), ("res_try", 0), ("grad_try", 1))
+_HALVING_ROLES = (("v_half", 0), ("rhs_half", 0), ("grad_half", 1), ("res_half", 0))
+# step roles that hold nothing once implicit_step has returned: a store
+# may take its (L, n) scratch from them
+STORE_ROLES = (("rhs", 0), ("res", 0))
+
+
 def _failing(ok: np.ndarray):
     """Index of the paths where ok is False: None when there are none, and
     the whole batch (Ellipsis, no fancy indexing) when it is all of them."""
@@ -189,6 +246,11 @@ def _failing(ok: np.ndarray):
     return Ellipsis if n_ok == 0 else np.flatnonzero(~ok)
 
 
+def _rows(a: np.ndarray, index, out: np.ndarray) -> np.ndarray:
+    """The rows index of a: a itself for Ellipsis, else gathered into out."""
+    return a if index is Ellipsis else a.take(index, 0, out)
+
+
 def implicit_step(
     spec: ProblemSpec,
     u_n: np.ndarray,
@@ -196,6 +258,7 @@ def implicit_step(
     w_n: np.ndarray,
     newton: NewtonParams = NewtonParams(),
     factor: Optional[tuple] = None,
+    work: Optional[Workspace] = None,
 ) -> tuple[np.ndarray, NewtonReport]:
     """Solve v + dt A(v) = u_n + dt h_n + dt f(u_n) + w_n shape(u_n) for
     every path of the batch: u_n and h_n are (B, n), and w_n holds the (B,)
@@ -210,15 +273,24 @@ def implicit_step(
     the largest final residual.
 
     The interface gradients of each iterate are taken once, for both its
-    residual and its Jacobian.
+    residual and its Jacobian.  Every temporary of the step is a view of
+    work, its march's Workspace (a new one when not given), written with
+    in-place operators in the order of the expressions they stand for, so
+    the bits do not depend on where they live.  The returned states v are
+    a new array.
     """
     dt = spec.time_grid.dt
     dx = spec.grid.dx
-    rhs = u_n + dt * eval_f_values(spec.reaction, u_n)
+    work = Workspace(spec.grid.n_interior) if work is None else work
+    L = len(u_n)
+    rhs, res, D, flux = work.views(L, _STEP_ROLES)
+    # rhs = u_n + dt f(u_n) + dt h_n + noise; res is free until the first residual
+    np.multiply(dt, eval_f_values(spec.reaction, u_n), out=rhs)
+    rhs += u_n
     if h_n is not None:
-        rhs = rhs + dt * h_n
+        rhs += np.multiply(dt, h_n, out=res)
     if spec.noise.K > 0:
-        rhs = rhs + noise_term_values(spec.noise, u_n, w_n)
+        rhs += noise_term_values(spec.noise, u_n, w_n)
 
     if spec.grid.mode == ODE:
         # spatial operator is identically zero: the step is explicit.  Only
@@ -226,19 +298,24 @@ def implicit_step(
         # iterate whose residual is not finite.
         if not np.all(np.isfinite(rhs)):
             raise NewtonDivergenceError("non-finite state")
-        return rhs, NewtonReport(0, 0.0)
+        return rhs.copy(), NewtonReport(0, 0.0)
 
-    def evaluate(v, target):
-        """The interface gradients of v, its residual and the residual's norm."""
-        D = interface_gradients(v, dx)
-        res = v + dt * apply_A_values(spec.spatial, v, spec.grid, D) - target
-        return D, res, h_norm_values(res, dx)
+    def evaluate(v, target, D, res, flux):
+        """The interface gradients of v into D, its residual v + dt A(v) -
+        target into res, and the residual's norm."""
+        interface_gradients(v, dx, out=D)
+        apply_A_values(spec.spatial, v, spec.grid, D, out=res, flux=flux)
+        res *= dt
+        res += v
+        res -= target
+        return h_norm_values(res, dx)
 
     # the (B, n) C-order rhs is the F-order (n, B) matrix pttrs takes
     v = u_n.astype(float, copy=True) if factor is None else dpttrs(*factor, rhs.T)[0].T
-    D, res, rnorm = evaluate(v, rhs)
+    rnorm = evaluate(v, rhs, D, res, flux)
     limit = newton.tol * np.maximum(1.0, h_norm_values(rhs, dx))
-    iters = 0
+    iters, rows = 0, 0
+    v_s = rhs_s = None  # a subset's gathers, unused by the whole batch
     # a NaN residual compares false with everything: never accept it
     while (sel := _failing(rnorm <= limit)) is not None:
         if iters >= newton.max_iter:
@@ -246,19 +323,45 @@ def implicit_step(
             raise NewtonDivergenceError(
                 f"Newton residual {rnorm[sel][worst]:.3e} > tol {limit[sel][worst]:.3e} "
                 f"after {iters} iterations")
-        v_a, rhs_a, rnorm_a = v[sel], rhs[sel], rnorm[sel]
-        off, diag = jacobian_bands(spec.spatial, v_a, spec.grid, D[sel])
-        dv = solve_banded(dt * off, 1.0 + dt * diag, -res[sel])
+        if (S := L if sel is Ellipsis else len(sel)) != rows:  # a new subset
+            rows = S
+            dv, v_try = work.views(S, _NEWTON_ROLES)
+            flux_s = flux[:S]
+            if sel is not Ellipsis:
+                v_s, rhs_s, res_t, D_t = work.views(S, _SUBSET_ROLES)
+        # the whole batch's trial overwrites its gradients and residual,
+        # which nothing reads once the bands and dv are taken.  The trial's
+        # arrays are free until the solve: its gradients hold the subset's
+        # until then, its residual the off-diagonal band and the stack's
+        # couplings (see solve_banded), and its iterate the diagonal
+        D_try, res_try = (D, res) if sel is Ellipsis else (D_t, res_t)
+        v_a, rhs_a, D_a = _rows(v, sel, v_s), _rows(rhs, sel, rhs_s), _rows(D, sel, D_try)
+        rnorm_a = rnorm[sel]
+        np.negative(_rows(res, sel, dv), out=dv)
+        off, diag = res_try[:, :-1], v_try
+        jacobian_bands(spec.spatial, v_a, spec.grid, D_a, out=(off, diag), weights=flux_s)
+        off *= dt
+        diag *= dt
+        diag += 1.0
+        solve_banded(res_try, diag, dv)
         # damped update: halve the step of each path whose residual grows
         step = 1.0
-        v_try = v_a + dv
-        D_try, res_try, rnorm_try = evaluate(v_try, rhs_a)
+        np.add(v_a, dv, out=v_try)
+        rnorm_try = evaluate(v_try, rhs_a, D_try, res_try, flux_s)
         while step > 1.0 / 1024.0 and (g := _failing(rnorm_try < rnorm_a)) is not None:
             step *= 0.5
-            v_try[g] = v_a[g] + step * dv[g]
-            D_try[g], res_try[g], rnorm_try[g] = evaluate(v_try[g], rhs_a[g])
+            if g is Ellipsis:
+                v_g, rhs_g, D_g, res_g = v_try, rhs_a, D_try, res_try
+            else:
+                v_g, rhs_g, D_g, res_g = work.views(len(g), _HALVING_ROLES)
+            # v_a[g] + step * dv[g]; rhs_g holds v_a[g] until it takes rhs_a[g]
+            np.multiply(step, _rows(dv, g, v_g), out=v_g)
+            v_g += _rows(v_a, g, rhs_g)
+            rnorm_try[g] = evaluate(v_g, _rows(rhs_a, g, rhs_g), D_g, res_g, flux[:len(v_g)])
+            if g is not Ellipsis:
+                v_try[g], D_try[g], res_try[g] = v_g, D_g, res_g
         if sel is Ellipsis:
-            v, res, rnorm, D = v_try, res_try, rnorm_try, D_try
+            v[...], rnorm = v_try, rnorm_try
         else:
             v[sel], res[sel], rnorm[sel], D[sel] = v_try, res_try, rnorm_try, D_try
         iters += 1
@@ -288,6 +391,7 @@ def march(
     store: Callable[[tuple, np.ndarray], None],
     newton: NewtonParams = NewtonParams(),
     schedule: Optional[Iterable] = None,
+    work: Optional[Workspace] = None,
 ) -> NewtonLog:
     """Step the scheme for a batch of B members from their own (B, n)
     states u0, with frozen drift h_n = forcing(n, u_n) (one row per
@@ -302,6 +406,12 @@ def march(
     hands march its passes instead, as pairs (n, u_n): the states of pass
     n, or None to step on from the states of the last pass (u0 at first).
     Returns the Newton metadata of each pass.
+
+    The march owns one Workspace for the temporaries of its passes,
+    sized to its largest pass so far: work, when given, else a new one.
+    Each pass's new states are a new array, which the store may keep.  A
+    caller that hands in work may use its STORE_ROLES as the store's
+    scratch: they hold nothing between passes.
 
     Initial states of the wrong shape or with a non-finite value raise
     ValueError before any step.  A pass that fails raises
@@ -319,6 +429,7 @@ def march(
                          f"expected ({spec.time_grid.n_steps}, {u.shape[0]})")
     _check_guards(spec)
     factor = linear_factor(spec)
+    work = Workspace(spec.grid.n_interior) if work is None else work
     iters, worst = [], 0.0
     if schedule is None:
         schedule = (((slice(None), k), None) for k in range(spec.time_grid.n_steps))
@@ -329,7 +440,7 @@ def march(
         w_n = weights.T[n]
         h_n = forcing(n, u) if forcing is not None else None
         try:
-            u, report = implicit_step(spec, u, h_n, w_n, newton, factor)
+            u, report = implicit_step(spec, u, h_n, w_n, newton, factor, work)
         except NewtonDivergenceError as err:
             step = int(np.min(n[1]))
             raise NewtonDivergenceError(str(err) + f" (step {step})", step) from None
@@ -347,6 +458,7 @@ def solve_frozen(
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[tuple, np.ndarray], None]] = None,
     schedule: Optional[Iterable] = None,
+    work: Optional[Workspace] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """March the scheme with frozen drift h_n = forcing(n, u_n) for a batch
     of B paths, one per noise path (one path when noise_paths is None or a
@@ -357,7 +469,8 @@ def solve_frozen(
     kept: store(n, u) receives the new states of each pass n = (members,
     steps) (see march), and the result is the NewtonLog of the passes
     taken.  A schedule hands march its passes; a scheduled march needs a
-    store, since its passes need not make the states in order.
+    store, since its passes need not make the states in order.  work is
+    the march's Workspace (see march).
 
     Deterministic given (spec, u0, forcing, noise_paths); each path's
     values do not depend on the other paths of the batch.
@@ -389,7 +502,7 @@ def solve_frozen(
 
         def store(n, u_next):
             states[n[0], n[1] + 1] = u_next
-    log = march(spec, u0, forcing, weights, store, newton, schedule)
+    log = march(spec, u0, forcing, weights, store, newton, schedule, work)
     if keep:
         return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual)
     return log

@@ -81,7 +81,8 @@ def test_criterion_2_extremal_bracket_closed_forms():
     upper = build_extremal(spec, [0.0], MAX_SIDE)
     lower = build_extremal(spec, [0.0], MIN_SIDE)
     err_up = abs(upper.values[0, -1, 0] - 1.71828)
-    err_lo = abs(lower.values[0, -1, 0] + 0.63212)
+    # u' = -(1+|u|) from 0 stays negative: u' = u - 1, so u = 1 - e^t
+    err_lo = abs(lower.values[0, -1, 0] + 1.71828)
     ok = err_up <= 2e-4 and err_lo <= 2e-4
     _report("criterion 2: extremal brackets hit the exponential closed forms",
             ok, f"upper err {err_up:.2e}, lower err {err_lo:.2e}")

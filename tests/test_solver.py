@@ -398,6 +398,38 @@ def test_march_members_equal_their_own_solves(p, K):
         assert per_member.sum() > 0
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_the_states_a_step_returns_are_never_in_the_workspace(p):
+    # a store that keeps every u_next without copying it, and a step's
+    # result kept across the next steps on the same Workspace: no later
+    # pass may write over either.  At p = 3 the members converge after
+    # different numbers of Newton iterations, so the subset gathers run
+    spec = _noisy_spec(p, 3)
+    g = spec.grid
+    u0 = np.stack([_noisy_u0(spec), np.zeros(16), -2.0 * np.sin(2.0 * np.pi * g.x),
+                   0.5 * np.cos(np.pi * g.x)])
+    paths = [sample_noise_path(5, m, 3, spec.time_grid) for m in range(4)]
+    weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
+    kept = []
+    march(spec, u0, constant_forcing(0.5), weights, lambda n, u: kept.append(u))
+    full = solve_frozen(spec, u0, constant_forcing(0.5), paths)
+    assert np.array_equal(np.stack([u0] + kept, axis=1), full.values)
+    if p == 3.0:
+        singles = [solve_frozen(spec, u0[b], constant_forcing(0.5), paths[b]).newton_iters
+                   for b in range(4)]
+        assert np.any(np.min(singles, axis=0) != np.max(singles, axis=0))
+    work = solver.Workspace(g.n_interior)
+    first, _ = implicit_step(spec, u0, np.full_like(u0, 0.5), weights[0],
+                             factor=linear_factor(spec), work=work)
+    saved = first.copy()
+    # a smaller pass reuses the workspace's arrays, a larger one grows them
+    for rows in (u0[1:3], np.concatenate([u0, 3.0 * u0])):
+        implicit_step(spec, rows, np.full_like(rows, 0.5), np.full(len(rows), weights[1, 0]),
+                      factor=linear_factor(spec), work=work)
+        assert np.array_equal(first, saved)
+    assert not any(np.shares_memory(first, array) for array in work.arrays.values())
+
+
 def _from_step(start, states, N):
     """The schedule of a march from step start: the states there, then on."""
     yield (slice(None), start), states
