@@ -27,7 +27,7 @@ import numpy as np
 from .noise import NoisePath, sample_noise_path
 from .operators import DriftSpec, eval_b_values
 from .solver import (
-    STORE_ROLES,
+    STORE_ROLE,
     Forcing,
     NewtonLog,
     NewtonParams,
@@ -90,25 +90,26 @@ def apply_S(
     evaluated on its own paths' rows, one eval_b_values call per distinct
     drift and pass, so every path's values are those of its solve alone.
 
-    A wave, the study whose array u_tilde wraps, hands the march its
-    passes, steps its extremal lanes with their own forcing and takes the
-    new states in place, and the result is the NewtonLog of the passes
-    (see _Wave); a pass that steps path m at step k reads row k + 1 of
-    path m of u_tilde before its new states reach the wave."""
+    A wave, the study whose array u_tilde wraps and whose lanes drifts
+    are, hands the march its passes and its own forcing (S's on the sweep
+    lanes, the extremal forcing on the extremal lanes) and takes the new
+    states in place, and the result is the NewtonLog of the passes (see
+    _Wave); a pass that steps path m at step k reads row k + 1 of path m
+    of u_tilde before its new states reach the wave."""
     drifts = (spec.drift,) * u_tilde.n_paths if drifts is None else drifts
     if len(drifts) != u_tilde.n_paths:
         raise ValueError("apply_S needs one drift per path")
+    u0 = u_tilde.values[:, 0]
+    if wave is not None:
+        return solve_frozen(spec, u0, wave.forcing, noise_paths, newton, wave.store,
+                            wave.passes(), wave.work)
     kinds, group = _drift_kinds(drifts)
 
     def forcing(n, u):
         members, steps = n
         return _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
 
-    u0 = u_tilde.values[:, 0]
-    if wave is None:
-        return solve_frozen(spec, u0, forcing, noise_paths, newton)
-    return solve_frozen(spec, u0, wave.forcing(forcing), noise_paths, newton, wave.store,
-                        wave.passes(), wave.work)
+    return solve_frozen(spec, u0, forcing, noise_paths, newton)
 
 
 def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
@@ -290,20 +291,23 @@ class _Wave:
                 return
             yield (m, steps), self.buf[m, steps]
 
-    def forcing(self, drift_forcing: Forcing) -> Forcing:
-        """The forcing of the passes: drift_forcing, S's, on the sweep
-        lanes, and the extremal forcing on the extremal lanes after them.
-        The values it hands out are kept for store."""
-
-        def forcing(n, u):
-            h = drift_forcing(n, u)
-            L = len(self.k)
-            if L < len(h):
-                h[L:] = self.ext_forcing(n, u[L:])
-            self.h = h
-            return h
-
-        return forcing
+    def forcing(self, n: tuple, u: np.ndarray) -> np.ndarray:
+        """The forcing of a pass: S's on the sweep lanes, the drift of
+        each lane at the row it reads, and the extremal forcing on the
+        extremal lanes after them.  The rows the sweep lanes read, which
+        their new states replace, and the values it hands out are kept
+        for store; the rows go to a workspace role that the step leaves
+        alone."""
+        (m, steps), L = n, len(self.k)
+        self.old = old = self.work.unpadded(L, "old")
+        # mode "clip": the rows are in range, and "raise" would gather them
+        # into a new buffer first
+        self.current_rows.take(m[:L] * (self.N + 1) + steps[:L] + 1, 0, old, mode="clip")
+        h = _drift_values(self.kinds, self.group[m[:L]], old)
+        if L < len(u):
+            h = np.concatenate((h, self.ext_forcing(n, u[L:])))
+        self.h = h
+        return h
 
     def store(self, n: tuple, v: np.ndarray) -> None:
         (m, steps), k, h = n, self.k, self.h
@@ -316,8 +320,7 @@ class _Wave:
                 return
             m, steps, v = m[:L], steps[:L], v[:L]
         rows = steps + 1
-        old, scratch = self.work.views(len(m), STORE_ROLES)
-        self.current_rows.take(m * (self.N + 1) + rows, 0, old)
+        old, scratch = self.old, self.work.unpadded(len(m), STORE_ROLE)
         todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.max_outer))
         if len(todo):
             # h holds the b(old) each lane read; bit patterns, not ==:
@@ -338,9 +341,9 @@ class _Wave:
         diff.max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
         lower, upper = self.bounds[m].T * (self.N + 1) + rows  # rows of ext_rows
-        self.ext_rows.take(lower, 0, scratch)
+        self.ext_rows.take(lower, 0, scratch, mode="clip")
         below = np.subtract(scratch, v, out=scratch).max(axis=-1)
-        self.ext_rows.take(upper, 0, scratch)
+        self.ext_rows.take(upper, 0, scratch, mode="clip")
         np.maximum(below, np.subtract(v, scratch, out=scratch).max(axis=-1), out=found[2])
         self.excess[m, rows] = found[2]
         defects = np.maximum(self.defects[:, m, k], found, out=found)

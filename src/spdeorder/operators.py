@@ -57,28 +57,48 @@ def _zero_fill(out: np.ndarray) -> np.ndarray:
     return out
 
 
+# The kernels below work on ghost-padded stacks: C-contiguous (..., n + 1)
+# arrays whose last column is the Dirichlet ghost u_n = 0.0, so that the
+# rows of a stack follow each other in memory as
+# u_0 ... u_{n-1} 0.0 u_0 ... u_{n-1} 0.0.  Every shift along the nodes is
+# then one contiguous 1-D slice of the flat stack, and the ghost of each
+# row is the u_{-1} = 0.0 of the next.  What would cross from one row into
+# the next lands in a ghost column, which each kernel sets itself.
+
+
+def ghost_padded(values: np.ndarray) -> np.ndarray:
+    """A new ghost-padded stack of the (..., n) values: their rows, each
+    followed by the Dirichlet ghost 0.0."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    out[..., :-1] = values
+    return out
+
+
 def interface_gradients(values: np.ndarray, dx: float,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Differences across the n+1 cell interfaces of the last axis, with
-    ghost zeros.  out, when given, is a (..., n+1) array that takes them."""
+    """Differences across the n+1 cell interfaces of each row of the
+    ghost-padded stack values, with ghost zeros at both ends.  out, when
+    given, is a (..., n+1) array that takes them."""
     if out is None:
-        out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
-    # u_i - u_{i-1} with u_{-1} = u_n = 0: the first difference is u_0
-    # itself and the last 0.0 - u_{n-1}, bit for bit
-    out[..., :-1] = values
-    out[..., -1] = 0.0
-    out[..., 1:] -= values
+        out = np.empty(values.shape)
+    # u_i - u_{i-1}: across a row's end the ghost 0.0 of the row before (the
+    # first difference is u_0 - 0.0, which is u_0 bit for bit, so the very
+    # first is copied), and the last difference of a row is 0.0 - u_{n-1}
+    u, d = values.reshape(-1), out.reshape(-1)
+    d[0] = u[0]
+    np.subtract(u[1:], u[:-1], out=d[1:])
     out /= dx
     return out
 
 
 def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid,
-                   D: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
-                   flux: Optional[np.ndarray] = None) -> np.ndarray:
-    """Discrete -div(a(grad u)) with homogeneous Dirichlet values, along the
-    last axis (leading axes are paths).  D, when given, is
+                   D: Optional[np.ndarray] = None,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Discrete -div(a(grad u)) with homogeneous Dirichlet values on each
+    row of the ghost-padded stack values (leading axes are paths), as a
+    ghost-padded stack: its ghost column is 0.0.  D, when given, is
     interface_gradients(values, grid.dx).  out, when given, takes the
-    values, and flux, a (..., n+1) array, the interface fluxes."""
+    values, and the interface fluxes before them."""
     if grid.mode == ODE:
         return np.zeros_like(values) if out is None else _zero_fill(out)
     dx = grid.dx
@@ -86,46 +106,60 @@ def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid,
         D = interface_gradients(values, dx)
     # alpha |D|^(p-2) D, in the order of that product; a power or a factor
     # of exactly 1.0 changes no bit, so it is skipped
-    flux = np.abs(D, out=flux)
+    flux = np.abs(D, out=out)
     if spec.p - 2.0 != 1.0:
         flux **= spec.p - 2.0
     if spec.alpha != 1.0:
         flux *= spec.alpha
     flux *= D
-    out = np.subtract(flux[..., 1:], flux[..., :-1], out=out)
-    out /= -dx
-    return out
+    # (flux_{i+1} - flux_i) / -dx in place: each difference reads its
+    # fluxes before it is written.  At a ghost it would take the next row's
+    # first flux, so the ghosts are set to 0.0 instead
+    F = flux.reshape(-1)
+    np.subtract(F[1:], F[:-1], out=F[:-1])
+    np.divide(F[:-1], -dx, out=F[:-1])
+    flux[..., -1] = 0.0
+    return flux
 
 
 def jacobian_bands(
     spec: SpatialOpSpec, values: np.ndarray, grid: Grid, D: Optional[np.ndarray] = None,
-    out: Optional[tuple] = None, weights: Optional[np.ndarray] = None,
+    out: Optional[tuple] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bands (off, diag) of the symmetric tridiagonal linearized operator
-    along the last axis; off holds the n-1 couplings of node i to node i+1.
-    D, when given, is interface_gradients(values, grid.dx).  out, when
-    given, is the pair (off, diag) of arrays that take the bands, and
-    weights, a (..., n+1) array, the interface weights.
+    on each row of the ghost-padded stack values, both of its shape.  The
+    ghost is an unknown of its own that the operator does not couple:
+    off[..., i] couples node i to node i+1 for i < n-1, off[..., n-1]
+    (node n-1 to the ghost) and off[..., n] (the ghost to the next row's
+    node 0) are 0.0, and so is the ghost's diag.  D, when given, is
+    interface_gradients(values, grid.dx).  out, when given, is the pair
+    (off, diag) of arrays that take the bands, diag the interface weights
+    before them.
 
     Uses the regularized flux derivative (D^2 + reg_delta)^((p-2)/2).
     """
-    shape = values.shape
     if grid.mode == ODE:
         if out is not None:
             return tuple(map(_zero_fill, out))
-        return np.zeros(shape[:-1] + (shape[-1] - 1,)), np.zeros(shape)
+        return np.zeros(values.shape), np.zeros(values.shape)
     dx = grid.dx
     if D is None:
         D = interface_gradients(values, dx)
+    off, diag = (np.empty(values.shape), None) if out is None else out
     # alpha (p-1) (D^2 + reg_delta)^((p-2)/2) / dx^2, in the order of that product
-    w = np.multiply(D, D, out=weights)
+    w = np.multiply(D, D, out=diag)
     w += spec.reg_delta
     w **= (spec.p - 2.0) / 2.0
     w *= spec.alpha * (spec.p - 1.0)
     w /= dx * dx
-    off, diag = (None, None) if out is None else out
-    return (np.negative(w[..., 1:-1], out=off),
-            np.add(w[..., :-1], w[..., 1:], out=diag))
+    # -w_{i+1} couples node i to i+1, and node i sits between w_i and
+    # w_{i+1}: in place, each sum reads its weights before it is written
+    wf, of = w.reshape(-1), off.reshape(-1)
+    np.negative(wf[1:], out=of[:-1])
+    np.add(wf[:-1], wf[1:], out=wf[:-1])
+    off[..., -2:] = 0.0
+    w[..., -1] = 0.0
+    return off, w
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +521,14 @@ def check_assumptions(
         # pair i is (phi[i], psi[i]), drawn in that order; np.max and np.min
         # propagate NaN, so a non-finite defect fails its check
         phi, psi = np.moveaxis(rng.standard_normal((n_pairs, 2, grid.n_interior)), 1, 0)
-        Aphi = apply_A_values(spatial, phi, grid)
+        phi_padded = ghost_padded(phi)
+        Aphi = apply_A_values(spatial, phi_padded, grid)[:, :-1]
         lhs = np.vecdot(Aphi, phi) * dx
-        rhs = spatial.alpha * np.sum(np.abs(interface_gradients(phi, dx)) ** spatial.p,
+        rhs = spatial.alpha * np.sum(np.abs(interface_gradients(phi_padded, dx)) ** spatial.p,
                                      axis=-1) * dx
         coerc = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
         worst_coerc = float(np.max(coerc, initial=0.0))
-        dA = Aphi - apply_A_values(spatial, psi, grid)
+        dA = Aphi - apply_A_values(spatial, ghost_padded(psi), grid)[:, :-1]
         worst_tmono = {}
         for name, sig in sigmas.items():
             sv = sig(phi - psi)

@@ -146,26 +146,20 @@ def constant_forcing(value: float) -> Forcing:
 
 def solve_banded(off, diag, rhs):
     """Solve the symmetric positive definite tridiagonal systems
-    (off, diag) x = rhs of every path (last axis) with one LAPACK ptsv call
-    on their block-diagonal stack, and return x, which is rhs's memory.
-    off holds the n-1 couplings of node i to node i+1 of each path, or is
-    an array of diag's shape holding them in its first n-1 columns, whose
-    last column takes the stack's zero coupling to the next path.  ptsv
-    overwrites diag, rhs and such an off in place: the caller owns them,
-    and in implicit_step they are views of its march's Workspace.  A
-    shorter off is copied into a new coupling array.  The arrays ptsv
-    overwrites must be C-contiguous.
-
-    The coupling between neighbouring paths is exactly zero, so each path's
-    solution is bit for bit the one its system alone would give.
+    (off, diag) x = rhs of every row of three ghost-padded stacks (see
+    operators) with one LAPACK ptsv call on the flat stack, and return x,
+    which is rhs's memory.  off and diag are laid out as jacobian_bands
+    gives them: each row's ghost is an unknown of its own, with a
+    positive diagonal and zero couplings to both neighbours.  The ghosts'
+    right-hand side is set to 0.0 here, so each ghost solves to 0.0 and no
+    value crosses from one row into the next: each row's solution is bit
+    for bit the one its system alone would give.  ptsv overwrites off,
+    diag and rhs in place: the caller owns them, and in implicit_step
+    they are views of its march's Workspace.  All three must be
+    C-contiguous.
     """
-    if off.shape == diag.shape:
-        coupling = off
-        coupling[..., -1] = 0.0
-    else:
-        coupling = np.zeros(diag.shape)
-        coupling[..., :-1] = off
-    *_, x, info = dptsv(diag.reshape(-1), coupling.reshape(-1)[:-1], rhs.reshape(-1, 1),
+    rhs[..., -1] = 0.0
+    *_, x, info = dptsv(diag.reshape(-1), off.reshape(-1)[:-1], rhs.reshape(-1, 1),
                         overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise NewtonDivergenceError(f"Newton system not positive definite (ptsv info {info})")
@@ -173,8 +167,9 @@ def solve_banded(off, diag, rhs):
 
 
 def linear_factor(spec: ProblemSpec) -> Optional[tuple]:
-    """The LAPACK pttrf factor (d, e) of I + dt A when the spatial operator is
-    linear (p = 2 on a pde_1d grid), else None.
+    """The LAPACK pttrf factor (d, e) of I + dt A on one ghost-padded row
+    when the spatial operator is linear (p = 2 on a pde_1d grid), else
+    None: its ghost has d = 1 and no coupling.
 
     At p = 2 the flux weight alpha (D^2 + delta)^0 is alpha, so the Jacobian
     bands are those of A itself, whatever the state they are taken at: here
@@ -183,8 +178,8 @@ def linear_factor(spec: ProblemSpec) -> Optional[tuple]:
     if spec.grid.mode == ODE or spec.spatial.p != 2.0:
         return None
     dt = spec.time_grid.dt
-    off, diag = jacobian_bands(spec.spatial, np.zeros(spec.grid.n_interior), spec.grid)
-    d, e, info = dpttrf(1.0 + dt * diag, dt * off)
+    off, diag = jacobian_bands(spec.spatial, np.zeros(spec.grid.n_interior + 1), spec.grid)
+    d, e, info = dpttrf(1.0 + dt * diag, dt * off[:-1])
     if info != 0:
         raise NewtonDivergenceError(f"I + dt A is not positive definite (pttrf info {info})")
     return d, e
@@ -192,13 +187,14 @@ def linear_factor(spec: ProblemSpec) -> Optional[tuple]:
 
 class Workspace:
     """The reusable arrays of the temporaries of a march's passes: one
-    (rows, n + extra) array per role, grown to the most rows a pass has
-    asked of that role, and only when a pass asks for more.
+    ghost-padded (rows, n + 1) array per role, grown to the most rows a
+    pass has asked of that role, and only when a pass asks for more.
 
-    views(rows, roles) gives the leading rows of each role's array, a
-    C-contiguous view; roles is a tuple of (name, extra) pairs.  Views of
-    one role share memory, so roles that are live at once must differ.
-    No array a march returns or stores is ever in a workspace.
+    views(rows, roles) gives the leading rows of each named role's array,
+    a C-contiguous view; unpadded(rows, role) gives the same memory as a
+    C-contiguous (rows, n) array, for a caller's scratch.  Views of one
+    role share memory, so roles that are live at once must differ.  No
+    array a march returns or stores is ever in a workspace.
     """
 
     def __init__(self, n: int):
@@ -211,30 +207,34 @@ class Workspace:
         if last is not None and last[0] == rows:
             return last[1]
         views = []
-        for name, extra in roles:
+        for name in roles:
             array = self.arrays.get(name)
             if array is None or len(array) < rows:
                 # views of the old array, kept for other roles, go stale;
                 # it is freed before its successor is made
                 self.last.clear()
                 array = self.arrays[name] = None
-                array = self.arrays[name] = np.empty((rows, self.n + extra))
+                array = self.arrays[name] = np.empty((rows, self.n + 1))
             views.append(array[:rows])
         self.last[roles] = (rows, views)
         return views
+
+    def unpadded(self, rows: int, role: str) -> np.ndarray:
+        padded, = self.views(rows, (role,))
+        return padded.reshape(-1)[:rows * self.n].reshape(rows, self.n)
 
 
 # the roles of implicit_step's temporaries: those of a step's whole batch,
 # those of the Newton update of the paths not yet converged, those of
 # their subset when it is not the whole batch, and those of a halving's
 # subset of the trial paths
-_STEP_ROLES = (("rhs", 0), ("res", 0), ("grad", 1), ("flux", 1))
-_NEWTON_ROLES = (("dv", 0), ("v_try", 0))
-_SUBSET_ROLES = (("v_sub", 0), ("rhs_sub", 0), ("res_try", 0), ("grad_try", 1))
-_HALVING_ROLES = (("v_half", 0), ("rhs_half", 0), ("grad_half", 1), ("res_half", 0))
-# step roles that hold nothing once implicit_step has returned: a store
-# may take its (L, n) scratch from them
-STORE_ROLES = (("rhs", 0), ("res", 0))
+_STEP_ROLES = ("v", "rhs", "res", "grad")
+_NEWTON_ROLES = ("dv", "v_try")
+_SUBSET_ROLES = ("v_sub", "rhs_sub", "res_try", "grad_try")
+_HALVING_ROLES = ("v_half", "rhs_half", "grad_half", "res_half")
+# a step role that holds nothing once implicit_step has returned: a store
+# may take its (L, n) scratch from it
+STORE_ROLE = "rhs"
 
 
 def _failing(ok: np.ndarray):
@@ -247,8 +247,10 @@ def _failing(ok: np.ndarray):
 
 
 def _rows(a: np.ndarray, index, out: np.ndarray) -> np.ndarray:
-    """The rows index of a: a itself for Ellipsis, else gathered into out."""
-    return a if index is Ellipsis else a.take(index, 0, out)
+    """The rows index of a: a itself for Ellipsis, else gathered into out.
+    The indices are in range, and take's mode "raise" would gather them
+    into a new buffer before out: "clip" writes out directly."""
+    return a if index is Ellipsis else a.take(index, 0, out, mode="clip")
 
 
 def implicit_step(
@@ -272,25 +274,39 @@ def implicit_step(
     max(1, ||rhs||_H).  The report counts the batched iterations and gives
     the largest final residual.
 
-    The interface gradients of each iterate are taken once, for both its
-    residual and its Jacobian.  Every temporary of the step is a view of
-    work, its march's Workspace (a new one when not given), written with
-    in-place operators in the order of the expressions they stand for, so
-    the bits do not depend on where they live.  The returned states v are
-    a new array.
+    Every temporary of the step is a ghost-padded stack (see operators)
+    in work, its march's Workspace (a new one when not given): the
+    iterates, right-hand side, residual, gradients, update and bands
+    alike, so every shift of the spatial kernels is contiguous.  They
+    are written with in-place operators in the order of the expressions
+    they stand for, so the bits do not depend on where they live.  The
+    interface gradients of each iterate are taken once, for both its
+    residual and its Jacobian.  The returned (B, n) states are a new
+    array.
     """
     dt = spec.time_grid.dt
     dx = spec.grid.dx
     work = Workspace(spec.grid.n_interior) if work is None else work
     L = len(u_n)
-    rhs, res, D, flux = work.views(L, _STEP_ROLES)
-    # rhs = u_n + dt f(u_n) + dt h_n + noise; res is free until the first residual
-    np.multiply(dt, eval_f_values(spec.reaction, u_n), out=rhs)
-    rhs += u_n
+    v, rhs, res, D = work.views(L, _STEP_ROLES)
+    v[:, :-1] = u_n
+    v[:, -1] = 0.0
+    # rhs = u_n + dt f(u_n) + dt h_n + noise, added in that order (a + b
+    # is b + a bit for bit), with v standing for u_n; res is free until the
+    # first residual.  f and the noise term need not vanish at the ghost:
+    # the ghost column is reset at the end
+    f_part = rhs if h_n is None else res
+    np.multiply(dt, eval_f_values(spec.reaction, v), out=f_part)
+    f_part += v
     if h_n is not None:
-        rhs += np.multiply(dt, h_n, out=res)
+        rhs[:, :-1] = h_n
+        rhs[:, -1] = 0.0
+        rhs *= dt
+        rhs += res
     if spec.noise.K > 0:
-        rhs += noise_term_values(spec.noise, u_n, w_n)
+        rhs += noise_term_values(spec.noise, v, w_n)
+    rhs[:, -1] = 0.0
+    interior = np.s_[:, :-1]  # each row without its ghost, for the norms
 
     if spec.grid.mode == ODE:
         # spatial operator is identically zero: the step is explicit.  Only
@@ -298,22 +314,25 @@ def implicit_step(
         # iterate whose residual is not finite.
         if not np.all(np.isfinite(rhs)):
             raise NewtonDivergenceError("non-finite state")
-        return rhs.copy(), NewtonReport(0, 0.0)
+        return rhs[interior].copy(), NewtonReport(0, 0.0)
 
-    def evaluate(v, target, D, res, flux):
+    def evaluate(v, target, D, res):
         """The interface gradients of v into D, its residual v + dt A(v) -
         target into res, and the residual's norm."""
         interface_gradients(v, dx, out=D)
-        apply_A_values(spec.spatial, v, spec.grid, D, out=res, flux=flux)
+        apply_A_values(spec.spatial, v, spec.grid, D, out=res)
         res *= dt
         res += v
         res -= target
-        return h_norm_values(res, dx)
+        return h_norm_values(res[interior], dx)
 
-    # the (B, n) C-order rhs is the F-order (n, B) matrix pttrs takes
-    v = u_n.astype(float, copy=True) if factor is None else dpttrs(*factor, rhs.T)[0].T
-    rnorm = evaluate(v, rhs, D, res, flux)
-    limit = newton.tol * np.maximum(1.0, h_norm_values(rhs, dx))
+    if factor is not None:
+        # the (L, n+1) C-order stack is the F-order (n+1, L) matrix pttrs
+        # solves in place, one padded row per column
+        v[...] = rhs
+        dpttrs(*factor, v.T, overwrite_b=1)
+    rnorm = evaluate(v, rhs, D, res)
+    limit = newton.tol * np.maximum(1.0, h_norm_values(rhs[interior], dx))
     iters, rows = 0, 0
     v_s = rhs_s = None  # a subset's gathers, unused by the whole batch
     # a NaN residual compares false with everything: never accept it
@@ -326,28 +345,27 @@ def implicit_step(
         if (S := L if sel is Ellipsis else len(sel)) != rows:  # a new subset
             rows = S
             dv, v_try = work.views(S, _NEWTON_ROLES)
-            flux_s = flux[:S]
             if sel is not Ellipsis:
                 v_s, rhs_s, res_t, D_t = work.views(S, _SUBSET_ROLES)
         # the whole batch's trial overwrites its gradients and residual,
         # which nothing reads once the bands and dv are taken.  The trial's
         # arrays are free until the solve: its gradients hold the subset's
-        # until then, its residual the off-diagonal band and the stack's
-        # couplings (see solve_banded), and its iterate the diagonal
+        # until then, its residual the off-diagonal band and its iterate
+        # the diagonal
         D_try, res_try = (D, res) if sel is Ellipsis else (D_t, res_t)
         v_a, rhs_a, D_a = _rows(v, sel, v_s), _rows(rhs, sel, rhs_s), _rows(D, sel, D_try)
         rnorm_a = rnorm[sel]
         np.negative(_rows(res, sel, dv), out=dv)
-        off, diag = res_try[:, :-1], v_try
-        jacobian_bands(spec.spatial, v_a, spec.grid, D_a, out=(off, diag), weights=flux_s)
+        off, diag = res_try, v_try
+        jacobian_bands(spec.spatial, v_a, spec.grid, D_a, out=(off, diag))
         off *= dt
         diag *= dt
         diag += 1.0
-        solve_banded(res_try, diag, dv)
+        solve_banded(off, diag, dv)
         # damped update: halve the step of each path whose residual grows
         step = 1.0
         np.add(v_a, dv, out=v_try)
-        rnorm_try = evaluate(v_try, rhs_a, D_try, res_try, flux_s)
+        rnorm_try = evaluate(v_try, rhs_a, D_try, res_try)
         while step > 1.0 / 1024.0 and (g := _failing(rnorm_try < rnorm_a)) is not None:
             step *= 0.5
             if g is Ellipsis:
@@ -357,7 +375,7 @@ def implicit_step(
             # v_a[g] + step * dv[g]; rhs_g holds v_a[g] until it takes rhs_a[g]
             np.multiply(step, _rows(dv, g, v_g), out=v_g)
             v_g += _rows(v_a, g, rhs_g)
-            rnorm_try[g] = evaluate(v_g, _rows(rhs_a, g, rhs_g), D_g, res_g, flux[:len(v_g)])
+            rnorm_try[g] = evaluate(v_g, _rows(rhs_a, g, rhs_g), D_g, res_g)
             if g is not Ellipsis:
                 v_try[g], D_try[g], res_try[g] = v_g, D_g, res_g
         if sel is Ellipsis:
@@ -365,7 +383,7 @@ def implicit_step(
         else:
             v[sel], res[sel], rnorm[sel], D[sel] = v_try, res_try, rnorm_try, D_try
         iters += 1
-    return v, NewtonReport(iters, float(np.max(rnorm)))
+    return v[interior].copy(), NewtonReport(iters, float(np.max(rnorm)))
 
 
 def _check_guards(spec: ProblemSpec) -> None:
@@ -410,8 +428,8 @@ def march(
     The march owns one Workspace for the temporaries of its passes,
     sized to its largest pass so far: work, when given, else a new one.
     Each pass's new states are a new array, which the store may keep.  A
-    caller that hands in work may use its STORE_ROLES as the store's
-    scratch: they hold nothing between passes.
+    caller that hands in work may use its STORE_ROLE as the store's
+    scratch: it holds nothing between passes.
 
     Initial states of the wrong shape or with a non-finite value raise
     ValueError before any step.  A pass that fails raises

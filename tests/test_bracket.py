@@ -432,6 +432,33 @@ def test_a_study_steps_its_extremals_alongside_its_sweeps(monkeypatch):
     assert counts["passes"] == counts["sweep passes"] + 1 < N + counts["sweep passes"]
 
 
+def test_a_pass_evaluates_the_drift_on_its_sweep_lanes_only(monkeypatch):
+    # the extremal lanes step with their own forcing, so a pass takes the
+    # drift only on the rows its sweep lanes read, once, and keeps those
+    # rows for its store, which replaces them with the new states
+    forcing, values = bracket._Wave.forcing, bracket._drift_values
+    evaluated, passes = [], Counter()
+
+    def counted(kinds, group, rows):
+        evaluated.append(len(rows))
+        return values(kinds, group, rows)
+
+    def recorded(wave, n, u):
+        start, L = len(evaluated), len(wave.k)
+        h = forcing(wave, n, u)
+        assert evaluated[start:] == [L] and len(h) == len(u)
+        read = wave.current_rows[n[0][:L] * (wave.N + 1) + n[1][:L] + 1]
+        assert np.array_equal(wave.old, read)
+        passes["with extremals" if L < len(u) else "sweeps only"] += 1
+        return h
+
+    monkeypatch.setattr(bracket, "_drift_values", counted)
+    monkeypatch.setattr(bracket._Wave, "forcing", recorded)
+    spec = stochastic_jump_spec()
+    bracket_study(spec, sine(spec), 12345, range(3), tol_fixed=1e-6, max_outer=100)
+    assert passes["with extremals"] > 0 and passes["sweeps only"] > 0
+
+
 def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch):
     calls, extremal_lanes = [], []
     solve, schedule = bracket.apply_S, bracket._Wave.passes

@@ -29,6 +29,7 @@ from spdeorder import (
 from spdeorder.config import parse_config_text, resolve_config
 from spdeorder.operators import (
     SpecError,
+    ghost_padded,
     interface_gradients,
     jacobian_bands,
     noise_term_values,
@@ -44,21 +45,22 @@ from spdeorder.scenarios import build_problem_spec
 def test_apply_A_zero_field():
     spec = SpatialOpSpec(p=3.0, alpha=2.0)
     g = Grid(n_interior=10)
-    assert np.all(apply_A_values(spec, np.zeros(10), g) == 0.0)
+    assert np.all(apply_A_values(spec, ghost_padded(np.zeros(10)), g) == 0.0)
 
 
 def test_apply_A_hat_function():
     # p = 2, alpha = 1, n = 3 on (0,1): second difference of (0,1,0)
     spec = SpatialOpSpec(p=2.0, alpha=1.0)
     g = Grid(n_interior=3, length=1.0)
-    out = apply_A_values(spec, np.array([0.0, 1.0, 0.0]), g)
-    assert np.allclose(out, [-16.0, 32.0, -16.0])
+    out = apply_A_values(spec, ghost_padded(np.array([0.0, 1.0, 0.0])), g)
+    assert np.allclose(out[:-1], [-16.0, 32.0, -16.0])
+    assert np.array_equal(out[-1:], [0.0])  # the ghost
 
 
 def test_apply_A_ode_mode_nulled():
     spec = SpatialOpSpec(p=4.0, alpha=3.0)
-    out = apply_A_values(spec, np.array([7.0]), Grid.ode())
-    assert out[0] == 0.0
+    out = apply_A_values(spec, ghost_padded(np.array([7.0])), Grid.ode())
+    assert np.array_equal(out, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -68,8 +70,8 @@ def test_apply_A_summation_by_parts(p):
     spec = SpatialOpSpec(p=p, alpha=1.7)
     g = Grid(n_interior=64)
     u = rng.standard_normal(64)
-    lhs = np.dot(apply_A_values(spec, u, g), u) * g.dx
-    D = interface_gradients(u, g.dx)
+    lhs = np.dot(apply_A_values(spec, ghost_padded(u), g)[:-1], u) * g.dx
+    D = interface_gradients(ghost_padded(u), g.dx)
     rhs = spec.alpha * np.sum(np.abs(D) ** p) * g.dx
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -81,24 +83,27 @@ def test_jacobian_bands_match_central_differences(p):
     spec = SpatialOpSpec(p=p, alpha=1.3, reg_delta=0.0)
     g = Grid(n_interior=8)
     u = 1.0 + g.x + 0.5 * g.x**2
-    assert np.all(interface_gradients(u, g.dx) != 0.0)
+    assert np.all(interface_gradients(ghost_padded(u), g.dx) != 0.0)
     h = 1e-6
     fd = np.empty((u.size, u.size))
     for j in range(u.size):
         e = np.zeros(u.size)
         e[j] = h
-        fd[:, j] = (apply_A_values(spec, u + e, g)
-                    - apply_A_values(spec, u - e, g)) / (2 * h)
-    off, diag = jacobian_bands(spec, u, g)
-    assert off.shape == (u.size - 1,) and diag.shape == (u.size,)
+        fd[:, j] = (apply_A_values(spec, ghost_padded(u + e), g)
+                    - apply_A_values(spec, ghost_padded(u - e), g))[:-1] / (2 * h)
+    off, diag = jacobian_bands(spec, ghost_padded(u), g)
+    assert off.shape == diag.shape == (u.size + 1,)
+    # the ghost is not coupled: to node n-1, to the next row, nor to itself
+    assert np.array_equal(off[-2:], [0.0, 0.0]) and diag[-1] == 0.0
+    off, diag = off[:-2], diag[:-1]
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     np.testing.assert_allclose(fd, jac, rtol=1e-6)
     np.testing.assert_allclose(fd, fd.T, rtol=1e-6)
 
 
 def test_jacobian_bands_ode_mode_zero():
-    off, diag = jacobian_bands(SpatialOpSpec(p=3.0), np.array([7.0]), Grid.ode())
-    assert off.shape == (0,) and np.array_equal(diag, [0.0])
+    off, diag = jacobian_bands(SpatialOpSpec(p=3.0), ghost_padded(np.array([7.0])), Grid.ode())
+    assert np.array_equal(off, [0.0, 0.0]) and np.array_equal(diag, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
@@ -108,15 +113,45 @@ def test_given_gradients_give_the_gradient_free_values(p):
     g = Grid(n_interior=12)
     u = np.random.default_rng(8).standard_normal((3, 12))
     u[1] = 0.0  # flat rows: zero gradients
-    D = interface_gradients(u, g.dx)
+    D = interface_gradients(ghost_padded(u), g.dx)
+    u = ghost_padded(u)
     assert np.array_equal(apply_A_values(spec, u, g, D), apply_A_values(spec, u, g))
     for given_band, free_band in zip(jacobian_bands(spec, u, g, D), jacobian_bands(spec, u, g)):
         assert np.array_equal(given_band, free_band)
     # ODE mode has no gradients: the argument is ignored
     ode = Grid.ode()
-    assert np.array_equal(apply_A_values(spec, u[:, :1], ode, D), np.zeros((3, 1)))
-    off, diag = jacobian_bands(spec, u[:, :1], ode, D)
-    assert off.shape == (3, 0) and np.array_equal(diag, np.zeros((3, 1)))
+    u = ghost_padded(u[:, :1])
+    assert np.array_equal(apply_A_values(spec, u, ode, D), np.zeros((3, 2)))
+    off, diag = jacobian_bands(spec, u, ode, D)
+    assert np.array_equal(off, np.zeros((3, 2))) and np.array_equal(diag, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_kernels_on_a_stack_equal_them_on_each_row_alone(p):
+    # the ghost of each row of a padded stack is the only thing between it
+    # and the next: every kernel gives each row of the stack, at either end
+    # too, bit for bit what it gives that row alone, signed zeros included,
+    # and sets every ghost itself
+    spec = SpatialOpSpec(p=p, alpha=0.7)
+    g = Grid(n_interior=9)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((6, 9))
+    u[1] = -np.abs(u[1])
+    u[2] = -0.0
+    u[3] = np.where(np.arange(9) % 2, 0.0, -0.0)
+    u[4] = -3.0
+    stack = ghost_padded(u)
+    bits = [interface_gradients(stack, g.dx), apply_A_values(spec, stack, g),
+            *jacobian_bands(spec, stack, g)]
+    for b in range(len(u)):
+        row = stack[b:b + 1]
+        alone = [interface_gradients(row, g.dx), apply_A_values(spec, row, g),
+                 *jacobian_bands(spec, row, g)]
+        for of_stack, of_row in zip(bits, alone):
+            assert np.array_equal(of_stack[b:b + 1].view(np.int64), of_row.view(np.int64))
+    A, off, diag = bits[1:]
+    assert not A[:, -1].view(np.int64).any() and not diag[:, -1].view(np.int64).any()
+    assert not off[:, -2:].view(np.int64).any()
 
 
 def test_spatial_spec_validation():

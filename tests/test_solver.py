@@ -25,7 +25,7 @@ from spdeorder import comparison, solver
 from spdeorder.bracket import extremal_forcing
 from spdeorder.cli import main
 from spdeorder.noise import NoisePath, sample_noise_path
-from spdeorder.operators import apply_A_values, noise_weights
+from spdeorder.operators import apply_A_values, ghost_padded, noise_weights
 from spdeorder.solver import linear_factor, solve_banded
 
 
@@ -57,7 +57,7 @@ def test_implicit_step_matches_dense_linear_solve():
     for j in range(16):
         e = np.zeros(16)
         e[j] = 1.0
-        A[:, j] = apply_A_values(spec.spatial, e, spec.grid)
+        A[:, j] = apply_A_values(spec.spatial, ghost_padded(e), spec.grid)[:-1]
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n)
     v, report = implicit_step(spec, u_n[None], None, np.zeros(1))
     assert np.allclose(v[0], expected, atol=1e-12)
@@ -70,7 +70,8 @@ def test_linear_step_is_the_direct_solve():
     rng = np.random.default_rng(5)
     u_n = rng.standard_normal((3, 16))
     dt = spec.time_grid.dt
-    A = np.column_stack([apply_A_values(spec.spatial, e, spec.grid) for e in np.eye(16)])
+    A = np.column_stack([apply_A_values(spec.spatial, ghost_padded(e), spec.grid)[:-1]
+                         for e in np.eye(16)])
     expected = np.linalg.solve(np.eye(16) + dt * A, u_n.T).T
     v, report = implicit_step(spec, u_n, None, np.zeros(3), factor=linear_factor(spec))
     np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
@@ -430,6 +431,32 @@ def test_the_states_a_step_returns_are_never_in_the_workspace(p):
     assert not any(np.shares_memory(first, array) for array in work.arrays.values())
 
 
+def test_a_warmed_pass_allocates_only_the_states_it_returns():
+    # every temporary of a step is a ghost-padded stack in its march's
+    # Workspace, and every shift of the spatial kernels is contiguous, so
+    # numpy copies no operand: once a pass as large has sized the
+    # workspace, a step of many Newton iterations, with subset and halving
+    # rounds, peaks at the (L, n) states it returns
+    L, n = 121, 256
+    spec = heat_spec(n=n, T=0.05, n_steps=50, p=3.0)
+    rng = np.random.default_rng(4)
+    u_n = np.sin(np.pi * spec.grid.x) * rng.uniform(-30.0, 30.0, (L, 1))
+    u_n += rng.standard_normal((L, n))
+    h_n, w_n = np.full((L, n), 0.5), np.zeros(L)
+    work = solver.Workspace(n)
+    warm, _ = implicit_step(spec, u_n, h_n, w_n, work=work)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        v, report = implicit_step(spec, u_n, h_n, w_n, work=work)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report.iterations >= 10
+    assert np.array_equal(v, warm)
+    assert peak <= 1.1 * v.nbytes, peak / v.nbytes
+
+
 def _from_step(start, states, N):
     """The schedule of a march from step start: the states there, then on."""
     yield (slice(None), start), states
@@ -580,25 +607,42 @@ def test_traced_identities_of_a_batched_march(monkeypatch, start):
     assert counts["interface_gradients"] == steps + iters + halvings
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float array: -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def test_solve_banded_solves_each_block_as_alone():
-    # I + dt J: the identity plus a weighted graph Laplacian, symmetric
-    # positive definite; each block of the stack is solved as if alone
+    # I + dt J on ghost-padded rows, laid out as jacobian_bands gives them:
+    # the identity plus a weighted graph Laplacian, symmetric positive
+    # definite, and each row's ghost an uncoupled unknown with diagonal 1.
+    # Each block of the stack, at either end of it too, is solved bit for
+    # bit as if alone, signed zeros included: a lane of -0.0 and one of
+    # mixed zeros stand beside negative lanes, and the ghosts come in as
+    # -0.0, the sign np.negative gives a residual's ghost
     rng = np.random.default_rng(11)
-    B, n = 5, 9
-    off = -rng.uniform(0.0, 2.0, (B, n - 1))
-    diag = 1.0 + rng.uniform(0.0, 1.0, (B, n))
-    diag[:, 1:] -= off
-    diag[:, :-1] -= off
-    rhs = rng.standard_normal((B, n))
+    B, n = 7, 9
+    w = rng.uniform(0.0, 2.0, (B, n + 1))  # interface weights
+    off = np.zeros((B, n + 1))
+    off[:, :n - 1] = -w[:, 1:n]
+    diag = np.ones((B, n + 1))
+    diag[:, :n] += rng.uniform(0.0, 1.0, (B, n)) + w[:, :n] + w[:, 1:]
+    rhs = rng.standard_normal((B, n + 1))
+    rhs[[1, 2, 5]] = -np.abs(rhs[[1, 2, 5]])
+    rhs[3] = -0.0
+    rhs[4] = np.where(np.arange(n + 1) % 2, 0.0, -0.0)
+    rhs[:, -1] = -0.0
     work = rhs.copy()
     x = solve_banded(off.copy(), diag.copy(), work)
     assert np.shares_memory(x, work)  # the solution overwrites rhs: no copy
+    assert not _bits(x[:, -1]).any()  # every ghost solves to +0.0
     for b in range(B):
-        alone = solve_banded(off[b].copy(), diag[b].copy(), rhs[b].copy())
-        assert np.array_equal(x[b], alone)
-        dense = np.diag(diag[b]) + np.diag(off[b], 1) + np.diag(off[b], -1)
-        exact = np.linalg.solve(dense, rhs[b])
-        assert np.max(np.abs(x[b] - exact)) <= 1e-12 * np.max(np.abs(exact))
+        alone = solve_banded(off[b:b + 1].copy(), diag[b:b + 1].copy(), rhs[b:b + 1].copy())
+        assert np.array_equal(_bits(x[b]), _bits(alone[0]))
+        dense = np.diag(diag[b, :n]) + np.diag(off[b, :n - 1], 1) + np.diag(off[b, :n - 1], -1)
+        exact = np.linalg.solve(dense, rhs[b, :n])
+        assert np.max(np.abs(x[b, :n] - exact)) <= 1e-12 * max(np.max(np.abs(exact)), 1e-300)
+    assert np.all(x[3, :n] == 0.0) and np.signbit(x[3, :n]).all()  # the -0.0 lane stays -0.0
     diag[2, 3] = 0.0
     with pytest.raises(NewtonDivergenceError, match="ptsv"):
         solve_banded(off, diag, rhs)
@@ -629,20 +673,26 @@ def test_march_rejects_mismatched_inputs():
 
 
 def test_implicit_step_batch_members_converge_independently():
-    # 0, 6, 12, 23 (with line-search halvings) and 2 Newton iterations alone
+    # 0, 6, 12, 23 (with line-search halvings) and 2 Newton iterations alone,
+    # so the batch runs whole, subset and halving rounds; a lane of -0.0 and
+    # a negative lane sit beside them.  In either order of the stack, the
+    # lanes at its ends included, each lane is bit for bit its solve alone
     g = Grid(n_interior=16)
     spec = heat_spec(n=16, T=0.5, n_steps=5, p=4.0)
     rng = np.random.default_rng(3)
     u_n = np.stack([np.zeros(16), np.sin(np.pi * g.x), 30.0 * np.sin(np.pi * g.x),
-                    20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x)])
+                    20.0 * rng.standard_normal(16), 0.01 * np.sin(2.0 * np.pi * g.x),
+                    np.full(16, -0.0), -3.0 * np.abs(np.sin(3.0 * np.pi * g.x))])
     alone = [implicit_step(spec, row[None], None, np.zeros(1)) for row in u_n]
-    v, report = implicit_step(spec, u_n, None, np.zeros(5))
-    for b, (v_b, report_b) in enumerate(alone):
-        assert np.array_equal(v[b], v_b[0])
     iterations = [report_b.iterations for _, report_b in alone]
-    assert len(set(iterations)) == 5
-    assert report.iterations == max(iterations)
-    assert report.residual == max(report_b.residual for _, report_b in alone)
+    assert iterations[:5] == [0, 6, 12, 23, 2]
+    for order in (np.arange(7), np.arange(7)[::-1]):
+        v, report = implicit_step(spec, u_n[order], None, np.zeros(7))
+        for i, b in enumerate(order):
+            assert np.array_equal(_bits(v[i]), _bits(alone[b][0][0]))
+        assert report.iterations == max(iterations)
+        assert report.residual == max(report_b.residual for _, report_b in alone)
+    assert np.signbit(alone[5][0]).all()  # the -0.0 lane stays -0.0
 
 
 def test_batch_divergence_raises_with_step_index():
