@@ -87,8 +87,9 @@ def apply_S(
     Forcing contract in the solver module), in one batch over the paths of
     u_tilde, one noise path each, from row 0 of u_tilde.  drifts holds one
     drift per path (spec.drift for all by default); each drift is
-    evaluated on its own paths' rows, one eval_b_values call per distinct
-    drift and pass, so every path's values are those of its solve alone.
+    evaluated on its own paths' rows only, one eval_b_values call per pass
+    and run of consecutive paths with one drift, so every path's values
+    are those of its solve alone.
 
     A wave, the study whose array u_tilde wraps and whose lanes drifts
     are, hands the march its passes and its own forcing (S's on the sweep
@@ -103,11 +104,11 @@ def apply_S(
     if wave is not None:
         return solve_frozen(spec, u0, wave.forcing, noise_paths, newton, wave.store,
                             wave.passes(), wave.work)
-    kinds, group = _drift_kinds(drifts)
+    runs = _runs(*_drift_kinds(drifts))
 
     def forcing(n, u):
-        members, steps = n
-        return _drift_values(kinds, group[members], u_tilde.values[members, steps + 1])
+        members, steps = n  # every path: members is slice(None)
+        return _drift_values(runs, u_tilde.values[members, steps + 1])
 
     return solve_frozen(spec, u0, forcing, noise_paths, newton)
 
@@ -119,15 +120,22 @@ def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
     return kinds, np.array([kinds.index(drift) for drift in drifts])
 
 
-def _drift_values(kinds: Sequence[DriftSpec], group: np.ndarray,
-                  values: np.ndarray) -> np.ndarray:
-    """b(values) with row i under the drift kinds[group[i]]: one
-    eval_b_values call per drift on all rows, pointwise, and each row keeps
-    the values of its own."""
-    h = eval_b_values(kinds[0], values)
-    for g in range(1, len(kinds)):
-        rows = (group == g).reshape(group.shape + (1,) * (values.ndim - 1))
-        np.copyto(h, eval_b_values(kinds[g], values), where=rows)
+def _runs(kinds: Sequence[DriftSpec], group: np.ndarray) -> list:
+    """(drift, rows) of each run of rows with one drift: rows is a slice,
+    and the runs cover every row in order."""
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(group)]
+    return [(kinds[group[a]], slice(a, b)) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _drift_values(runs: list, values: np.ndarray) -> np.ndarray:
+    """b(values) with each run of rows under its own drift: one
+    eval_b_values call per run, pointwise, so each row keeps the values of
+    its own drift."""
+    if len(runs) == 1:
+        return eval_b_values(runs[0][0], values)
+    h = np.empty_like(values)
+    for drift, rows in runs:
+        h[rows] = eval_b_values(drift, values[rows])
     return h
 
 
@@ -206,6 +214,19 @@ class _Wave:
     without stepping: u^{k+1} = u^k, residual and monotonicity 0.0, the
     containment defect of level k, and it stops.
 
+    The passes follow a plan, built from have and limit only at an event:
+    a level starts; the residual so far of a level whose successor waits
+    first exceeds tol_fixed; a level completes; the extremals hold row 1,
+    so level 1 may step, or row N, and they finish.  Between events no
+    lane starts or stops stepping, so a pass moves every lane of the plan
+    down one row.  The plan holds the sweep lanes, each drift's in one run
+    with its min-side lanes first, then the extremal lanes; one int array
+    of each lane's step, its rows of buf and excess and its bound rows of
+    ext, which a pass advances by one; the lanes whose successor has not
+    started, whose new rows the store checks for a changed drift value;
+    and each sweep lane's defects so far.  have, limit and defects are
+    synced from the plan at each event, before it is handled.
+
     Each lane's step gets the state, forcing and noise weight of its
     sweep alone, and each row's defects are reduced on their own: sums of
     squares run along the node axis and maxima are exact, so every defect
@@ -235,10 +256,11 @@ class _Wave:
         self.buf = np.zeros((M + len(owners), N + 1, spec.grid.n_interior))
         self.buf[:, 0] = u0
         self.current, self.ext = self.buf[:M], self.buf[M:]
-        # their rows, one per (member or extremal, step): row m (N + 1) + r
-        # is row r of the m-th
-        self.current_rows = self.current.reshape(-1, spec.grid.n_interior)
-        self.ext_rows = self.ext.reshape(-1, spec.grid.n_interior)
+        # their rows, one per (row of buf, step): row m (N + 1) + r is row
+        # r of buf[m]; current's come first
+        self.buf_rows = self.buf.reshape(-1, spec.grid.n_interior)
+        self.current_rows = self.buf_rows[:M * (N + 1)]
+        self.ext_rows = self.buf_rows[M * (N + 1):]
         # the march's buffers, which the store takes its scratch from
         self.work = Workspace(spec.grid.n_interior)
         self.extremals = np.arange(M, len(self.buf))  # their rows of buf
@@ -250,14 +272,18 @@ class _Wave:
         self.ext_forcing = extremal_forcing([self.sides[m] for m in owners],
                                             [self.drifts[m].C_B for m in owners])
         # the containment defect of each row of each member's latest
-        # iterate; row 0 is u0 in every iterate and extremal
+        # iterate, at the rows of current_rows; row 0 is u0 in every
+        # iterate and extremal
         self.excess = np.zeros((M, N + 1))
+        self.excess_rows = self.excess.reshape(-1)
         self.N, self.P, self.max_outer = N, P, max_outer
         self.tol, self.dx = tol_fixed, spec.grid.dx
         # the rows of ext holding each member's lower and upper extremal
         members = np.arange(M) % P
         self.bounds = np.stack((index[members], index[P + members]), axis=1)
         self.kinds, self.group = _drift_kinds(self.drifts)
+        # the members in lane order: each drift's together, min side first
+        self.order = np.array(sorted(range(M), key=lambda m: (self.group[m], m >= P)))
         # the per-level arrays below have a column for each level up to
         # top + 1 at least; they grow as levels start, not with max_outer.
         # The last row each level holds; N + 1 for a level not started or
@@ -275,21 +301,53 @@ class _Wave:
         self.top = 1  # the highest level started
         # residual, monotonicity and containment defects and start of each sweep
         self.histories = [[] for _ in range(M)]
+        self._plan()
+
+    def _plan(self) -> None:
+        """Build the pass plan from have and limit: lane (m, k) steps while
+        have[m, k] <= limit[m, k - 1], and the extremals while they hold
+        less than row N."""
+        N, order = self.N, self.order
+        i, k = np.nonzero(self.have[order, 1:self.top + 1] <= self.limit[order, :self.top])
+        self.m, self.k = m, k = order[i], k + 1
+        steps, L = self.have[m, k], len(m)
+        # passes until an event comes on schedule: the first lane completes
+        lanes, due = m, [N - steps.max()] if L else []
+        if (s := self.have[0, 0]) < N:  # the extremals step too
+            lanes = np.concatenate((m, self.extremals))
+            steps = np.concatenate((steps, np.full(len(self.ext), s)))
+            due.append(N - s if s else 1)  # they hold row N, or row 1 first
+            self.ext_copy = L + self.index  # the extremal lane of each member
+        self.lanes, self.due = lanes, min(due, default=0)
+        # advanced by one each pass: each lane's step, the rows of buf_rows
+        # holding its state and taking its new state (of current_rows and
+        # excess_rows too for a sweep lane), and the rows of ext_rows
+        # holding a sweep lane's lower and upper extremal at its new row
+        pos = self.pos = np.empty((5, len(lanes)), dtype=np.intp)
+        pos[0] = steps
+        pos[1] = lanes * (N + 1) + steps
+        pos[2] = pos[1] + 1
+        pos[3:, :L] = self.bounds[m].T * (N + 1) + steps[:L] + 1
+        self.steps, self.state_rows, self.new_rows = pos[0], pos[1], pos[2, :L]
+        self.lower, self.upper = pos[3, :L], pos[4, :L]
+        # the lanes follow order: one run per drift, min side first
+        self.runs = _runs(self.kinds, self.group[m])
+        self.min_side = [slice(rows.start, rows.start + np.count_nonzero(m[rows] < self.P))
+                         for _, rows in self.runs]
+        after = self.have[m, k + 1]  # the row the next level holds, or N + 1
+        # the lanes whose next level may still start where a drift value
+        # changes, and those whose next level has started and waits
+        self.todo = np.flatnonzero((after == N + 1) & (k < self.max_outer))
+        self.todo_runs = _runs(self.kinds, self.group[m[self.todo]])
+        self.watch = np.flatnonzero((after <= N) & (after > self.limit[m, k]))
+        self.defects_so_far = self.defects[:, m, k]
+        self.found = np.empty((3, L))
 
     def passes(self):
         """The passes of the march: ((rows of buf, steps), states) of every
-        lane that can step, the extremals last."""
-        while True:
-            lanes = self.have[:, 1:self.top + 1]
-            m, k = np.nonzero(lanes <= self.limit[:, :self.top])
-            steps = lanes[m, k]
-            self.k = k + 1
-            if self.have[0, 0] < self.N:
-                m = np.concatenate((m, self.extremals))
-                steps = np.concatenate((steps, np.full(len(self.ext), self.have[0, 0])))
-            elif not len(m):
-                return
-            yield (m, steps), self.buf[m, steps]
+        lane of the plan, the extremals last."""
+        while len(self.lanes):
+            yield (self.lanes, self.steps), self.buf_rows.take(self.state_rows, 0, mode="clip")
 
     def forcing(self, n: tuple, u: np.ndarray) -> np.ndarray:
         """The forcing of a pass: S's on the sweep lanes, the drift of
@@ -298,63 +356,76 @@ class _Wave:
         their new states replace, and the values it hands out are kept
         for store; the rows go to a workspace role that the step leaves
         alone."""
-        (m, steps), L = n, len(self.k)
+        L = len(self.k)
         self.old = old = self.work.unpadded(L, "old")
         # mode "clip": the rows are in range, and "raise" would gather them
         # into a new buffer first
-        self.current_rows.take(m[:L] * (self.N + 1) + steps[:L] + 1, 0, old, mode="clip")
-        h = _drift_values(self.kinds, self.group[m[:L]], old)
+        self.current_rows.take(self.new_rows, 0, old, mode="clip")
+        h = _drift_values(self.runs, old)
         if L < len(u):
             h = np.concatenate((h, self.ext_forcing(n, u[L:])))
         self.h = h
         return h
 
     def store(self, n: tuple, v: np.ndarray) -> None:
-        (m, steps), k, h = n, self.k, self.h
-        if self.have[0, 0] < self.N:  # the extremals end the pass
-            L, row = len(k), self.have[0, 0] + 1
+        L, h = len(self.k), self.h
+        self.due -= 1
+        if L < len(v):  # the extremals end the pass
+            row = self.steps[L] + 1
             self.ext[:, row] = v[L:]
-            self.current[:, row] = v[L + self.index]
-            self.have[:, 0], self.limit[:, 0] = row, row - 1
-            if not L:
-                return
-            m, steps, v = m[:L], steps[:L], v[:L]
-        rows = steps + 1
-        old, scratch = self.old, self.work.unpadded(len(m), STORE_ROLE)
-        todo = np.flatnonzero((self.have[m, k + 1] == self.N + 1) & (k < self.max_outer))
-        if len(todo):
+            self.current[:, row] = v[self.ext_copy]
+            v = v[:L]
+        started = ()
+        if len(self.todo):
             # h holds the b(old) each lane read; bit patterns, not ==:
             # +0.0 against -0.0 changes the forcing too
-            new = _drift_values(self.kinds, self.group[m[todo]], v[todo])
-            changed = (new.view(np.int64) != h[todo].view(np.int64)).any(axis=-1)
-            for i in todo[changed].tolist():
-                self._start(m[i], k[i] + 1, steps[i])
+            new = _drift_values(self.todo_runs, v[self.todo])
+            changed = (new.view(np.int64) != h[self.todo].view(np.int64)).any(axis=-1)
+            if changed.any():
+                started = self.todo[changed]
         # the worst sum of squares of new - old, monotonicity and
         # containment defect of each new row
-        found = np.empty((3, len(m)))
+        old, scratch, found = self.old, self.work.unpadded(L, STORE_ROLE), self.found
         diff = np.subtract(v, old, out=old)
         np.multiply(diff, diff, out=scratch).sum(axis=-1, out=found[0])
-        # min side expects new >= old pointwise, max side the reverse; the
-        # lanes are in member order, so the min-side ones come first
-        n_min = m.searchsorted(self.P)
-        np.negative(diff[:n_min], out=diff[:n_min])  # in place, exact
+        # min side expects new >= old pointwise, max side the reverse
+        for rows in self.min_side:
+            np.negative(diff[rows], out=diff[rows])  # in place, exact
         diff.max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
-        lower, upper = self.bounds[m].T * (self.N + 1) + rows  # rows of ext_rows
-        self.ext_rows.take(lower, 0, scratch, mode="clip")
+        self.ext_rows.take(self.lower, 0, scratch, mode="clip")
         below = np.subtract(scratch, v, out=scratch).max(axis=-1)
-        self.ext_rows.take(upper, 0, scratch, mode="clip")
+        self.ext_rows.take(self.upper, 0, scratch, mode="clip")
         np.maximum(below, np.subtract(v, scratch, out=scratch).max(axis=-1), out=found[2])
-        self.excess[m, rows] = found[2]
-        defects = np.maximum(self.defects[:, m, k], found, out=found)
-        self.defects[:, m, k] = defects
-        self.current[m, rows] = v
-        self.have[m, k] = rows
+        self.excess_rows[self.new_rows] = found[2]
+        defects = np.maximum(self.defects_so_far, found, out=self.defects_so_far)
+        self.current_rows[self.new_rows] = v
+        # an event: one on schedule, a level that starts, or a residual so
+        # far above tol_fixed that lets a waiting level step
+        if (not self.due or len(started) or len(self.watch)
+                and (np.sqrt(defects[0, self.watch] * self.dx) > self.tol).any()):
+            self._event(started)
+        else:
+            self.pos += 1
+
+    def _event(self, started) -> None:
+        """Sync have, limit and defects from the plan after a pass, start
+        and complete the levels it found, and rebuild the plan."""
+        m, k, L = self.m, self.k, len(self.k)
+        steps = self.steps[:L]  # the step each sweep lane took
+        self.have[m, k] = steps + 1
         # a residual above tol_fixed so far: the level cannot be final
-        self.limit[m, k] = np.where(np.sqrt(defects[0] * self.dx) > self.tol, steps, -1)
-        if rows.max() == self.N:
-            for i in np.flatnonzero(rows == self.N).tolist():
-                self._complete(m[i], k[i])
+        self.limit[m, k] = np.where(
+            np.sqrt(self.defects_so_far[0] * self.dx) > self.tol, steps, -1)
+        self.defects[:, m, k] = self.defects_so_far
+        if L < len(self.lanes):  # the extremals stepped too
+            row = self.steps[L] + 1
+            self.have[:, 0], self.limit[:, 0] = row, row - 1
+        for i in started:
+            self._start(m[i], k[i] + 1, steps[i])
+        for i in np.flatnonzero(steps == self.N - 1):
+            self._complete(m[i], k[i])
+        self._plan()
 
     def _start(self, m: int, k: int, R: int) -> None:
         if k + 2 > self.have.shape[1]:  # double the level axis
