@@ -139,6 +139,11 @@ def _drift_values(runs: list, values: np.ndarray) -> np.ndarray:
     return h
 
 
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows where a and b differ in the bit pattern of some value."""
+    return (a.view(np.int64) != b.view(np.int64)).any(axis=-1)
+
+
 @dataclass(frozen=True)
 class BracketResult:
     """One side of one (noise path, drift) pair: its extremal, its final
@@ -227,6 +232,22 @@ class _Wave:
     and each sweep lane's defects so far.  have, limit and defects are
     synced from the plan at each event, before it is handled.
 
+    Members that share an extremal slot march as one while they can.  The
+    first is the slot's owner, each other a twin.  S reads its argument
+    only through the drift values, so a twin's levels are its owner's bit
+    for bit while its drift gives the owner's bits on every row the owner
+    writes: its sweep rows and the extremal rows it reads.  Such a twin
+    steps no lane (source holds its owner).  While one tracks, the store
+    evaluates every lane's own drift on its new rows, which also serves
+    the todo lanes' check, and each twin's drift on its owner's new rows,
+    one eval_b_values call per distinct drift.  At the first row whose
+    bits differ an event splits the twin: it takes a copy of its owner's
+    row of current and excess, per-level arrays and histories, runs the
+    pass's level-start check under its own drift (one more eval_b_values
+    call) and marches from there as a member of its own.  A twin that
+    never splits takes its owner's final and histories.  A study without
+    twins makes none of these checks.
+
     Each lane's step gets the state, forcing and noise weight of its
     sweep alone, and each row's defects are reduced on their own: sums of
     squares run along the node axis and maxima are exact, so every defect
@@ -251,6 +272,9 @@ class _Wave:
             slots.setdefault(key, len(slots))
         self.index = index = np.array([slots[key] for key in keys])  # each member's extremal
         owners = [keys.index(key) for key in slots]  # the first member of each
+        # the member whose lanes hold each member's iterate: a twin's owner
+        # while it tracks its owner, else the member itself
+        self.source = np.array(owners)[index]
         # each member's latest iterate, rewritten in place by its sweeps,
         # then the extremals; finite before the march, since u_tilde wraps it
         self.buf = np.zeros((M + len(owners), N + 1, spec.grid.n_interior))
@@ -283,7 +307,7 @@ class _Wave:
         self.bounds = np.stack((index[members], index[P + members]), axis=1)
         self.kinds, self.group = _drift_kinds(self.drifts)
         # the members in lane order: each drift's together, min side first
-        self.order = np.array(sorted(range(M), key=lambda m: (self.group[m], m >= P)))
+        self.members = np.array(sorted(range(M), key=lambda m: (self.group[m], m >= P)))
         # the per-level arrays below have a column for each level up to
         # top + 1 at least; they grow as levels start, not with max_outer.
         # The last row each level holds; N + 1 for a level not started or
@@ -307,7 +331,8 @@ class _Wave:
         """Build the pass plan from have and limit: lane (m, k) steps while
         have[m, k] <= limit[m, k - 1], and the extremals while they hold
         less than row N."""
-        N, order = self.N, self.order
+        N, members = self.N, self.members
+        order = members[self.source[members] == members]  # no tracking twin
         i, k = np.nonzero(self.have[order, 1:self.top + 1] <= self.limit[order, :self.top])
         self.m, self.k = m, k = order[i], k + 1
         steps, L = self.have[m, k], len(m)
@@ -338,8 +363,26 @@ class _Wave:
         # the lanes whose next level may still start where a drift value
         # changes, and those whose next level has started and waits
         self.todo = np.flatnonzero((after == N + 1) & (k < self.max_outer))
-        self.todo_runs = _runs(self.kinds, self.group[m[self.todo]])
         self.watch = np.flatnonzero((after <= N) & (after > self.limit[m, k]))
+        # the lanes whose own drift the store evaluates on their new rows:
+        # the todo lanes, or every lane while a twin tracks its owner
+        self.check, self.todo_at = self.todo, slice(None)
+        self.twin_checks = []
+        twins = np.flatnonzero(self.source != np.arange(len(self.source)))
+        if len(twins):
+            self.check, self.todo_at = slice(None), self.todo
+            for g in dict.fromkeys(self.group[twins].tolist()):  # each twin drift
+                ts = twins[self.group[twins] == g]
+                # the lanes of each twin's owner: its sweep lanes and its
+                # extremal's lane
+                own = [np.flatnonzero((lanes == o) | (lanes == self.extremals[self.index[o]]))
+                       for o in self.source[ts]]
+                rows = np.unique(np.concatenate(own))
+                if len(rows):
+                    self.twin_checks.append((
+                        self.kinds[g], slice(None) if len(rows) == len(lanes) else rows,
+                        [(t, np.searchsorted(rows, at)) for t, at in zip(ts, own)]))
+        self.check_runs = _runs(self.kinds, self.group[lanes[self.check]])
         self.defects_so_far = self.defects[:, m, k]
         self.found = np.empty((3, L))
 
@@ -368,21 +411,29 @@ class _Wave:
         return h
 
     def store(self, n: tuple, v: np.ndarray) -> None:
-        L, h = len(self.k), self.h
+        L, h, full = len(self.k), self.h, v
         self.due -= 1
         if L < len(v):  # the extremals end the pass
             row = self.steps[L] + 1
             self.ext[:, row] = v[L:]
             self.current[:, row] = v[self.ext_copy]
             v = v[:L]
-        started = ()
-        if len(self.todo):
-            # h holds the b(old) each lane read; bit patterns, not ==:
-            # +0.0 against -0.0 changes the forcing too
-            new = _drift_values(self.todo_runs, v[self.todo])
-            changed = (new.view(np.int64) != h[self.todo].view(np.int64)).any(axis=-1)
-            if changed.any():
-                started = self.todo[changed]
+        started, split = (), []
+        if len(self.todo) or self.twin_checks:
+            # bit patterns, not ==: +0.0 against -0.0 changes the forcing
+            # too.  Rows differ in few passes, so all rows are compared at
+            # once first, as bytes
+            new = _drift_values(self.check_runs, full[self.check])
+            now, read = new[self.todo_at], h[self.todo]  # h holds the b(old) each lane read
+            if now.tobytes() != read.tobytes():
+                started = self.todo[_differ(now, read)]
+            # a twin splits at the first row where its drift and its
+            # owner's differ
+            for drift, rows, twins in self.twin_checks:
+                theirs, ours = eval_b_values(drift, full[rows]), new[rows]
+                if theirs.tobytes() != ours.tobytes():
+                    differ = _differ(theirs, ours)
+                    split += [t for t, at in twins if differ[at].any()]
         # the worst sum of squares of new - old, monotonicity and
         # containment defect of each new row
         old, scratch, found = self.old, self.work.unpadded(L, STORE_ROLE), self.found
@@ -402,15 +453,16 @@ class _Wave:
         self.current_rows[self.new_rows] = v
         # an event: one on schedule, a level that starts, or a residual so
         # far above tol_fixed that lets a waiting level step
-        if (not self.due or len(started) or len(self.watch)
+        if (not self.due or len(started) or split or len(self.watch)
                 and (np.sqrt(defects[0, self.watch] * self.dx) > self.tol).any()):
-            self._event(started)
+            self._event(started, split, v)
         else:
             self.pos += 1
 
-    def _event(self, started) -> None:
-        """Sync have, limit and defects from the plan after a pass, start
-        and complete the levels it found, and rebuild the plan."""
+    def _event(self, started, split: list, v: np.ndarray) -> None:
+        """Sync have, limit and defects from the plan after a pass, split
+        the twins it found, start and complete the levels it found, and
+        rebuild the plan."""
         m, k, L = self.m, self.k, len(self.k)
         steps = self.steps[:L]  # the step each sweep lane took
         self.have[m, k] = steps + 1
@@ -421,11 +473,32 @@ class _Wave:
         if L < len(self.lanes):  # the extremals stepped too
             row = self.steps[L] + 1
             self.have[:, 0], self.limit[:, 0] = row, row - 1
-        for i in started:
-            self._start(m[i], k[i] + 1, steps[i])
-        for i in np.flatnonzero(steps == self.N - 1):
-            self._complete(m[i], k[i])
+        starts = [(m[i], k[i] + 1, steps[i]) for i in started]
+        done = np.flatnonzero(steps == self.N - 1)
+        completes = [(m[i], k[i]) for i in done]
+        for t in split:
+            o = self.source[t]
+            self._clone(o, t)
+            # the level-start check of the owner's new rows under t's drift
+            todo = self.todo[m[self.todo] == o]
+            changed = _differ(eval_b_values(self.drifts[t], v[todo]), self.h[todo])
+            starts += [(t, k[i] + 1, steps[i]) for i in todo[changed]]
+            completes += [(t, k[i]) for i in done if m[i] == o]
+        for args in starts:
+            self._start(*args)
+        for args in completes:
+            self._complete(*args)
         self._plan()
+
+    def _clone(self, o: int, t: int) -> None:
+        """Make twin t a member of its own, a copy of its owner o: its
+        iterate and containment rows, per-level arrays and histories."""
+        self.current[t], self.excess[t] = self.current[o], self.excess[o]
+        for levels in (self.have, self.limit, self.start):
+            levels[t] = levels[o]
+        self.defects[:, t] = self.defects[:, o]
+        self.histories[t] = list(self.histories[o])
+        self.source[t] = t
 
     def _start(self, m: int, k: int, R: int) -> None:
         if k + 2 > self.have.shape[1]:  # double the level axis
@@ -472,7 +545,13 @@ def iterate_bracket(
     Member m < P sweeps the min side of path m from its lower extremal,
     member P + m the max side from its upper one.  The extremal forcing
     reads only C_B of the drift, so each distinct (noise path, side, C_B)
-    extremal is solved once, and members that share one read it.
+    extremal is solved once, and members that share one read it.  The
+    first such member owns it; each other member, a twin, steps no lane
+    while its drift gives the owner's bits on every row the owner writes,
+    and splits off as a copy of its owner at the first row that differs
+    (see _Wave).  So a drift whose iterates never meet the points where it
+    differs from the owner's, such as the other jump side of a Heaviside
+    drift, costs a few drift evaluations per pass and no step.
 
     S is causal: row r of S(u) reads u only at rows <= r, and only through
     the drift values b(u).  So the whole study runs in one apply_S call, a
@@ -524,9 +603,9 @@ def iterate_bracket(
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )
-        for m, (side, e, (residuals, mono, containment, sweep_starts))
-        in enumerate(zip(wave.sides, wave.index.tolist(),
-                         (zip(*h) for h in wave.histories)))
+        for side, e, m, (residuals, mono, containment, sweep_starts)
+        in zip(wave.sides, wave.index.tolist(), wave.source.tolist(),
+               (zip(*wave.histories[m]) for m in wave.source))
     ]
 
 

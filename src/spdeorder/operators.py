@@ -105,13 +105,17 @@ def apply_A_values(spec: SpatialOpSpec, values: np.ndarray, grid: Grid,
     if D is None:
         D = interface_gradients(values, dx)
     # alpha |D|^(p-2) D, in the order of that product; a power or a factor
-    # of exactly 1.0 changes no bit, so it is skipped
-    flux = np.abs(D, out=out)
-    if spec.p - 2.0 != 1.0:
-        flux **= spec.p - 2.0
-    if spec.alpha != 1.0:
-        flux *= spec.alpha
-    flux *= D
+    # of exactly 1.0 changes no bit, so it is skipped, and at p = 2 |D|^0
+    # is 1.0 for every D, so the flux is D alpha
+    if spec.p == 2.0:
+        flux = np.multiply(D, spec.alpha, out=out)
+    else:
+        flux = np.abs(D, out=out)
+        if spec.p - 2.0 != 1.0:
+            flux **= spec.p - 2.0
+        if spec.alpha != 1.0:
+            flux *= spec.alpha
+        flux *= D
     # (flux_{i+1} - flux_i) / -dx in place: each difference reads its
     # fluxes before it is written.  At a ghost it would take the next row's
     # first flux, so the ghosts are set to 0.0 instead
@@ -201,10 +205,11 @@ def _abs_or_tiny(x: float) -> float:
 
 def _heaviside(spec, r):
     jump = {"lower": spec.low, "mid": 0.5 * (spec.low + spec.high), "upper": spec.high}
-    b = np.full_like(r, jump[spec.jump_side])
-    b[r < spec.s0] = spec.low
-    b[r > spec.s0] = spec.high
-    return b
+    # index 2 above s0, 1 below it, 0 at s0 (or NaN): the jump value
+    index = np.greater(r, spec.s0).view(np.int8)
+    index += index
+    index += np.less(r, spec.s0).view(np.int8)
+    return np.array((jump[spec.jump_side], spec.low, spec.high)).take(index)
 
 
 def _piecewise_linear(spec, r):

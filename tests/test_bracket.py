@@ -722,6 +722,17 @@ def plap_p3_dual_jump():
             (spec.drift, dataclasses.replace(spec.drift, jump_side="upper")), 1)
 
 
+def plap_dual_s0():
+    # the CI dual_s0 config at test size: from zero at s0 = 0 the min
+    # side's first sweep stays at s0, where the two jump sides differ, so
+    # the flipped drift's min-side twin splits from its owner
+    cfg = resolve_config({"scenario": "plap_bracket", "drift.s0": 0.0, "u0.kind": "zero",
+                          "grid.n": 16, "time.T": 0.05})
+    spec = build_problem_spec(cfg)
+    return (spec, build_u0(cfg, spec.grid),
+            (spec.drift, dataclasses.replace(spec.drift, jump_side="upper")), 1)
+
+
 def with_sine(spec, M):
     return spec, sine(spec), None, M
 
@@ -743,6 +754,7 @@ ALL_STARTS = {"0", "later", "none"}
 REFERENCE_CASES = {
     "heaviside_batch": (lambda: with_sine(stochastic_jump_spec(), 3), ALL_STARTS, {}),
     "plap_p3_dual_jump": (plap_p3_dual_jump, ALL_STARTS, {}),
+    "plap_dual_s0": (plap_dual_s0, {"0", "none"}, {}),
     # the tanh drift changes on row 1 in every sweep
     "lipschitz_tanh": (lambda: with_sine(dataclasses.replace(
         stochastic_jump_spec(), drift=DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)),
@@ -793,26 +805,27 @@ def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
 
 
 # the passes and lane-steps (extremal lanes included) of each reference
-# study: every lane steps in the first pass its predecessor allows
+# study: every lane steps in the first pass its predecessor allows, and a
+# twin steps none until it splits (the flipped jump side of
+# plap_p3_dual_jump never does: its study steps the configured drift's
+# 288 lanes alone)
 REFERENCE_SCHEDULES = {
     "heaviside_batch": (53, 977),
     "lipschitz_tanh": (69, 1000),
     "max_outer_1": (51, 600),
     "max_outer_2": (52, 860),
     "one_step": (3, 13),
-    "plap_p3_dual_jump": (53, 476),
+    "plap_dual_s0": (52, 299),
+    "plap_p3_dual_jump": (53, 288),
     "sqrt_plus_ode": (789, 4800),
     "sqrt_plus_pde_from_zero": (666, 3800),
     "tol_between_sweeps": (64, 950),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_each_reference_study_keeps_its_schedule(monkeypatch, case):
-    # a lane that waits a pass too long still takes the values of its
-    # sweep alone, so the oracle tests above cannot see it; its pass and
-    # lane-step counts can.  In the tanh, sqrt_plus and tol_between_sweeps
-    # cases some levels wait before their first step
+def _counted(monkeypatch):
+    """Count the passes and lane-steps (extremal lanes included) of every
+    study's march from here on."""
     schedule = bracket._Wave.passes
     counts = Counter()
 
@@ -823,11 +836,79 @@ def test_each_reference_study_keeps_its_schedule(monkeypatch, case):
             yield n, u
 
     monkeypatch.setattr(bracket._Wave, "passes", passes)
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_each_reference_study_keeps_its_schedule(monkeypatch, case):
+    # a lane that waits a pass too long still takes the values of its
+    # sweep alone, so the oracle tests above cannot see it; its pass and
+    # lane-step counts can.  In the tanh, sqrt_plus and tol_between_sweeps
+    # cases some levels wait before their first step
+    counts = _counted(monkeypatch)
     build, _, arguments = REFERENCE_CASES[case]
     spec, u0, drifts, M = build()
     bracket_study(spec, u0, 12345, range(M), drifts,
                   **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
     assert (counts["passes"], counts["lane-steps"]) == REFERENCE_SCHEDULES[case]
+
+
+def test_a_twin_that_never_splits_steps_no_lane(monkeypatch):
+    # no iterate of the flipped jump side hits s0, so its members, which
+    # share the configured drift's extremals, track them to the end
+    counts = _counted(monkeypatch)
+    spec, u0, drifts, M = plap_p3_dual_jump()
+    kwargs = dict(tol_fixed=1e-6, max_outer=100)
+    owner, twin = bracket_study(spec, u0, 12345, range(M), drifts, **kwargs)
+    both = dict(counts)
+    counts.clear()
+    (alone,) = bracket_study(spec, u0, 12345, range(M), drifts[:1], **kwargs)
+    assert both == counts
+    for ours, theirs, own in zip((twin.minimal, twin.maximal), (owner.minimal, owner.maximal),
+                                 (alone.minimal, alone.maximal)):
+        assert np.array_equal(ours.final.values.view(np.int64),
+                              theirs.final.values.view(np.int64))
+        assert np.array_equal(ours.final.values, own.final.values)
+        assert ours.residual_history == theirs.residual_history
+        assert ours.sweep_starts == theirs.sweep_starts
+
+
+def test_drifts_of_different_kinds_with_equal_C_B_split_at_the_first_extremal_row(
+        monkeypatch):
+    # a heaviside and a tanh drift of C_B = 1 share their extremals, and
+    # their values differ on the extremals' first row: both twins split in
+    # the pass that makes it, before any sweep steps, so every sweep lane
+    # of both drifts steps
+    counts = _counted(monkeypatch)
+    clone, split_at = bracket._Wave._clone, []
+
+    def recorded(wave, o, t):
+        split_at.append((t, int(wave.have[0, 0])))  # the rows the extremals hold
+        clone(wave, o, t)
+
+    monkeypatch.setattr(bracket._Wave, "_clone", recorded)
+    spec = stochastic_jump_spec()
+    tanh = DriftSpec("lipschitz_tanh", scale=0.5, C_B=spec.drift.C_B)
+    u0, kwargs = sine(spec), dict(tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, u0, 12345, [0], (spec.drift, tanh), **kwargs)
+    assert sorted(split_at) == [(1, 1), (3, 1)]  # each min- and max-side twin
+    both = counts["lane-steps"]
+    for drift in (spec.drift, tanh):
+        counts.clear()
+        bracket_study(spec, u0, 12345, [0], (drift,), **kwargs)
+        both -= counts["lane-steps"]
+    assert both == -2 * spec.time_grid.n_steps  # the shared extremals' lanes
+    path = sample_noise_path(12345, 0, spec.noise.K, spec.time_grid)
+    for pair, drift in zip(pairs, (spec.drift, tanh)):
+        for res in (pair.minimal, pair.maximal):
+            start, final, (*defects, starts) = sweep_alone(
+                dataclasses.replace(spec, drift=drift), u0, path, res.side, **kwargs)
+            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(res.final.values, final.values)
+            for ours, theirs in zip((res.residual_history, res.monotonicity_violations,
+                                     res.containment_violations), defects):
+                assert np.array_equal(ours, theirs)
+            assert res.sweep_starts == starts
 
 
 @pytest.mark.parametrize("case", ["heaviside_batch", "sqrt_plus_pde_from_zero",

@@ -57,6 +57,23 @@ def test_apply_A_hat_function():
     assert np.array_equal(out[-1:], [0.0])  # the ghost
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_the_p2_flux_is_D_times_alpha_bit_for_bit(alpha):
+    # |D|^0 is 1.0 for every D, -0.0 and the infinities too, so at p = 2
+    # the flux alpha |D|^0 D skips abs and the power
+    spec, g = SpatialOpSpec(p=2.0, alpha=alpha), Grid(n_interior=4)
+    D = np.array([[-0.0, 0.0, np.inf, -np.inf, 1.5], [2.0, -np.inf, -0.0, -3.0, np.inf]])
+    flux = np.abs(D)
+    flux **= 0.0
+    flux *= alpha
+    flux *= D
+    expected = np.zeros_like(D)
+    expected[:, :-1] = (flux[:, 1:] - flux[:, :-1]) / -g.dx
+    out = apply_A_values(spec, np.zeros_like(D), g, D)
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert np.signbit(out[0, 0]) and out[0, 2] == np.inf
+
+
 def test_apply_A_ode_mode_nulled():
     spec = SpatialOpSpec(p=4.0, alpha=3.0)
     out = apply_A_values(spec, ghost_padded(np.array([7.0])), Grid.ode())
@@ -231,15 +248,19 @@ def test_heaviside_jump_selection(jump_side, expected):
                                          (-1.5, -2.0, 3.0)])
 def test_heaviside_bit_patterns_at_edge_inputs(jump_side, s0, low, high):
     # signed zeros, infinities, NaN and the neighbours of s0 map bit for bit
-    # to low below s0, high above it and the jump value elsewhere (s0, NaN)
+    # to low below s0, high above it and the jump value elsewhere (s0, NaN),
+    # as the jump value filled in and two masked assignments gave them
     spec = DriftSpec("heaviside", s0=s0, low=low, high=high, jump_side=jump_side, C_B=4.0)
     r = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, s0,
                   np.nextafter(s0, -np.inf), np.nextafter(s0, np.inf)]).reshape(2, 4)
     jump = {"lower": low, "mid": 0.5 * (low + high), "upper": high}[jump_side]
-    expected = np.where(r < s0, low, np.where(r > s0, high, jump))
+    masked = np.full_like(r, jump)
+    masked[r < s0] = low
+    masked[r > s0] = high
     out = eval_b_values(spec, r)
     assert out.shape == r.shape and out.dtype == np.float64
-    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    for expected in (np.where(r < s0, low, np.where(r > s0, high, jump)), masked):
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 def test_piecewise_linear_interpolation():
