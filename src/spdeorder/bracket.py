@@ -27,7 +27,6 @@ import numpy as np
 from .noise import NoisePath, sample_noise_path
 from .operators import DriftSpec, eval_b_values
 from .solver import (
-    STORE_ROLE,
     Forcing,
     NewtonLog,
     NewtonParams,
@@ -196,16 +195,17 @@ class _Wave:
     state.
 
     buf holds each member's latest iterate in row m (current) and the
-    extremals in the rows after them (ext).  A pass that makes a row of
-    the extremals copies it into the members that read them, so all
-    levels of a member share its row of current: level k holds rows
-    0..have[m, k] there, and the later rows still hold lower levels.  A
-    lane at row r steps once level k - 1 holds row r + 1.  Its forcing
-    reads that row, which the lane then writes over, and its state is its
-    own row r.  Level k + 1 writes row r only in a pass that steps lane k
-    too, and a pass reads before it writes: a level that has stepped steps
-    in every pass until it completes, since its predecessor, which has
-    stepped too, stays at least a row ahead of it.
+    extremals in the rows after them (ext).  All sweeps of a member share
+    its row of current: level k holds rows 0..have[m, k] there, and the
+    later rows still hold lower levels.  A lane at row r steps once level
+    k - 1 holds row r + 1.  Its forcing reads that row, of its extremal
+    for level 1, else of its own row of current, which the lane then
+    writes over, and its state is its own row r.  Level k + 1 writes row r
+    only in a pass that steps lane k too, and a pass reads before it
+    writes: a level that has stepped steps in every pass until it
+    completes, since its predecessor, which has stepped too, stays at
+    least a row ahead of it.  No sweep lane reads an extremal row made in
+    its own pass, so one scatter stores the new rows of every lane.
 
     Level k + 1 starts at R = (the first row where b(u^k) and b(u^{k-1})
     differ bit for bit) - 1, found as level k writes that row: rows 0..R
@@ -219,18 +219,19 @@ class _Wave:
     without stepping: u^{k+1} = u^k, residual and monotonicity 0.0, the
     containment defect of level k, and it stops.
 
-    The passes follow a plan, built from have and limit only at an event:
-    a level starts; the residual so far of a level whose successor waits
-    first exceeds tol_fixed; a level completes; the extremals hold row 1,
-    so level 1 may step, or row N, and they finish.  Between events no
-    lane starts or stops stepping, so a pass moves every lane of the plan
-    down one row.  The plan holds the sweep lanes, each drift's in one run
-    with its min-side lanes first, then the extremal lanes; one int array
-    of each lane's step, its rows of buf and excess and its bound rows of
-    ext, which a pass advances by one; the lanes whose successor has not
-    started, whose new rows the store checks for a changed drift value;
-    and each sweep lane's defects so far.  have, limit and defects are
-    synced from the plan at each event, before it is handled.
+    The passes follow a plan, built from have and defects only at an
+    event: a level starts; the residual so far of a level whose successor
+    waits first exceeds tol_fixed; a level completes; the extremals hold
+    row 1, so level 1 may step, or row N, and they finish.  Between events
+    no lane starts or stops stepping, so a pass moves every lane of the
+    plan down one row.  The plan holds the sweep lanes, each drift's in
+    one run with its min-side lanes first, then the extremal lanes; one
+    int array of each lane's step and its rows of buf (state, new row,
+    the row its forcing reads and its bounds), which a pass advances by
+    one; the lanes whose successor has not started, whose new rows the
+    store checks for a changed drift value; and each sweep lane's defects
+    so far.  have and defects are synced from the plan at each event,
+    before it is handled.
 
     Members that share an extremal slot march as one while they can.  The
     first is the slot's owner, each other a twin.  S reads its argument
@@ -281,11 +282,9 @@ class _Wave:
         self.buf[:, 0] = u0
         self.current, self.ext = self.buf[:M], self.buf[M:]
         # their rows, one per (row of buf, step): row m (N + 1) + r is row
-        # r of buf[m]; current's come first
+        # r of buf[m]
         self.buf_rows = self.buf.reshape(-1, spec.grid.n_interior)
-        self.current_rows = self.buf_rows[:M * (N + 1)]
-        self.ext_rows = self.buf_rows[M * (N + 1):]
-        # the march's buffers, which the store takes its scratch from
+        # the march's buffers, and the forcing's and the store's
         self.work = Workspace(spec.grid.n_interior)
         self.extremals = np.arange(M, len(self.buf))  # their rows of buf
         # the noise path and drift of each row of buf: an extremal takes
@@ -296,74 +295,76 @@ class _Wave:
         self.ext_forcing = extremal_forcing([self.sides[m] for m in owners],
                                             [self.drifts[m].C_B for m in owners])
         # the containment defect of each row of each member's latest
-        # iterate, at the rows of current_rows; row 0 is u0 in every
-        # iterate and extremal
+        # iterate, at its rows of buf_rows; row 0 is u0 in every iterate
+        # and extremal
         self.excess = np.zeros((M, N + 1))
         self.excess_rows = self.excess.reshape(-1)
         self.N, self.P, self.max_outer = N, P, max_outer
         self.tol, self.dx = tol_fixed, spec.grid.dx
-        # the rows of ext holding each member's lower and upper extremal
+        # the rows of buf holding each member's lower and upper extremal
         members = np.arange(M) % P
-        self.bounds = np.stack((index[members], index[P + members]), axis=1)
+        self.bounds = M + np.stack((index[members], index[P + members]), axis=1)
         self.kinds, self.group = _drift_kinds(self.drifts)
         # the members in lane order: each drift's together, min side first
         self.members = np.array(sorted(range(M), key=lambda m: (self.group[m], m >= P)))
-        # the per-level arrays below have a column for each level up to
-        # top + 1 at least; they grow as levels start, not with max_outer.
+        # the per-level arrays below have a column for each level started
+        # and the next; they grow as levels start, not with max_outer.
         # The last row each level holds; N + 1 for a level not started or
         # dropped.  Level 0 is the extremals, which all hold the same rows
         self.have = np.full((M, 3), N + 1)
         self.have[:, :2] = 0
-        # the last row level k + 1 may step from: have[m, k] - 1, or -1
-        # while level k may be final
-        self.limit = np.full((M, 3), -1)
         self.start = np.zeros((M, 3), dtype=int)
         # each level's worst sum of squares of new - old, monotonicity and
         # containment defects
         self.defects = np.zeros((3, M, 3))
         self.defects[1, :, 1] = -np.inf
-        self.top = 1  # the highest level started
         # residual, monotonicity and containment defects and start of each sweep
         self.histories = [[] for _ in range(M)]
         self._plan()
 
     def _plan(self) -> None:
-        """Build the pass plan from have and limit: lane (m, k) steps while
-        have[m, k] <= limit[m, k - 1], and the extremals while they hold
-        less than row N."""
-        N, members = self.N, self.members
+        """Build the pass plan from have and defects: lane (m, k) steps
+        while have[m, k] <= limit[m, k - 1], and the extremals while they
+        hold less than row N."""
+        N, members, have = self.N, self.members, self.have
+        # the last row level k + 1 may step from: have[m, k] - 1, or -1
+        # while level k may be final; the extremals always are
+        limit = np.where(np.sqrt(self.defects[0] * self.dx) > self.tol, have - 1, -1)
+        limit[:, 0] = have[:, 0] - 1
         order = members[self.source[members] == members]  # no tracking twin
-        i, k = np.nonzero(self.have[order, 1:self.top + 1] <= self.limit[order, :self.top])
+        i, k = np.nonzero(have[order, 1:] <= limit[order, :-1])
         self.m, self.k = m, k = order[i], k + 1
-        steps, L = self.have[m, k], len(m)
+        steps, L = have[m, k], len(m)
         # passes until an event comes on schedule: the first lane completes
         lanes, due = m, [N - steps.max()] if L else []
         if (s := self.have[0, 0]) < N:  # the extremals step too
             lanes = np.concatenate((m, self.extremals))
             steps = np.concatenate((steps, np.full(len(self.ext), s)))
             due.append(N - s if s else 1)  # they hold row N, or row 1 first
-            self.ext_copy = L + self.index  # the extremal lane of each member
         self.lanes, self.due = lanes, min(due, default=0)
         # advanced by one each pass: each lane's step, the rows of buf_rows
-        # holding its state and taking its new state (of current_rows and
-        # excess_rows too for a sweep lane), and the rows of ext_rows
-        # holding a sweep lane's lower and upper extremal at its new row
-        pos = self.pos = np.empty((5, len(lanes)), dtype=np.intp)
+        # holding its state and taking its new state (of excess_rows too
+        # for a sweep lane), and the rows of a sweep lane's forcing (its
+        # extremal's for level 1) and of its lower and upper extremal
+        pos = self.pos = np.empty((6, len(lanes)), dtype=np.intp)
         pos[0] = steps
         pos[1] = lanes * (N + 1) + steps
         pos[2] = pos[1] + 1
-        pos[3:, :L] = self.bounds[m].T * (N + 1) + steps[:L] + 1
-        self.steps, self.state_rows, self.new_rows = pos[0], pos[1], pos[2, :L]
-        self.lower, self.upper = pos[3, :L], pos[4, :L]
+        pos[3, :L] = np.where(k == 1, self.extremals[self.index[m]], m)
+        pos[4:, :L] = self.bounds[m].T
+        pos[3:, :L] *= N + 1
+        pos[3:, :L] += steps[:L] + 1
+        self.steps, self.state_rows, self.new_rows = pos[0], pos[1], pos[2]
+        self.read_rows, self.lower, self.upper = pos[3, :L], pos[4, :L], pos[5, :L]
         # the lanes follow order: one run per drift, min side first
         self.runs = _runs(self.kinds, self.group[m])
         self.min_side = [slice(rows.start, rows.start + np.count_nonzero(m[rows] < self.P))
                          for _, rows in self.runs]
-        after = self.have[m, k + 1]  # the row the next level holds, or N + 1
+        after = have[m, k + 1]  # the row the next level holds, or N + 1
         # the lanes whose next level may still start where a drift value
         # changes, and those whose next level has started and waits
         self.todo = np.flatnonzero((after == N + 1) & (k < self.max_outer))
-        self.watch = np.flatnonzero((after <= N) & (after > self.limit[m, k]))
+        self.watch = np.flatnonzero((after <= N) & (after > limit[m, k]))
         # the lanes whose own drift the store evaluates on their new rows:
         # the todo lanes, or every lane while a twin tracks its owner
         self.check, self.todo_at = self.todo, slice(None)
@@ -395,15 +396,14 @@ class _Wave:
     def forcing(self, n: tuple, u: np.ndarray) -> np.ndarray:
         """The forcing of a pass: S's on the sweep lanes, the drift of
         each lane at the row it reads, and the extremal forcing on the
-        extremal lanes after them.  The rows the sweep lanes read, which
-        their new states replace, and the values it hands out are kept
-        for store; the rows go to a workspace role that the step leaves
-        alone."""
+        extremal lanes after them.  The rows the sweep lanes read and the
+        values it hands out are kept for store; the rows go to a workspace
+        role of the wave's own, which the step leaves alone."""
         L = len(self.k)
         self.old = old = self.work.unpadded(L, "old")
         # mode "clip": the rows are in range, and "raise" would gather them
         # into a new buffer first
-        self.current_rows.take(self.new_rows, 0, old, mode="clip")
+        self.buf_rows.take(self.read_rows, 0, old, mode="clip")
         h = _drift_values(self.runs, old)
         if L < len(u):
             h = np.concatenate((h, self.ext_forcing(n, u[L:])))
@@ -411,13 +411,9 @@ class _Wave:
         return h
 
     def store(self, n: tuple, v: np.ndarray) -> None:
-        L, h, full = len(self.k), self.h, v
+        L, h = len(self.k), self.h
+        full, v = v, v[:L]  # every lane's new row, and the sweep lanes'
         self.due -= 1
-        if L < len(v):  # the extremals end the pass
-            row = self.steps[L] + 1
-            self.ext[:, row] = v[L:]
-            self.current[:, row] = v[self.ext_copy]
-            v = v[:L]
         started, split = (), []
         if len(self.todo) or self.twin_checks:
             # bit patterns, not ==: +0.0 against -0.0 changes the forcing
@@ -436,7 +432,7 @@ class _Wave:
                     split += [t for t, at in twins if differ[at].any()]
         # the worst sum of squares of new - old, monotonicity and
         # containment defect of each new row
-        old, scratch, found = self.old, self.work.unpadded(L, STORE_ROLE), self.found
+        old, scratch, found = self.old, self.work.unpadded(L, "scratch"), self.found
         diff = np.subtract(v, old, out=old)
         np.multiply(diff, diff, out=scratch).sum(axis=-1, out=found[0])
         # min side expects new >= old pointwise, max side the reverse
@@ -444,13 +440,13 @@ class _Wave:
             np.negative(diff[rows], out=diff[rows])  # in place, exact
         diff.max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
-        self.ext_rows.take(self.lower, 0, scratch, mode="clip")
+        self.buf_rows.take(self.lower, 0, scratch, mode="clip")
         below = np.subtract(scratch, v, out=scratch).max(axis=-1)
-        self.ext_rows.take(self.upper, 0, scratch, mode="clip")
+        self.buf_rows.take(self.upper, 0, scratch, mode="clip")
         np.maximum(below, np.subtract(v, scratch, out=scratch).max(axis=-1), out=found[2])
-        self.excess_rows[self.new_rows] = found[2]
+        self.excess_rows[self.new_rows[:L]] = found[2]
         defects = np.maximum(self.defects_so_far, found, out=self.defects_so_far)
-        self.current_rows[self.new_rows] = v
+        self.buf_rows[self.new_rows] = full
         # an event: one on schedule, a level that starts, or a residual so
         # far above tol_fixed that lets a waiting level step
         if (not self.due or len(started) or split or len(self.watch)
@@ -460,19 +456,15 @@ class _Wave:
             self.pos += 1
 
     def _event(self, started, split: list, v: np.ndarray) -> None:
-        """Sync have, limit and defects from the plan after a pass, split
-        the twins it found, start and complete the levels it found, and
+        """Sync have and defects from the plan after a pass, split the
+        twins it found, start and complete the levels it found, and
         rebuild the plan."""
         m, k, L = self.m, self.k, len(self.k)
         steps = self.steps[:L]  # the step each sweep lane took
         self.have[m, k] = steps + 1
-        # a residual above tol_fixed so far: the level cannot be final
-        self.limit[m, k] = np.where(
-            np.sqrt(self.defects_so_far[0] * self.dx) > self.tol, steps, -1)
         self.defects[:, m, k] = self.defects_so_far
         if L < len(self.lanes):  # the extremals stepped too
-            row = self.steps[L] + 1
-            self.have[:, 0], self.limit[:, 0] = row, row - 1
+            self.have[:, 0] = self.steps[L] + 1
         starts = [(m[i], k[i] + 1, steps[i]) for i in started]
         done = np.flatnonzero(steps == self.N - 1)
         completes = [(m[i], k[i]) for i in done]
@@ -494,22 +486,19 @@ class _Wave:
         """Make twin t a member of its own, a copy of its owner o: its
         iterate and containment rows, per-level arrays and histories."""
         self.current[t], self.excess[t] = self.current[o], self.excess[o]
-        for levels in (self.have, self.limit, self.start):
-            levels[t] = levels[o]
+        self.have[t], self.start[t] = self.have[o], self.start[o]
         self.defects[:, t] = self.defects[:, o]
         self.histories[t] = list(self.histories[o])
         self.source[t] = t
 
     def _start(self, m: int, k: int, R: int) -> None:
         if k + 2 > self.have.shape[1]:  # double the level axis
-            for name, fill in (("have", self.N + 1), ("limit", -1), ("start", 0),
-                               ("defects", 0.0)):
+            for name, fill in (("have", self.N + 1), ("start", 0), ("defects", 0.0)):
                 levels = getattr(self, name)
                 setattr(self, name, np.concatenate(
                     (levels, np.full(levels.shape, fill, levels.dtype)), axis=-1))
         self.have[m, k] = self.start[m, k] = R
         self.defects[:, m, k] = (0.0, -np.inf, self.excess[m, :R + 1].max())
-        self.top = max(self.top, k)
 
     def _complete(self, m: int, k: int) -> None:
         sq, mono, containment = self.defects[:, m, k].tolist()
@@ -524,8 +513,6 @@ class _Wave:
         elif self.have[m, k + 1] == self.N + 1:
             # no drift value changed: sweep k + 1 repeats u^k without stepping
             history.append((0.0, 0.0, containment, self.N))
-        else:
-            self.limit[m, k] = self.N - 1
 
 
 def iterate_bracket(

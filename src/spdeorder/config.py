@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import U0_KINDS
 from .operators import DRIFT_KINDS, JUMP_SIDES, NOISE_KINDS, REACTION_KINDS
 
 
@@ -126,8 +127,7 @@ SCHEMA = {
     "noise.kind": (str, "linear", lambda v: v in NOISE_KINDS,
                    f"one of {tuple(NOISE_KINDS)}"),
     "noise.C_G": (float, 0.0, _nonnegative, "noise constant (0 = derive from coeffs)"),
-    "u0.kind": (str, "zero", lambda v: v in ("zero", "sine", "constant"),
-                "initial datum"),
+    "u0.kind": (str, "zero", lambda v: v in U0_KINDS, f"one of {tuple(U0_KINDS)}"),
     "u0.amplitude": (float, 1.0, None, "initial datum amplitude"),
     "run.M": (int, 100, lambda v: v >= 1, "Monte Carlo path count"),
     "run.master_seed": (int, 12345, lambda v: 0 <= v < 2**64,

@@ -53,6 +53,20 @@ class Grid:
         return cls(mode=ODE, n_interior=1, length=1.0)
 
 
+def _sine_datum(grid: Grid, amplitude: float) -> np.ndarray:
+    if grid.mode == ODE:  # the amplitude itself
+        return np.array([amplitude])
+    return amplitude * np.sin(np.pi * grid.x / grid.length)
+
+
+# each initial-datum kind: (grid, amplitude) -> its (n,) datum on grid
+U0_KINDS = {
+    "zero": lambda grid, amplitude: np.zeros(grid.n_interior),
+    "sine": _sine_datum,
+    "constant": lambda grid, amplitude: np.full(grid.n_interior, amplitude),
+}
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, T] into n_steps steps."""

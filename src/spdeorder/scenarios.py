@@ -14,7 +14,7 @@ import numpy as np
 from .bracket import BracketPair, bracket_study
 from .comparison import comparison_study, sigma_energy_trace
 from .config import ConfigError, ScenarioConfig, SCENARIOS
-from .core import Grid, TimeGrid, ODE
+from .core import Grid, TimeGrid, U0_KINDS
 from .operators import (
     DRIFT_KINDS,
     REACTION_KINDS,
@@ -60,15 +60,7 @@ def build_noise(cfg: ScenarioConfig) -> NoiseSpec:
 
 def build_u0(cfg: ScenarioConfig, grid: Grid) -> np.ndarray:
     """The (n,) initial datum of the config on grid."""
-    kind = cfg["u0.kind"]
-    amp = cfg["u0.amplitude"]
-    if kind == "zero":
-        return np.zeros(grid.n_interior)
-    if kind == "constant":
-        return np.full(grid.n_interior, amp)
-    if grid.mode == ODE:
-        return np.array([amp])
-    return amp * np.sin(np.pi * grid.x / grid.length)
+    return U0_KINDS[cfg["u0.kind"]](grid, cfg["u0.amplitude"])
 
 
 def build_problem_spec(cfg: ScenarioConfig) -> ProblemSpec:

@@ -232,9 +232,6 @@ _STEP_ROLES = ("v", "rhs", "res", "grad")
 _NEWTON_ROLES = ("dv", "v_try")
 _SUBSET_ROLES = ("v_sub", "rhs_sub", "res_try", "grad_try")
 _HALVING_ROLES = ("v_half", "rhs_half", "grad_half", "res_half")
-# a step role that holds nothing once implicit_step has returned: a store
-# may take its (L, n) scratch from it
-STORE_ROLE = "rhs"
 
 
 def _failing(ok: np.ndarray):
@@ -333,8 +330,7 @@ def implicit_step(
         dpttrs(*factor, v.T, overwrite_b=1)
     rnorm = evaluate(v, rhs, D, res)
     limit = newton.tol * np.maximum(1.0, h_norm_values(rhs[interior], dx))
-    iters, rows = 0, 0
-    v_s = rhs_s = None  # a subset's gathers, unused by the whole batch
+    iters = 0
     # a NaN residual compares false with everything: never accept it
     while (sel := _failing(rnorm <= limit)) is not None:
         if iters >= newton.max_iter:
@@ -342,17 +338,14 @@ def implicit_step(
             raise NewtonDivergenceError(
                 f"Newton residual {rnorm[sel][worst]:.3e} > tol {limit[sel][worst]:.3e} "
                 f"after {iters} iterations")
-        if (S := L if sel is Ellipsis else len(sel)) != rows:  # a new subset
-            rows = S
-            dv, v_try = work.views(S, _NEWTON_ROLES)
-            if sel is not Ellipsis:
-                v_s, rhs_s, res_t, D_t = work.views(S, _SUBSET_ROLES)
+        dv, v_try = work.views(L if sel is Ellipsis else len(sel), _NEWTON_ROLES)
         # the whole batch's trial overwrites its gradients and residual,
-        # which nothing reads once the bands and dv are taken.  The trial's
-        # arrays are free until the solve: its gradients hold the subset's
-        # until then, its residual the off-diagonal band and its iterate
-        # the diagonal
-        D_try, res_try = (D, res) if sel is Ellipsis else (D_t, res_t)
+        # which nothing reads once the bands and dv are taken; a subset
+        # gathers into arrays of its own.  The trial's arrays are free until
+        # the solve: its gradients hold the subset's until then, its
+        # residual the off-diagonal band and its iterate the diagonal
+        v_s, rhs_s, res_try, D_try = ((None, None, res, D) if sel is Ellipsis
+                                      else work.views(len(sel), _SUBSET_ROLES))
         v_a, rhs_a, D_a = _rows(v, sel, v_s), _rows(rhs, sel, rhs_s), _rows(D, sel, D_try)
         rnorm_a = rnorm[sel]
         np.negative(_rows(res, sel, dv), out=dv)
@@ -427,9 +420,7 @@ def march(
 
     The march owns one Workspace for the temporaries of its passes,
     sized to its largest pass so far: work, when given, else a new one.
-    Each pass's new states are a new array, which the store may keep.  A
-    caller that hands in work may use its STORE_ROLE as the store's
-    scratch: it holds nothing between passes.
+    Each pass's new states are a new array, which the store may keep.
 
     Initial states of the wrong shape or with a non-finite value raise
     ValueError before any step.  A pass that fails raises

@@ -435,7 +435,8 @@ def test_a_study_steps_its_extremals_alongside_its_sweeps(monkeypatch):
 def test_a_pass_evaluates_the_drift_on_its_sweep_lanes_only(monkeypatch):
     # the extremal lanes step with their own forcing, so a pass takes the
     # drift only on the rows its sweep lanes read, once, and keeps those
-    # rows for its store, which replaces them with the new states
+    # rows for its store: each lane's predecessor's row, its extremal's
+    # for sweep 1
     forcing, values = bracket._Wave.forcing, bracket._drift_values
     evaluated, passes = [], Counter()
 
@@ -447,8 +448,12 @@ def test_a_pass_evaluates_the_drift_on_its_sweep_lanes_only(monkeypatch):
         start, L = len(evaluated), len(wave.k)
         h = forcing(wave, n, u)
         assert evaluated[start:] == [L] and len(h) == len(u)
-        read = wave.current_rows[n[0][:L] * (wave.N + 1) + n[1][:L] + 1]
+        m, rows = n[0][:L], n[1][:L] + 1
+        read = np.where((wave.k == 1)[:, None], wave.ext[wave.index[m], rows],
+                        wave.current[m, rows])
         assert np.array_equal(wave.old, read)
+        passes["sweep-1 lanes"] += np.count_nonzero(wave.k == 1)
+        passes["later lanes"] += np.count_nonzero(wave.k > 1)
         passes["with extremals" if L < len(u) else "sweeps only"] += 1
         return h
 
@@ -457,6 +462,7 @@ def test_a_pass_evaluates_the_drift_on_its_sweep_lanes_only(monkeypatch):
     spec = stochastic_jump_spec()
     bracket_study(spec, sine(spec), 12345, range(3), tol_fixed=1e-6, max_outer=100)
     assert passes["with extremals"] > 0 and passes["sweeps only"] > 0
+    assert passes["sweep-1 lanes"] > 0 and passes["later lanes"] > 0
 
 
 def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch):
@@ -871,6 +877,22 @@ def test_a_twin_that_never_splits_steps_no_lane(monkeypatch):
         assert np.array_equal(ours.final.values, own.final.values)
         assert ours.residual_history == theirs.residual_history
         assert ours.sweep_starts == theirs.sweep_starts
+
+
+def test_a_twin_that_never_splits_leaves_its_iterate_row_untouched():
+    # sweep 1 reads its extremal's rows in place and a tracking twin steps
+    # no lane, so nothing writes the flipped jump side's iterate rows of
+    # the study's array (members 1 and 3) past u0 at row 0
+    spec, u0, drifts, M = plap_p3_dual_jump()
+    owner, twin = bracket_study(spec, u0, 12345, range(M), drifts,
+                                tol_fixed=1e-6, max_outer=100)
+    buf = owner.minimal.final.values.base
+    assert buf.shape[0] == 4 + 2  # the 4 members, then the path's 2 extremals
+    assert twin.minimal.final.values.base is buf
+    for own, tracking in ((0, 1), (2, 3)):
+        assert np.array_equal(buf[tracking, 0], u0)
+        assert not buf[tracking, 1:].any()
+        assert buf[own, 1:].any()
 
 
 def test_drifts_of_different_kinds_with_equal_C_B_split_at_the_first_extremal_row(

@@ -1,15 +1,22 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdeorder import scenarios
 from spdeorder.cli import main
+from spdeorder.core import U0_KINDS
 from spdeorder.config import (
     ConfigError,
     DEFAULTS,
+    SCENARIOS,
     load_config,
     parse_config_text,
     resolve_config,
@@ -555,3 +562,82 @@ def test_cli_failed_artifact_write_names_the_output_directory(tmp_path, monkeypa
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"cannot write artifact {out}: {os.strerror(errno.ENOSPC)}\n")
+
+
+def _maybe(values):
+    """A key's value from values, or the key left out (None)."""
+    return st.none() | values
+
+
+# small configs of every scenario and every drift, reaction, noise and datum
+# kind: n <= 16 and T <= 0.05, with step sizes that do not divide T and
+# keys that do not fit their scenario among them
+_CONFIGS = st.fixed_dictionaries({
+    "scenario": st.sampled_from(sorted(SCENARIOS)),
+    # the mode and node count, or the count alone, which some scenarios'
+    # modes do not allow
+    "grid": st.sampled_from([{"grid.mode": "ode", "grid.n": 1},
+                             {"grid.mode": "pde_1d", "grid.n": 2},
+                             {"grid.mode": "pde_1d", "grid.n": 16},
+                             {"grid.n": 1}, {"grid.n": 5}]),
+    "time.T": st.sampled_from([0.002, 0.01, 0.05]),
+    "time.dt": _maybe(st.sampled_from([1e-3, 2e-3, 0.015])),
+    "spatial.p": _maybe(st.sampled_from([2.0, 3.0])),
+    "drift.kind": _maybe(st.sampled_from(sorted(DRIFT_KINDS))),
+    "drift.s0": _maybe(st.floats(-1.0, 1.0)),
+    "drift.high": _maybe(st.floats(-1.0, 2.0)),
+    "drift.scale": _maybe(st.floats(0.0, 3.0)),
+    # two knots of a nondecreasing ramp, or a list of any length
+    "drift.knots": _maybe(st.builds(lambda r0, v0, dr, dv: (r0, v0, r0 + dr, v0 + dv),
+                                    st.floats(-2.0, 1.0), st.floats(-2.0, 1.0),
+                                    st.floats(0.1, 2.0), st.floats(0.0, 2.0))
+                          | st.lists(st.floats(-2.0, 2.0), max_size=5).map(tuple)),
+    "drift.C_B": _maybe(st.floats(0.5, 4.0)),
+    "reaction.kind": _maybe(st.sampled_from(sorted(REACTION_KINDS))),
+    "reaction.slope": _maybe(st.floats(-1.0, 1.0)),
+    "reaction.C_F": _maybe(st.floats(0.5, 2.0)),
+    "noise.K": st.integers(0, 3),
+    "noise.kind": _maybe(st.sampled_from(sorted(NOISE_KINDS))),
+    "u0.kind": _maybe(st.sampled_from(sorted(U0_KINDS))),
+    "u0.amplitude": _maybe(st.floats(-3.0, 3.0)),
+    "run.M": st.integers(1, 3),
+    "run.max_outer": _maybe(st.sampled_from([1, 2, 100])),
+    "run.dual_jump_side": _maybe(st.booleans()),
+    "comparison.reversed": _maybe(st.booleans()),
+})
+
+
+def _config_text(values: dict) -> str:
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ",".join(repr(v) for v in value)
+        return value if isinstance(value, str) else repr(value)
+    keys = {**values["grid"], **{k: v for k, v in values.items() if k != "grid"}}
+    return "".join(f"{key} = {text(value)}\n" for key, value in keys.items()
+                   if value is not None)
+
+
+# derandomized: CI runs the same examples every time
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=_CONFIGS)
+def test_every_small_config_exits_with_its_documented_code(values):
+    # 0 all gates pass, 1 a gate fails, 2 a bad config, 3 divergence or a
+    # non-finite state: never a traceback (in process, an exception that
+    # escapes main), and 1 exactly when summary.txt records a failed gate
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.write(_config_text(values))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", cfg, "--out", out])
+        summary = os.path.join(out, "summary.txt")
+        failed = False
+        if os.path.exists(summary):
+            with open(summary) as fh:
+                failed = any(line.endswith(" = fail") for line in fh.read().splitlines())
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 1) == failed
