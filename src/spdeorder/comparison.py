@@ -99,11 +99,8 @@ class ComparisonReport:
 
 
 def _coupled_forcing(forcing_1: Optional[Forcing], forcing_2: Optional[Forcing],
-                     M: int) -> Optional[Forcing]:
+                     M: int) -> Forcing:
     """The forcing of a batch of M side-1 members, then M side-2 members."""
-    if forcing_1 is None and forcing_2 is None:
-        return None
-
     def forcing(n, u):
         # a side without forcing gets -0.0: adding dt * -0.0 leaves its
         # right-hand side exactly as a solve without forcing leaves it

@@ -200,23 +200,16 @@ class Workspace:
     def __init__(self, n: int):
         self.n = n
         self.arrays = {}
-        self.last = {}  # roles -> (rows, views) of the last call
 
     def views(self, rows: int, roles: tuple) -> list:
-        last = self.last.get(roles)
-        if last is not None and last[0] == rows:
-            return last[1]
         views = []
         for name in roles:
             array = self.arrays.get(name)
             if array is None or len(array) < rows:
-                # views of the old array, kept for other roles, go stale;
-                # it is freed before its successor is made
-                self.last.clear()
+                # the old array is freed before its successor is made
                 array = self.arrays[name] = None
                 array = self.arrays[name] = np.empty((rows, self.n + 1))
             views.append(array[:rows])
-        self.last[roles] = (rows, views)
         return views
 
     def unpadded(self, rows: int, role: str) -> np.ndarray:
@@ -225,13 +218,11 @@ class Workspace:
 
 
 # the roles of implicit_step's temporaries: those of a step's whole batch,
-# those of the Newton update of the paths not yet converged, those of
-# their subset when it is not the whole batch, and those of a halving's
-# subset of the trial paths
+# those of the Newton update of the paths not yet converged, and those of
+# their subset when it is not the whole batch
 _STEP_ROLES = ("v", "rhs", "res", "grad")
 _NEWTON_ROLES = ("dv", "v_try")
 _SUBSET_ROLES = ("v_sub", "rhs_sub", "res_try", "grad_try")
-_HALVING_ROLES = ("v_half", "rhs_half", "grad_half", "res_half")
 
 
 def _failing(ok: np.ndarray):
@@ -290,16 +281,16 @@ def implicit_step(
     v[:, -1] = 0.0
     # rhs = u_n + dt f(u_n) + dt h_n + noise, added in that order (a + b
     # is b + a bit for bit), with v standing for u_n; res is free until the
-    # first residual.  f and the noise term need not vanish at the ghost:
-    # the ghost column is reset at the end
-    f_part = rhs if h_n is None else res
-    np.multiply(dt, eval_f_values(spec.reaction, v), out=f_part)
-    f_part += v
-    if h_n is not None:
-        rhs[:, :-1] = h_n
-        rhs[:, -1] = 0.0
-        rhs *= dt
-        rhs += res
+    # first residual.  A step without forcing takes h_n = -0.0: adding
+    # dt * -0.0 changes no bit.  The ghost is set before the scaling, whose
+    # stale workspace memory could raise a floating-point warning; f and the
+    # noise term need not vanish there: the ghost is reset at the end
+    np.multiply(dt, eval_f_values(spec.reaction, v), out=res)
+    res += v
+    rhs[:, :-1] = -0.0 if h_n is None else h_n
+    rhs[:, -1] = 0.0
+    rhs *= dt
+    rhs += res
     if spec.noise.K > 0:
         rhs += noise_term_values(spec.noise, v, w_n)
     rhs[:, -1] = 0.0
@@ -359,18 +350,14 @@ def implicit_step(
         step = 1.0
         np.add(v_a, dv, out=v_try)
         rnorm_try = evaluate(v_try, rhs_a, D_try, res_try)
-        while step > 1.0 / 1024.0 and (g := _failing(rnorm_try < rnorm_a)) is not None:
+        while step > 1.0 / 1024.0 and _failing(kept := rnorm_try < rnorm_a) is not None:
             step *= 0.5
-            if g is Ellipsis:
-                v_g, rhs_g, D_g, res_g = v_try, rhs_a, D_try, res_try
-            else:
-                v_g, rhs_g, D_g, res_g = work.views(len(g), _HALVING_ROLES)
-            # v_a[g] + step * dv[g]; rhs_g holds v_a[g] until it takes rhs_a[g]
-            np.multiply(step, _rows(dv, g, v_g), out=v_g)
-            v_g += _rows(v_a, g, rhs_g)
-            rnorm_try[g] = evaluate(v_g, _rows(rhs_a, g, rhs_g), D_g, res_g)
-            if g is not Ellipsis:
-                v_try[g], D_try[g], res_try[g] = v_g, D_g, res_g
+            # v_a + step * dv on the paths whose residual grew; the others
+            # keep their trial, whose evaluation gives the same bits again
+            grew = ~kept[:, None]
+            np.multiply(step, dv, out=v_try, where=grew)
+            np.add(v_try, v_a, out=v_try, where=grew)
+            rnorm_try = evaluate(v_try, rhs_a, D_try, res_try)
         if sel is Ellipsis:
             v[...], rnorm = v_try, rnorm_try
         else:

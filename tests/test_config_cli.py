@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdeorder import scenarios
@@ -602,6 +602,7 @@ _CONFIGS = st.fixed_dictionaries({
     "u0.amplitude": _maybe(st.floats(-3.0, 3.0)),
     "run.M": st.integers(1, 3),
     "run.max_outer": _maybe(st.sampled_from([1, 2, 100])),
+    "newton.max_iter": _maybe(st.integers(1, 3)),
     "run.dual_jump_side": _maybe(st.booleans()),
     "comparison.reversed": _maybe(st.booleans()),
 })
@@ -619,13 +620,17 @@ def _config_text(values: dict) -> str:
                    if value is not None)
 
 
-# derandomized: CI runs the same examples every time
+# derandomized: CI runs the same examples every time.  The example is a
+# p = 3 step that needs more than one Newton iteration: exit 3
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(values=_CONFIGS)
+@example(values={"scenario": "custom", "grid": {"grid.n": 16}, "time.T": 0.05,
+                 "spatial.p": 3.0, "u0.kind": "sine", "newton.max_iter": 1})
 def test_every_small_config_exits_with_its_documented_code(values):
     # 0 all gates pass, 1 a gate fails, 2 a bad config, 3 divergence or a
     # non-finite state: never a traceback (in process, an exception that
-    # escapes main), and 1 exactly when summary.txt records a failed gate
+    # escapes main), 1 exactly when summary.txt records a failed gate, and
+    # 3 exactly when stderr gives the solver's failure
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "out")
         with open(cfg, "w") as fh:
@@ -641,3 +646,5 @@ def test_every_small_config_exits_with_its_documented_code(values):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code == 1) == failed
+    assert (code == 3) == any(line.startswith("solver failure: ")
+                              for line in err.getvalue().splitlines())

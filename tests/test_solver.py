@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from spdeorder import (
 from spdeorder import comparison, solver
 from spdeorder.bracket import extremal_forcing
 from spdeorder.cli import main
+from spdeorder.core import h_norm_values
 from spdeorder.noise import NoisePath, sample_noise_path
 from spdeorder.operators import apply_A_values, ghost_padded, noise_weights
 from spdeorder.solver import linear_factor, solve_banded
@@ -431,7 +433,7 @@ def test_the_states_a_step_returns_are_never_in_the_workspace(p):
     assert not any(np.shares_memory(first, array) for array in work.arrays.values())
 
 
-def test_a_warmed_pass_allocates_only_the_states_it_returns():
+def test_a_warmed_pass_allocates_only_the_states_it_returns(monkeypatch):
     # every temporary of a step is a ghost-padded stack in its march's
     # Workspace, and every shift of the spatial kernels is contiguous, so
     # numpy copies no operand: once a pass as large has sized the
@@ -444,7 +446,19 @@ def test_a_warmed_pass_allocates_only_the_states_it_returns():
     u_n += rng.standard_normal((L, n))
     h_n, w_n = np.full((L, n), 0.5), np.zeros(L)
     work = solver.Workspace(n)
-    warm, _ = implicit_step(spec, u_n, h_n, w_n, work=work)
+    # the warm step takes the measured step's rounds: count its residual
+    # norms, two per step (rhs and first residual) and one per Newton
+    # iteration and halving round, as the traced identities do
+    norms = collections.Counter()
+
+    def counted(values, dx):
+        norms["h_norm_values"] += 1
+        return h_norm_values(values, dx)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "h_norm_values", counted)
+        warm, warm_report = implicit_step(spec, u_n, h_n, w_n, work=work)
+    assert norms["h_norm_values"] - 2 - warm_report.iterations >= 10  # halving rounds
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -610,6 +624,38 @@ def test_traced_identities_of_a_batched_march(monkeypatch, start):
 def _bits(a: np.ndarray) -> np.ndarray:
     """The bit patterns of a float array: -0.0 and +0.0 differ."""
     return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_step_without_forcing_is_a_step_with_a_negative_zero_forcing(p):
+    # adding dt * -0.0 changes no bit, so h_n = None and h_n = -0.0 give
+    # the same states, signs of zero included, as comparison_study relies
+    # on for a side without forcing: under a nonzero reaction and noise, by
+    # the direct solve of linear_factor at p = 2 and by Newton at p = 3.
+    # tanh keeps the sign of zero, so the -0.0 lane, which has no noise,
+    # stays -0.0 only if its forcing adds nothing
+    spec = dataclasses.replace(
+        _noisy_spec(p, 3), reaction=ReactionSpec("lipschitz_tanh", scale=0.5),
+        noise=NoiseSpec.geometric(3, gamma=2.0, pointwise_kind="lipschitz_tanh"))
+    g, tg = spec.grid, spec.time_grid
+    u0 = np.stack([_noisy_u0(spec), np.full(16, -0.0), -2.0 * np.sin(2.0 * np.pi * g.x)])
+    paths = [sample_noise_path(5, m, 3, tg) for m in range(3)]
+    paths[1] = NoisePath(np.zeros((3, tg.n_steps)), tg.dt, 5, 1)
+    weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
+    factor = linear_factor(spec)
+    assert (factor is not None) == (p == 2.0)
+    free, free_report = implicit_step(spec, u0, None, weights[0], factor=factor)
+    forced, forced_report = implicit_step(spec, u0, np.full_like(u0, -0.0), weights[0],
+                                          factor=factor)
+    assert np.array_equal(_bits(free), _bits(forced))
+    assert free_report == forced_report
+    free = solve_frozen(spec, u0, None, paths)
+    forced = solve_frozen(spec, u0, constant_forcing(-0.0), paths)
+    assert np.array_equal(_bits(free.values), _bits(forced.values))
+    assert free.newton_iters == forced.newton_iters
+    assert free.max_newton_residual == forced.max_newton_residual
+    assert np.signbit(free.values[1]).all()
+    assert sum(free.newton_iters) > 0 if p == 3.0 else not any(free.newton_iters)
 
 
 def test_solve_banded_solves_each_block_as_alone():
