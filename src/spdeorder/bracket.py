@@ -78,45 +78,29 @@ def apply_S(
     u_tilde: Trajectory,
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
-    drifts: Optional[Sequence[DriftSpec]] = None,
     wave: Optional[_Wave] = None,
 ) -> Union[Trajectory, NewtonLog]:
-    """Candidate map: solve the frozen problem with the drift evaluated
+    """Candidate map: solve the frozen problem with spec.drift evaluated
     along u_tilde (sampled at the right endpoint of each step, see the
     Forcing contract in the solver module), in one batch over the paths of
-    u_tilde, one noise path each, from row 0 of u_tilde.  drifts holds one
-    drift per path (spec.drift for all by default); each drift is
-    evaluated on its own paths' rows only, one eval_b_values call per pass
-    and run of consecutive paths with one drift, so every path's values
-    are those of its solve alone.
+    u_tilde, one noise path each, from row 0 of u_tilde.
 
-    A wave, the study whose array u_tilde wraps and whose lanes drifts
-    are, hands the march its passes and its own forcing (S's on the sweep
+    A wave, the study whose array u_tilde wraps, hands the march its
+    passes and its own forcing (S's under each lane's drift on the sweep
     lanes, the extremal forcing on the extremal lanes) and takes the new
     states in place, and the result is the NewtonLog of the passes (see
     _Wave); a pass that steps path m at step k reads row k + 1 of path m
     of u_tilde before its new states reach the wave."""
-    drifts = (spec.drift,) * u_tilde.n_paths if drifts is None else drifts
-    if len(drifts) != u_tilde.n_paths:
-        raise ValueError("apply_S needs one drift per path")
     u0 = u_tilde.values[:, 0]
     if wave is not None:
         return solve_frozen(spec, u0, wave.forcing, noise_paths, newton, wave.store,
-                            wave.passes(), wave.work)
-    runs = _runs(*_drift_kinds(drifts))
+                            wave.passes())
 
     def forcing(n, u):
         members, steps = n  # every path: members is slice(None)
-        return _drift_values(runs, u_tilde.values[members, steps + 1])
+        return eval_b_values(spec.drift, u_tilde.values[members, steps + 1])
 
     return solve_frozen(spec, u0, forcing, noise_paths, newton)
-
-
-def _drift_kinds(drifts: Sequence[DriftSpec]) -> tuple:
-    """The distinct drifts, in order of first appearance, and the index
-    among them of each drift."""
-    kinds = list(dict.fromkeys(drifts))
-    return kinds, np.array([kinds.index(drift) for drift in drifts])
 
 
 def _runs(kinds: Sequence[DriftSpec], group: np.ndarray) -> list:
@@ -225,12 +209,12 @@ class _Wave:
     row 1, so level 1 may step, or row N, and they finish.  Between events
     no lane starts or stops stepping, so a pass moves every lane of the
     plan down one row.  The plan holds the sweep lanes, each drift's in
-    one run with its min-side lanes first, then the extremal lanes; one
-    int array of each lane's step and its rows of buf (state, new row,
-    the row its forcing reads and its bounds), which a pass advances by
-    one; the lanes whose successor has not started, whose new rows the
-    store checks for a changed drift value; and each sweep lane's defects
-    so far.  have and defects are synced from the plan at each event,
+    one run, then the extremal lanes; one int array of each lane's step
+    and its rows of buf (state, new row, the row its forcing reads and
+    its bounds), which a pass advances by one; each sweep lane's sign,
+    -1.0 on the min side; the lanes whose successor has not started,
+    whose new rows the store checks for a changed drift value; and each
+    sweep lane's defects so far.  have and defects are synced from the plan at each event,
     before it is handled.
 
     Members that share an extremal slot march as one while they can.  The
@@ -239,13 +223,14 @@ class _Wave:
     for bit while its drift gives the owner's bits on every row the owner
     writes: its sweep rows and the extremal rows it reads.  Such a twin
     steps no lane (source holds its owner).  While one tracks, the store
-    evaluates every lane's own drift on its new rows, which also serves
-    the todo lanes' check, and each twin's drift on its owner's new rows,
-    one eval_b_values call per distinct drift.  At the first row whose
-    bits differ an event splits the twin: it takes a copy of its owner's
-    row of current and excess, per-level arrays and histories, runs the
-    pass's level-start check under its own drift (one more eval_b_values
-    call) and marches from there as a member of its own.  A twin that
+    evaluates every lane's own drift and each twin drift on every lane's
+    new rows, one eval_b_values call per distinct drift; the former also
+    serves the todo lanes' check.  At the first row whose bits differ on
+    a lane of the twin's owner (lane_member: an extremal lane's is its
+    slot's owner) an event splits the twin: it takes a copy of its
+    owner's row of current and excess, per-level arrays and histories,
+    runs the pass's level-start check on its drift's values and marches
+    from there as a member of its own.  A twin that
     never splits takes its owner's final and histories.  A study without
     twins makes none of these checks.
 
@@ -284,14 +269,19 @@ class _Wave:
         # their rows, one per (row of buf, step): row m (N + 1) + r is row
         # r of buf[m]
         self.buf_rows = self.buf.reshape(-1, spec.grid.n_interior)
-        # the march's buffers, and the forcing's and the store's
+        # the scratch of the forcing and the store: the rows the sweep
+        # lanes read, and the store's defects
         self.work = Workspace(spec.grid.n_interior)
         self.extremals = np.arange(M, len(self.buf))  # their rows of buf
-        # the noise path and drift of each row of buf: an extremal takes
-        # those of the first member that reads it
-        lanes = list(range(M)) + owners
-        self.paths = [paths[m % P] for m in lanes]
-        self.drifts = [drifts[m % P] for m in lanes]
+        # the member of each row of buf: an extremal's is the first member
+        # that reads it, whose noise path and drift it takes
+        self.member = np.array(list(range(M)) + owners)
+        self.paths = [paths[m % P] for m in self.member]
+        self.drifts = [drifts[m % P] for m in self.member]
+        # the distinct drifts, in order of first appearance, and the index
+        # among them of each row's drift
+        self.kinds = list(dict.fromkeys(self.drifts))
+        self.group = np.array([self.kinds.index(drift) for drift in self.drifts])
         self.ext_forcing = extremal_forcing([self.sides[m] for m in owners],
                                             [self.drifts[m].C_B for m in owners])
         # the containment defect of each row of each member's latest
@@ -304,9 +294,8 @@ class _Wave:
         # the rows of buf holding each member's lower and upper extremal
         members = np.arange(M) % P
         self.bounds = M + np.stack((index[members], index[P + members]), axis=1)
-        self.kinds, self.group = _drift_kinds(self.drifts)
         # the members in lane order: each drift's together, min side first
-        self.members = np.array(sorted(range(M), key=lambda m: (self.group[m], m >= P)))
+        self.members = np.argsort(self.group[:M], kind="stable")
         # the per-level arrays below have a column for each level started
         # and the next; they grow as levels start, not with max_outer.
         # The last row each level holds; N + 1 for a level not started or
@@ -356,33 +345,27 @@ class _Wave:
         pos[3:, :L] += steps[:L] + 1
         self.steps, self.state_rows, self.new_rows = pos[0], pos[1], pos[2]
         self.read_rows, self.lower, self.upper = pos[3, :L], pos[4, :L], pos[5, :L]
-        # the lanes follow order: one run per drift, min side first
+        # the lanes follow order: one run per drift.  new - old times sign
+        # is the monotonicity defect: the min side expects new >= old
+        # pointwise, the max side the reverse, and x * -1.0 is -x bit for bit
         self.runs = _runs(self.kinds, self.group[m])
-        self.min_side = [slice(rows.start, rows.start + np.count_nonzero(m[rows] < self.P))
-                         for _, rows in self.runs]
+        self.sign = np.where(m < self.P, -1.0, 1.0)[:, None]
         after = have[m, k + 1]  # the row the next level holds, or N + 1
         # the lanes whose next level may still start where a drift value
         # changes, and those whose next level has started and waits
         self.todo = np.flatnonzero((after == N + 1) & (k < self.max_outer))
         self.watch = np.flatnonzero((after <= N) & (after > limit[m, k]))
         # the lanes whose own drift the store evaluates on their new rows:
-        # the todo lanes, or every lane while a twin tracks its owner
-        self.check, self.todo_at = self.todo, slice(None)
-        self.twin_checks = []
+        # the todo lanes, or every lane while a twin tracks its owner.
+        # Then each twin drift with its twins, and each lane's member, an
+        # extremal lane's being its slot's owner: a twin splits where its
+        # drift and its owner's differ on a lane of its owner
         twins = np.flatnonzero(self.source != np.arange(len(self.source)))
-        if len(twins):
-            self.check, self.todo_at = slice(None), self.todo
-            for g in dict.fromkeys(self.group[twins].tolist()):  # each twin drift
-                ts = twins[self.group[twins] == g]
-                # the lanes of each twin's owner: its sweep lanes and its
-                # extremal's lane
-                own = [np.flatnonzero((lanes == o) | (lanes == self.extremals[self.index[o]]))
-                       for o in self.source[ts]]
-                rows = np.unique(np.concatenate(own))
-                if len(rows):
-                    self.twin_checks.append((
-                        self.kinds[g], slice(None) if len(rows) == len(lanes) else rows,
-                        [(t, np.searchsorted(rows, at)) for t, at in zip(ts, own)]))
+        self.check, self.todo_at = (slice(None), self.todo) if len(twins) else (self.todo,
+                                                                                slice(None))
+        self.twin_drifts = [(self.kinds[g], twins[self.group[twins] == g])
+                            for g in dict.fromkeys(self.group[twins].tolist())]
+        self.lane_member = self.member[lanes]
         self.check_runs = _runs(self.kinds, self.group[lanes[self.check]])
         self.defects_so_far = self.defects[:, m, k]
         self.found = np.empty((3, L))
@@ -397,8 +380,8 @@ class _Wave:
         """The forcing of a pass: S's on the sweep lanes, the drift of
         each lane at the row it reads, and the extremal forcing on the
         extremal lanes after them.  The rows the sweep lanes read and the
-        values it hands out are kept for store; the rows go to a workspace
-        role of the wave's own, which the step leaves alone."""
+        values it hands out are kept for store; the rows go to the wave's
+        own workspace."""
         L = len(self.k)
         self.old = old = self.work.unpadded(L, "old")
         # mode "clip": the rows are in range, and "raise" would gather them
@@ -415,7 +398,7 @@ class _Wave:
         full, v = v, v[:L]  # every lane's new row, and the sweep lanes'
         self.due -= 1
         started, split = (), []
-        if len(self.todo) or self.twin_checks:
+        if len(self.todo) or self.twin_drifts:
             # bit patterns, not ==: +0.0 against -0.0 changes the forcing
             # too.  Rows differ in few passes, so all rows are compared at
             # once first, as bytes
@@ -423,22 +406,19 @@ class _Wave:
             now, read = new[self.todo_at], h[self.todo]  # h holds the b(old) each lane read
             if now.tobytes() != read.tobytes():
                 started = self.todo[_differ(now, read)]
-            # a twin splits at the first row where its drift and its
-            # owner's differ
-            for drift, rows, twins in self.twin_checks:
-                theirs, ours = eval_b_values(drift, full[rows]), new[rows]
-                if theirs.tobytes() != ours.tobytes():
-                    differ = _differ(theirs, ours)
-                    split += [t for t, at in twins if differ[at].any()]
+            # a twin splits at the first row of its owner's where their
+            # drifts differ; its level-start check reads its drift's values
+            for drift, twins in self.twin_drifts:
+                theirs = eval_b_values(drift, full)
+                if theirs.tobytes() != new.tobytes():
+                    owners = self.lane_member[_differ(theirs, new)]
+                    split += [(t, theirs) for t in twins[np.isin(self.source[twins], owners)]]
         # the worst sum of squares of new - old, monotonicity and
         # containment defect of each new row
         old, scratch, found = self.old, self.work.unpadded(L, "scratch"), self.found
         diff = np.subtract(v, old, out=old)
         np.multiply(diff, diff, out=scratch).sum(axis=-1, out=found[0])
-        # min side expects new >= old pointwise, max side the reverse
-        for rows in self.min_side:
-            np.negative(diff[rows], out=diff[rows])  # in place, exact
-        diff.max(axis=-1, out=found[1])
+        np.multiply(diff, self.sign, out=diff).max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
         self.buf_rows.take(self.lower, 0, scratch, mode="clip")
         below = np.subtract(scratch, v, out=scratch).max(axis=-1)
@@ -451,13 +431,14 @@ class _Wave:
         # far above tol_fixed that lets a waiting level step
         if (not self.due or len(started) or split or len(self.watch)
                 and (np.sqrt(defects[0, self.watch] * self.dx) > self.tol).any()):
-            self._event(started, split, v)
+            self._event(started, split)
         else:
             self.pos += 1
 
-    def _event(self, started, split: list, v: np.ndarray) -> None:
+    def _event(self, started, split: list) -> None:
         """Sync have and defects from the plan after a pass, split the
-        twins it found, start and complete the levels it found, and
+        twins it found (each with its drift's values on the pass's new
+        rows), start and complete the levels it found, and
         rebuild the plan."""
         m, k, L = self.m, self.k, len(self.k)
         steps = self.steps[:L]  # the step each sweep lane took
@@ -468,12 +449,12 @@ class _Wave:
         starts = [(m[i], k[i] + 1, steps[i]) for i in started]
         done = np.flatnonzero(steps == self.N - 1)
         completes = [(m[i], k[i]) for i in done]
-        for t in split:
+        for t, theirs in split:
             o = self.source[t]
             self._clone(o, t)
             # the level-start check of the owner's new rows under t's drift
             todo = self.todo[m[self.todo] == o]
-            changed = _differ(eval_b_values(self.drifts[t], v[todo]), self.h[todo])
+            changed = _differ(theirs[todo], self.h[todo])
             starts += [(t, k[i] + 1, steps[i]) for i in todo[changed]]
             completes += [(t, k[i]) for i in done if m[i] == o]
         for args in starts:
@@ -576,7 +557,7 @@ def iterate_bracket(
         raise ValueError(f"initial datum of shape {np.shape(u0)}, "
                          f"expected ({grid.n_interior},)")
     wave = _Wave(spec, u0, paths, drifts, max_outer, tol_fixed)
-    apply_S(spec, Trajectory(grid, tg, wave.buf), wave.paths, newton, wave.drifts, wave)
+    apply_S(spec, Trajectory(grid, tg, wave.buf), wave.paths, newton, wave)
     return [
         BracketResult(
             side=side,

@@ -5,6 +5,8 @@ multiplicative noise explicitly at the left endpoint of each step.
 """
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -30,6 +32,9 @@ from .operators import (
 # per-step noise multiplier std above which discrete order preservation
 # is no longer negligible-probability safe
 _NOISE_STD_GUARD = 0.2
+
+# the directory of the package's modules, whose frames a warning skips
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -259,8 +264,9 @@ def implicit_step(
     take alone.  It starts from u_n, or, given the linear_factor of a linear
     operator, from the direct solution, which usually needs no iteration.
     A path is converged when its residual is at most newton.tol times
-    max(1, ||rhs||_H).  The report counts the batched iterations and gives
-    the largest final residual.
+    max(1, ||rhs||_H); a right-hand side whose norm overflows raises
+    NewtonDivergenceError before the first solve.  The report counts the
+    batched iterations and gives the largest final residual.
 
     Every temporary of the step is a ghost-padded stack (see operators)
     in work, its march's Workspace (a new one when not given): the
@@ -298,8 +304,8 @@ def implicit_step(
 
     if spec.grid.mode == ODE:
         # spatial operator is identically zero: the step is explicit.  Only
-        # this branch can yield a non-finite state: Newton never accepts an
-        # iterate whose residual is not finite.
+        # this branch can yield a non-finite state: Newton's limit below is
+        # finite or NaN, so it never accepts a residual that is not finite.
         if not np.all(np.isfinite(rhs)):
             raise NewtonDivergenceError("non-finite state")
         return rhs[interior].copy(), NewtonReport(0, 0.0)
@@ -314,13 +320,16 @@ def implicit_step(
         res -= target
         return h_norm_values(res[interior], dx)
 
+    # an infinite limit would pass every residual, inf included
+    limit = newton.tol * np.maximum(1.0, h_norm_values(rhs[interior], dx))
+    if np.isinf(limit).any():
+        raise NewtonDivergenceError("right-hand side norm overflows")
     if factor is not None:
         # the (L, n+1) C-order stack is the F-order (n+1, L) matrix pttrs
         # solves in place, one padded row per column
         v[...] = rhs
         dpttrs(*factor, v.T, overwrite_b=1)
     rnorm = evaluate(v, rhs, D, res)
-    limit = newton.tol * np.maximum(1.0, h_norm_values(rhs[interior], dx))
     iters = 0
     # a NaN residual compares false with everything: never accept it
     while (sel := _failing(rnorm <= limit)) is not None:
@@ -367,18 +376,22 @@ def implicit_step(
 
 
 def _check_guards(spec: ProblemSpec) -> None:
-    # stacklevel 4: past march to the caller of solve_frozen or comparison_study
+    # the warnings point at the first caller outside the package, whichever
+    # entry point it called
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
     dt = spec.time_grid.dt
     if dt * spec.reaction.C_F >= 1.0:
         warnings.warn(
             f"dt*C_F = {dt * spec.reaction.C_F:.3g} >= 1: explicit reaction may break "
-            "order preservation", stacklevel=4)
+            "order preservation", stacklevel=level)
     if spec.noise.K > 0 and spec.noise.C_G * np.sqrt(dt) >= _NOISE_STD_GUARD:
         warnings.warn(
             f"per-step noise multiplier std C_G*sqrt(dt) = "
             f"{spec.noise.C_G * np.sqrt(dt):.3g} >= {_NOISE_STD_GUARD}: order "
             "preservation failure probability is no longer negligible",
-            stacklevel=4)
+            stacklevel=level)
 
 
 def march(
@@ -389,7 +402,6 @@ def march(
     store: Callable[[tuple, np.ndarray], None],
     newton: NewtonParams = NewtonParams(),
     schedule: Optional[Iterable] = None,
-    work: Optional[Workspace] = None,
 ) -> NewtonLog:
     """Step the scheme for a batch of B members from their own (B, n)
     states u0, with frozen drift h_n = forcing(n, u_n) (one row per
@@ -406,8 +418,8 @@ def march(
     Returns the Newton metadata of each pass.
 
     The march owns one Workspace for the temporaries of its passes,
-    sized to its largest pass so far: work, when given, else a new one.
-    Each pass's new states are a new array, which the store may keep.
+    sized to its largest pass so far.  Each pass's new states are a new
+    array, which the store may keep.
 
     Initial states of the wrong shape or with a non-finite value raise
     ValueError before any step.  A pass that fails raises
@@ -425,7 +437,7 @@ def march(
                          f"expected ({spec.time_grid.n_steps}, {u.shape[0]})")
     _check_guards(spec)
     factor = linear_factor(spec)
-    work = Workspace(spec.grid.n_interior) if work is None else work
+    work = Workspace(spec.grid.n_interior)
     iters, worst = [], 0.0
     if schedule is None:
         schedule = (((slice(None), k), None) for k in range(spec.time_grid.n_steps))
@@ -454,7 +466,6 @@ def solve_frozen(
     newton: NewtonParams = NewtonParams(),
     store: Optional[Callable[[tuple, np.ndarray], None]] = None,
     schedule: Optional[Iterable] = None,
-    work: Optional[Workspace] = None,
 ) -> Union[Trajectory, NewtonLog]:
     """March the scheme with frozen drift h_n = forcing(n, u_n) for a batch
     of B paths, one per noise path (one path when noise_paths is None or a
@@ -465,8 +476,7 @@ def solve_frozen(
     kept: store(n, u) receives the new states of each pass n = (members,
     steps) (see march), and the result is the NewtonLog of the passes
     taken.  A schedule hands march its passes; a scheduled march needs a
-    store, since its passes need not make the states in order.  work is
-    the march's Workspace (see march).
+    store, since its passes need not make the states in order.
 
     Deterministic given (spec, u0, forcing, noise_paths); each path's
     values do not depend on the other paths of the batch.
@@ -498,7 +508,7 @@ def solve_frozen(
 
         def store(n, u_next):
             states[n[0], n[1] + 1] = u_next
-    log = march(spec, u0, forcing, weights, store, newton, schedule, work)
+    log = march(spec, u0, forcing, weights, store, newton, schedule)
     if keep:
         return Trajectory(spec.grid, tg, states, log.newton_iters, log.max_newton_residual)
     return log

@@ -147,8 +147,6 @@ def test_apply_S_zero_is_fixed_point():
     zero = Trajectory(spec.grid, spec.time_grid, np.zeros((1, 201, 1)))
     image = apply_S(spec, zero)
     assert np.all(image.values == 0.0)
-    with pytest.raises(ValueError, match="one drift per path"):
-        apply_S(spec, zero, drifts=[spec.drift] * 2)
 
 
 def test_apply_S_on_upper_extremal_quadrature_oracle():
@@ -469,13 +467,13 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
     calls, extremal_lanes = [], []
     solve, schedule = bracket.apply_S, bracket._Wave.passes
 
-    def counted(spec, u_tilde, noise_paths, newton, drifts, wave):
+    def counted(spec, u_tilde, noise_paths, newton, wave):
         # each extremal's side is that of the members that read it
         sides = dict(zip(wave.index.tolist(), wave.sides))
         calls.append([(sides[e], drift.jump_side)
-                      for e, drift in enumerate(drifts[len(wave.current):])])
-        assert len(noise_paths) == len(drifts) == u_tilde.n_paths
-        return solve(spec, u_tilde, noise_paths, newton, drifts, wave)
+                      for e, drift in enumerate(wave.drifts[len(wave.current):])])
+        assert len(noise_paths) == len(wave.drifts) == u_tilde.n_paths
+        return solve(spec, u_tilde, noise_paths, newton, wave)
 
     def passes(wave):
         for n, u in schedule(wave):
@@ -505,17 +503,20 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     # the whole call holds one (2M + E, N+1, n) array: the iterates of the
     # 2M members, then the E = 2M extremals (each path has its own); the
     # sweeps need no next-iterate array, so the transient memory stays far
-    # below the 2M rows of one more.  The march's Workspace, about 149 KB
-    # here, is kept alive and counted apart, so a role more or less does
-    # not move the bound on the rest
-    workspaces = []
+    # below the 2M rows of one more.  The wave's Workspace and the march's,
+    # about 149 KB together here, are kept alive and counted apart, so a
+    # role more or less does not move the bound on the rest
+    workspaces = {"bracket": [], "solver": []}
 
-    class Recorded(bracket.Workspace):
-        def __init__(self, n):
-            super().__init__(n)
-            workspaces.append(self)
+    def recorded(module):
+        class Recorded(solver.Workspace):
+            def __init__(self, n):
+                super().__init__(n)
+                workspaces[module.__name__.rsplit(".", 1)[1]].append(self)
+        monkeypatch.setattr(module, "Workspace", Recorded)
 
-    monkeypatch.setattr(bracket, "Workspace", Recorded)
+    recorded(bracket)
+    recorded(solver)
     g = Grid(n_interior=64)
     spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
                                time_grid=TimeGrid(T=0.2, n_steps=400),
@@ -535,8 +536,9 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     buf = results[0].extremal_start.values.base
     assert buf.nbytes == 2 * one_array
     assert all(r.final.values.base is buf for r in results)
-    (work,) = workspaces
-    buffers = sum(array.nbytes for array in work.arrays.values())
+    (wave_work,), (march_work,) = workspaces["bracket"], workspaces["solver"]
+    buffers = sum(array.nbytes for work in (wave_work, march_work)
+                  for array in work.arrays.values())
     retained = after - before - buffers  # the iterates and extremals, which the results view
     assert retained >= 2 * one_array
     # after holds the buffers too: the peak above it is the rest of the
@@ -893,6 +895,36 @@ def test_a_twin_that_never_splits_leaves_its_iterate_row_untouched():
         assert np.array_equal(buf[tracking, 0], u0)
         assert not buf[tracking, 1:].any()
         assert buf[own, 1:].any()
+
+
+def test_a_twin_does_not_split_on_other_members_rows(monkeypatch):
+    # the flipped jump side is a twin of the configured drift, and no
+    # iterate of theirs hits s0.  A tanh drift of another C_B sweeps from
+    # extremals of its own, and the flipped drift's values differ from its
+    # own on every row it writes: rows of no owner of the twin's, so the
+    # twin never splits
+    def unused(wave, o, t):
+        raise AssertionError(f"twin {t} split from {o}")
+
+    monkeypatch.setattr(bracket._Wave, "_clone", unused)
+    spec, u0, (heaviside, flipped), M = plap_p3_dual_jump()
+    drifts = (heaviside, flipped, DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5))
+    kwargs = dict(tol_fixed=1e-6, max_outer=100)
+    pairs = bracket_study(spec, u0, 12345, range(M), drifts, **kwargs)
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    for pair, drift in zip(pairs, drifts):
+        (alone,) = bracket_study(spec, u0, 12345, range(M), (drift,), **kwargs)
+        for ours, theirs in ((pair.minimal, alone.minimal), (pair.maximal, alone.maximal)):
+            for a, b in ((ours.extremal_start.values, theirs.extremal_start.values),
+                         (ours.final.values, theirs.final.values),
+                         (ours.residual_history, theirs.residual_history),
+                         (ours.monotonicity_violations, theirs.monotonicity_violations),
+                         (ours.containment_violations, theirs.containment_violations)):
+                assert np.array_equal(bits(a), bits(b))
+            assert ours.sweep_starts == theirs.sweep_starts
 
 
 def test_drifts_of_different_kinds_with_equal_C_B_split_at_the_first_extremal_row(

@@ -282,6 +282,21 @@ def test_cli_ode_blow_up_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    "spatial.p = 3\ndrift.kind = heaviside\ndrift.C_B = 1e200\nu0.kind = sine\n",
+    "spatial.p = 2.5\nu0.kind = constant\nu0.amplitude = 1e200\n",
+], ids=["forcing", "datum"])
+def test_cli_right_hand_side_norm_overflow_exits_3(tmp_path, capsys, overrides):
+    # an extremal forcing of 1e200, or a datum of 1e200, overflows the
+    # norm of the first step's right-hand side: no step is accepted
+    doc = tmp_path / "overflow.cfg"
+    doc.write_text("scenario = custom\ngrid.n = 8\ntime.T = 0.01\n" + overrides)
+    with np.errstate(over="ignore"):
+        assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
+    assert ("solver failure: right-hand side norm overflows (step 0)"
+            in capsys.readouterr().err)
+
+
 def test_cli_batched_newton_divergence_exits_3(tmp_path, capsys):
     # p = 3 needs two Newton iterations per step: a cap of one fails the
     # comparison's path batch at its first step, with no comparison written

@@ -23,7 +23,7 @@ from spdeorder import (
     sup_h_distance,
 )
 from spdeorder import comparison, solver
-from spdeorder.bracket import extremal_forcing
+from spdeorder.bracket import apply_S, bracket_study, build_extremal, extremal_forcing
 from spdeorder.cli import main
 from spdeorder.core import h_norm_values
 from spdeorder.noise import NoisePath, sample_noise_path
@@ -235,16 +235,25 @@ def test_guard_warnings():
     )
     path = sample_noise_path(3, 0, 1, spec.time_grid)
     u0 = np.zeros(4)
-    # each warning points at the caller, this function: one frame deeper
-    # would be pytest's
-    with pytest.warns(UserWarning) as solve_record:
-        solve_frozen(spec, u0, None, path)
-    with pytest.warns(UserWarning) as study_record:
-        comparison.comparison_study(spec, u0, u0, 2, 3)
-    for record in (solve_record, study_record):
+    u_tilde = Trajectory(spec.grid, spec.time_grid, np.zeros((1, 6, 4)))
+    # each entry point and the marches it makes
+    calls = [
+        (lambda: solve_frozen(spec, u0, None, path), 1),
+        (lambda: comparison.comparison_study(spec, u0, u0, 2, 3), 1),
+        (lambda: bracket_study(spec, u0, 3), 1),
+        (lambda: build_extremal(spec, u0, "min", path), 1),
+        (lambda: apply_S(spec, u_tilde, path), 1),
+        (lambda: comparison.run_coupled(spec, u0, u0, path), 2),
+    ]
+    for call, marches in calls:
+        with pytest.warns(UserWarning) as record:
+            call()
         assert [str(w.message).split(" =")[0] for w in record] == [
-            "dt*C_F", "per-step noise multiplier std C_G*sqrt(dt)"]
-        assert [w.filename for w in record] == [__file__] * 2
+            "dt*C_F", "per-step noise multiplier std C_G*sqrt(dt)"] * marches
+        # each warning points at the caller, the line of the call: one frame
+        # deeper would be this loop's
+        assert {(w.filename, w.lineno) for w in record} == {
+            (__file__, call.__code__.co_firstlineno)}
 
 
 def test_trajectory_csv_layout(tmp_path):
@@ -794,6 +803,20 @@ def test_linear_step_rejects_a_nan_noise_increment():
         solve_frozen(spec, _noisy_u0(spec), constant_forcing(0.5), paths,
                      NewtonParams(max_iter=5))
     assert exc.value.step_index == 4
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_a_right_hand_side_whose_norm_overflows_is_never_accepted(p):
+    # the H norm of a state of 1e200 overflows to inf, and the limit
+    # tol * max(1, inf) would pass every residual, inf included: the step
+    # raises before its first solve, at p = 2 by the direct solve too,
+    # even where only one path of the batch overflows
+    spec = heat_spec(n=8, T=0.01, n_steps=5, p=p)
+    u0 = np.stack((np.full(8, 1e200), np.ones(8)))
+    with np.errstate(over="ignore"), pytest.raises(
+            NewtonDivergenceError, match="right-hand side norm overflows") as exc:
+        march(spec, u0, None, np.zeros((5, 2)), lambda n, u: None)
+    assert exc.value.step_index == 0
 
 
 def test_cli_nan_noise_increment_at_p2_exits_3(tmp_path, monkeypatch, capsys):
