@@ -214,8 +214,8 @@ class _Wave:
     its bounds), which a pass advances by one; each sweep lane's sign,
     -1.0 on the min side; the lanes whose successor has not started,
     whose new rows the store checks for a changed drift value; and each
-    sweep lane's defects so far.  have and defects are synced from the plan at each event,
-    before it is handled.
+    sweep lane's defects so far.  have and defects are synced from the
+    plan at each event, before it is handled.
 
     Members that share an extremal slot march as one while they can.  The
     first is the slot's owner, each other a twin.  S reads its argument
@@ -230,9 +230,9 @@ class _Wave:
     slot's owner) an event splits the twin: it takes a copy of its
     owner's row of current and excess, per-level arrays and histories,
     runs the pass's level-start check on its drift's values and marches
-    from there as a member of its own.  A twin that
-    never splits takes its owner's final and histories.  A study without
-    twins makes none of these checks.
+    from there as a member of its own.  A twin that never splits takes
+    its owner's final and histories.  A study without twins makes none of
+    these checks.
 
     Each lane's step gets the state, forcing and noise weight of its
     sweep alone, and each row's defects are reduced on their own: sums of
@@ -361,8 +361,9 @@ class _Wave:
         # extremal lane's being its slot's owner: a twin splits where its
         # drift and its owner's differ on a lane of its owner
         twins = np.flatnonzero(self.source != np.arange(len(self.source)))
-        self.check, self.todo_at = (slice(None), self.todo) if len(twins) else (self.todo,
-                                                                                slice(None))
+        self.check, self.todo_at = self.todo, slice(None)
+        if len(twins):
+            self.check, self.todo_at = slice(None), self.todo
         self.twin_drifts = [(self.kinds[g], twins[self.group[twins] == g])
                             for g in dict.fromkeys(self.group[twins].tolist())]
         self.lane_member = self.member[lanes]
@@ -438,8 +439,8 @@ class _Wave:
     def _event(self, started, split: list) -> None:
         """Sync have and defects from the plan after a pass, split the
         twins it found (each with its drift's values on the pass's new
-        rows), start and complete the levels it found, and
-        rebuild the plan."""
+        rows), start and complete the levels it found, and rebuild the
+        plan."""
         m, k, L = self.m, self.k, len(self.k)
         steps = self.steps[:L]  # the step each sweep lane took
         self.have[m, k] = steps + 1

@@ -506,17 +506,17 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     # below the 2M rows of one more.  The wave's Workspace and the march's,
     # about 149 KB together here, are kept alive and counted apart, so a
     # role more or less does not move the bound on the rest
-    workspaces = {"bracket": [], "solver": []}
+    made = {bracket: [], solver: []}  # the Workspaces each module makes
 
     def recorded(module):
         class Recorded(solver.Workspace):
             def __init__(self, n):
                 super().__init__(n)
-                workspaces[module.__name__.rsplit(".", 1)[1]].append(self)
-        monkeypatch.setattr(module, "Workspace", Recorded)
+                made[module].append(self)
+        return Recorded
 
-    recorded(bracket)
-    recorded(solver)
+    for module in made:
+        monkeypatch.setattr(module, "Workspace", recorded(module))
     g = Grid(n_interior=64)
     spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
                                time_grid=TimeGrid(T=0.2, n_steps=400),
@@ -536,7 +536,7 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     buf = results[0].extremal_start.values.base
     assert buf.nbytes == 2 * one_array
     assert all(r.final.values.base is buf for r in results)
-    (wave_work,), (march_work,) = workspaces["bracket"], workspaces["solver"]
+    (wave_work,), (march_work,) = made[bracket], made[solver]
     buffers = sum(array.nbytes for work in (wave_work, march_work)
                   for array in work.arrays.values())
     retained = after - before - buffers  # the iterates and extremals, which the results view
