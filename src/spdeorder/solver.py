@@ -224,7 +224,8 @@ class Workspace:
 
 # the roles of implicit_step's temporaries: those of a step's whole batch,
 # those of the Newton update of the paths not yet converged, and those of
-# their subset when it is not the whole batch
+# their subset when it is not the whole batch, which a nonlinear step's
+# predictor takes first
 _STEP_ROLES = ("v", "rhs", "res", "grad")
 _NEWTON_ROLES = ("dv", "v_try")
 _SUBSET_ROLES = ("v_sub", "rhs_sub", "res_try", "grad_try")
@@ -261,8 +262,10 @@ def implicit_step(
 
     Damped Newton runs on the paths that have not converged yet, each with
     its own line-search damping, so every path takes the iterates it would
-    take alone.  It starts from u_n, or, given the linear_factor of a linear
-    operator, from the direct solution, which usually needs no iteration.
+    take alone.  Given the linear_factor of a linear operator it starts
+    from the direct solution, which usually needs no iteration; else each
+    path starts from u_n or from the predictor u_n - r(u_n), whichever
+    has the strictly smaller residual.
     A path is converged when its residual is at most newton.tol times
     max(1, ||rhs||_H); a right-hand side whose norm overflows raises
     NewtonDivergenceError before the first solve.  The report counts the
@@ -320,8 +323,10 @@ def implicit_step(
         res -= target
         return h_norm_values(res[interior], dx)
 
-    # an infinite limit would pass every residual, inf included
-    limit = newton.tol * np.maximum(1.0, h_norm_values(rhs[interior], dx))
+    # an infinite limit would pass every residual, inf included: its
+    # overflow raises NewtonDivergenceError, not a floating-point warning
+    with np.errstate(over="ignore"):
+        limit = newton.tol * np.maximum(1.0, h_norm_values(rhs[interior], dx))
     if np.isinf(limit).any():
         raise NewtonDivergenceError("right-hand side norm overflows")
     if factor is not None:
@@ -330,6 +335,25 @@ def implicit_step(
         v[...] = rhs
         dpttrs(*factor, v.T, overwrite_b=1)
     rnorm = evaluate(v, rhs, D, res)
+    subset = _SUBSET_ROLES
+    if factor is None:
+        # the predictor u_n - r(u_n) = rhs - dt A(u_n) takes the step's
+        # forcing, reaction and noise exactly and lags only A.  A path starts
+        # from it where its residual is strictly below u_n's (a NaN one never
+        # is), so each start depends on its own path's u_n and rhs alone.
+        # When every path does, its arrays become the iterate's, with no
+        # copy, and the iterate's the subset's
+        v_p, _, res_p, D_p = work.views(L, subset)
+        np.subtract(v, res, out=v_p)
+        rnorm_p = evaluate(v_p, rhs, D_p, res_p)
+        taken = rnorm_p < rnorm
+        if taken.all():
+            v, res, D, rnorm = v_p, res_p, D_p, rnorm_p
+            subset = ("v", "rhs_sub", "res", "grad")
+        elif taken.any():
+            for a, a_p in ((v, v_p), (res, res_p), (D, D_p)):
+                np.copyto(a, a_p, where=taken[:, None])
+            rnorm = np.where(taken, rnorm_p, rnorm)
     iters = 0
     # a NaN residual compares false with everything: never accept it
     while (sel := _failing(rnorm <= limit)) is not None:
@@ -341,11 +365,12 @@ def implicit_step(
         dv, v_try = work.views(L if sel is Ellipsis else len(sel), _NEWTON_ROLES)
         # the whole batch's trial overwrites its gradients and residual,
         # which nothing reads once the bands and dv are taken; a subset
-        # gathers into arrays of its own.  The trial's arrays are free until
-        # the solve: its gradients hold the subset's until then, its
-        # residual the off-diagonal band and its iterate the diagonal
+        # gathers into the leading rows of arrays of the whole batch's size.
+        # The trial's arrays are free until the solve: its gradients hold the
+        # subset's until then, its residual the off-diagonal band and its
+        # iterate the diagonal
         v_s, rhs_s, res_try, D_try = ((None, None, res, D) if sel is Ellipsis
-                                      else work.views(len(sel), _SUBSET_ROLES))
+                                      else [a[:len(sel)] for a in work.views(L, subset)])
         v_a, rhs_a, D_a = _rows(v, sel, v_s), _rows(rhs, sel, rhs_s), _rows(D, sel, D_try)
         rnorm_a = rnorm[sel]
         np.negative(_rows(res, sel, dv), out=dv)

@@ -830,11 +830,30 @@ REFERENCE_SCHEDULES = {
     "tol_between_sweeps": (64, 950),
 }
 
+# the Newton lane-iterations (the rows of every Newton solve) of each
+# reference study, 0 where every step is a direct solve (p = 2) or
+# explicit (ode).  A lane starts Newton from the predictor where its
+# residual is the smaller; the passes and lane-steps above do not depend
+# on the start
+REFERENCE_NEWTON_ROWS = {
+    "heaviside_batch": 2081,
+    "lipschitz_tanh": 2050,
+    "max_outer_1": 1288,
+    "max_outer_2": 1841,
+    "one_step": 39,
+    "plap_dual_s0": 0,
+    "plap_p3_dual_jump": 592,
+    "sqrt_plus_ode": 0,
+    "sqrt_plus_pde_from_zero": 3734,
+    "tol_between_sweeps": 2024,
+}
+
 
 def _counted(monkeypatch):
-    """Count the passes and lane-steps (extremal lanes included) of every
-    study's march from here on."""
-    schedule = bracket._Wave.passes
+    """Count the passes, lane-steps (extremal lanes included) and Newton
+    lane-iterations (the rows of every Newton solve) of every study's march
+    from here on."""
+    schedule, solve = bracket._Wave.passes, solver.solve_banded
     counts = Counter()
 
     def passes(wave):
@@ -843,7 +862,12 @@ def _counted(monkeypatch):
             counts["lane-steps"] += len(n[0])
             yield n, u
 
+    def solve_banded(off, diag, rhs):
+        counts["lane-iterations"] += len(rhs)
+        return solve(off, diag, rhs)
+
     monkeypatch.setattr(bracket._Wave, "passes", passes)
+    monkeypatch.setattr(solver, "solve_banded", solve_banded)
     return counts
 
 
@@ -859,6 +883,7 @@ def test_each_reference_study_keeps_its_schedule(monkeypatch, case):
     bracket_study(spec, u0, 12345, range(M), drifts,
                   **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
     assert (counts["passes"], counts["lane-steps"]) == REFERENCE_SCHEDULES[case]
+    assert counts["lane-iterations"] == REFERENCE_NEWTON_ROWS[case]
 
 
 def test_a_twin_that_never_splits_steps_no_lane(monkeypatch):

@@ -288,11 +288,12 @@ def test_cli_ode_blow_up_exits_3(tmp_path, capsys):
 ], ids=["forcing", "datum"])
 def test_cli_right_hand_side_norm_overflow_exits_3(tmp_path, capsys, overrides):
     # an extremal forcing of 1e200, or a datum of 1e200, overflows the
-    # norm of the first step's right-hand side: no step is accepted
+    # norm of the first step's right-hand side: no step is accepted, and
+    # the overflow is a solver failure, not a floating-point warning, which
+    # RuntimeWarning-as-error would raise as a traceback with exit 1
     doc = tmp_path / "overflow.cfg"
     doc.write_text("scenario = custom\ngrid.n = 8\ntime.T = 0.01\n" + overrides)
-    with np.errstate(over="ignore"):
-        assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
     assert ("solver failure: right-hand side norm overflows (step 0)"
             in capsys.readouterr().err)
 
@@ -510,12 +511,15 @@ _DUAL_P3 = ("scenario = plap_bracket\ngrid.n = 16\nspatial.p = 3\ntime.T = 0.05\
     # flipped minimal solution onto the maximal one
     (_DUAL_P3 + "drift.s0 = 0\nu0.kind = zero\n",
      {"min_jump_upper": "max", "max_jump_upper": "max"}),
+    # the same at p = 2 and n = 64, CI's dual_s0 config
+    ("scenario = plap_bracket\nrun.dual_jump_side = true\ndrift.s0 = 0\nu0.kind = zero\n"
+     "time.T = 0.05\n", {"min_jump_upper": "max", "max_jump_upper": "max"}),
     # by t = 0.02 the bracket has not opened: all four finals are one
     (_DUAL_P3.replace("time.T = 0.05", "time.T = 0.02"),
      {"max": "min", "min_jump_upper": "min", "max_jump_upper": "min"}),
     ("scenario = custom\ngrid.n = 16\ntime.T = 0.05\nspatial.p = 3\n"
      "drift.kind = heaviside\nnoise.K = 2\nu0.kind = sine\nrun.M = 2\n", {}),
-], ids=["dual_jump", "dual_jump_s0_zero", "dual_jump_closed", "custom"])
+], ids=["dual_jump", "dual_jump_s0_zero", "dual_s0", "dual_jump_closed", "custom"])
 def test_a_bracket_run_formats_each_distinct_final_once(tmp_path, monkeypatch, doc, copies):
     formatted, studies = [], []
     to_csv, study = Trajectory.to_csv, scenarios.bracket_study
@@ -533,6 +537,11 @@ def test_a_bracket_run_formats_each_distinct_final_once(tmp_path, monkeypatch, d
     cfg, out = tmp_path / "bracket.cfg", tmp_path / "out"
     cfg.write_text(doc)
     assert main(["run", str(cfg), "--out", str(out)]) == 0
+    # where both sides' drift values agree their last steps solve
+    # bit-identical systems from bit-identical Newton starts: the minimal
+    # solution lies below the maximal one exactly
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert {"cross_order_violation = 0.0", "gate.min_below_max = pass"} <= set(summary)
 
     (pairs,) = studies
     suffixes = ("", "_jump_upper") if "dual_jump_side" in doc else ("",)

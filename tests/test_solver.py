@@ -589,8 +589,9 @@ def test_a_pass_index_names_the_same_rows_in_a_default_and_a_wave_march(p):
 def test_traced_identities_of_a_batched_march(monkeypatch, start):
     # the identities a traced benchmark run checks: one Jacobian and one
     # linear solve per Newton iteration, and one residual evaluation per
-    # step, Newton iteration and line-search halving.  Every residual and
-    # Jacobian reuses gradients the solver took once per iterate.
+    # Newton iteration and line-search halving, and two per step, at u_n and
+    # at the predictor of p != 2.  Every residual and Jacobian reuses
+    # gradients the solver took once per iterate.
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -621,13 +622,14 @@ def test_traced_identities_of_a_batched_march(monkeypatch, start):
     steps = counts["implicit_step"]
     assert steps == N - start and iters > 0
     assert counts["solve_banded"] == counts["jacobian_bands"] == iters
-    # h_norm_values runs twice per step (residual and rhs), and once per
-    # Newton iteration and halving
-    halvings = counts["h_norm_values"] - 2 * steps - iters
+    # h_norm_values runs three times per step (rhs and the residuals at u_n
+    # and at the predictor), and once per Newton iteration and halving
+    halvings = counts["h_norm_values"] - 3 * steps - iters
     assert halvings > 0
-    assert counts["apply_A_values"] == steps + iters + halvings
-    # gradients: one per step's start, then one per tried iterate
-    assert counts["interface_gradients"] == steps + iters + halvings
+    assert counts["apply_A_values"] == 2 * steps + iters + halvings
+    # gradients: two per step, at u_n and at the predictor, then one per
+    # tried iterate
+    assert counts["interface_gradients"] == 2 * steps + iters + halvings
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -750,6 +752,54 @@ def test_implicit_step_batch_members_converge_independently():
     assert np.signbit(alone[5][0]).all()  # the -0.0 lane stays -0.0
 
 
+def test_a_nonlinear_step_starts_no_path_above_its_residual_at_u_n(monkeypatch):
+    # a path starts Newton from the predictor u_n - r(u_n) only where its
+    # residual is strictly below the residual r(u_n) at u_n: the small
+    # lane 0 takes it; the rough lanes 1 and 3, where it overshoots, keep
+    # u_n, and so does lane 2, lane 0's twin, whose predictor residual is
+    # made NaN here.  The lane of 0.0 has residual 0.0 and is converged
+    g = Grid(n_interior=16)
+    spec = heat_spec(n=16, T=0.5, n_steps=5, p=4.0)
+    dt = spec.time_grid.dt
+    small = 0.01 * np.sin(2.0 * np.pi * g.x)
+    u_n = np.stack([small, np.sin(np.pi * g.x), small,
+                    20.0 * np.random.default_rng(3).standard_normal(16), np.zeros(16)])
+
+    def residual(v):  # in implicit_step's order of operations, with rhs = u_n
+        return dt * apply_A_values(spec.spatial, ghost_padded(v), g)[:, :-1] + v - u_n
+
+    r_n = residual(u_n)
+    predictor = u_n - r_n
+    evaluations, starts = [], []
+
+    def nan_predictor(*args, **kwargs):
+        out = apply_A_values(*args, **kwargs)
+        evaluations.append(len(out))
+        if len(evaluations) == 2:  # the predictor's residual
+            out[2] = np.nan
+        return out
+
+    def jacobian(spatial, v, *args, **kwargs):
+        starts.append(v[:, :-1].copy())
+        return jacobian_bands(spatial, v, *args, **kwargs)
+
+    jacobian_bands = solver.jacobian_bands
+    monkeypatch.setattr(solver, "apply_A_values", nan_predictor)
+    monkeypatch.setattr(solver, "jacobian_bands", jacobian)
+    v, report = implicit_step(spec, u_n, None, np.zeros(5))
+    assert evaluations[:2] == [5, 5] and report.iterations > 0
+    start = starts[0]  # the lanes not converged at their start, in order
+    assert len(start) == 4
+    norm_n = h_norm_values(r_n, g.dx)
+    norm_start = h_norm_values(residual(np.vstack([start, u_n[4:]])), g.dx)
+    assert np.all(norm_start <= norm_n)
+    assert np.array_equal(start[0], predictor[0]) and norm_start[0] < norm_n[0]
+    assert h_norm_values(residual(predictor), g.dx)[2] < norm_n[2]  # had it been finite
+    for b in (1, 2, 3):
+        assert np.array_equal(start[b], u_n[b])
+    assert norm_n[4] == 0.0 and np.array_equal(_bits(v[4]), _bits(u_n[4]))
+
+
 def test_batch_divergence_raises_with_step_index():
     # every member converges within max_iter until member 2 is kicked at
     # step 5; then the whole batch fails there and returns nothing
@@ -813,8 +863,7 @@ def test_a_right_hand_side_whose_norm_overflows_is_never_accepted(p):
     # even where only one path of the batch overflows
     spec = heat_spec(n=8, T=0.01, n_steps=5, p=p)
     u0 = np.stack((np.full(8, 1e200), np.ones(8)))
-    with np.errstate(over="ignore"), pytest.raises(
-            NewtonDivergenceError, match="right-hand side norm overflows") as exc:
+    with pytest.raises(NewtonDivergenceError, match="right-hand side norm overflows") as exc:
         march(spec, u0, None, np.zeros((5, 2)), lambda n, u: None)
     assert exc.value.step_index == 0
 
