@@ -224,8 +224,8 @@ class Workspace:
 
 # the roles of implicit_step's temporaries: those of a step's whole batch,
 # those of the Newton update of the paths not yet converged, and those of
-# their subset when it is not the whole batch, which a nonlinear step's
-# predictor takes first
+# their subset when it is not the whole batch, which hold u_n first, and
+# on a nonlinear step its residual and gradients
 _STEP_ROLES = ("v", "rhs", "res", "grad")
 _NEWTON_ROLES = ("dv", "v_try")
 _SUBSET_ROLES = ("v_sub", "rhs_sub", "res_try", "grad_try")
@@ -286,22 +286,25 @@ def implicit_step(
     work = Workspace(spec.grid.n_interior) if work is None else work
     L = len(u_n)
     v, rhs, res, D = work.views(L, _STEP_ROLES)
-    v[:, :-1] = u_n
-    v[:, -1] = 0.0
+    # u_n, ghost-padded, in the subset's iterate: a nonlinear step's
+    # predictor takes the step's own
+    u, = work.views(L, _SUBSET_ROLES[:1])
+    u[:, :-1] = u_n
+    u[:, -1] = 0.0
     # rhs = u_n + dt f(u_n) + dt h_n + noise, added in that order (a + b
-    # is b + a bit for bit), with v standing for u_n; res is free until the
+    # is b + a bit for bit), with u standing for u_n; res is free until the
     # first residual.  A step without forcing takes h_n = -0.0: adding
     # dt * -0.0 changes no bit.  The ghost is set before the scaling, whose
     # stale workspace memory could raise a floating-point warning; f and the
     # noise term need not vanish there: the ghost is reset at the end
-    np.multiply(dt, eval_f_values(spec.reaction, v), out=res)
-    res += v
+    np.multiply(dt, eval_f_values(spec.reaction, u), out=res)
+    res += u
     rhs[:, :-1] = -0.0 if h_n is None else h_n
     rhs[:, -1] = 0.0
     rhs *= dt
     rhs += res
     if spec.noise.K > 0:
-        rhs += noise_term_values(spec.noise, v, w_n)
+        rhs += noise_term_values(spec.noise, u, w_n)
     rhs[:, -1] = 0.0
     interior = np.s_[:, :-1]  # each row without its ghost, for the norms
 
@@ -334,26 +337,26 @@ def implicit_step(
         # solves in place, one padded row per column
         v[...] = rhs
         dpttrs(*factor, v.T, overwrite_b=1)
-    rnorm = evaluate(v, rhs, D, res)
-    subset = _SUBSET_ROLES
-    if factor is None:
+        rnorm = evaluate(v, rhs, D, res)
+    else:
         # the predictor u_n - r(u_n) = rhs - dt A(u_n) takes the step's
-        # forcing, reaction and noise exactly and lags only A.  A path starts
-        # from it where its residual is strictly below u_n's (a NaN one never
-        # is), so each start depends on its own path's u_n and rhs alone.
-        # When every path does, its arrays become the iterate's, with no
-        # copy, and the iterate's the subset's
-        v_p, _, res_p, D_p = work.views(L, subset)
-        np.subtract(v, res, out=v_p)
-        rnorm_p = evaluate(v_p, rhs, D_p, res_p)
-        taken = rnorm_p < rnorm
-        if taken.all():
-            v, res, D, rnorm = v_p, res_p, D_p, rnorm_p
-            subset = ("v", "rhs_sub", "res", "grad")
-        elif taken.any():
-            for a, a_p in ((v, v_p), (res, res_p), (D, D_p)):
-                np.copyto(a, a_p, where=taken[:, None])
-            rnorm = np.where(taken, rnorm_p, rnorm)
+        # forcing, reaction and noise exactly and lags only A.  A path keeps
+        # u_n, whose residual and gradients the subset's arrays hold, unless
+        # the predictor's residual is strictly below u_n's (a NaN or an inf
+        # one never is), so each start depends on its own path's u_n and
+        # rhs alone, and a step whose paths all take the predictor copies
+        # nothing.  An explicit step overshoots: a predictor whose flux or
+        # norm overflows is dropped, not a floating-point warning
+        _, _, res_u, D_u = work.views(L, _SUBSET_ROLES)
+        rnorm_u = evaluate(u, rhs, D_u, res_u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(u, res_u, out=v)
+            rnorm = evaluate(v, rhs, D, res)
+        kept = ~(rnorm < rnorm_u)
+        if kept.any():
+            for a, a_u in ((v, u), (res, res_u), (D, D_u)):
+                np.copyto(a, a_u, where=kept[:, None])
+            rnorm = np.where(kept, rnorm_u, rnorm)
     iters = 0
     # a NaN residual compares false with everything: never accept it
     while (sel := _failing(rnorm <= limit)) is not None:
@@ -365,12 +368,11 @@ def implicit_step(
         dv, v_try = work.views(L if sel is Ellipsis else len(sel), _NEWTON_ROLES)
         # the whole batch's trial overwrites its gradients and residual,
         # which nothing reads once the bands and dv are taken; a subset
-        # gathers into the leading rows of arrays of the whole batch's size.
-        # The trial's arrays are free until the solve: its gradients hold the
-        # subset's until then, its residual the off-diagonal band and its
-        # iterate the diagonal
+        # gathers into arrays of its own.  The trial's arrays are free until
+        # the solve: its gradients hold the subset's until then, its
+        # residual the off-diagonal band and its iterate the diagonal
         v_s, rhs_s, res_try, D_try = ((None, None, res, D) if sel is Ellipsis
-                                      else [a[:len(sel)] for a in work.views(L, subset)])
+                                      else work.views(len(sel), _SUBSET_ROLES))
         v_a, rhs_a, D_a = _rows(v, sel, v_s), _rows(rhs, sel, rhs_s), _rows(D, sel, D_try)
         rnorm_a = rnorm[sel]
         np.negative(_rows(res, sel, dv), out=dv)

@@ -298,6 +298,21 @@ def test_cli_right_hand_side_norm_overflow_exits_3(tmp_path, capsys, overrides):
             in capsys.readouterr().err)
 
 
+def test_cli_a_predictor_whose_flux_overflows_exits_as_without_it(tmp_path, capsys):
+    # a sine datum of 1e35 at p = 4: the flux at u_n is about 1e103, and the
+    # explicit predictor overshoots it past the largest double.  It is never
+    # taken, and its overflow is no floating-point warning, which
+    # RuntimeWarning-as-error would raise as a traceback with exit 1: damped
+    # Newton from u_n runs out of iterations at the first step
+    doc = tmp_path / "overshoot.cfg"
+    doc.write_text("scenario = custom\ngrid.n = 8\ntime.T = 0.01\nspatial.p = 4\n"
+                   "u0.kind = sine\nu0.amplitude = 1e35\n")
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: Newton residual" in err and "after 50 iterations (step 0)" in err
+    assert "Traceback" not in err
+
+
 def test_cli_batched_newton_divergence_exits_3(tmp_path, capsys):
     # p = 3 needs two Newton iterations per step: a cap of one fails the
     # comparison's path batch at its first step, with no comparison written

@@ -456,8 +456,9 @@ def test_a_warmed_pass_allocates_only_the_states_it_returns(monkeypatch):
     h_n, w_n = np.full((L, n), 0.5), np.zeros(L)
     work = solver.Workspace(n)
     # the warm step takes the measured step's rounds: count its residual
-    # norms, two per step (rhs and first residual) and one per Newton
-    # iteration and halving round, as the traced identities do
+    # norms, three per step (rhs, and the residuals at u_n and at the
+    # predictor) and one per Newton iteration and halving round, as the
+    # traced identities do
     norms = collections.Counter()
 
     def counted(values, dx):
@@ -467,7 +468,7 @@ def test_a_warmed_pass_allocates_only_the_states_it_returns(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(solver, "h_norm_values", counted)
         warm, warm_report = implicit_step(spec, u_n, h_n, w_n, work=work)
-    assert norms["h_norm_values"] - 2 - warm_report.iterations >= 10  # halving rounds
+    assert norms["h_norm_values"] - 3 - warm_report.iterations >= 10  # halving rounds
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
