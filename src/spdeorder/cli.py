@@ -17,6 +17,9 @@ from .config import ConfigError, SCENARIOS, load_config, resolve_config
 from .scenarios import list_scenarios, run_scenario
 from .solver import NewtonDivergenceError
 
+# the messages of numpy's ValueErrors for an array too large to address
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,6 +79,16 @@ def main(argv=None) -> int:
     except NewtonDivergenceError as err:
         sys.stderr.write(f"solver failure: {err}\n")
         return 3
+    except MemoryError as err:  # numpy's names the array's size and shape
+        sys.stderr.write(f"out of memory: {str(err) or 'the run does not fit in memory'}\n")
+        return 2
+    except ValueError as err:
+        # numpy's refusal of a shape past the address space, raised before
+        # any allocation (a step count such as time.T = 1e16)
+        if not str(err).startswith(_TOO_BIG):
+            raise
+        sys.stderr.write(f"out of memory: {err}\n")
+        return 2
     except OSError as err:  # an artifact path that is a directory, a full disk
         # a failed write to an open file names no path: name the directory
         sys.stderr.write(f"cannot write artifact {err.filename or args.out}: "

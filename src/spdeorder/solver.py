@@ -5,6 +5,8 @@ multiplicative noise explicitly at the left endpoint of each step.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import sys
 import warnings
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs, dptsv
+import scipy
 
 from .core import Grid, ODE, TimeGrid, h_norm_values
 from .noise import NoisePath
@@ -35,6 +37,42 @@ _NOISE_STD_GUARD = 0.2
 
 # the directory of the package's modules, whose frames a warning skips
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+# the LAPACK routines the solver calls: factor, solve with a factor, and
+# factor and solve in one call, of symmetric positive definite tridiagonal
+# systems
+_LAPACK_ROUTINES = ("dpttrf", "dpttrs", "dptsv")
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the extension module
+    scipy.linalg._flapack, loaded from its file without importing
+    scipy.linalg, whose import takes about half of this package's."""
+    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                          base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no extension module {base}.*")
+
+
+def _load_lapack() -> tuple:
+    """_LAPACK_ROUTINES from _load_flapack, or from scipy.linalg.lapack if
+    the file or a routine is missing or the load fails: the same compiled
+    routines either way, since scipy.linalg.lapack takes them from that
+    module."""
+    try:
+        module = _load_flapack()
+        return tuple(getattr(module, name) for name in _LAPACK_ROUTINES)
+    except (ImportError, AttributeError):  # scipy's private layout changed
+        from scipy.linalg import lapack
+        return tuple(getattr(lapack, name) for name in _LAPACK_ROUTINES)
+
+
+dpttrf, dpttrs, dptsv = _load_lapack()
 
 
 class NewtonDivergenceError(RuntimeError):

@@ -273,6 +273,49 @@ def test_cli_seed_beyond_64_bits_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+_NUMPY_MEMORY_ERROR = ("Unable to allocate 597. GiB for an array with shape "
+                       "(4000, 1001, 20000) and data type float64")
+
+
+@pytest.mark.parametrize("failure, line", [
+    (MemoryError(_NUMPY_MEMORY_ERROR), _NUMPY_MEMORY_ERROR),
+    (MemoryError(), "the run does not fit in memory"),
+    ((2**62, 4), "array is too big"),
+    ((2**63,), "Maximum allowed dimension exceeded"),
+], ids=["numpy", "bare", "too big", "dimension"])
+def test_cli_a_study_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys, failure, line):
+    # the bracket wave's (members, N + 1, n) state is the allocation that
+    # fails.  A MemoryError is patched in, since a real one would depend on
+    # the machine's overcommit setting; a shape past the address space
+    # makes numpy raise its ValueError before it allocates anything
+    zeros = np.zeros
+
+    def wave_zeros(shape, *args, **kwargs):
+        if np.ndim(shape) == 1 and len(shape) == 3:
+            if isinstance(failure, MemoryError):
+                raise failure
+            shape = failure
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", wave_zeros)
+    doc = tmp_path / "big.cfg"
+    doc.write_text("scenario = plap_bracket\ntime.T = 0.01\n")
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err  # one line, no traceback
+    assert err.startswith(f"out of memory: {line}") and err.count("\n") == 1
+
+
+def test_cli_another_value_error_is_not_taken_for_a_size(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("array is not too big")
+
+    monkeypatch.setattr(scenarios, "bracket_study", failing)
+    doc = tmp_path / "plap.cfg"
+    doc.write_text("scenario = plap_bracket\ntime.T = 0.01\n")
+    with pytest.raises(ValueError, match="not too big"):
+        main(["run", str(doc), "--out", str(tmp_path / "out")])
+
+
 def test_cli_ode_blow_up_exits_3(tmp_path, capsys):
     doc = tmp_path / "blowup.cfg"
     doc.write_text("scenario = ode_counterexample\nreaction.kind = linear\n"

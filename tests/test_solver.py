@@ -1,6 +1,11 @@
 import collections
 import dataclasses
+import importlib.machinery
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -704,6 +709,82 @@ def test_solve_banded_solves_each_block_as_alone():
     diag[2, 3] = 0.0
     with pytest.raises(NewtonDivergenceError, match="ptsv"):
         solve_banded(off, diag, rhs)
+
+
+def _lapack_solutions(routines):
+    # a random SPD tridiagonal system of 40 unknowns with a batch of 5
+    # right-hand sides, solved by ptsv and by pttrf then pttrs
+    dpttrf, dpttrs, dptsv = routines
+    rng = np.random.default_rng(5)
+    off = rng.uniform(-1.0, 1.0, 39)
+    diag = 2.0 + rng.uniform(0.0, 1.0, 40)  # diagonally dominant
+    rhs = rng.standard_normal((40, 5))
+    d, e, info = dpttrf(diag, off)
+    assert info == 0
+    factored, info = dpttrs(d, e, rhs)
+    assert info == 0
+    *_, solved, info = dptsv(diag, off, rhs)
+    assert info == 0
+    return _bits(np.stack([solved, factored]))
+
+
+@pytest.mark.parametrize("layout", ["missing file", "not an extension", "missing routine"])
+def test_the_lapack_loader_falls_back_to_scipy_linalg(tmp_path, monkeypatch, layout):
+    # the solver's routines come from scipy's _flapack file itself; where
+    # that file is missing, does not load or lacks a routine, the loader
+    # takes scipy.linalg.lapack's, which solve bit for bit the same
+    direct = (solver.dpttrf, solver.dpttrs, solver.dptsv)
+    assert all(getattr(solver._load_flapack(), name) is routine
+               for name, routine in zip(solver._LAPACK_ROUTINES, direct))
+    if layout == "missing routine":
+        module = types.SimpleNamespace(dpttrf=object(), dpttrs=object())
+        monkeypatch.setattr(solver, "_load_flapack", lambda: module)
+    else:
+        monkeypatch.setattr(solver, "scipy", types.SimpleNamespace(
+            __file__=str(tmp_path / "__init__.py")))
+        if layout == "not an extension":
+            (tmp_path / "linalg").mkdir()
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(b"not a library")
+        with pytest.raises(ImportError):
+            solver._load_flapack()
+    from scipy.linalg import lapack
+    fallback = solver._load_lapack()
+    assert fallback == tuple(getattr(lapack, name) for name in solver._LAPACK_ROUTINES)
+    assert np.array_equal(_lapack_solutions(fallback), _lapack_solutions(direct))
+
+
+def test_importing_the_command_line_leaves_scipy_linalg_unimported(tmp_path):
+    # in a fresh interpreter: neither the import nor a run imports
+    # scipy.linalg, and a later import of it gives the routines that solve
+    # bit for bit as the solver's
+    cfg = tmp_path / "plap.cfg"
+    cfg.write_text("scenario = plap_bracket\nspatial.p = 3\ntime.T = 0.01\n")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import spdeorder.cli\n"
+        "from spdeorder import solver\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        f"assert spdeorder.cli.main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg\n"
+        "rng = np.random.default_rng(3)\n"
+        "off, diag, rhs = -rng.uniform(0, 1, (3, 8)), 3 + rng.uniform(0, 1, (3, 8)), "
+        "rng.standard_normal((3, 8))\n"
+        "off[:, -1] = 0.0\n"
+        "mine = solver.solve_banded(off.copy(), diag.copy(), rhs.copy())\n"
+        "rhs[:, -1] = 0.0\n"
+        "*_, theirs, info = scipy.linalg.lapack.dptsv(diag.reshape(-1), off.reshape(-1)[:-1], "
+        "rhs.reshape(-1))\n"
+        "print(info == 0 and mine.reshape(-1).tobytes() == theirs.tobytes())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(solver.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_march_rejects_mismatched_inputs():
