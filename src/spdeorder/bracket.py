@@ -1,11 +1,16 @@
 """Extremal sub/supersolution brackets and the monotone fixed-point
 iteration.
 
-The bracket trajectories solve the auxiliary problems with the Lipschitz
-forcing -C_B(1+|u|) (lower) and +C_B(1+|u|) (upper), the bounds of the
-drift's growth condition |b(r)| <= C_B(1+|r|) at every state, so the
-lower one is a subsolution and the upper one a supersolution below
-u = -1 too.  The candidate map S
+The bracket trajectories solve the auxiliary problems with the forcing
+inf b (lower) and sup b (upper), the ends of the drift's range.  By the
+comparison principle of the frozen-drift problem alone, a step under
+inf b ends below the step from the same state under b(v) for any v, and a
+step under sup b above it, so the lower one is a subsolution and the upper
+one a supersolution of every sweep.  Where an end is infinite (the max side
+of sqrt_plus, the one unbounded built-in drift) the forcing is the growth
+bound +C_B(1+|u|) of its own state, or -C_B(1+|u|) on a min side, taken
+explicitly: where b touches that bound, the sweeps, which sample the drift
+at the right end of each step, can pass it by O(dt).  The candidate map S
 sends a trajectory to the solution of the frozen-drift problem with the
 drift evaluated along it; iterating S from a bracket produces a monotone
 sequence whose limit approximates the minimal or maximal solution.  The
@@ -19,13 +24,14 @@ and iterates are those of solving and sweeping it alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .noise import NoisePath, sample_noise_path
-from .operators import DriftSpec, eval_b_values
+from .operators import DRIFT_KINDS, DriftSpec, eval_b_values
 from .solver import (
     Forcing,
     NewtonLog,
@@ -41,19 +47,31 @@ MIN_SIDE = "min"
 MAX_SIDE = "max"
 
 
+def forcing_parameter(side: str, drift: DriftSpec) -> tuple[float, float]:
+    """What side's extremal forcing reads of drift: (end, C_B), the end of
+    the drift's range on that side, inf b on the min side and sup b on the
+    max side, and C_B where that end is infinite, else 0.0."""
+    end = DRIFT_KINDS[drift.kind].range(drift)[side == MAX_SIDE]
+    return end, 0.0 if math.isfinite(end) else drift.C_B
+
+
 def extremal_forcing(sides: Union[str, Sequence[str]],
-                     C_B: Union[float, Sequence[float]]) -> Forcing:
-    """State-dependent Lipschitz forcing -C_B(1+|u|) / +C_B(1+|u|): one
-    side and one C_B for the whole batch, or one of either per member."""
+                     drifts: Union[DriftSpec, Sequence[DriftSpec]]) -> Forcing:
+    """The bracket forcing of each member: the constant inf b on the min
+    side and sup b on the max side, or -C_B(1+|u|) / +C_B(1+|u|) of its
+    own state where that end of the drift's range is infinite; one side
+    and one drift for the whole batch, or one of either per member."""
     sides = np.asarray(sides)
     if not np.isin(sides, (MIN_SIDE, MAX_SIDE)).all():
         raise ValueError(f"side must be '{MIN_SIDE}' or '{MAX_SIDE}'")
-    coeff = np.where(sides == MAX_SIDE, 1.0, -1.0) * np.asarray(C_B, dtype=float)
-    if coeff.ndim:
-        coeff = coeff[:, None]
+    end, C_B = np.vectorize(forcing_parameter, otypes=(float, float))(
+        sides, np.asarray(drifts, dtype=object))
+    if end.ndim:
+        end, C_B = end[:, None], C_B[:, None]
+    growth, coeff = np.isinf(end), np.copysign(C_B, end)
 
     def forcing(n, u):
-        return coeff * (1.0 + np.abs(u))
+        return np.where(growth, coeff * (1.0 + np.abs(u)), end)
 
     return forcing
 
@@ -67,10 +85,12 @@ def build_extremal(
     drifts: Optional[Sequence[DriftSpec]] = None,
 ) -> Trajectory:
     """Solve the auxiliary bracket problems from u0 in one batch: one side
-    for every path, or one side per noise path.  The forcing reads only C_B
-    of the drift: spec.drift's, or that of each member's drift in drifts."""
-    C_B = spec.drift.C_B if drifts is None else [drift.C_B for drift in drifts]
-    return solve_frozen(spec, u0, extremal_forcing(sides, C_B), noise_paths, newton)
+    for every path, or one side per noise path.  The forcing is
+    extremal_forcing's under spec.drift, or under each member's drift in
+    drifts: it reads only the drift's range, and C_B where that is
+    unbounded on the member's side."""
+    drifts = spec.drift if drifts is None else list(drifts)
+    return solve_frozen(spec, u0, extremal_forcing(sides, drifts), noise_paths, newton)
 
 
 def apply_S(
@@ -175,8 +195,9 @@ class _Wave:
     and each distinct extremal is one lane, read by every member that
     shares it.  Each pass steps every lane that can step by one row, in
     one batch: the extremals step in every pass, from row 0 until they
-    hold row N, with the forcing -C_B(1+|u_n|) / +C_B(1+|u_n|) of their own
-    state.
+    hold row N, with extremal_forcing's forcing: inf b / sup b of their
+    drift's range, or -C_B(1+|u_n|) / +C_B(1+|u_n|) of their own state
+    where that end is infinite.
 
     buf holds each member's latest iterate in row m (current) and the
     extremals in the rows after them (ext).  All sweeps of a member share
@@ -249,9 +270,11 @@ class _Wave:
         # member m < P sweeps the min side of paths[m] under drifts[m],
         # member P + m the max side
         self.sides = (MIN_SIDE,) * P + (MAX_SIDE,) * P
-        # the extremal forcing reads only C_B of the drift: one extremal
-        # per distinct (noise path, side, C_B)
-        keys = [(id(paths[m % P]), side, drifts[m % P].C_B)
+        # the extremal forcing reads only its forcing parameter of the
+        # drift: one extremal per distinct (noise path, side, parameter),
+        # the parameter's bits, so that -0.0 and +0.0 do not share
+        keys = [(id(paths[m % P]), side,
+                 np.array(forcing_parameter(side, drifts[m % P])).tobytes())
                 for m, side in enumerate(self.sides)]
         slots = {}
         for key in keys:
@@ -283,7 +306,7 @@ class _Wave:
         self.kinds = list(dict.fromkeys(self.drifts))
         self.group = np.array([self.kinds.index(drift) for drift in self.drifts])
         self.ext_forcing = extremal_forcing([self.sides[m] for m in owners],
-                                            [self.drifts[m].C_B for m in owners])
+                                            [self.drifts[m] for m in owners])
         # the containment defect of each row of each member's latest
         # iterate, at its rows of buf_rows; row 0 is u0 in every iterate
         # and extremal
@@ -513,8 +536,11 @@ def iterate_bracket(
 
     Member m < P sweeps the min side of path m from its lower extremal,
     member P + m the max side from its upper one.  The extremal forcing
-    reads only C_B of the drift, so each distinct (noise path, side, C_B)
-    extremal is solved once, and members that share one read it.  The
+    reads only the forcing parameter of the drift (forcing_parameter: the
+    end of its range on that side, and C_B where that end is infinite), so
+    each distinct (noise path, side, forcing parameter) extremal is solved
+    once, and members that share one read it; the two jump sides of a
+    Heaviside drift share a range, so they share their extremals.  The
     first such member owns it; each other member, a twin, steps no lane
     while its drift gives the owner's bits on every row the owner writes,
     and splits off as a copy of its owner at the first row that differs

@@ -183,12 +183,15 @@ class Kind(NamedTuple):
 
     fn(spec, r) evaluates the nonlinearity on an array; params are the spec
     fields it reads, which are also its config keys; default(spec) is the
-    declared constant (C_B or C_F) that a spec built with None gets.
+    declared constant (C_B or C_F) that a spec built with None gets.  A
+    drift kind's range(spec) is (inf b, sup b) over the real line, each end
+    a float, infinite where b is unbounded on that side.
     """
 
     fn: Callable
     params: tuple
     default: Callable
+    range: Optional[Callable] = None
 
 
 def _zero(spec, r):
@@ -221,13 +224,17 @@ def _piecewise_linear(spec, r):
 
 
 DRIFT_KINDS = {
-    "zero": Kind(_zero, (), lambda s: 1.0),
-    "sqrt_plus": Kind(lambda s, r: np.sqrt(np.maximum(r, 0.0)), (), lambda s: 1.0),
+    "zero": Kind(_zero, (), lambda s: 1.0, lambda s: (0.0, 0.0)),
+    "sqrt_plus": Kind(lambda s, r: np.sqrt(np.maximum(r, 0.0)), (), lambda s: 1.0,
+                      lambda s: (0.0, np.inf)),
     "heaviside": Kind(_heaviside, ("s0", "low", "high", "jump_side"),
-                      lambda s: max(abs(s.low), abs(s.high), 1e-12)),
-    "lipschitz_tanh": Kind(_scaled_tanh, ("scale",), lambda s: _abs_or_tiny(s.scale)),
+                      lambda s: max(abs(s.low), abs(s.high), 1e-12),
+                      lambda s: (float(s.low), float(s.high))),
+    "lipschitz_tanh": Kind(_scaled_tanh, ("scale",), lambda s: _abs_or_tiny(s.scale),
+                           lambda s: (-abs(float(s.scale)), abs(float(s.scale)))),
     "piecewise_linear": Kind(_piecewise_linear, ("knots",),
-                             lambda s: max(abs(v) for _, v in s.knots) + 1.0),
+                             lambda s: max(abs(v) for _, v in s.knots) + 1.0,
+                             lambda s: (s.knots[0][1], s.knots[-1][1])),
 }
 
 REACTION_KINDS = {

@@ -39,6 +39,7 @@ from spdeorder import (
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE
 from spdeorder.cli import main
 from spdeorder.config import resolve_config
+from spdeorder.operators import DRIFT_KINDS
 from spdeorder.scenarios import build_newton, build_problem_spec, build_u0
 
 
@@ -70,22 +71,38 @@ def test_criterion_1_counterexample_regression():
 
 
 def test_criterion_2_extremal_bracket_closed_forms():
-    spec = ProblemSpec(
-        grid=Grid.ode(),
-        time_grid=TimeGrid(T=1.0, n_steps=10_000),  # dt = 1e-4
-        spatial=SpatialOpSpec(),
-        drift=DriftSpec("sqrt_plus"),
-        reaction=ReactionSpec(),
-        noise=NoiseSpec(),
-    )
+    # in ODE mode a bounded drift's brackets solve u' = inf b and u' = sup b:
+    # u0 + t inf b and u0 + t sup b, which the explicit step reproduces up
+    # to rounding.  sqrt_plus's min side is its minimal solution 0 exactly,
+    # and its unbounded max side u' = 1 + |u| from 0 gives e^t - 1
+    tg = TimeGrid(T=1.0, n_steps=10_000)  # dt = 1e-4
+    u0 = 0.75
+    errs = []
+    for drift in (DriftSpec("heaviside", low=-0.5, high=1.5),
+                  DriftSpec("lipschitz_tanh", scale=0.5),
+                  DriftSpec("piecewise_linear", knots=((0.0, -1.0), (1.0, 2.0))),
+                  DriftSpec("zero")):
+        spec = ProblemSpec(grid=Grid.ode(), time_grid=tg, spatial=SpatialOpSpec(),
+                           drift=drift, reaction=ReactionSpec(), noise=NoiseSpec())
+        inf_b, sup_b = DRIFT_KINDS[drift.kind].range(drift)
+        t = tg.times()
+        for side, rate in ((MIN_SIDE, inf_b), (MAX_SIDE, sup_b)):
+            ext = build_extremal(spec, [u0], side).values[0, :, 0]
+            errs.append(float(np.max(np.abs(ext - (u0 + t * rate)))))
+    err_const = max(errs)
+    spec = ProblemSpec(grid=Grid.ode(), time_grid=tg, spatial=SpatialOpSpec(),
+                       drift=DriftSpec("sqrt_plus"), reaction=ReactionSpec(), noise=NoiseSpec())
     upper = build_extremal(spec, [0.0], MAX_SIDE)
     lower = build_extremal(spec, [0.0], MIN_SIDE)
     err_up = abs(upper.values[0, -1, 0] - 1.71828)
-    # u' = -(1+|u|) from 0 stays negative: u' = u - 1, so u = 1 - e^t
-    err_lo = abs(lower.values[0, -1, 0] + 1.71828)
-    ok = err_up <= 2e-4 and err_lo <= 2e-4
-    _report("criterion 2: extremal brackets hit the exponential closed forms",
-            ok, f"upper err {err_up:.2e}, lower err {err_lo:.2e}")
+    # each step rounds once or twice, by at most half an ulp of a state
+    # below 4 (|u0| + T max|b| < 3): n_steps ulps bound the sum
+    ok = (err_const <= tg.n_steps * np.spacing(4.0) and err_up <= 2e-4
+          and np.all(lower.values == 0.0))
+    _report("criterion 2: extremal brackets hit the constant-source and exponential "
+            "closed forms", ok,
+            f"constant-source err {err_const:.2e}, upper err {err_up:.2e}, "
+            f"lower sup {float(np.max(np.abs(lower.values))):.2e}")
 
 
 def test_criterion_3_comparison_principle_desk_scale():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from spdeorder import bracket, solver
+from spdeorder import bracket, operators, solver
 from spdeorder import (
     DriftSpec,
     Grid,
@@ -31,7 +31,7 @@ from spdeorder import (
 from spdeorder.bracket import MAX_SIDE, MIN_SIDE, extremal_forcing
 from spdeorder.cli import main
 from spdeorder.config import ConfigError, resolve_config
-from spdeorder.operators import check_assumptions, eval_b_values
+from spdeorder.operators import DRIFT_KINDS, check_assumptions, eval_b_values
 from spdeorder.scenarios import _bracket_gates, build_newton, build_problem_spec, build_u0
 
 
@@ -52,36 +52,89 @@ ZERO = np.zeros(1)  # the ODE datum
 
 
 def test_extremal_forcing_values():
-    f_lo = extremal_forcing(MIN_SIDE, 2.0)
-    f_hi = extremal_forcing(MAX_SIDE, 2.0)
-    # -C_B(1+|u|) / +C_B(1+|u|): the growth bound at every state
+    # the ends of the drift's range, inf b / sup b, at every state; where an
+    # end is infinite, the growth bound -C_B(1+|u|) / +C_B(1+|u|)
     u = np.array([0.0, 1.0, -0.5, -2.0])
-    assert np.allclose(f_lo(0, u), [-2.0, -4.0, -3.0, -6.0])
-    assert np.allclose(f_hi(0, u), [2.0, 4.0, 3.0, 6.0])
+    heaviside = DriftSpec("heaviside", low=-0.5, high=1.5)
+    assert np.array_equal(extremal_forcing(MIN_SIDE, heaviside)(0, u), np.full(4, -0.5))
+    assert np.array_equal(extremal_forcing(MAX_SIDE, heaviside)(0, u), np.full(4, 1.5))
+    sqrt_plus = DriftSpec("sqrt_plus", C_B=2.0)
+    assert np.array_equal(extremal_forcing(MIN_SIDE, sqrt_plus)(0, u), np.zeros(4))
+    assert np.allclose(extremal_forcing(MAX_SIDE, sqrt_plus)(0, u), [2.0, 4.0, 3.0, 6.0])
     with pytest.raises(ValueError):
-        extremal_forcing("sideways", 1.0)
+        extremal_forcing("sideways", heaviside)
 
 
 def test_extremal_forcing_per_path_sides():
-    # one side and one C_B per member give each row the forcing of its
-    # side and its C_B, bit for bit
+    # one side and one drift per member give each row the forcing of its
+    # side and its drift, bit for bit: a constant end (-0.0 keeps its
+    # sign) next to the growth bound of an unbounded side
     u = np.array([[0.0, 1.0, -0.5], [0.25, 3.0, -1.5], [0.1, 0.2, 0.3]])
     sides = (MIN_SIDE, MAX_SIDE, MIN_SIDE)
-    batch = extremal_forcing(sides, 1.7)(0, u)
-    mixed = extremal_forcing(sides, [1.7, 0.3, 2.9])(0, u)
-    for row, side, C_B in zip(range(3), sides, (1.7, 0.3, 2.9)):
-        assert np.array_equal(batch[row], extremal_forcing(side, 1.7)(0, u[row]))
-        assert np.array_equal(mixed[row], extremal_forcing(side, C_B)(0, u[row]))
+    drifts = [DriftSpec("sqrt_plus", C_B=1.7), DriftSpec("sqrt_plus", C_B=0.5),
+              DriftSpec("heaviside", low=-0.0, high=2.9)]
+    batch = extremal_forcing(sides, drifts[1])(0, u)
+    mixed = extremal_forcing(sides, drifts)(0, u)
+    for row, side, drift in zip(range(3), sides, drifts):
+        assert np.array_equal(batch[row], extremal_forcing(side, drifts[1])(0, u[row]))
+        assert np.array_equal(mixed[row], extremal_forcing(side, drift)(0, u[row]))
+    assert np.array_equal(mixed[1], 0.5 * (1.0 + np.abs(u[1])))
+    assert np.signbit(mixed[2]).all() and not mixed[2].any()
 
 
-def test_extremal_odes_match_exponential_solutions():
-    # u' = -(1+|u|) from 0 gives 1 - e^t; u' = +(1+|u|) gives e^t - 1
+def test_extremal_odes_match_exponential_solutions(monkeypatch):
+    # the growth branch of the extremal forcing: with sqrt_plus's range
+    # taken as unbounded below too, u' = -(1+|u|) from 0 gives 1 - e^t;
+    # u' = +(1+|u|), its own unbounded max side, gives e^t - 1
+    kind = DRIFT_KINDS["sqrt_plus"]
+    monkeypatch.setitem(DRIFT_KINDS, "sqrt_plus",
+                        kind._replace(range=lambda s: (-np.inf, np.inf)))
     spec = ode_sqrt_spec(n_steps=10_000)
     lower = build_extremal(spec, ZERO, MIN_SIDE)
     upper = build_extremal(spec, ZERO, MAX_SIDE)
     times = lower.times()
     assert np.allclose(lower.values[0, :, 0], 1.0 - np.exp(times), atol=2e-4)
     assert np.allclose(upper.values[0, :, 0], np.exp(times) - 1.0, atol=5e-4)
+
+
+# one drift of each kind, its finite range ends inside the sample grid
+RANGE_CASES = {
+    "zero": DriftSpec("zero"),
+    "sqrt_plus": DriftSpec("sqrt_plus"),
+    "heaviside": DriftSpec("heaviside", s0=0.5, low=-0.5, high=2.0, jump_side="mid"),
+    "lipschitz_tanh": DriftSpec("lipschitz_tanh", scale=1.5),
+    "piecewise_linear": DriftSpec("piecewise_linear",
+                                  knots=((-1.0, -2.0), (0.0, 0.0), (2.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(DRIFT_KINDS))
+def test_each_drift_kind_lies_in_its_range_and_its_ends_bracket_every_step(kind, p):
+    # b on the sample grid lies in range(spec) and attains each finite end;
+    # by the comparison principle of the frozen-drift step,
+    # Step(u_n, inf b) <= Step(u_n, b(v)) <= Step(u_n, sup b) for every v
+    assert sorted(RANGE_CASES) == sorted(DRIFT_KINDS)
+    drift = RANGE_CASES[kind]
+    low, high = DRIFT_KINDS[kind].range(drift)
+    values = eval_b_values(drift, operators._SAMPLES)
+    assert low <= values.min() and values.max() <= high
+    for end, attained in ((low, values.min()), (high, values.max())):
+        assert attained == end or not math.isfinite(end)
+    spec = dataclasses.replace(stochastic_jump_spec(), drift=drift, spatial=SpatialOpSpec(p=p))
+    rng = np.random.default_rng(7)
+    shape = (64, spec.grid.n_interior)
+    u_n, v = 2.0 * rng.standard_normal(shape), 3.0 * rng.standard_normal(shape)
+    w_n = 0.1 * rng.standard_normal(shape[0])
+
+    def step(h):
+        return solver.implicit_step(spec, u_n, h, w_n, factor=solver.linear_factor(spec))[0]
+
+    middle = step(eval_b_values(drift, v))
+    if math.isfinite(low):
+        assert np.all(step(np.full(shape, low)) <= middle)
+    if math.isfinite(high):
+        assert np.all(middle <= step(np.full(shape, high)))
 
 
 _drift_keys = st.one_of(
@@ -104,11 +157,14 @@ _reaction_keys = st.one_of(
 )
 
 
-# derandomized: CI runs the same examples every time.  The xfail example
-# is a known defect: a drift that reaches its growth bound C_B(1+|u|)
-# (here b = 1 + u on [0, 1] with C_B = 1) lets the sweeps, which sample
-# the drift at the right end of each step, pass the upper extremal, whose
-# forcing is explicit, by O(dt)
+# derandomized: CI runs the same examples every time.  The piecewise-linear
+# example reaches its growth bound C_B(1+|u|) (b = 1 + u on [0, 1] with
+# C_B = 1): its bracket is the drift's range [0, 2], so it holds, where a
+# growth-bound bracket, taken explicitly, was passed by the sweeps by O(dt).
+# The xfail example is the one drift left on the growth bound, the max side
+# of sqrt_plus, at its smallest admissible C_B = 1/2, where b touches the
+# bound at u = 1: the sweeps, which sample the drift at the right end of
+# each step, pass the upper extremal, whose forcing is explicit
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(n=st.integers(2, 16), T=st.floats(0.01, 0.05), p=st.sampled_from([2.0, 3.0]),
@@ -118,13 +174,18 @@ _reaction_keys = st.one_of(
          u0="constant", amplitude=-2.0)
 @example(n=2, T=0.05, p=2.0,
          drift={"drift.kind": "piecewise_linear", "drift.knots": (0.0, 1.0, 1.0, 2.0)},
-         reaction={}, u0="constant", amplitude=0.0).xfail(
-    raises=AssertionError, reason="drift at its growth bound: containment fails by O(dt)")
+         reaction={}, u0="constant", amplitude=0.0)
+@example(n=16, T=0.05, p=2.0, drift={"drift.kind": "sqrt_plus", "drift.C_B": 0.5},
+         reaction={}, u0="constant", amplitude=1.0).xfail(
+    raises=AssertionError,
+    reason="sqrt_plus at C_B = 1/2 touches its growth bound at u = 1: both sides' "
+           "iterates pass the upper extremal by 1.8e-6")
 def test_a_bracket_whose_assumptions_hold_is_an_interval(n, T, p, drift, reaction, u0,
                                                         amplitude):
-    # the extremals are a sub- and a supersolution wherever the growth
-    # bound holds, below u = -1 too: every iterate stays between them, the
-    # sweeps are monotone and the minimal final lies below the maximal one
+    # the extremals, steps under inf b and sup b, are a sub- and a
+    # supersolution of every sweep, below u = -1 too: every iterate stays
+    # between them, the sweeps are monotone and the minimal final lies
+    # below the maximal one
     try:
         cfg = resolve_config({"scenario": "custom", "grid.n": n, "time.T": T,
                               "spatial.p": p, "noise.K": 0, "u0.kind": u0,
@@ -348,7 +409,7 @@ def test_bracket_study_independent_of_batch():
 
 def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     # from u0 = 0 at the jump s0 = 0 the jump value selects the solution, so
-    # the two heaviside members differ; the tanh member has its own C_B
+    # the two heaviside members differ; the tanh member has its own range
     spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(),
                                noise=NoiseSpec.geometric(2))
     u0 = np.zeros(16)
@@ -361,9 +422,10 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
     results = iterate_bracket(spec, u0, paths, drifts, **kwargs)
     P = len(paths)
-    # one extremal per distinct (noise path, side, C_B): the two heaviside
-    # drifts on path 0 share theirs, the tanh and heaviside ones on path 1
-    # differ in C_B.  The study's one array holds the 2P iterates, then them
+    # one extremal per distinct (noise path, side, forcing parameter): the
+    # two heaviside drifts on path 0 share theirs, the tanh and heaviside
+    # ones on path 1 differ in range.  The study's one array holds the 2P
+    # iterates, then them
     assert results[0].extremal_start.values.base.shape[0] == 2 * P + 6
     assert [r.side for r in results] == [MIN_SIDE] * P + [MAX_SIDE] * P
     assert not np.array_equal(results[0].final.values, results[1].final.values)
@@ -378,11 +440,26 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
         assert res.n_sweeps == len(residuals)
 
 
+def test_extremal_slots_tell_the_sign_of_a_zero_range_end_apart():
+    # inf b = -0.0 and inf b = +0.0 are two forcings, bit for bit: the min
+    # sides of the two heaviside drifts get an extremal each, and their max
+    # sides, both under sup b = 1.0, share one
+    spec = stochastic_jump_spec()
+    path = sample_noise_path(3, 0, spec.noise.K, spec.time_grid)
+    drifts = [DriftSpec("heaviside", s0=0.5, low=-0.0), DriftSpec("heaviside", s0=0.5, low=0.0)]
+    results = iterate_bracket(spec, sine(spec), [path, path], drifts)
+    assert results[0].extremal_start.values.base.shape[0] == 4 + 3
+    assert not np.shares_memory(results[0].extremal_start.values,
+                                results[1].extremal_start.values)
+    assert np.shares_memory(results[2].extremal_start.values, results[3].extremal_start.values)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_the_extremals_of_a_study_equal_build_extremal(p):
     # the extremal lanes of the study's march are bit for bit build_extremal,
     # batched or alone; at p = 2 each step starts from the direct linear
-    # solve.  Members that share a (noise path, side, C_B) view one row
+    # solve.  Members that share a (noise path, side, forcing parameter)
+    # view one row
     spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(p=p),
                                noise=NoiseSpec.geometric(2))
     assert (solver.linear_factor(spec) is not None) == (p == 2.0)
@@ -491,7 +568,8 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
                    "run.dual_jump_side = true\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     # one march, and one extremal lane per side: the jump sides share path 0
-    # and C_B, the only part of the drift the extremal forcing reads
+    # and the range [low, high], the only part of a bounded drift the
+    # extremal forcing reads
     assert calls == [[(MIN_SIDE, "lower"), (MAX_SIDE, "lower")]]
     N = build_problem_spec(resolve_config({"scenario": "plap_bracket", "grid.n": 16,
                                            "time.T": 0.05})).time_grid.n_steps
@@ -767,14 +845,17 @@ REFERENCE_CASES = {
     "lipschitz_tanh": (lambda: with_sine(dataclasses.replace(
         stochastic_jump_spec(), drift=DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)),
         2), {"0"}, {}),
-    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), ZERO, None, 1), {"0", "none"}, {}),
-    "sqrt_plus_pde_from_zero": (sqrt_plus_pde_from_zero, {"0", "none"}, {}),
+    # the min side's extremal is its minimal solution 0, since inf b = 0:
+    # one sweep, from step 0, reproduces it
+    "sqrt_plus_ode": (lambda: (ode_sqrt_spec(n_steps=200), ZERO, None, 1), {"0"}, {}),
+    "sqrt_plus_pde_from_zero": (sqrt_plus_pde_from_zero, {"0"}, {}),
     "max_outer_1": (lambda: with_sine(stochastic_jump_spec(), 3), {"0"}, {"max_outer": 1}),
     "max_outer_2": (lambda: with_sine(stochastic_jump_spec(), 3), {"0", "later"},
                     {"max_outer": 2}),
     # between the second and third sweeps' residuals of some members: they
-    # stop after a sweep that steps, and the sweep found to follow is dropped
-    "tol_between_sweeps": (lambda: with_sine(stochastic_jump_spec(), 3), ALL_STARTS,
+    # stop after a sweep that steps, and the sweep found to follow (path 3's
+    # min side, from row 25) is dropped
+    "tol_between_sweeps": (lambda: with_sine(stochastic_jump_spec(), 5), ALL_STARTS,
                            {"tol_fixed": 2e-3}),
     "one_step": (lambda: with_sine(dataclasses.replace(
         stochastic_jump_spec(), time_grid=TimeGrid(T=0.002, n_steps=1)), 3),
@@ -816,18 +897,18 @@ def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
 # study: every lane steps in the first pass its predecessor allows, and a
 # twin steps none until it splits (the flipped jump side of
 # plap_p3_dual_jump never does: its study steps the configured drift's
-# 288 lanes alone)
+# 264 lanes alone)
 REFERENCE_SCHEDULES = {
-    "heaviside_batch": (53, 977),
-    "lipschitz_tanh": (69, 1000),
+    "heaviside_batch": (52, 850),
+    "lipschitz_tanh": (98, 1000),
     "max_outer_1": (51, 600),
-    "max_outer_2": (52, 860),
-    "one_step": (3, 13),
-    "plap_dual_s0": (52, 299),
-    "plap_p3_dual_jump": (53, 288),
+    "max_outer_2": (52, 850),
+    "one_step": (2, 12),
+    "plap_dual_s0": (51, 250),
+    "plap_p3_dual_jump": (53, 264),
     "sqrt_plus_ode": (789, 4800),
     "sqrt_plus_pde_from_zero": (666, 3800),
-    "tol_between_sweeps": (64, 950),
+    "tol_between_sweeps": (53, 1402),
 }
 
 # the Newton lane-iterations (the rows of every Newton solve) of each
@@ -836,16 +917,16 @@ REFERENCE_SCHEDULES = {
 # residual is the smaller; the passes and lane-steps above do not depend
 # on the start
 REFERENCE_NEWTON_ROWS = {
-    "heaviside_batch": 2081,
-    "lipschitz_tanh": 2050,
-    "max_outer_1": 1288,
-    "max_outer_2": 1841,
-    "one_step": 39,
+    "heaviside_batch": 1810,
+    "lipschitz_tanh": 2052,
+    "max_outer_1": 1280,
+    "max_outer_2": 1810,
+    "one_step": 36,
     "plap_dual_s0": 0,
-    "plap_p3_dual_jump": 592,
+    "plap_p3_dual_jump": 544,
     "sqrt_plus_ode": 0,
-    "sqrt_plus_pde_from_zero": 3734,
-    "tol_between_sweeps": 2024,
+    "sqrt_plus_pde_from_zero": 3440,
+    "tol_between_sweeps": 2960,
 }
 
 
@@ -924,7 +1005,7 @@ def test_a_twin_that_never_splits_leaves_its_iterate_row_untouched():
 
 def test_a_twin_does_not_split_on_other_members_rows(monkeypatch):
     # the flipped jump side is a twin of the configured drift, and no
-    # iterate of theirs hits s0.  A tanh drift of another C_B sweeps from
+    # iterate of theirs hits s0.  A tanh drift of another range sweeps from
     # extremals of its own, and the flipped drift's values differ from its
     # own on every row it writes: rows of no owner of the twin's, so the
     # twin never splits
@@ -952,12 +1033,13 @@ def test_a_twin_does_not_split_on_other_members_rows(monkeypatch):
             assert ours.sweep_starts == theirs.sweep_starts
 
 
-def test_drifts_of_different_kinds_with_equal_C_B_split_at_the_first_extremal_row(
+def test_drifts_of_different_kinds_with_equal_forcing_parameters_split_at_the_first_extremal_row(
         monkeypatch):
-    # a heaviside and a tanh drift of C_B = 1 share their extremals, and
-    # their values differ on the extremals' first row: both twins split in
-    # the pass that makes it, before any sweep steps, so every sweep lane
-    # of both drifts steps
+    # a heaviside drift on [-0.5, 0.5] and a tanh drift of scale 0.5 have
+    # one range, so they share their extremals on both sides, and their
+    # values differ on the extremals' first row: both twins split in the
+    # pass that makes it, before any sweep steps, so every sweep lane of
+    # both drifts steps
     counts = _counted(monkeypatch)
     clone, split_at = bracket._Wave._clone, []
 
@@ -966,8 +1048,9 @@ def test_drifts_of_different_kinds_with_equal_C_B_split_at_the_first_extremal_ro
         clone(wave, o, t)
 
     monkeypatch.setattr(bracket._Wave, "_clone", recorded)
-    spec = stochastic_jump_spec()
-    tanh = DriftSpec("lipschitz_tanh", scale=0.5, C_B=spec.drift.C_B)
+    spec = dataclasses.replace(stochastic_jump_spec(),
+                               drift=DriftSpec("heaviside", s0=0.5, low=-0.5, high=0.5))
+    tanh = DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)  # C_B plays no part
     u0, kwargs = sine(spec), dict(tol_fixed=1e-6, max_outer=100)
     pairs = bracket_study(spec, u0, 12345, [0], (spec.drift, tanh), **kwargs)
     assert sorted(split_at) == [(1, 1), (3, 1)]  # each min- and max-side twin
@@ -1089,18 +1172,20 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
 
 
 def test_a_drift_value_changed_only_in_the_sign_of_zero_is_a_change():
-    # the drift is -0.0 below s0 and +0.0 above: the lower extremal
-    # e^{-2t} - 1 crosses s0 = -0.5, the first iterate stays at +0.0.  The
-    # values are == equal but the forcing differs, so sweep 2 must step
-    # from the row before the crossing, not be taken without stepping
-    drift = DriftSpec("heaviside", s0=-0.5, low=-0.0, high=0.0, C_B=2.0)
+    # the drift is +0.0 on (0, 1) and -0.0 from r = 1 on: the lower
+    # extremal 1.5 - t, under inf b = -1, crosses r = 1, while the first
+    # iterate, under the forcing -0.0 and +0.0, stays at 1.5.  The values
+    # are == equal but the forcing differs, so sweep 2 must step from the
+    # row before the crossing, not be taken without stepping
+    drift = DriftSpec("piecewise_linear", knots=((-1.0, -1.0), (0.0, 0.0), (1.0, -0.0)))
     spec = dataclasses.replace(ode_sqrt_spec(n_steps=100), drift=drift)
-    (pair,) = bracket_study(spec, ZERO, 0)
+    (pair,) = bracket_study(spec, np.full(1, 1.5), 0)
     res = pair.minimal
     ext_values = eval_b_values(drift, res.extremal_start.values)
     final_values = eval_b_values(drift, res.final.values)
     assert np.array_equal(ext_values, final_values)
-    crossing = int(np.flatnonzero(np.signbit(ext_values[0, :, 0]))[0])
+    assert np.all(res.final.values == 1.5)
+    crossing = int(np.flatnonzero(~np.signbit(ext_values[0, :, 0]))[0])
     assert 0 < crossing < spec.time_grid.n_steps
     assert res.sweep_starts == (0, crossing - 1)
     assert res.residual_history[-1] == 0.0

@@ -326,14 +326,18 @@ def test_cli_ode_blow_up_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides", [
-    "spatial.p = 3\ndrift.kind = heaviside\ndrift.C_B = 1e200\nu0.kind = sine\n",
+    "spatial.p = 3\ndrift.kind = heaviside\ndrift.high = 1e200\ndrift.C_B = 1e200\n"
+    "u0.kind = sine\n",
+    "spatial.p = 3\ndrift.kind = sqrt_plus\ndrift.C_B = 1e200\nu0.kind = sine\n",
     "spatial.p = 2.5\nu0.kind = constant\nu0.amplitude = 1e200\n",
-], ids=["forcing", "datum"])
+], ids=["forcing", "forcing_growth", "datum"])
 def test_cli_right_hand_side_norm_overflow_exits_3(tmp_path, capsys, overrides):
-    # an extremal forcing of 1e200, or a datum of 1e200, overflows the
-    # norm of the first step's right-hand side: no step is accepted, and
-    # the overflow is a solver failure, not a floating-point warning, which
-    # RuntimeWarning-as-error would raise as a traceback with exit 1
+    # an extremal forcing of 1e200, the sup b of a Heaviside drift or the
+    # growth bound C_B(1+|u|) of sqrt_plus's unbounded max side, or a datum
+    # of 1e200, overflows the norm of the first step's right-hand side: no
+    # step is accepted, and the overflow is a solver failure, not a
+    # floating-point warning, which RuntimeWarning-as-error would raise as a
+    # traceback with exit 1
     doc = tmp_path / "overflow.cfg"
     doc.write_text("scenario = custom\ngrid.n = 8\ntime.T = 0.01\n" + overrides)
     assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3

@@ -391,8 +391,11 @@ def test_batch_members_equal_single_path_solves(p, K, B):
 @pytest.mark.parametrize("K", [0, 3, 8])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_march_members_equal_their_own_solves(p, K):
-    # four members with their own initial data, forcing signs and noise paths
+    # four members with their own initial data, forcings and noise paths:
+    # the constant 0.0 of sqrt_plus's min side, the growth bound 2(1+|u|)
+    # of its own state on the unbounded max side
     spec = _noisy_spec(p, K)
+    drift = DriftSpec("sqrt_plus", C_B=2.0)
     g, tg = spec.grid, spec.time_grid
     data = [_noisy_u0(spec), np.zeros(16), -2.0 * np.sin(2.0 * np.pi * g.x),
             0.5 * np.cos(np.pi * g.x)]
@@ -400,12 +403,12 @@ def test_march_members_equal_their_own_solves(p, K):
     paths = [sample_noise_path(5, m, K, tg) for m in range(4)]
     weights = np.stack([noise_weights(spec.noise, path.increments) for path in paths], axis=1)
     steps = []
-    log = march(spec, np.stack(data), extremal_forcing(sides, 2.0), weights,
+    log = march(spec, np.stack(data), extremal_forcing(sides, drift), weights,
                 lambda n, u: steps.append((n, u.copy())))
     assert [n for n, _ in steps] == [(slice(None), k) for k in range(tg.n_steps)]
     batch = np.stack([np.stack(data)] + [u for _, u in steps], axis=1)
     singles = [
-        solve_frozen(spec, u0, extremal_forcing(side, 2.0), path)
+        solve_frozen(spec, u0, extremal_forcing(side, drift), path)
         for u0, side, path in zip(data, sides, paths)]
     for b, single in enumerate(singles):
         assert np.array_equal(batch[b], single.values[0])
