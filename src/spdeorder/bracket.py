@@ -46,6 +46,10 @@ from .solver import (
 MIN_SIDE = "min"
 MAX_SIDE = "max"
 
+# the rows of each extremal a study keeps while its sweeps can still read
+# them (see _Wave)
+WINDOW = 32
+
 
 def forcing_parameter(side: str, drift: DriftSpec) -> tuple[float, float]:
     """What side's extremal forcing reads of drift: (end, C_B), the end of
@@ -105,12 +109,11 @@ def apply_S(
     Forcing contract in the solver module), in one batch over the paths of
     u_tilde, one noise path each, from row 0 of u_tilde.
 
-    A wave, the study whose array u_tilde wraps, hands the march its
-    passes and its own forcing (S's under each lane's drift on the sweep
-    lanes, the extremal forcing on the extremal lanes) and takes the new
-    states in place, and the result is the NewtonLog of the passes (see
-    _Wave); a pass that steps path m at step k reads row k + 1 of path m
-    of u_tilde before its new states reach the wave."""
+    A wave, a study, hands the march its passes and its own forcing (S's
+    under each lane's drift on the sweep lanes, the extremal forcing on
+    the extremal lanes) and takes the new states in place, and the result
+    is the NewtonLog of the passes (see _Wave): u_tilde then gives only
+    the initial state of each of the wave's lanes, on its row 0."""
     u0 = u_tilde.values[:, 0]
     if wave is not None:
         return solve_frozen(spec, u0, wave.forcing, noise_paths, newton, wave.store,
@@ -149,13 +152,13 @@ def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BracketResult:
-    """One side of one (noise path, drift) pair: its extremal, its final
-    iterate and the defects of each sweep.  Both trajectories are
-    read-only views into the study's one array, and their rows were made
-    in many passes, so neither carries per-step Newton metadata."""
+    """One side of one (noise path, drift) pair: its final iterate and the
+    defects of each sweep.  The final is a read-only view into the study's
+    array of its members' iterates, and its rows were made in many passes,
+    so it carries no per-step Newton metadata.  The extremal is not kept:
+    the study holds only the rows of it that its sweeps can still read."""
 
     side: str
-    extremal_start: Trajectory
     residual_history: tuple
     monotonicity_violations: tuple
     containment_violations: tuple
@@ -189,8 +192,9 @@ class BracketResult:
 
 
 class _Wave:
-    """A bracket study: its one array, its lanes, and the schedule, forcing
-    and store of the one march that runs it.  Level k of member m, the sweep that makes
+    """A bracket study: its members' array, the window of its extremals'
+    rows, its lanes, and the schedule, forcing and store of the one march
+    that runs it.  Level k of member m, the sweep that makes
     u^k = S(u^{k-1}), is a lane; level 0 is the member's extremal u^0,
     and each distinct extremal is one lane, read by every member that
     shares it.  Each pass steps every lane that can step by one row, in
@@ -199,18 +203,33 @@ class _Wave:
     drift's range, or -C_B(1+|u_n|) / +C_B(1+|u_n|) of their own state
     where that end is infinite.
 
-    buf holds each member's latest iterate in row m (current) and the
-    extremals in the rows after them (ext).  All sweeps of a member share
-    its row of current: level k holds rows 0..have[m, k] there, and the
-    later rows still hold lower levels.  A lane at row r steps once level
-    k - 1 holds row r + 1.  Its forcing reads that row, of its extremal
-    for level 1, else of its own row of current, which the lane then
-    writes over, and its state is its own row r.  Level k + 1 writes row r
-    only in a pass that steps lane k too, and a pass reads before it
-    writes: a level that has stepped steps in every pass until it
-    completes, since its predecessor, which has stepped too, stays at
-    least a row ahead of it.  No sweep lane reads an extremal row made in
-    its own pass, so one scatter stores the new rows of every lane.
+    current holds each member's latest iterate in row m.  All levels of
+    a member share it, level 0 included: level k holds rows 0..have[m, k]
+    there, and the later rows still hold lower levels.  Each new extremal
+    row is written into the row of current of every member that reads it
+    and steps lanes of its own (not a twin that tracks its owner), so an
+    extremal lane steps from its slot owner's row and sweep 1 reads its
+    forcing there like every other level.  A lane at row r steps once
+    level k - 1 holds row r + 1.  Its forcing reads that row of its own
+    row of current, which the lane then writes over, and its state is
+    its own row r.  Level k + 1 writes row r only in a pass that steps
+    lane k too, and a pass reads before it writes: a level that has
+    stepped steps in every pass until it completes, since its
+    predecessor, which has stepped too, stays at least a row ahead of
+    it.  No sweep lane reads an extremal row made in its own pass, so one
+    scatter stores the new rows of every lane.
+
+    The extremals' rows are read after that only by the containment
+    defects of the sweeps, at the row each sweep lane makes: ext keeps a
+    window of width rows of each slot, its first holding row base, from
+    the lowest row a started, unfinished level of a member that steps
+    lanes of its own will read (a level that waits included) up to the
+    extremals' front.  When the next extremal row would fall past its
+    end, the window slides down to that lowest row before the pass, and
+    the plan's rows of ext are rewritten in place; if that frees less
+    than half of it, the window falls back, once, to all N + 1 rows of
+    each slot.  Only the window's rows are copied; rows below base are
+    never read again.
 
     Level k + 1 starts at R = (the first row where b(u^k) and b(u^{k-1})
     differ bit for bit) - 1, found as level k writes that row: rows 0..R
@@ -227,16 +246,18 @@ class _Wave:
     The passes follow a plan, built from have and defects only at an
     event: a level starts; the residual so far of a level whose successor
     waits first exceeds tol_fixed; a level completes; the extremals hold
-    row 1, so level 1 may step, or row N, and they finish.  Between events
-    no lane starts or stops stepping, so a pass moves every lane of the
-    plan down one row.  The plan holds the sweep lanes, each drift's in
-    one run, then the extremal lanes; one int array of each lane's step
-    and its rows of buf (state, new row, the row its forcing reads and
-    its bounds), which a pass advances by one; each sweep lane's sign,
-    -1.0 on the min side; the lanes whose successor has not started,
-    whose new rows the store checks for a changed drift value; and each
-    sweep lane's defects so far.  have and defects are synced from the
-    plan at each event, before it is handled.
+    row 1, so level 1 may step, or row N, and they finish.  Between
+    events no lane starts or stops stepping, so a pass moves every lane
+    of the plan down one row.  The plan holds the sweep
+    lanes, each drift's in one run, then the extremal lanes; one int
+    array of each lane's step, its rows of current (state and new row)
+    and a sweep lane's rows of ext (its lower and upper extremal at its
+    new row), the extremals' new rows of ext and the rows of current
+    their copies go to, which a pass advances by one; each sweep lane's
+    sign, -1.0 on the min side; the lanes whose successor has not
+    started, whose new rows the store checks for a changed drift value;
+    and each sweep lane's defects so far.  have and defects are synced
+    from the plan at each event, before it is handled.
 
     Members that share an extremal slot march as one while they can.  The
     first is the slot's owner, each other a twin.  S reads its argument
@@ -259,14 +280,14 @@ class _Wave:
     sweep alone, and each row's defects are reduced on their own: sums of
     squares run along the node axis and maxima are exact, so every defect
     equals the one taken over the whole trajectory at once.  The march
-    keeps no per-lane Newton metadata, so neither the extremals nor the
-    finals carry any.
+    keeps no per-lane Newton metadata, so the finals carry none.
     """
 
     def __init__(self, spec: ProblemSpec, u0: np.ndarray, paths: Sequence[NoisePath],
-                 drifts: Sequence[DriftSpec], max_outer: int, tol_fixed: float):
+                 drifts: Sequence[DriftSpec], max_outer: int, tol_fixed: float,
+                 current: np.ndarray):
         P = len(paths)
-        M, N = 2 * P, spec.time_grid.n_steps
+        M, N, n = 2 * P, spec.time_grid.n_steps, spec.grid.n_interior
         # member m < P sweeps the min side of paths[m] under drifts[m],
         # member P + m the max side
         self.sides = (MIN_SIDE,) * P + (MAX_SIDE,) * P
@@ -280,43 +301,44 @@ class _Wave:
         for key in keys:
             slots.setdefault(key, len(slots))
         self.index = index = np.array([slots[key] for key in keys])  # each member's extremal
-        owners = [keys.index(key) for key in slots]  # the first member of each
+        self.owners = np.array([keys.index(key) for key in slots])  # the first member of each
         # the member whose lanes hold each member's iterate: a twin's owner
         # while it tracks its owner, else the member itself
-        self.source = np.array(owners)[index]
-        # each member's latest iterate, rewritten in place by its sweeps,
-        # then the extremals; finite before the march, since u_tilde wraps it
-        self.buf = np.zeros((M + len(owners), N + 1, spec.grid.n_interior))
-        self.buf[:, 0] = u0
-        self.current, self.ext = self.buf[:M], self.buf[M:]
-        # their rows, one per (row of buf, step): row m (N + 1) + r is row
-        # r of buf[m]
-        self.buf_rows = self.buf.reshape(-1, spec.grid.n_interior)
+        self.source = self.owners[index]
+        # each member's latest iterate, rewritten in place by its levels
+        self.current = current
+        current[:, 0] = u0
+        self.current_rows = current.reshape(-1, n)  # row m (N + 1) + r is row r of current[m]
+        # the window of the extremals' rows, row r of slot e at ext[e, r - base]
+        # from row 1 on: no containment defect reads row 0, u0
+        self.width, self.base = min(WINDOW, N + 1), 0
+        self.ext = np.zeros((len(self.owners), self.width, n))
+        self.ext_rows = self.ext.reshape(-1, n)
         # the scratch of the forcing and the store: the rows the sweep
         # lanes read, and the store's defects
-        self.work = Workspace(spec.grid.n_interior)
-        self.extremals = np.arange(M, len(self.buf))  # their rows of buf
-        # the member of each row of buf: an extremal's is the first member
-        # that reads it, whose noise path and drift it takes
-        self.member = np.array(list(range(M)) + owners)
+        self.work = Workspace(n)
+        # the lanes: each member, then each extremal, whose member is the
+        # first member that reads it, whose noise path and drift it takes
+        self.extremals = np.arange(M, M + len(self.owners))  # the extremals' lanes
+        self.member = np.concatenate((np.arange(M), self.owners))
         self.paths = [paths[m % P] for m in self.member]
         self.drifts = [drifts[m % P] for m in self.member]
         # the distinct drifts, in order of first appearance, and the index
-        # among them of each row's drift
+        # among them of each lane's drift
         self.kinds = list(dict.fromkeys(self.drifts))
         self.group = np.array([self.kinds.index(drift) for drift in self.drifts])
-        self.ext_forcing = extremal_forcing([self.sides[m] for m in owners],
-                                            [self.drifts[m] for m in owners])
+        self.ext_forcing = extremal_forcing([self.sides[m] for m in self.owners],
+                                            [self.drifts[m] for m in self.owners])
         # the containment defect of each row of each member's latest
-        # iterate, at its rows of buf_rows; row 0 is u0 in every iterate
-        # and extremal
+        # iterate, at its rows of current_rows; row 0 is u0 in every
+        # iterate and extremal
         self.excess = np.zeros((M, N + 1))
         self.excess_rows = self.excess.reshape(-1)
         self.N, self.P, self.max_outer = N, P, max_outer
         self.tol, self.dx = tol_fixed, spec.grid.dx
-        # the rows of buf holding each member's lower and upper extremal
+        # the slots of each member's lower and upper extremal
         members = np.arange(M) % P
-        self.bounds = M + np.stack((index[members], index[P + members]), axis=1)
+        self.bounds = np.stack((index[members], index[P + members]), axis=1)
         # the members in lane order: each drift's together, min side first
         self.members = np.argsort(self.group[:M], kind="stable")
         # the per-level arrays below have a column for each level started
@@ -334,6 +356,48 @@ class _Wave:
         self.histories = [[] for _ in range(M)]
         self._plan()
 
+    def _fit(self) -> None:
+        """Before a pass: make room in the window for the row the
+        extremals make in it, sliding the window down to the lowest row a
+        sweep will still read, or falling back to all N + 1 rows when that
+        frees less than half of it, and count the passes until it is full
+        (room).  The plan's rows of ext are rewritten in place, so a move
+        rebuilds no plan."""
+        L, N = len(self.k), self.N
+        if L == len(self.lanes):  # the extremals hold row N: no move is due
+            self.room = -1
+            return
+        s = int(self.steps[L])  # the extremals' state row
+        if s + 1 - self.base >= self.width:
+            # the rows of ext the started, unfinished levels of the members
+            # that step lanes of their own read next: the plan's lanes are
+            # at their steps, the levels that wait at their rows of have
+            have = self.have.copy()
+            have[self.m, self.k] = self.steps[:L]
+            held = have[self.source == np.arange(len(self.source)), 1:]
+            low = min(int(held[held < N].min(initial=N)), s) + 1
+            base, width = self.base, self.width
+            if 2 * (s + 1 - low) > width:
+                full = np.zeros((len(self.ext), N + 1, self.ext.shape[2]))
+                full[:, base:s + 1] = self.ext[:, :s + 1 - base]
+                self.ext, self.width, self.base = full, N + 1, 0
+            else:
+                self.ext[:, :s + 1 - low] = self.ext[:, low - base:s + 1 - base]
+                self.base = low
+            self.ext_rows = self.ext.reshape(-1, self.ext.shape[2])
+            self._ext_positions(s)
+        self.room = self.width - 1 + self.base - s
+
+    def _ext_positions(self, s: int) -> None:
+        """The plan's rows of ext_rows, from its extremals' state row s: each
+        sweep lane's lower and upper extremal at its new row, and the rows
+        the extremals write."""
+        L = len(self.k)
+        self.lower[:], self.upper[:] = (self.bounds[self.m].T * self.width
+                                        + (self.steps[:L] + 1 - self.base))
+        self.ext_new_rows[:] = np.arange(len(self.ext_new_rows)) * self.width + (
+            s + 1 - self.base)
+
     def _plan(self) -> None:
         """Build the pass plan from have and defects: lane (m, k) steps
         while have[m, k] <= limit[m, k - 1], and the extremals while they
@@ -343,31 +407,40 @@ class _Wave:
         # while level k may be final; the extremals always are
         limit = np.where(np.sqrt(self.defects[0] * self.dx) > self.tol, have - 1, -1)
         limit[:, 0] = have[:, 0] - 1
-        order = members[self.source[members] == members]  # no tracking twin
+        own = self.source == np.arange(len(self.source))
+        order = members[own[members]]  # no tracking twin
         i, k = np.nonzero(have[order, 1:] <= limit[order, :-1])
         self.m, self.k = m, k = order[i], k + 1
         steps, L = have[m, k], len(m)
         # passes until an event comes on schedule: the first lane completes
-        lanes, due = m, [N - steps.max()] if L else []
-        if (s := self.have[0, 0]) < N:  # the extremals step too
+        lanes, rows, due = m, m, [N - steps.max()] if L else []
+        # the members other than its owner whose rows of current take each
+        # slot's new rows: the twins that split
+        E, split = 0, np.empty(0, dtype=np.intp)
+        if (s := have[0, 0]) < N:  # the extremals step too, in their owners' rows
             lanes = np.concatenate((m, self.extremals))
+            rows = np.concatenate((m, self.owners))
             steps = np.concatenate((steps, np.full(len(self.ext), s)))
             due.append(N - s if s else 1)  # they hold row N, or row 1 first
+            E = len(self.ext)
+            split = np.flatnonzero(own & (self.owners[self.index] != np.arange(len(own))))
         self.lanes, self.due = lanes, min(due, default=0)
-        # advanced by one each pass: each lane's step, the rows of buf_rows
-        # holding its state and taking its new state (of excess_rows too
-        # for a sweep lane), and the rows of a sweep lane's forcing (its
-        # extremal's for level 1) and of its lower and upper extremal
-        pos = self.pos = np.empty((6, len(lanes)), dtype=np.intp)
-        pos[0] = steps
-        pos[1] = lanes * (N + 1) + steps
-        pos[2] = pos[1] + 1
-        pos[3, :L] = np.where(k == 1, self.extremals[self.index[m]], m)
-        pos[4:, :L] = self.bounds[m].T
-        pos[3:, :L] *= N + 1
-        pos[3:, :L] += steps[:L] + 1
-        self.steps, self.state_rows, self.new_rows = pos[0], pos[1], pos[2]
-        self.read_rows, self.lower, self.upper = pos[3, :L], pos[4, :L], pos[5, :L]
+        self.copy_slots = self.index[split]
+        # advanced by one each pass: each lane's step and its rows of
+        # current_rows holding its state and taking its new state (of
+        # excess_rows too for a sweep lane); the rows of ext_rows of a
+        # sweep lane's lower and upper extremal at its new row and of the
+        # extremals' new rows (_ext_positions); the rows of current_rows
+        # the copies of their new rows go to
+        state = rows * (N + 1) + steps
+        parts = (steps, state, state + 1, np.empty(2 * L + E, dtype=np.intp),
+                 split * (N + 1) + s + 1)
+        self.pos = np.concatenate(parts)
+        ends = np.cumsum([len(steps)] * 3 + [L, L, E])
+        (self.steps, self.state_rows, self.new_rows, self.lower, self.upper,
+         self.ext_new_rows, self.copy_rows) = np.split(self.pos, ends)
+        self._ext_positions(s)
+        self._fit()
         # the lanes follow order: one run per drift.  new - old times sign
         # is the monotonicity defect: the min side expects new >= old
         # pointwise, the max side the reverse, and x * -1.0 is -x bit for bit
@@ -383,7 +456,7 @@ class _Wave:
         # Then each twin drift with its twins, and each lane's member, an
         # extremal lane's being its slot's owner: a twin splits where its
         # drift and its owner's differ on a lane of its owner
-        twins = np.flatnonzero(self.source != np.arange(len(self.source)))
+        twins = np.flatnonzero(~own)
         self.check, self.todo_at = self.todo, slice(None)
         if len(twins):
             self.check, self.todo_at = slice(None), self.todo
@@ -395,10 +468,11 @@ class _Wave:
         self.found = np.empty((3, L))
 
     def passes(self):
-        """The passes of the march: ((rows of buf, steps), states) of every
-        lane of the plan, the extremals last."""
+        """The passes of the march: ((lanes, steps), states) of every lane
+        of the plan, the extremals last."""
         while len(self.lanes):
-            yield (self.lanes, self.steps), self.buf_rows.take(self.state_rows, 0, mode="clip")
+            yield (self.lanes, self.steps), self.current_rows.take(self.state_rows, 0,
+                                                                   mode="clip")
 
     def forcing(self, n: tuple, u: np.ndarray) -> np.ndarray:
         """The forcing of a pass: S's on the sweep lanes, the drift of
@@ -408,9 +482,10 @@ class _Wave:
         own workspace."""
         L = len(self.k)
         self.old = old = self.work.unpadded(L, "old")
+        # the row each sweep lane makes: its predecessor's until the store.
         # mode "clip": the rows are in range, and "raise" would gather them
         # into a new buffer first
-        self.buf_rows.take(self.read_rows, 0, old, mode="clip")
+        self.current_rows.take(self.new_rows[:L], 0, old, mode="clip")
         h = _drift_values(self.runs, old)
         if L < len(u):
             h = np.concatenate((h, self.ext_forcing(n, u[L:])))
@@ -444,13 +519,17 @@ class _Wave:
         np.multiply(diff, diff, out=scratch).sum(axis=-1, out=found[0])
         np.multiply(diff, self.sign, out=diff).max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
-        self.buf_rows.take(self.lower, 0, scratch, mode="clip")
+        self.ext_rows.take(self.lower, 0, scratch, mode="clip")
         below = np.subtract(scratch, v, out=scratch).max(axis=-1)
-        self.buf_rows.take(self.upper, 0, scratch, mode="clip")
+        self.ext_rows.take(self.upper, 0, scratch, mode="clip")
         np.maximum(below, np.subtract(v, scratch, out=scratch).max(axis=-1), out=found[2])
         self.excess_rows[self.new_rows[:L]] = found[2]
         defects = np.maximum(self.defects_so_far, found, out=self.defects_so_far)
-        self.buf_rows[self.new_rows] = full
+        self.current_rows[self.new_rows] = full
+        if len(self.ext_new_rows):  # the extremals stepped: their rows for the bounds
+            self.ext_rows[self.ext_new_rows] = full[L:]
+            if len(self.copy_rows):
+                self.current_rows[self.copy_rows] = full[L + self.copy_slots]
         # an event: one on schedule, a level that starts, or a residual so
         # far above tol_fixed that lets a waiting level step
         if (not self.due or len(started) or split or len(self.watch)
@@ -458,6 +537,9 @@ class _Wave:
             self._event(started, split)
         else:
             self.pos += 1
+            self.room -= 1
+            if not self.room:
+                self._fit()
 
     def _event(self, started, split: list) -> None:
         """Sync have and defects from the plan after a pass, split the
@@ -529,6 +611,7 @@ def iterate_bracket(
     max_outer: int = 60,
     mono_tol: float = 1e-10,
     newton: NewtonParams = NewtonParams(),
+    out: Optional[np.ndarray] = None,
 ) -> list[BracketResult]:
     """Monotone sweeps u <- S(u) of both sides of P (noise path, drift)
     pairs from the one (n,) datum u0: path m carries drifts[m]
@@ -565,10 +648,14 @@ def iterate_bracket(
     the sweep index (max side mirrored); per-sweep violations and
     bracket-containment defects are logged, never silently accepted.  A
     Newton failure in any lane raises NewtonDivergenceError from the
-    first failing pass.  Returns the 2P results in member order; their
-    trajectories are read-only views into the study's one array, and
-    neither an extremal nor a final, whose rows many passes solved,
-    carries Newton metadata.
+    first failing pass.
+
+    The study's state is out, the zero (2P, N + 1, n) array of its
+    members' iterates (a new one by default), and a window of WINDOW rows
+    of each distinct extremal, all N + 1 of them only where a sweep that
+    waits keeps older rows in use (see _Wave).  Returns the 2P results in
+    member order; their finals are read-only views into out, and carry no
+    Newton metadata, since many passes solved their rows.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
@@ -583,23 +670,29 @@ def iterate_bracket(
     if np.shape(u0) != (grid.n_interior,):
         raise ValueError(f"initial datum of shape {np.shape(u0)}, "
                          f"expected ({grid.n_interior},)")
-    wave = _Wave(spec, u0, paths, drifts, max_outer, tol_fixed)
-    apply_S(spec, Trajectory(grid, tg, wave.buf), wave.paths, newton, wave)
+    shape = (2 * P, tg.n_steps + 1, grid.n_interior)
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape:
+        raise ValueError(f"members' array of shape {out.shape}, expected {shape}")
+    wave = _Wave(spec, u0, paths, drifts, max_outer, tol_fixed, out)
+    # the march reads only the lanes' initial states of its argument
+    lanes = np.broadcast_to(u0, (len(wave.paths),) + shape[1:])
+    apply_S(spec, Trajectory(grid, tg, lanes), wave.paths, newton, wave)
     return [
         BracketResult(
             side=side,
-            extremal_start=Trajectory(grid, tg, wave.ext[e:e + 1]),
             residual_history=residuals,
             monotonicity_violations=mono,
             containment_violations=containment,
             sweep_starts=sweep_starts,
             converged=residuals[-1] <= tol_fixed,
-            final=Trajectory(grid, tg, wave.buf[m:m + 1]),
+            final=Trajectory(grid, tg, out[m:m + 1]),
             n_sweeps=len(residuals),
             mono_tol=mono_tol,
         )
-        for side, e, m, (residuals, mono, containment, sweep_starts)
-        in zip(wave.sides, wave.index.tolist(), wave.source.tolist(),
+        for side, m, (residuals, mono, containment, sweep_starts)
+        in zip(wave.sides, wave.source.tolist(),
                (zip(*wave.histories[m]) for m in wave.source))
     ]
 
@@ -643,12 +736,16 @@ def bracket_study(
     and that one path.
     """
     drifts = (spec.drift,) if drifts is None else tuple(drifts)
+    # the members' iterates first: a study too large to hold fails here,
+    # with numpy's message naming the array's size and shape, before any
+    # path is listed or sampled
+    P = len(path_indices) * len(drifts)
+    out = np.zeros((2 * P, spec.time_grid.n_steps + 1, spec.grid.n_interior))
     indices = list(path_indices)
     paths = [sample_noise_path(master_seed, m, spec.noise.K, spec.time_grid)
              for m in indices]
     results = iterate_bracket(spec, u0, paths * len(drifts),
                               [drift for drift in drifts for _ in indices],
-                              tol_fixed, max_outer, mono_tol, newton)
-    P = len(indices) * len(drifts)
+                              tol_fixed, max_outer, mono_tol, newton, out)
     return [BracketPair(indices[i % len(indices)], results[i], results[P + i])
             for i in range(P)]

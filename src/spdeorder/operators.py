@@ -501,6 +501,10 @@ def _noise_check(noise: NoiseSpec) -> AssumptionCheck:
         f"sum c_k^2 = {csum:.6e} vs C_G^2 = {noise.C_G**2:.6e}")
 
 
+# the values of each random function check_assumptions draws at a time
+_PAIR_CHUNK_VALUES = 2**16
+
+
 def check_assumptions(
     spatial: SpatialOpSpec,
     drift: DriftSpec,
@@ -530,22 +534,29 @@ def check_assumptions(
             "positive_part": lambda w: np.maximum(w, 0.0),
             "sigma_eps": lambda w: sigma_eps(w, 1e-3),
         }
-        # pair i is (phi[i], psi[i]), drawn in that order; np.max and np.min
-        # propagate NaN, so a non-finite defect fails its check
-        phi, psi = np.moveaxis(rng.standard_normal((n_pairs, 2, grid.n_interior)), 1, 0)
-        phi_padded = ghost_padded(phi)
-        Aphi = apply_A_values(spatial, phi_padded, grid)[:, :-1]
-        lhs = np.vecdot(Aphi, phi) * dx
-        rhs = spatial.alpha * np.sum(np.abs(interface_gradients(phi_padded, dx)) ** spatial.p,
-                                     axis=-1) * dx
-        coerc = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
-        worst_coerc = float(np.max(coerc, initial=0.0))
-        dA = Aphi - apply_A_values(spatial, ghost_padded(psi), grid)[:, :-1]
-        worst_tmono = {}
-        for name, sig in sigmas.items():
-            sv = sig(phi - psi)
-            scale = np.sum(np.abs(dA * sv), axis=-1) * dx + 1.0
-            worst_tmono[name] = float(np.min(np.vecdot(dA, sv) * dx / scale, initial=0.0))
+        # pair i is (phi[i], psi[i]), drawn in that order, a chunk of about
+        # 2**16 values of each at a time, so the memory does not grow with
+        # n_pairs.  Each pair's defects are its own, and each chunk's worst
+        # starts from the worst so far; np.max and np.min propagate NaN, so
+        # a non-finite defect fails its check
+        worst_coerc, worst_tmono = 0.0, dict.fromkeys(sigmas, 0.0)
+        chunk = max(1, _PAIR_CHUNK_VALUES // grid.n_interior)
+        for first in range(0, n_pairs, chunk):
+            pairs = min(chunk, n_pairs - first)
+            phi, psi = np.moveaxis(rng.standard_normal((pairs, 2, grid.n_interior)), 1, 0)
+            phi_padded = ghost_padded(phi)
+            Aphi = apply_A_values(spatial, phi_padded, grid)[:, :-1]
+            lhs = np.vecdot(Aphi, phi) * dx
+            rhs = spatial.alpha * np.sum(
+                np.abs(interface_gradients(phi_padded, dx)) ** spatial.p, axis=-1) * dx
+            coerc = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
+            worst_coerc = float(np.max(coerc, initial=worst_coerc))
+            dA = Aphi - apply_A_values(spatial, ghost_padded(psi), grid)[:, :-1]
+            for name, sig in sigmas.items():
+                sv = sig(phi - psi)
+                scale = np.sum(np.abs(dA * sv), axis=-1) * dx + 1.0
+                worst_tmono[name] = float(np.min(np.vecdot(dA, sv) * dx / scale,
+                                                 initial=worst_tmono[name]))
         checks.append(AssumptionCheck(
             "operator_coercivity_identity", worst_coerc <= 1e-12, True,
             f"max relative defect of <A(u),u> = alpha*sum|D|^p*dx: {worst_coerc:.3e}"))

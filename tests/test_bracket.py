@@ -377,37 +377,88 @@ def sweep_alone(spec, u0, path, side, tol_fixed, max_outer):
     return start, current, tuple(zip(*history))
 
 
-def test_bracket_study_independent_of_batch():
+class Extremals:
+    """The extremals of a study, as its march made them: each row of each
+    extremal slot recorded as the wave's store takes it, row 0 the datum,
+    and NaN on a row no pass made."""
+
+    def __init__(self, wave):
+        self.wave = wave
+        self.rows = np.full((len(wave.extremals),) + wave.current.shape[1:], np.nan)
+        self.rows[:, 0] = wave.current[0, 0]
+
+    def of(self, m):
+        """The (1, N + 1, n) extremal of member m."""
+        return self.rows[self.wave.index[m]][None]
+
+
+def record_extremals(monkeypatch):
+    """Record the extremals of every study run from here on: returns the
+    list of their Extremals, in the order the studies ran."""
+    studies, store = [], bracket._Wave.store
+
+    def recorded(wave, n, v):
+        if not studies or studies[-1].wave is not wave:
+            studies.append(Extremals(wave))
+        lanes, steps = n
+        ext = np.flatnonzero(lanes >= len(wave.current))
+        studies[-1].rows[lanes[ext] - len(wave.current), steps[ext] + 1] = v[ext]
+        store(wave, n, v)
+
+    monkeypatch.setattr(bracket._Wave, "store", recorded)
+    return studies
+
+
+def study_extremals(studies):
+    """The extremal of each member of the last study recorded, in member
+    order."""
+    ext = studies[-1]
+    assert not np.isnan(ext.rows).any()  # every row of every slot was made
+    return [ext.of(m) for m in range(len(ext.wave.current))]
+
+
+def test_bracket_study_independent_of_batch(monkeypatch):
+    studies = record_extremals(monkeypatch)
     spec = stochastic_jump_spec()
     u0 = sine(spec)
     M, kwargs = 5, dict(tol_fixed=1e-6, max_outer=100)
-    batch = bracket_study(spec, u0, 12345, range(M), **kwargs)
-    alone = [bracket_study(spec, u0, 12345, [m], **kwargs)[0] for m in range(M)]
-    smaller = bracket_study(spec, u0, 12345, range(2), **kwargs)
+
+    def study(indices):
+        pairs = bracket_study(spec, u0, 12345, indices, **kwargs)
+        results = [r for p in pairs for r in (p.minimal, p.maximal)]
+        # member m of P pairs is results[2 (m % P) + m // P]
+        P = len(pairs)
+        ext = study_extremals(studies)
+        return pairs, results, [ext[i // 2 + (i % 2) * P] for i in range(2 * P)]
+
+    batch, whole, whole_ext = study(range(M))
+    alone = [study([m]) for m in range(M)]
+    smaller = study(range(2))
     assert [p.path_index for p in batch] == list(range(M))
-    whole = [r for p in batch for r in (p.minimal, p.maximal)]
     assert len({r.n_sweeps for r in whole}) >= 2  # members stop at different sweeps
-    for others in ([r for p in alone for r in (p.minimal, p.maximal)],
-                   [r for p in smaller for r in (p.minimal, p.maximal)]):
-        for ours, theirs in zip(others, whole):
+    for others, others_ext in (
+            ([r for _, rs, _ in alone for r in rs], [e for *_, es in alone for e in es]),
+            smaller[1:]):
+        for ours, theirs, our_ext, their_ext in zip(others, whole, others_ext, whole_ext):
             assert ours.side == theirs.side
             assert np.array_equal(ours.final.values, theirs.final.values)
-            assert np.array_equal(ours.extremal_start.values, theirs.extremal_start.values)
+            assert np.array_equal(our_ext, their_ext)
             assert (ours.residual_history, ours.monotonicity_violations,
                     ours.containment_violations, ours.n_sweeps, ours.converged) == (
                 theirs.residual_history, theirs.monotonicity_violations,
                 theirs.containment_violations, theirs.n_sweeps, theirs.converged)
     # and each member is bit for bit its side swept alone
-    for pair in batch:
+    for i, pair in enumerate(batch):
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
-        for res in (pair.minimal, pair.maximal):
+        for res, ext in zip((pair.minimal, pair.maximal), whole_ext[2 * i:2 * i + 2]):
             start, final, (residuals, *_) = sweep_alone(spec, u0, path, res.side, **kwargs)
-            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(ext, start.values)
             assert np.array_equal(res.final.values, final.values)
             assert res.residual_history == residuals
 
 
-def test_mixed_drift_batch_members_equal_their_sweeps_alone():
+def test_mixed_drift_batch_members_equal_their_sweeps_alone(monkeypatch):
+    studies = record_extremals(monkeypatch)
     # from u0 = 0 at the jump s0 = 0 the jump value selects the solution, so
     # the two heaviside members differ; the tanh member has its own range
     spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(),
@@ -424,9 +475,11 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
     P = len(paths)
     # one extremal per distinct (noise path, side, forcing parameter): the
     # two heaviside drifts on path 0 share theirs, the tanh and heaviside
-    # ones on path 1 differ in range.  The study's one array holds the 2P
-    # iterates, then them
-    assert results[0].extremal_start.values.base.shape[0] == 2 * P + 6
+    # ones on path 1 differ in range.  The study's array holds the 2P
+    # iterates
+    extremals = study_extremals(studies)
+    assert len(studies[-1].wave.extremals) == 6
+    assert results[0].final.values.base.shape[0] == 2 * P
     assert [r.side for r in results] == [MIN_SIDE] * P + [MAX_SIDE] * P
     assert not np.array_equal(results[0].final.values, results[1].final.values)
     assert len({r.n_sweeps for r in results}) >= 2
@@ -434,32 +487,40 @@ def test_mixed_drift_batch_members_equal_their_sweeps_alone():
         alone = dataclasses.replace(spec, drift=drifts[m % P])
         start, final, (residuals, *_) = sweep_alone(alone, u0, paths[m % P], res.side,
                                                     **kwargs)
-        assert np.array_equal(res.extremal_start.values, start.values)
+        assert np.array_equal(extremals[m], start.values)
         assert np.array_equal(res.final.values, final.values)
         assert res.residual_history == residuals
         assert res.n_sweeps == len(residuals)
 
 
-def test_extremal_slots_tell_the_sign_of_a_zero_range_end_apart():
+def test_extremal_slots_tell_the_sign_of_a_zero_range_end_apart(monkeypatch):
     # inf b = -0.0 and inf b = +0.0 are two forcings, bit for bit: the min
     # sides of the two heaviside drifts get an extremal each, and their max
     # sides, both under sup b = 1.0, share one
+    studies = record_extremals(monkeypatch)
     spec = stochastic_jump_spec()
     path = sample_noise_path(3, 0, spec.noise.K, spec.time_grid)
     drifts = [DriftSpec("heaviside", s0=0.5, low=-0.0), DriftSpec("heaviside", s0=0.5, low=0.0)]
     results = iterate_bracket(spec, sine(spec), [path, path], drifts)
-    assert results[0].extremal_start.values.base.shape[0] == 4 + 3
-    assert not np.shares_memory(results[0].extremal_start.values,
-                                results[1].extremal_start.values)
-    assert np.shares_memory(results[2].extremal_start.values, results[3].extremal_start.values)
+    extremals = study_extremals(studies)
+    index = studies[-1].wave.index.tolist()
+    assert len(studies[-1].wave.extremals) == 3
+    assert index[0] != index[1] and index[2] == index[3]
+    # the two min-side extremals differ only in the sign of zero of their
+    # forcing: as values they are equal
+    assert np.array_equal(extremals[0], extremals[1])
+    for m, drift in enumerate(drifts * 2):
+        alone = build_extremal(spec, sine(spec), results[m].side, path, drifts=[drift])
+        assert np.array_equal(extremals[m], alone.values)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_the_extremals_of_a_study_equal_build_extremal(p):
+def test_the_extremals_of_a_study_equal_build_extremal(monkeypatch, p):
     # the extremal lanes of the study's march are bit for bit build_extremal,
     # batched or alone; at p = 2 each step starts from the direct linear
     # solve.  Members that share a (noise path, side, forcing parameter)
-    # view one row
+    # share one slot
+    studies = record_extremals(monkeypatch)
     spec = dataclasses.replace(stochastic_jump_spec(), spatial=SpatialOpSpec(p=p),
                                noise=NoiseSpec.geometric(2))
     assert (solver.linear_factor(spec) is not None) == (p == 2.0)
@@ -471,19 +532,19 @@ def test_the_extremals_of_a_study_equal_build_extremal(p):
     shared = [sample_noise_path(3, m, 2, spec.time_grid) for m in (0, 1)]
     paths = [shared[m] for m in (0, 0, 1, 1)]
     results = iterate_bracket(spec, u0, paths, drifts, tol_fixed=1e-6, max_outer=100)
+    extremals = study_extremals(studies)
     P = len(paths)
     sides = [r.side for r in results]
     batch = build_extremal(spec, u0, sides, paths * 2, NewtonParams(), drifts * 2)
     for m, res in enumerate(results):
         alone = build_extremal(spec, u0, res.side, paths[m % P], drifts=[drifts[m % P]])
-        assert np.array_equal(res.extremal_start.values, alone.values)
-        assert np.array_equal(res.extremal_start.values[0], batch.values[m])
-        assert res.extremal_start.newton_iters == ()
+        assert np.array_equal(extremals[m], alone.values)
+        assert np.array_equal(extremals[m][0], batch.values[m])
+    index = studies[-1].wave.index
     for a, b in ((0, 1), (P, P + 1)):  # the two heaviside drifts on path 0
-        assert np.shares_memory(results[a].extremal_start.values,
-                                results[b].extremal_start.values)
-    assert not np.shares_memory(results[2].extremal_start.values,
-                                results[3].extremal_start.values)
+        assert index[a] == index[b]
+    assert index[2] != index[3]
+    assert len(set(index.tolist())) == len(studies[-1].wave.extremals) == 6
 
 
 def test_a_study_steps_its_extremals_alongside_its_sweeps(monkeypatch):
@@ -524,9 +585,12 @@ def test_a_pass_evaluates_the_drift_on_its_sweep_lanes_only(monkeypatch):
         h = forcing(wave, n, u)
         assert evaluated[start:] == [L] and len(h) == len(u)
         m, rows = n[0][:L], n[1][:L] + 1
-        read = np.where((wave.k == 1)[:, None], wave.ext[wave.index[m], rows],
-                        wave.current[m, rows])
-        assert np.array_equal(wave.old, read)
+        assert np.array_equal(wave.old, wave.current[m, rows])
+        # sweep 1 reads its extremal's rows, which each member's row of
+        # current holds ahead of it
+        first = wave.k == 1
+        assert np.array_equal(wave.old[first],
+                              wave.ext[wave.index[m[first]], rows[first] - wave.base])
         passes["sweep-1 lanes"] += np.count_nonzero(wave.k == 1)
         passes["later lanes"] += np.count_nonzero(wave.k > 1)
         passes["with extremals" if L < len(u) else "sweeps only"] += 1
@@ -578,13 +642,15 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
 
 
 def test_sweeps_write_their_iterates_in_place(monkeypatch):
-    # the whole call holds one (2M + E, N+1, n) array: the iterates of the
-    # 2M members, then the E = 2M extremals (each path has its own); the
-    # sweeps need no next-iterate array, so the transient memory stays far
-    # below the 2M rows of one more.  The wave's Workspace and the march's,
-    # about 149 KB together here, are kept alive and counted apart, so a
-    # role more or less does not move the bound on the rest
+    # the whole call holds the (2M, N+1, n) array of the iterates of its 2M
+    # members and a window of WINDOW rows of each of its E = 2M extremals
+    # (each path has its own), which never falls back here; the sweeps
+    # need no next-iterate array, so the transient memory stays far below
+    # the 2M rows of one more.  The wave's Workspace and the march's, about
+    # 149 KB together here, are kept alive and counted apart, so a role
+    # more or less does not move the bound on the rest
     made = {bracket: [], solver: []}  # the Workspaces each module makes
+    waves = []
 
     def recorded(module):
         class Recorded(solver.Workspace):
@@ -595,6 +661,14 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
 
     for module in made:
         monkeypatch.setattr(module, "Workspace", recorded(module))
+    plan = bracket._Wave._plan
+
+    def planned(wave):
+        if not waves:
+            waves.append(wave)
+        plan(wave)
+
+    monkeypatch.setattr(bracket._Wave, "_plan", planned)
     g = Grid(n_interior=64)
     spec = dataclasses.replace(stochastic_jump_spec(), grid=g,
                                time_grid=TimeGrid(T=0.2, n_steps=400),
@@ -603,6 +677,7 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     M = 3
     paths = [sample_noise_path(7, m, spec.noise.K, spec.time_grid) for m in range(M)]
     one_array = 2 * M * (spec.time_grid.n_steps + 1) * g.n_interior * 8
+    window = 2 * M * bracket.WINDOW * g.n_interior * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -611,14 +686,21 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(r.n_sweeps for r in results) >= 3
-    buf = results[0].extremal_start.values.base
-    assert buf.nbytes == 2 * one_array
-    assert all(r.final.values.base is buf for r in results)
+    (wave,) = waves
+    current = results[0].final.values.base
+    assert current is wave.current and current.nbytes == one_array
+    assert all(r.final.values.base is current for r in results)
+    assert wave.ext.shape == (2 * M, bracket.WINDOW, g.n_interior)  # no fallback
     (wave_work,), (march_work,) = made[bracket], made[solver]
     buffers = sum(array.nbytes for work in (wave_work, march_work)
                   for array in work.arrays.values())
-    retained = after - before - buffers  # the iterates and extremals, which the results view
-    assert retained >= 2 * one_array
+    # the iterates, which the results view, the window and the containment
+    # defect of each iterate row, which the wave held, and less than 64 KB
+    # of the wave's per-level arrays, plan, histories and last drift values
+    # (23-38 KB here); the whole extremals, another one_array, are gone
+    retained = after - before - buffers
+    held = one_array + window + wave.excess.nbytes
+    assert held <= retained < held + 2**16
     # after holds the buffers too: the peak above it is the rest of the
     # transient (145 KB here)
     assert peak - after < 0.125 * one_array
@@ -659,19 +741,23 @@ def test_a_pass_allocates_only_its_states_and_drift_values(monkeypatch):
         assert peak < 3 * lanes * state_bytes, (lanes, peak / (lanes * state_bytes))
 
 
-def test_bracket_results_are_read_only_views():
+def test_bracket_results_are_read_only_views(monkeypatch):
+    studies = record_extremals(monkeypatch)
     spec = stochastic_jump_spec()
     pairs = bracket_study(spec, sine(spec), 1, range(3), tol_fixed=1e-6, max_outer=100)
     for pair in pairs:
         for res in (pair.minimal, pair.maximal):
-            for traj in (res.final, res.extremal_start):
-                assert traj.n_paths == 1
-                assert traj.values.base is not None  # a view, not a copy
-                assert not traj.values.flags.writeable
-    # every path of the batch shares its extremal and its final arrays
+            traj = res.final
+            assert traj.n_paths == 1
+            assert traj.values.base is not None  # a view, not a copy
+            assert not traj.values.flags.writeable
+    # every path of the batch shares its members' array; the extremals are
+    # not kept, and each (path, side) had a slot of its own
+    (study,) = studies
     assert pairs[0].minimal.final.values.base is pairs[2].maximal.final.values.base
-    assert (pairs[0].minimal.extremal_start.values.base
-            is pairs[2].maximal.extremal_start.values.base)
+    assert pairs[0].minimal.final.values.base is study.wave.current
+    assert not hasattr(pairs[0].minimal, "extremal_start")
+    assert sorted(study.wave.index.tolist()) == list(range(6))
 
 
 def test_one_solve_per_extremal_build_and_sweep(monkeypatch):
@@ -864,21 +950,23 @@ REFERENCE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_sweeps_from_their_start_steps_equal_full_sweeps(case):
+def test_sweeps_from_their_start_steps_equal_full_sweeps(monkeypatch, case):
+    studies = record_extremals(monkeypatch)
     build, kinds, arguments = REFERENCE_CASES[case]
     spec, u0, drifts, M = build()
     kwargs = dict(tol_fixed=1e-6, max_outer=100) | arguments
     pairs = bracket_study(spec, u0, 12345, range(M), drifts, **kwargs)
+    extremals = study_extremals(studies)
     drifts = drifts or (spec.drift,)
     N = spec.time_grid.n_steps
     all_starts = []
     for i, pair in enumerate(pairs):
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
-        for res in (pair.minimal, pair.maximal):
+        for res, m in ((pair.minimal, i), (pair.maximal, len(pairs) + i)):
             alone = dataclasses.replace(spec, drift=drifts[i // M])
             start, final, (*defects, starts) = sweep_alone(alone, u0, path, res.side,
                                                            **kwargs)
-            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(extremals[m], start.values)
             assert np.array_equal(res.final.values, final.values)
             for ours, theirs in zip((res.residual_history, res.monotonicity_violations,
                                      res.containment_violations), defects):
@@ -967,6 +1055,83 @@ def test_each_reference_study_keeps_its_schedule(monkeypatch, case):
     assert counts["lane-iterations"] == REFERENCE_NEWTON_ROWS[case]
 
 
+# the reference studies whose waiting levels keep the extremals' early rows
+# in use, so that their window falls back to all N + 1 rows: a continuous
+# drift's level waits while the one before it may be final.  A jump
+# drift's levels trail the extremals by a few rows, and its window slides
+FALLS_BACK = {"lipschitz_tanh", "sqrt_plus_ode", "sqrt_plus_pde_from_zero"}
+
+
+def record_windows(monkeypatch):
+    """(front, base, width) of the window after each move of every study
+    run from here on."""
+    moves, fit = [], bracket._Wave._fit
+
+    def recorded(wave):
+        window = (wave.base, wave.width)
+        fit(wave)
+        if (wave.base, wave.width) != window:
+            moves.append((int(wave.steps[len(wave.k)]), wave.base, wave.width))
+
+    monkeypatch.setattr(bracket._Wave, "_fit", recorded)
+    return moves
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_only_waiting_levels_make_the_window_fall_back(monkeypatch, case):
+    studies, moves = record_extremals(monkeypatch), record_windows(monkeypatch)
+    build, _, arguments = REFERENCE_CASES[case]
+    spec, u0, drifts, M = build()
+    bracket_study(spec, u0, 12345, range(M), drifts,
+                  **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
+    wave, N = studies[-1].wave, spec.time_grid.n_steps
+    if N + 1 <= bracket.WINDOW:  # the window is every row
+        assert wave.ext.shape[1] == N + 1 and not moves
+    elif case in FALLS_BACK:  # once, to every row, keeping the window's
+        ((front, base, width),) = moves
+        assert (base, width) == (0, N + 1) and wave.ext.shape[1] == N + 1
+        assert front == bracket.WINDOW - 1
+    else:
+        assert moves and wave.ext.shape[1] == bracket.WINDOW
+        assert all(width == bracket.WINDOW for *_, width in moves)
+        # each move frees at least half the window
+        assert all(2 * (front + 1 - base) <= bracket.WINDOW for front, base, _ in moves)
+
+
+@pytest.mark.parametrize("case", ["tanh_waits_from_row_0", "loose_tol_waits_later"])
+def test_a_window_that_falls_back_keeps_every_member_bit_for_bit(monkeypatch, case):
+    # a tanh drift's levels wait at row 0 while the extremals run on, so
+    # the window of the whole study falls back at once, with the heaviside
+    # members' slots in it.  At tol_fixed = 2e-3 a heaviside level that
+    # starts later waits there: the window slides, then falls back with
+    # the rows from its base on.  Every member, extremal, defect and start
+    # is still its sweep alone
+    studies, moves = record_extremals(monkeypatch), record_windows(monkeypatch)
+    spec = stochastic_jump_spec()
+    u0, kwargs = sine(spec), dict(tol_fixed=1e-6, max_outer=100)
+    drifts = (spec.drift, DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5))
+    if case == "loose_tol_waits_later":
+        spec = dataclasses.replace(spec, time_grid=TimeGrid(T=0.2, n_steps=100))
+        kwargs["tol_fixed"], drifts = 2e-3, drifts[:1]
+    pairs = bracket_study(spec, u0, 12345, range(2), drifts, **kwargs)
+    N, M = spec.time_grid.n_steps, 2
+    widths = [width for *_, width in moves]
+    assert widths == ([N + 1] if len(drifts) == 2 else [bracket.WINDOW, N + 1])
+    assert moves[-1][1] == 0 and (len(moves) == 1 or moves[0][1] > 0)
+    extremals = study_extremals(studies)
+    for i, pair in enumerate(pairs):
+        path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
+        alone = dataclasses.replace(spec, drift=drifts[i // M])
+        for res, m in ((pair.minimal, i), (pair.maximal, len(pairs) + i)):
+            start, final, (*defects, starts) = sweep_alone(alone, u0, path, res.side, **kwargs)
+            assert np.array_equal(extremals[m], start.values)
+            assert np.array_equal(res.final.values, final.values)
+            for ours, theirs in zip((res.residual_history, res.monotonicity_violations,
+                                     res.containment_violations), defects):
+                assert np.array_equal(ours, theirs)
+            assert res.sweep_starts == starts
+
+
 def test_a_twin_that_never_splits_steps_no_lane(monkeypatch):
     # no iterate of the flipped jump side hits s0, so its members, which
     # share the configured drift's extremals, track them to the end
@@ -988,14 +1153,15 @@ def test_a_twin_that_never_splits_steps_no_lane(monkeypatch):
 
 
 def test_a_twin_that_never_splits_leaves_its_iterate_row_untouched():
-    # sweep 1 reads its extremal's rows in place and a tracking twin steps
-    # no lane, so nothing writes the flipped jump side's iterate rows of
-    # the study's array (members 1 and 3) past u0 at row 0
+    # the extremal rows go to the rows of current of the members that step
+    # lanes of their own, and a tracking twin steps no lane, so nothing
+    # writes the flipped jump side's iterate rows of the study's array
+    # (members 1 and 3) past u0 at row 0
     spec, u0, drifts, M = plap_p3_dual_jump()
     owner, twin = bracket_study(spec, u0, 12345, range(M), drifts,
                                 tol_fixed=1e-6, max_outer=100)
     buf = owner.minimal.final.values.base
-    assert buf.shape[0] == 4 + 2  # the 4 members, then the path's 2 extremals
+    assert buf.shape[0] == 4  # the 4 members
     assert twin.minimal.final.values.base is buf
     for own, tracking in ((0, 1), (2, 3)):
         assert np.array_equal(buf[tracking, 0], u0)
@@ -1013,18 +1179,24 @@ def test_a_twin_does_not_split_on_other_members_rows(monkeypatch):
         raise AssertionError(f"twin {t} split from {o}")
 
     monkeypatch.setattr(bracket._Wave, "_clone", unused)
+    studies = record_extremals(monkeypatch)
     spec, u0, (heaviside, flipped), M = plap_p3_dual_jump()
     drifts = (heaviside, flipped, DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5))
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
     pairs = bracket_study(spec, u0, 12345, range(M), drifts, **kwargs)
+    extremals = study_extremals(studies)
+    P = len(pairs)
 
     def bits(values):
         return np.asarray(values, dtype=float).view(np.int64)
 
-    for pair, drift in zip(pairs, drifts):
+    for i, (pair, drift) in enumerate(zip(pairs, drifts)):
         (alone,) = bracket_study(spec, u0, 12345, range(M), (drift,), **kwargs)
-        for ours, theirs in ((pair.minimal, alone.minimal), (pair.maximal, alone.maximal)):
-            for a, b in ((ours.extremal_start.values, theirs.extremal_start.values),
+        alone_ext = study_extremals(studies)
+        for ours, theirs, a_ext, b_ext in (
+                (pair.minimal, alone.minimal, extremals[i], alone_ext[0]),
+                (pair.maximal, alone.maximal, extremals[P + i], alone_ext[1])):
+            for a, b in ((a_ext, b_ext),
                          (ours.final.values, theirs.final.values),
                          (ours.residual_history, theirs.residual_history),
                          (ours.monotonicity_violations, theirs.monotonicity_violations),
@@ -1052,7 +1224,9 @@ def test_drifts_of_different_kinds_with_equal_forcing_parameters_split_at_the_fi
                                drift=DriftSpec("heaviside", s0=0.5, low=-0.5, high=0.5))
     tanh = DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5)  # C_B plays no part
     u0, kwargs = sine(spec), dict(tol_fixed=1e-6, max_outer=100)
+    studies = record_extremals(monkeypatch)
     pairs = bracket_study(spec, u0, 12345, [0], (spec.drift, tanh), **kwargs)
+    extremals = study_extremals(studies)
     assert sorted(split_at) == [(1, 1), (3, 1)]  # each min- and max-side twin
     both = counts["lane-steps"]
     for drift in (spec.drift, tanh):
@@ -1061,11 +1235,11 @@ def test_drifts_of_different_kinds_with_equal_forcing_parameters_split_at_the_fi
         both -= counts["lane-steps"]
     assert both == -2 * spec.time_grid.n_steps  # the shared extremals' lanes
     path = sample_noise_path(12345, 0, spec.noise.K, spec.time_grid)
-    for pair, drift in zip(pairs, (spec.drift, tanh)):
-        for res in (pair.minimal, pair.maximal):
+    for i, (pair, drift) in enumerate(zip(pairs, (spec.drift, tanh))):
+        for res, m in ((pair.minimal, i), (pair.maximal, 2 + i)):
             start, final, (*defects, starts) = sweep_alone(
                 dataclasses.replace(spec, drift=drift), u0, path, res.side, **kwargs)
-            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(extremals[m], start.values)
             assert np.array_equal(res.final.values, final.values)
             for ours, theirs in zip((res.residual_history, res.monotonicity_violations,
                                      res.containment_violations), defects):
@@ -1123,6 +1297,7 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
     # take no step, and still record the defect of every row.  The study's
     # min-side extremal lanes store rows 1 and 2 raised but step on from the
     # rows they solved, as a raised copy of build_extremal's does
+    studies = record_extremals(monkeypatch)  # the raised rows, as the store takes them
     build, schedule, store = bracket.build_extremal, bracket._Wave.passes, bracket._Wave.store
     solved = {}
 
@@ -1157,13 +1332,14 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
     u0 = sine(spec)
     kwargs = dict(tol_fixed=1e-6, max_outer=100)
     pairs = bracket_study(spec, u0, 12345, range(2), **kwargs)
+    extremals = study_extremals(studies)
     assert len(solved) == 2 * 2  # rows 1 and 2 of both paths' lower extremals
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
-        for res in (pair.minimal, pair.maximal):
+        for res, m in ((pair.minimal, i), (pair.maximal, 2 + i)):
             start, final, (*_, containment, starts) = sweep_alone(spec, u0, path, res.side,
                                                                   **kwargs)
-            assert np.array_equal(res.extremal_start.values, start.values)
+            assert np.array_equal(extremals[m], start.values)
             assert np.array_equal(res.final.values, final.values)
             assert np.array_equal(res.containment_violations, containment)
             assert res.sweep_starts == starts
@@ -1171,7 +1347,7 @@ def test_rows_a_sweep_keeps_count_in_its_containment_defects(monkeypatch):
         assert min(pair.minimal.sweep_starts[1:]) > 2
 
 
-def test_a_drift_value_changed_only_in_the_sign_of_zero_is_a_change():
+def test_a_drift_value_changed_only_in_the_sign_of_zero_is_a_change(monkeypatch):
     # the drift is +0.0 on (0, 1) and -0.0 from r = 1 on: the lower
     # extremal 1.5 - t, under inf b = -1, crosses r = 1, while the first
     # iterate, under the forcing -0.0 and +0.0, stays at 1.5.  The values
@@ -1179,9 +1355,10 @@ def test_a_drift_value_changed_only_in_the_sign_of_zero_is_a_change():
     # row before the crossing, not be taken without stepping
     drift = DriftSpec("piecewise_linear", knots=((-1.0, -1.0), (0.0, 0.0), (1.0, -0.0)))
     spec = dataclasses.replace(ode_sqrt_spec(n_steps=100), drift=drift)
+    studies = record_extremals(monkeypatch)
     (pair,) = bracket_study(spec, np.full(1, 1.5), 0)
     res = pair.minimal
-    ext_values = eval_b_values(drift, res.extremal_start.values)
+    ext_values = eval_b_values(drift, study_extremals(studies)[0])
     final_values = eval_b_values(drift, res.final.values)
     assert np.array_equal(ext_values, final_values)
     assert np.all(res.final.values == 1.5)

@@ -282,12 +282,16 @@ _NUMPY_MEMORY_ERROR = ("Unable to allocate 597. GiB for an array with shape "
     (MemoryError(), "the run does not fit in memory"),
     ((2**62, 4), "array is too big"),
     ((2**63,), "Maximum allowed dimension exceeded"),
-], ids=["numpy", "bare", "too big", "dimension"])
+    (None, "Unable to allocate "),
+], ids=["numpy", "bare", "too big", "dimension", "10**13 paths"])
 def test_cli_a_study_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys, failure, line):
-    # the bracket wave's (members, N + 1, n) state is the allocation that
+    # the bracket study's (members, N + 1, n) state is the allocation that
     # fails.  A MemoryError is patched in, since a real one would depend on
     # the machine's overcommit setting; a shape past the address space
-    # makes numpy raise its ValueError before it allocates anything
+    # makes numpy raise its ValueError before it allocates anything.  With
+    # no patch, 10**13 paths fail at that state, which is allocated before
+    # any path is listed or sampled and is past every address space, and
+    # numpy's message names its size
     zeros = np.zeros
 
     def wave_zeros(shape, *args, **kwargs):
@@ -297,12 +301,18 @@ def test_cli_a_study_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys
             shape = failure
         return zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "zeros", wave_zeros)
     doc = tmp_path / "big.cfg"
-    doc.write_text("scenario = plap_bracket\ntime.T = 0.01\n")
+    if failure is None:
+        doc.write_text("scenario = custom\ngrid.n = 16\ntime.T = 0.05\nnoise.K = 2\n"
+                       "run.M = 10000000000000\n")
+    else:
+        monkeypatch.setattr(np, "zeros", wave_zeros)
+        doc.write_text("scenario = plap_bracket\ntime.T = 0.01\n")
     assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err  # one line, no traceback
     assert err.startswith(f"out of memory: {line}") and err.count("\n") == 1
+    if failure is None:  # the members' state: 2 * 10**13 members, N + 1 = 51 rows
+        assert "with shape (20000000000000, 51, 16)" in err
 
 
 def test_cli_another_value_error_is_not_taken_for_a_size(tmp_path, monkeypatch):

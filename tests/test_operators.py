@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from spdeorder import (
     sigma_hat,
     sample_noise_path,
 )
+from spdeorder import operators
 from spdeorder.config import parse_config_text, resolve_config
 from spdeorder.operators import (
     SpecError,
@@ -465,3 +467,31 @@ def test_check_assumptions_heaviside_lipschitz_fails_informationally():
     assert not by_name["drift_lipschitz"].required
     assert report.passed  # informational failure does not gate
     assert "informational" in report.to_text()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_check_assumptions_draws_its_pairs_in_chunks_of_the_same_stream(monkeypatch, p):
+    # at n = 1000 the 200 pairs are drawn 65 at a time: the report is the
+    # one of drawing them all at once, from the same stream in the same
+    # order.  Every n <= 327 takes one chunk
+    args = (SpatialOpSpec(p=p), DriftSpec("sqrt_plus"), ReactionSpec(), NoiseSpec.geometric(2),
+            Grid(n_interior=1000))
+    chunked = check_assumptions(*args, seed=7)
+    monkeypatch.setattr(operators, "_PAIR_CHUNK_VALUES", 200 * 1000)
+    assert check_assumptions(*args, seed=7) == chunked
+    assert 2**16 // 327 >= 200 > 2**16 // 328
+
+
+def test_check_assumptions_memory_does_not_grow_with_the_pairs():
+    # 20 pairs at n = 200,000 drawn at once were 64 MB of normals alone
+    # (the default 200, 640 MB); one pair at a time stays under 32 MB
+    grid = Grid(n_interior=200_000)
+    tracemalloc.start()
+    try:
+        report = check_assumptions(SpatialOpSpec(p=3.0), DriftSpec("heaviside"),
+                                   ReactionSpec(), NoiseSpec(), grid=grid, n_pairs=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 * 2**20, peak / 2**20
