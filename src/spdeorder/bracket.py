@@ -46,8 +46,8 @@ from .solver import (
 MIN_SIDE = "min"
 MAX_SIDE = "max"
 
-# the rows of each extremal a study keeps while its sweeps can still read
-# them (see _Wave)
+# the length of the ring of each extremal's rows a study keeps while its
+# sweeps can still read them (see _Wave)
 WINDOW = 32
 
 
@@ -99,7 +99,7 @@ def build_extremal(
 
 def apply_S(
     spec: ProblemSpec,
-    u_tilde: Trajectory,
+    u_tilde: Union[Trajectory, np.ndarray],
     noise_paths: Union[NoisePath, Sequence[NoisePath], None] = None,
     newton: NewtonParams = NewtonParams(),
     wave: Optional[_Wave] = None,
@@ -112,12 +112,12 @@ def apply_S(
     A wave, a study, hands the march its passes and its own forcing (S's
     under each lane's drift on the sweep lanes, the extremal forcing on
     the extremal lanes) and takes the new states in place, and the result
-    is the NewtonLog of the passes (see _Wave): u_tilde then gives only
-    the initial state of each of the wave's lanes, on its row 0."""
-    u0 = u_tilde.values[:, 0]
+    is the NewtonLog of the passes (see _Wave): u_tilde is then the (n,)
+    datum every lane of the wave starts from."""
     if wave is not None:
-        return solve_frozen(spec, u0, wave.forcing, noise_paths, newton, wave.store,
+        return solve_frozen(spec, u_tilde, wave.forcing, noise_paths, newton, wave.store,
                             wave.passes())
+    u0 = u_tilde.values[:, 0]
 
     def forcing(n, u):
         members, steps = n  # every path: members is slice(None)
@@ -192,7 +192,7 @@ class BracketResult:
 
 
 class _Wave:
-    """A bracket study: its members' array, the window of its extremals'
+    """A bracket study: its members' array, the ring of its extremals'
     rows, its lanes, and the schedule, forcing and store of the one march
     that runs it.  Level k of member m, the sweep that makes
     u^k = S(u^{k-1}), is a lane; level 0 is the member's extremal u^0,
@@ -220,16 +220,15 @@ class _Wave:
     scatter stores the new rows of every lane.
 
     The extremals' rows are read after that only by the containment
-    defects of the sweeps, at the row each sweep lane makes: ext keeps a
-    window of width rows of each slot, its first holding row base, from
-    the lowest row a started, unfinished level of a member that steps
-    lanes of its own will read (a level that waits included) up to the
-    extremals' front.  When the next extremal row would fall past its
-    end, the window slides down to that lowest row before the pass, and
-    the plan's rows of ext are rewritten in place; if that frees less
-    than half of it, the window falls back, once, to all N + 1 rows of
-    each slot.  Only the window's rows are copied; rows below base are
-    never read again.
+    defects of the sweeps, at the row each sweep lane makes: ext is a
+    ring of R = min(WINDOW, N + 1) rows of the E slots, row r of slot e at
+    ext[r % R, e], flat row (r E + e) mod R E of ext_rows, and the
+    extremals' new row r goes over row r - R.  When it would go over a
+    row that a started, unfinished level of a member that steps lanes of
+    its own still reads (a level that waits included), the ring falls
+    back before the pass, once, to all N + 1 rows of each slot, copying
+    the R rows it holds; the same flat rows index it then without
+    wrapping.
 
     Level k + 1 starts at R = (the first row where b(u^k) and b(u^{k-1})
     differ bit for bit) - 1, found as level k writes that row: rows 0..R
@@ -251,12 +250,12 @@ class _Wave:
     of the plan down one row.  The plan holds the sweep
     lanes, each drift's in one run, then the extremal lanes; one int
     array of each lane's step, its rows of current (state and new row)
-    and a sweep lane's rows of ext (its lower and upper extremal at its
-    new row), the extremals' new rows of ext and the rows of current
-    their copies go to, which a pass advances by one; each sweep lane's
-    sign, -1.0 on the min side; the lanes whose successor has not
-    started, whose new rows the store checks for a changed drift value;
-    and each sweep lane's defects so far.  have and defects are synced
+    and the rows of current the copies of the extremals' new rows go to,
+    which a pass advances by one; each sweep lane's rows of ext_rows (its
+    lower and upper extremal at its new row), which a pass advances by
+    E; each sweep lane's sign, -1.0 on the min side; the lanes whose
+    successor has not started, whose new rows the store checks for a
+    changed drift value; and each sweep lane's defects so far.  have and defects are synced
     from the plan at each event, before it is handled.
 
     Members that share an extremal slot march as one while they can.  The
@@ -309,10 +308,10 @@ class _Wave:
         self.current = current
         current[:, 0] = u0
         self.current_rows = current.reshape(-1, n)  # row m (N + 1) + r is row r of current[m]
-        # the window of the extremals' rows, row r of slot e at ext[e, r - base]
-        # from row 1 on: no containment defect reads row 0, u0
-        self.width, self.base = min(WINDOW, N + 1), 0
-        self.ext = np.zeros((len(self.owners), self.width, n))
+        # the ring of the extremals' rows, R = min(WINDOW, N + 1) of them:
+        # row r of slot e at ext[r % R, e] from row 1 on, since no
+        # containment defect reads row 0, u0
+        self.ext = np.zeros((min(WINDOW, N + 1), len(self.owners), n))
         self.ext_rows = self.ext.reshape(-1, n)
         # the scratch of the forcing and the store: the rows the sweep
         # lanes read, and the store's defects
@@ -357,46 +356,28 @@ class _Wave:
         self._plan()
 
     def _fit(self) -> None:
-        """Before a pass: make room in the window for the row the
-        extremals make in it, sliding the window down to the lowest row a
-        sweep will still read, or falling back to all N + 1 rows when that
-        frees less than half of it, and count the passes until it is full
-        (room).  The plan's rows of ext are rewritten in place, so a move
-        rebuilds no plan."""
+        """Before a pass: count the passes whose new extremal rows go over
+        no row a sweep will still read (room), falling back first to all
+        N + 1 rows when the next one would."""
         L, N = len(self.k), self.N
-        if L == len(self.lanes):  # the extremals hold row N: no move is due
+        if L == len(self.lanes):  # the extremals hold row N: they write no more
             self.room = -1
             return
-        s = int(self.steps[L])  # the extremals' state row
-        if s + 1 - self.base >= self.width:
-            # the rows of ext the started, unfinished levels of the members
-            # that step lanes of their own read next: the plan's lanes are
-            # at their steps, the levels that wait at their rows of have
-            have = self.have.copy()
-            have[self.m, self.k] = self.steps[:L]
-            held = have[self.source == np.arange(len(self.source)), 1:]
-            low = min(int(held[held < N].min(initial=N)), s) + 1
-            base, width = self.base, self.width
-            if 2 * (s + 1 - low) > width:
-                full = np.zeros((len(self.ext), N + 1, self.ext.shape[2]))
-                full[:, base:s + 1] = self.ext[:, :s + 1 - base]
-                self.ext, self.width, self.base = full, N + 1, 0
-            else:
-                self.ext[:, :s + 1 - low] = self.ext[:, low - base:s + 1 - base]
-                self.base = low
-            self.ext_rows = self.ext.reshape(-1, self.ext.shape[2])
-            self._ext_positions(s)
-        self.room = self.width - 1 + self.base - s
-
-    def _ext_positions(self, s: int) -> None:
-        """The plan's rows of ext_rows, from its extremals' state row s: each
-        sweep lane's lower and upper extremal at its new row, and the rows
-        the extremals write."""
-        L = len(self.k)
-        self.lower[:], self.upper[:] = (self.bounds[self.m].T * self.width
-                                        + (self.steps[:L] + 1 - self.base))
-        self.ext_new_rows[:] = np.arange(len(self.ext_new_rows)) * self.width + (
-            s + 1 - self.base)
+        s, R = int(self.steps[L]), len(self.ext)  # the extremals' state row
+        # the lowest row of ext the started, unfinished levels of the
+        # members that step lanes of their own read next: the plan's lanes
+        # are at their steps, the levels that wait at their rows of have
+        have = self.have.copy()
+        have[self.m, self.k] = self.steps[:L]
+        held = have[self.source == np.arange(len(self.source)), 1:]
+        low = min(int(held[held < N].min(initial=N)), s) + 1
+        if s + 1 - R >= low:  # row s + 1 would go over row s + 1 - R
+            full = np.zeros((N + 1,) + self.ext.shape[1:])
+            rows = np.arange(s + 1 - R, s + 1)  # the rows the ring holds
+            full[rows] = self.ext.take(rows, 0, mode="wrap")
+            self.ext, R = full, N + 1
+            self.ext_rows = full.reshape(-1, full.shape[2])
+        self.room = low + R - 1 - s
 
     def _plan(self) -> None:
         """Build the pass plan from have and defects: lane (m, k) steps
@@ -412,34 +393,31 @@ class _Wave:
         i, k = np.nonzero(have[order, 1:] <= limit[order, :-1])
         self.m, self.k = m, k = order[i], k + 1
         steps, L = have[m, k], len(m)
+        # each sweep lane's rows of ext_rows: its lower and upper extremal
+        # at its new row
+        self.bound_rows = self.bounds[m].T + (steps + 1) * len(self.owners)
+        self.lower, self.upper = self.bound_rows
         # passes until an event comes on schedule: the first lane completes
         lanes, rows, due = m, m, [N - steps.max()] if L else []
         # the members other than its owner whose rows of current take each
         # slot's new rows: the twins that split
-        E, split = 0, np.empty(0, dtype=np.intp)
+        split = np.empty(0, dtype=np.intp)
         if (s := have[0, 0]) < N:  # the extremals step too, in their owners' rows
             lanes = np.concatenate((m, self.extremals))
             rows = np.concatenate((m, self.owners))
-            steps = np.concatenate((steps, np.full(len(self.ext), s)))
+            steps = np.concatenate((steps, np.full(len(self.owners), s)))
             due.append(N - s if s else 1)  # they hold row N, or row 1 first
-            E = len(self.ext)
             split = np.flatnonzero(own & (self.owners[self.index] != np.arange(len(own))))
         self.lanes, self.due = lanes, min(due, default=0)
         self.copy_slots = self.index[split]
         # advanced by one each pass: each lane's step and its rows of
         # current_rows holding its state and taking its new state (of
-        # excess_rows too for a sweep lane); the rows of ext_rows of a
-        # sweep lane's lower and upper extremal at its new row and of the
-        # extremals' new rows (_ext_positions); the rows of current_rows
-        # the copies of their new rows go to
+        # excess_rows too for a sweep lane), and the rows of current_rows
+        # the copies of the extremals' new rows go to
         state = rows * (N + 1) + steps
-        parts = (steps, state, state + 1, np.empty(2 * L + E, dtype=np.intp),
-                 split * (N + 1) + s + 1)
-        self.pos = np.concatenate(parts)
-        ends = np.cumsum([len(steps)] * 3 + [L, L, E])
-        (self.steps, self.state_rows, self.new_rows, self.lower, self.upper,
-         self.ext_new_rows, self.copy_rows) = np.split(self.pos, ends)
-        self._ext_positions(s)
+        self.pos = np.concatenate((steps, state, state + 1, split * (N + 1) + s + 1))
+        (self.steps, self.state_rows, self.new_rows,
+         self.copy_rows) = np.split(self.pos, np.cumsum([len(steps)] * 3))
         self._fit()
         # the lanes follow order: one run per drift.  new - old times sign
         # is the monotonicity defect: the min side expects new >= old
@@ -519,15 +497,15 @@ class _Wave:
         np.multiply(diff, diff, out=scratch).sum(axis=-1, out=found[0])
         np.multiply(diff, self.sign, out=diff).max(axis=-1, out=found[1])
         # worst of lower - new and new - upper on each row
-        self.ext_rows.take(self.lower, 0, scratch, mode="clip")
+        self.ext_rows.take(self.lower, 0, scratch, mode="wrap")
         below = np.subtract(scratch, v, out=scratch).max(axis=-1)
-        self.ext_rows.take(self.upper, 0, scratch, mode="clip")
+        self.ext_rows.take(self.upper, 0, scratch, mode="wrap")
         np.maximum(below, np.subtract(v, scratch, out=scratch).max(axis=-1), out=found[2])
         self.excess_rows[self.new_rows[:L]] = found[2]
         defects = np.maximum(self.defects_so_far, found, out=self.defects_so_far)
         self.current_rows[self.new_rows] = full
-        if len(self.ext_new_rows):  # the extremals stepped: their rows for the bounds
-            self.ext_rows[self.ext_new_rows] = full[L:]
+        if L < len(full):  # the extremals stepped: their row for the bounds
+            self.ext[(self.steps[L] + 1) % len(self.ext)] = full[L:]
             if len(self.copy_rows):
                 self.current_rows[self.copy_rows] = full[L + self.copy_slots]
         # an event: one on schedule, a level that starts, or a residual so
@@ -537,6 +515,7 @@ class _Wave:
             self._event(started, split)
         else:
             self.pos += 1
+            self.bound_rows += len(self.owners)
             self.room -= 1
             if not self.room:
                 self._fit()
@@ -650,12 +629,13 @@ def iterate_bracket(
     Newton failure in any lane raises NewtonDivergenceError from the
     first failing pass.
 
-    The study's state is out, the zero (2P, N + 1, n) array of its
-    members' iterates (a new one by default), and a window of WINDOW rows
-    of each distinct extremal, all N + 1 of them only where a sweep that
-    waits keeps older rows in use (see _Wave).  Returns the 2P results in
-    member order; their finals are read-only views into out, and carry no
-    Newton metadata, since many passes solved their rows.
+    The study's state is out, the zero C-contiguous float64
+    (2P, N + 1, n) array of its members' iterates (a new one by default),
+    and a ring of WINDOW rows of each distinct extremal, all N + 1 of them
+    only where a sweep that waits keeps older rows in use (see _Wave).
+    Returns the 2P results in member order; their finals are read-only
+    views into out, and carry no Newton metadata, since many passes
+    solved their rows.
     """
     if not tol_fixed > 0:
         raise ValueError("tol_fixed must be positive")
@@ -673,12 +653,12 @@ def iterate_bracket(
     shape = (2 * P, tg.n_steps + 1, grid.n_interior)
     if out is None:
         out = np.zeros(shape)
-    elif out.shape != shape:
-        raise ValueError(f"members' array of shape {out.shape}, expected {shape}")
+    elif (out.shape != shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):  # the march writes through its flat rows
+        raise ValueError(f"members' array of shape {out.shape} and dtype {out.dtype}, "
+                         f"expected a C-contiguous float64 array of shape {shape}")
     wave = _Wave(spec, u0, paths, drifts, max_outer, tol_fixed, out)
-    # the march reads only the lanes' initial states of its argument
-    lanes = np.broadcast_to(u0, (len(wave.paths),) + shape[1:])
-    apply_S(spec, Trajectory(grid, tg, lanes), wave.paths, newton, wave)
+    apply_S(spec, u0, wave.paths, newton, wave)
     return [
         BracketResult(
             side=side,

@@ -590,7 +590,7 @@ def test_a_pass_evaluates_the_drift_on_its_sweep_lanes_only(monkeypatch):
         # current holds ahead of it
         first = wave.k == 1
         assert np.array_equal(wave.old[first],
-                              wave.ext[wave.index[m[first]], rows[first] - wave.base])
+                              wave.ext[rows[first] % len(wave.ext), wave.index[m[first]]])
         passes["sweep-1 lanes"] += np.count_nonzero(wave.k == 1)
         passes["later lanes"] += np.count_nonzero(wave.k > 1)
         passes["with extremals" if L < len(u) else "sweeps only"] += 1
@@ -613,7 +613,9 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
         sides = dict(zip(wave.index.tolist(), wave.sides))
         calls.append([(sides[e], drift.jump_side)
                       for e, drift in enumerate(wave.drifts[len(wave.current):])])
-        assert len(noise_paths) == len(wave.drifts) == u_tilde.n_paths
+        # every lane starts from the (n,) datum
+        assert len(noise_paths) == len(wave.drifts)
+        assert np.array_equal(u_tilde, wave.current[0, 0])
         return solve(spec, u_tilde, noise_paths, newton, wave)
 
     def passes(wave):
@@ -643,7 +645,7 @@ def test_dual_jump_plap_bracket_builds_its_extremals_once(tmp_path, monkeypatch)
 
 def test_sweeps_write_their_iterates_in_place(monkeypatch):
     # the whole call holds the (2M, N+1, n) array of the iterates of its 2M
-    # members and a window of WINDOW rows of each of its E = 2M extremals
+    # members and a ring of WINDOW rows of each of its E = 2M extremals
     # (each path has its own), which never falls back here; the sweeps
     # need no next-iterate array, so the transient memory stays far below
     # the 2M rows of one more.  The wave's Workspace and the march's, about
@@ -677,7 +679,7 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     M = 3
     paths = [sample_noise_path(7, m, spec.noise.K, spec.time_grid) for m in range(M)]
     one_array = 2 * M * (spec.time_grid.n_steps + 1) * g.n_interior * 8
-    window = 2 * M * bracket.WINDOW * g.n_interior * 8
+    ring = bracket.WINDOW * 2 * M * g.n_interior * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -690,20 +692,44 @@ def test_sweeps_write_their_iterates_in_place(monkeypatch):
     current = results[0].final.values.base
     assert current is wave.current and current.nbytes == one_array
     assert all(r.final.values.base is current for r in results)
-    assert wave.ext.shape == (2 * M, bracket.WINDOW, g.n_interior)  # no fallback
+    assert wave.ext.shape == (bracket.WINDOW, 2 * M, g.n_interior)  # no fallback
     (wave_work,), (march_work,) = made[bracket], made[solver]
     buffers = sum(array.nbytes for work in (wave_work, march_work)
                   for array in work.arrays.values())
-    # the iterates, which the results view, the window and the containment
+    # the iterates, which the results view, the ring and the containment
     # defect of each iterate row, which the wave held, and less than 64 KB
     # of the wave's per-level arrays, plan, histories and last drift values
     # (23-38 KB here); the whole extremals, another one_array, are gone
     retained = after - before - buffers
-    held = one_array + window + wave.excess.nbytes
+    held = one_array + ring + wave.excess.nbytes
     assert held <= retained < held + 2**16
     # after holds the buffers too: the peak above it is the rest of the
     # transient (145 KB here)
     assert peak - after < 0.125 * one_array
+
+
+@pytest.mark.parametrize("make", [
+    lambda shape: np.zeros(shape[:2] + (shape[2] + 1,)),
+    lambda shape: np.zeros((shape[1], shape[0], shape[2])).transpose(1, 0, 2),
+    lambda shape: np.zeros(shape, dtype=np.float32),
+], ids=["wrong_shape", "not_c_contiguous", "float32"])
+def test_iterate_bracket_takes_only_an_out_it_can_write_through(make):
+    # the march writes each member's rows through a flat view of out: a
+    # strided out would make that view a copy, and a float32 one would
+    # not take the rows, so both are refused with the wrong shape
+    spec = dataclasses.replace(stochastic_jump_spec(), grid=Grid(n_interior=8),
+                               time_grid=TimeGrid(T=0.02, n_steps=10))
+    path = sample_noise_path(3, 0, spec.noise.K, spec.time_grid)
+    shape = (2, spec.time_grid.n_steps + 1, spec.grid.n_interior)
+    bad = make(shape)
+    with pytest.raises(ValueError, match="members' array"):
+        iterate_bracket(spec, sine(spec), [path], out=bad)
+    assert not bad.any()
+    # a C-contiguous float64 out of the right shape takes the iterates
+    out = np.zeros(shape)
+    results = iterate_bracket(spec, sine(spec), [path], out=out)
+    assert all(r.final.values.base is out for r in results)
+    assert out[:, 1:].any()
 
 
 def test_a_pass_allocates_only_its_states_and_drift_values(monkeypatch):
@@ -1056,68 +1082,65 @@ def test_each_reference_study_keeps_its_schedule(monkeypatch, case):
 
 
 # the reference studies whose waiting levels keep the extremals' early rows
-# in use, so that their window falls back to all N + 1 rows: a continuous
+# in use, so that their ring falls back to all N + 1 rows: a continuous
 # drift's level waits while the one before it may be final.  A jump
-# drift's levels trail the extremals by a few rows, and its window slides
+# drift's levels trail the extremals by a few rows, and its ring wraps
 FALLS_BACK = {"lipschitz_tanh", "sqrt_plus_ode", "sqrt_plus_pde_from_zero"}
 
 
-def record_windows(monkeypatch):
-    """(front, base, width) of the window after each move of every study
-    run from here on."""
-    moves, fit = [], bracket._Wave._fit
+def record_fallbacks(monkeypatch):
+    """(front, rows) at each change of the ring's length in every study run
+    from here on: the extremals' state row and the new number of rows."""
+    changes, fit = [], bracket._Wave._fit
 
     def recorded(wave):
-        window = (wave.base, wave.width)
+        rows = len(wave.ext)
         fit(wave)
-        if (wave.base, wave.width) != window:
-            moves.append((int(wave.steps[len(wave.k)]), wave.base, wave.width))
+        if len(wave.ext) != rows:
+            changes.append((int(wave.steps[len(wave.k)]), len(wave.ext)))
 
     monkeypatch.setattr(bracket._Wave, "_fit", recorded)
-    return moves
+    return changes
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_only_waiting_levels_make_the_window_fall_back(monkeypatch, case):
-    studies, moves = record_extremals(monkeypatch), record_windows(monkeypatch)
+    studies, changes = record_extremals(monkeypatch), record_fallbacks(monkeypatch)
     build, _, arguments = REFERENCE_CASES[case]
     spec, u0, drifts, M = build()
     bracket_study(spec, u0, 12345, range(M), drifts,
                   **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
     wave, N = studies[-1].wave, spec.time_grid.n_steps
-    if N + 1 <= bracket.WINDOW:  # the window is every row
-        assert wave.ext.shape[1] == N + 1 and not moves
-    elif case in FALLS_BACK:  # once, to every row, keeping the window's
-        ((front, base, width),) = moves
-        assert (base, width) == (0, N + 1) and wave.ext.shape[1] == N + 1
-        assert front == bracket.WINDOW - 1
-    else:
-        assert moves and wave.ext.shape[1] == bracket.WINDOW
-        assert all(width == bracket.WINDOW for *_, width in moves)
-        # each move frees at least half the window
-        assert all(2 * (front + 1 - base) <= bracket.WINDOW for front, base, _ in moves)
+    if N + 1 <= bracket.WINDOW:  # the ring is every row
+        assert len(wave.ext) == N + 1 and not changes
+    elif case in FALLS_BACK:
+        # once, to every row: a level waits at row 0 and reads row 1 next,
+        # which the extremals' row WINDOW + 1 would go over
+        assert changes == [(bracket.WINDOW, N + 1)] and len(wave.ext) == N + 1
+    else:  # the ring wraps and keeps its WINDOW rows
+        assert N >= bracket.WINDOW and not changes and len(wave.ext) == bracket.WINDOW
 
 
 @pytest.mark.parametrize("case", ["tanh_waits_from_row_0", "loose_tol_waits_later"])
 def test_a_window_that_falls_back_keeps_every_member_bit_for_bit(monkeypatch, case):
     # a tanh drift's levels wait at row 0 while the extremals run on, so
-    # the window of the whole study falls back at once, with the heaviside
-    # members' slots in it.  At tol_fixed = 2e-3 a heaviside level that
-    # starts later waits there: the window slides, then falls back with
-    # the rows from its base on.  Every member, extremal, defect and start
-    # is still its sweep alone
-    studies, moves = record_extremals(monkeypatch), record_windows(monkeypatch)
+    # the ring of the whole study falls back as soon as it wraps onto row
+    # 1, with the heaviside members' slots in it.  At tol_fixed = 2e-3 a
+    # heaviside level that starts later waits there: the ring wraps past
+    # row 1, then falls back with the WINDOW rows it holds.  Every member,
+    # extremal, defect and start is still its sweep alone
+    studies, changes = record_extremals(monkeypatch), record_fallbacks(monkeypatch)
     spec = stochastic_jump_spec()
     u0, kwargs = sine(spec), dict(tol_fixed=1e-6, max_outer=100)
     drifts = (spec.drift, DriftSpec("lipschitz_tanh", scale=0.5, C_B=2.5))
     if case == "loose_tol_waits_later":
-        spec = dataclasses.replace(spec, time_grid=TimeGrid(T=0.2, n_steps=100))
-        kwargs["tol_fixed"], drifts = 2e-3, drifts[:1]
+        spec, u0, drifts, _, arguments = loose_tol_study()
+        kwargs |= arguments
     pairs = bracket_study(spec, u0, 12345, range(2), drifts, **kwargs)
     N, M = spec.time_grid.n_steps, 2
-    widths = [width for *_, width in moves]
-    assert widths == ([N + 1] if len(drifts) == 2 else [bracket.WINDOW, N + 1])
-    assert moves[-1][1] == 0 and (len(moves) == 1 or moves[0][1] > 0)
+    ((front, rows),) = changes
+    assert rows == N + 1
+    assert (front == bracket.WINDOW) if len(drifts) == 2 else (front > bracket.WINDOW)
     extremals = study_extremals(studies)
     for i, pair in enumerate(pairs):
         path = sample_noise_path(12345, pair.path_index, spec.noise.K, spec.time_grid)
@@ -1130,6 +1153,47 @@ def test_a_window_that_falls_back_keeps_every_member_bit_for_bit(monkeypatch, ca
                                      res.containment_violations), defects):
                 assert np.array_equal(ours, theirs)
             assert res.sweep_starts == starts
+
+
+def loose_tol_study():
+    """A Heaviside study whose later levels wait at tol_fixed = 2e-3: its
+    ring wraps, then falls back (spec, u0, drifts, M, arguments)."""
+    spec = dataclasses.replace(stochastic_jump_spec(), time_grid=TimeGrid(T=0.2, n_steps=100))
+    return spec, sine(spec), (spec.drift,), 2, {"tol_fixed": 2e-3}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES) + ["loose_tol_waits_later"])
+def test_the_ring_hands_back_the_rows_the_extremals_wrote(monkeypatch, case):
+    # at each pass, every lower and upper extremal row the store takes from
+    # the ring is the row the extremals made for that slot and row: a ring
+    # that went over a row still read, or fell back a pass late, fails
+    studies, store = record_extremals(monkeypatch), bracket._Wave.store
+    read = []  # the rows each pass's sweep lanes read
+
+    def checked(wave, n, v):
+        L = len(wave.k)
+        if L:
+            made, rows = studies[-1], n[1][:L] + 1
+            assert made.wave is wave
+            slots = wave.bounds[n[0][:L]]
+            for side, at in enumerate((wave.lower, wave.upper)):
+                taken = wave.ext_rows.take(at, 0, mode="wrap")
+                assert np.array_equal(taken, made.rows[slots[:, side], rows])
+            read.append(rows)
+        store(wave, n, v)
+
+    monkeypatch.setattr(bracket._Wave, "store", checked)
+    if case in REFERENCE_CASES:
+        build, _, arguments = REFERENCE_CASES[case]
+        spec, u0, drifts, M = build()
+    else:
+        spec, u0, drifts, M, arguments = loose_tol_study()
+    bracket_study(spec, u0, 12345, range(M), drifts,
+                  **(dict(tol_fixed=1e-6, max_outer=100) | arguments))
+    rows = np.concatenate(read)
+    assert rows.min() == 1 and rows.max() == spec.time_grid.n_steps
+    if len(studies[-1].wave.ext) == bracket.WINDOW:  # the sweeps read rows the ring wrapped onto
+        assert (rows >= bracket.WINDOW).any()
 
 
 def test_a_twin_that_never_splits_steps_no_lane(monkeypatch):
